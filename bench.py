@@ -74,14 +74,12 @@ def run_bench() -> dict:
         # 4x the workers of the 8-cpu side, so WITHOUT this the warmup tax
         # lands asymmetrically on the wide side of a scaling pair.
         matching_inference_pipeline(
-            docs, state, concurrency=max(2, num_cpus - 2),
-            num_cpus_per_task=task_cpus).count()
+            docs, state, num_cpus_per_task=task_cpus).count()
     trials = []
     for _ in range(n_trials):
         t0 = time.time()
         n_pairs = matching_inference_pipeline(
-            docs, state, concurrency=max(2, num_cpus - 2),
-            num_cpus_per_task=task_cpus).count()
+            docs, state, num_cpus_per_task=task_cpus).count()
         trials.append(time.time() - t0)
     headline = min(trials)
     timings["pipeline_sec"] = round(headline, 3)

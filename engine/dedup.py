@@ -322,6 +322,24 @@ def _involved_filter(ds: ray.data.Dataset, id_col: str,
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
+def _nondeterministic(gate: str) -> RuntimeError:
+    return RuntimeError(
+        f"{gate}: id missing from the filtered scan — upstream pipeline is "
+        "nondeterministic between the candidate and verify scans")
+
+
+def _sorted_positions(kid: np.ndarray, probe: np.ndarray,
+                      gate: str) -> np.ndarray:
+    """Positions of the ``probe`` ids in the sorted id array ``kid``.  The
+    filtered scan that produced ``kid`` re-executes the upstream pipeline,
+    so an absent id means that pipeline is nondeterministic: fail loudly
+    rather than score a pair against a neighbouring row."""
+    pos = np.minimum(np.searchsorted(kid, probe), max(len(kid) - 1, 0))
+    if len(kid) == 0 or not (kid[pos] == probe).all():
+        raise _nondeterministic(gate)
+    return pos
+
+
 # Driver-verify bound for _verify_pairs_join: candidate pair tables are
 # bounded upstream (stop-bucket / max_df / banding caps), so they are
 # usually tiny; under this many pairs the exact-Jaccard verify runs on the
@@ -385,16 +403,19 @@ def _verify_pairs_join(docs: ray.data.Dataset, cand_pairs: ray.data.Dataset,
                 shs_map = None     # too wide: fall through to the joins
                 break
     if shs_map is not None:
-        out = np.empty(len(pdf))
-        for i in range(len(pdf)):
-            sa = np.asarray(shs_map.get(a[i], ()), dtype=np.uint64)
-            sb = np.asarray(shs_map.get(b[i], ()), dtype=np.uint64)
+        out = np.zeros(len(pdf))
+        # a pair whose doc has no signature row is dropped, as the
+        # inner joins of the distributed plan drop it
+        found = np.array([x in shs_map and y in shs_map
+                          for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
+        for i in np.flatnonzero(found).tolist():
+            sa = np.asarray(shs_map[a[i]], dtype=np.uint64)
+            sb = np.asarray(shs_map[b[i]], dtype=np.uint64)
             if not len(sa) or not len(sb):
-                out[i] = 0.0
                 continue
             inter = np.intersect1d(sa, sb, assume_unique=True).size
             out[i] = inter / (len(sa) + len(sb) - inter)
-        m = out >= threshold
+        m = found & (out >= threshold)
         return ray.data.from_arrow(pa.table({
             "a_id": pa.array(a[m], type=pa.int64()),
             "b_id": pa.array(b[m], type=pa.int64()),
@@ -663,8 +684,9 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3,
         order = np.argsort(kept["doc_id"].to_numpy(dtype=np.int64))
         kid = kept["doc_id"].to_numpy(dtype=np.int64)[order]
         ksig = kept["simhash"].to_numpy().astype(np.uint64)[order]
-        xa = ksig[np.searchsorted(kid, a)]
-        xb = ksig[np.searchsorted(kid, b)]
+        gate = "simhash driver-verify gate"
+        xa = ksig[_sorted_positions(kid, a, gate)]
+        xb = ksig[_sorted_positions(kid, b, gate)]
         x = (xa ^ xb).view(np.uint8).reshape(-1, 8)
         ham = np.unpackbits(x, axis=1).sum(axis=1).astype(np.int32)
         m = ham <= max_hamming
@@ -825,16 +847,17 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
         a = pdf["a_id"].to_numpy(dtype=np.int64)
         b = pdf["b_id"].to_numpy(dtype=np.int64)
         involved = np.unique(np.concatenate([a, b]))
+        gate = "embedding driver-verify gate"
         kbs = list(_involved_filter(emb, "vec_id", involved)
                    .iter_batches(batch_format="pyarrow"))
-        if not kbs:          # defensive: pairs imply involved rows exist
-            return ray.data.from_arrow(empty)
+        if not kbs:          # pairs imply involved rows exist
+            raise _nondeterministic(gate)
         kt = pa.concat_tables(kbs)
         order = np.argsort(kt.column("vec_id").to_numpy())
         kid = kt.column("vec_id").to_numpy()[order]
         kv = list_column_matrix(kt.column("embedding"))[order]
-        va = kv[np.searchsorted(kid, a)]
-        vb = kv[np.searchsorted(kid, b)]
+        va = kv[_sorted_positions(kid, a, gate)]
+        vb = kv[_sorted_positions(kid, b, gate)]
         cos = (va * vb).sum(1) / (np.linalg.norm(va, axis=1)
                                   * np.linalg.norm(vb, axis=1))
         keepm = cos >= threshold

@@ -3,10 +3,14 @@
 The reference fans out one multiprocessing task per *property*, each walking
 every object and re-shipping the whole object dict
 (/root/reference/object_properties.py:39-67).  Here it is a single
-``map_batches`` over zero-copy Arrow blocks: one pass per *object*, all 25
-properties fused (the reference's per-property orientation was a
-parallelization artifact, not semantics — SURVEY.md §1.1), which also turns
-its area/perimeter/volume memoization into plain locals.
+``map_batches`` over zero-copy Arrow blocks, and each batch goes through the
+batch property kernel: its geom payloads are parsed into one flat vertex
+table (``geometry.parse_geom_payloads``) and all 25 properties of all its
+objects are computed together over that table
+(``geometry.batch_properties``), in runs of about KERNEL_CHUNK_BYTES of
+payload.  The reference's per-property orientation was a parallelization
+artifact, not semantics (SURVEY.md §1.1); its area/perimeter/volume
+memoization becomes plain arrays.
 
 Output schema: doc_id, source, x0, y0, cx, cy (world centroid), and the 25
 double columns of geometry.PROPERTY_NAMES.  ``spans`` never enters this
@@ -20,15 +24,19 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from engine.geometry import (PROPERTY_NAMES, compute_properties,
-                             parse_geom_payload, unique_vertices)
+from engine.geometry import (PROPERTY_NAMES, batch_properties,
+                             parse_geom_payloads)
+
+
+# Geom payload bytes per kernel call (~60 dense 700-vertex meshes or ~1000
+# box buildings), so the kernel's flat-table temporaries stay bounded however
+# large the batch: 12 MB peak on a 256-doc dense batch, 38 MB unchunked.
+# Half this size measured 16% slower on dense meshes (per-call loops over
+# the longest hull chain amortize over fewer objects).
+KERNEL_CHUNK_BYTES = 1 << 20
 
 
 def _props_batch(batch: pa.Table, log_transform: bool) -> pa.Table:
-    out = {
-        "doc_id": [], "source": [], "x0": [], "y0": [], "cx": [], "cy": [],
-        **{p: [] for p in PROPERTY_NAMES},
-    }
     import pyarrow.compute as pc
     # Arrow-side extraction of just the geom-span payloads (avoids
     # materializing every span's text/media strings into Python)
@@ -40,32 +48,24 @@ def _props_batch(batch: pa.Table, log_transform: bool) -> pa.Table:
     mask = pc.equal(pc.struct_field(flat, "kind"), pa.scalar("geom"))
     geo_rows = parents[mask.to_numpy(zero_copy_only=False)]
     geo_texts = pc.struct_field(flat, "text").filter(mask).to_pylist()
-    ids = batch.column("doc_id").to_pylist()
-    srcs = batch.column("source").to_pylist()
-    for row, gtext in zip(geo_rows, geo_texts):
-        doc_id, source = ids[row], srcs[row]
-        parsed = parse_geom_payload(gtext)
-        if parsed is None:  # < 10 surfaces -> dropped, reference pipelines.py:144-145
-            continue
-        origin, surfaces = parsed
-        verts = unique_vertices(surfaces)
-        props = compute_properties(surfaces, log_transform=log_transform,
-                                   verts=verts)
-        c = verts.mean(axis=0)
-        out["doc_id"].append(doc_id)
-        out["source"].append(source)
-        out["x0"].append(float(origin[0]))
-        out["y0"].append(float(origin[1]))
-        out["cx"].append(float(origin[0] + c[0]))
-        out["cy"].append(float(origin[1] + c[1]))
-        for p in PROPERTY_NAMES:
-            out[p].append(props[p])
+    ends = np.cumsum([len(t) for t in geo_texts]) // KERNEL_CHUNK_BYTES
+    cuts = [0, *(np.flatnonzero(np.diff(ends)) + 1).tolist(), len(geo_texts)]
+    keep, cols = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        # < 10 surfaces -> dropped, reference pipelines.py:144-145
+        kept, origin, meshes = parse_geom_payloads(geo_texts[lo:hi])
+        props, centroid = batch_properties(meshes, log_transform)
+        keep.append(lo + kept)
+        cols.append({"x0": origin[:, 0], "y0": origin[:, 1],
+                     "cx": origin[:, 0] + centroid[:, 0],
+                     "cy": origin[:, 1] + centroid[:, 1], **props})
+    rows = pa.array(geo_rows[np.concatenate(keep)], type=pa.int64())
     arrays = {
-        "doc_id": pa.array(out["doc_id"], type=pa.string()),
-        "source": pa.array(out["source"], type=pa.string()),
+        c: pc.cast(batch.column(c).take(rows), pa.string())
+        for c in ("doc_id", "source")
     }
     for col in ("x0", "y0", "cx", "cy", *PROPERTY_NAMES):
-        arrays[col] = pa.array(np.asarray(out[col], dtype=np.float64),
+        arrays[col] = pa.array(np.concatenate([c[col] for c in cols]),
                                type=pa.float64())
     return pa.table(arrays)
 

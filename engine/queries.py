@@ -757,8 +757,7 @@ def geo_contamination(sf_dir: str):
     props, prep = _prep(sf_dir)
     state = prepare_state(sf_dir, seed=1, bkafi_dim=6, k=5, concurrency=4,
                           cache=True, props=props, prep=prep)
-    scored = matching_inference_pipeline(corpus_dataset(sf_dir), state,
-                                         concurrency=4)
+    scored = matching_inference_pipeline(corpus_dataset(sf_dir), state)
     # rebuild features deterministically, contaminate, re-predict
     from engine import pairs as pairs_mod
     feat = pairs_mod.pair_features_join(

@@ -8,9 +8,10 @@ import pytest
 
 from datagen.buildings import (build_mesh, building_params, doc_spans,
                                expected_volume)
-from engine.geometry import (compute_properties, convex_hull_3d_volume,
-                             hull_area_2d, hull_perimeter_2d, mesh_area,
-                             mesh_perimeter, mesh_volume, parse_geom_payload,
+from engine.geometry import (_quickhull_3d, compute_properties,
+                             convex_hull_3d_volume, hull_area_2d,
+                             hull_perimeter_2d, mesh_area, mesh_perimeter,
+                             mesh_volume, parse_geom_payload,
                              points_in_polygon, unique_vertices)
 
 
@@ -74,6 +75,39 @@ def test_hull_3d_ignores_interior_and_coplanar_points():
                     dtype=float)
     extra = np.vstack([cube, [[1, 1, 1], [1, 1, 0], [2, 1, 1]]])
     assert convex_hull_3d_volume(extra) == 8.0
+
+
+def test_quickhull_off_grid_apex_stays_small():
+    """A dense prism-and-cone mesh whose apex sits off the 1/64 grid: near-
+    coplanar rounding noise must not be taken for a far point (it once
+    built 2708 faces on this mesh).  A triangulated hull of n points has at
+    most 2n - 4 faces, and its volume lies between the (non-convex) mesh
+    volume and the bounding-box volume."""
+    from perfbench import dense
+    b = dense.building(0, 41)
+    cx, cy = b["centre"]
+    m = [np.asarray(s, dtype=float) for s in dense.build_mesh(
+        b["corners"], (cx + 0.1, cy + 1 / 3), b["h"], b["rise"] + 0.01)]
+    verts = unique_vertices(m)
+    faces = _quickhull_3d(verts, assume_unique=True)
+    assert len(faces) <= 2 * len(verts) - 4
+    hv = convex_hull_3d_volume(verts)
+    assert mesh_volume(m) <= hv <= np.prod(verts.max(0) - verts.min(0))
+
+
+@pytest.mark.parametrize("angle", [0.15, 0.65])
+@pytest.mark.parametrize("roof", range(5))
+def test_hull_volume_of_rotated_building(roof, angle):
+    """Rotated off the axes, a convex building's hull volume is still its
+    mesh volume, through quickhull and through the batched enumeration
+    (compute_properties); near-coplanar rounding noise once made quickhull
+    over-estimate the gabled one by 28%."""
+    c, s = math.cos(angle), math.sin(angle)
+    m = [np.asarray([[c * x - s * y, s * x + c * y, z] for x, y, z in f])
+         for f in _mesh(7.5, 5.25, 4.125, roof, 2.375)]
+    v = mesh_volume(m)
+    assert convex_hull_3d_volume(unique_vertices(m)) == pytest.approx(v, rel=1e-12)
+    assert compute_properties(m)["convex_hull_volume"] == pytest.approx(v, rel=1e-12)
 
 
 def test_hull_3d_degenerate_returns_zero():

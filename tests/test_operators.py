@@ -1373,16 +1373,49 @@ def test_verify_pairs_driver_path_equals_join_path(ray_session):
         return ds.to_pandas().sort_values(["a_id", "b_id"]) \
             .reset_index(drop=True)
 
-    fast = norm(minhash_lsh_pairs(docs, threshold=0.5))
-    # force the join path through the public entry by shrinking the bound
-    orig = D.MAX_DRIVER_VERIFY_PAIRS
-    D.MAX_DRIVER_VERIFY_PAIRS = 0
-    try:
-        join = norm(minhash_lsh_pairs(docs, threshold=0.5))
-    finally:
-        D.MAX_DRIVER_VERIFY_PAIRS = orig
-    pd.testing.assert_frame_equal(fast, join)
-    assert len(fast) > 0
+    for threshold in (0.5, 0.0):
+        fast = norm(minhash_lsh_pairs(docs, threshold=threshold))
+        # force the join path through the public entry by shrinking the bound
+        orig = D.MAX_DRIVER_VERIFY_PAIRS
+        D.MAX_DRIVER_VERIFY_PAIRS = 0
+        try:
+            join = norm(minhash_lsh_pairs(docs, threshold=threshold))
+        finally:
+            D.MAX_DRIVER_VERIFY_PAIRS = orig
+        pd.testing.assert_frame_equal(fast, join)
+        assert len(fast) > 0
+
+    # a candidate pair whose doc has no signature row: both plans drop it,
+    # even at threshold 0.0 (the join plan by its inner joins)
+    pairs = pa.table({"a_id": pa.array([5, 7], type=pa.int64()),
+                      "b_id": pa.array([6, 99_999_999], type=pa.int64())})
+    plans = [norm(_verify_pairs_join(docs, ray.data.from_arrow(pairs), 3, 0.0,
+                                     max_driver_pairs=bound))
+             for bound in (None, 0)]
+    pd.testing.assert_frame_equal(*plans)
+    assert plans[0][["a_id", "b_id"]].values.tolist() == [[5, 6]]
+
+
+@pytest.mark.parametrize("gate", ["simhash", "embedding"])
+def test_driver_verify_gates_fail_on_missing_ids(ray_session, monkeypatch,
+                                                 gate):
+    """The simhash and embedding driver-verify gates look paired ids up in
+    a second, filtered scan; an id missing from it (upstream
+    nondeterminism) raises instead of scoring a neighbouring row."""
+    import engine.dedup as D
+    from engine.storage import read_parquet_clean
+    real = D._involved_filter
+    monkeypatch.setattr(D, "_involved_filter", lambda ds, col, involved:
+                        real(ds, col, involved[1:]))
+    with pytest.raises(RuntimeError, match="nondeterministic"):
+        if gate == "simhash":
+            D.simhash_pairs(D.planted_dup_corpus(read_parquet_clean(
+                "/root/testdata/sf0.001/documents.parquet",
+                columns=["doc_id", "text"])))
+        else:
+            from engine.queries import _emb
+            D.embedding_near_dup(D.planted_neardup_embeddings(
+                _emb("/root/testdata/sf0.001")), threshold=0.95)
 
 
 def test_tfidf_broadcast_vocab_equals_join_path(ray_session):

@@ -32,12 +32,17 @@ def test_pairs_have_reference_label_semantics(flagship):
     assert df["rank"].between(1, 5).all()
 
 
-def test_fused_pipeline_matches_quality(ray_session):
+@pytest.fixture(scope="module")
+def fused_state(ray_session):
+    from engine.pipeline import prepare_state
+    return prepare_state(SF, seed=1, bkafi_dim=6, k=5, concurrency=2)
+
+
+def test_fused_pipeline_matches_quality(fused_state):
     from engine.corpus import corpus_dataset
-    from engine.pipeline import matching_inference_pipeline, prepare_state
-    state = prepare_state(SF, seed=1, bkafi_dim=6, k=5, concurrency=2)
-    out = matching_inference_pipeline(
-        corpus_dataset(SF), state, concurrency=2).to_pandas()
+    from engine.pipeline import matching_inference_pipeline
+    out = matching_inference_pipeline(corpus_dataset(SF),
+                                      fused_state).to_pandas()
     # every cand produced exactly k rows, ranked
     counts = out.groupby("cand_id").size()
     assert (counts == 5).all()
@@ -48,6 +53,51 @@ def test_fused_pipeline_matches_quality(ray_session):
     p = tp / (tp + fp)
     r = tp / (tp + fn)
     assert 2 * p * r / (p + r) >= 0.9
+
+
+def _fused(batch, state):
+    from engine.pipeline import fused_apply_batch
+    idx_sq = (state["idx_scaled"] * state["idx_scaled"]).sum(1)
+    return fused_apply_batch(batch, state, idx_sq, False)
+
+
+def _corpus_table():
+    import pyarrow.parquet as pq
+    from engine.corpus import ensure_corpus
+    return pq.read_table(ensure_corpus(SF))
+
+
+def test_fused_batch_ignores_index_docs(fused_state):
+    """Index docs are dropped before parsing: the fused kernel emits the
+    same table with or without them in its input."""
+    import pyarrow.compute as pc
+    docs = _corpus_table()
+    cands = docs.filter(pc.equal(docs.column("source"), "cands"))
+    out = _fused(docs, fused_state)
+    assert out.num_rows == 5 * cands.num_rows
+    assert out.equals(_fused(cands, fused_state))
+
+
+@pytest.mark.parametrize("case", ["no_cands", "few_surfaces"])
+def test_fused_batch_empty_schema(fused_state, case):
+    import json
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from engine.schema import SPAN_TYPE
+    docs = _corpus_table()
+    if case == "no_cands":
+        batch = docs.filter(pc.equal(docs.column("source"), "index"))
+    else:   # cands whose meshes have < 10 surfaces are dropped
+        tri = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        span = {"kind": "geom", "media_ref": "", "offset": 0,
+                "text": json.dumps({"origin": [0, 0], "surfaces": [tri] * 9})}
+        batch = pa.table({"doc_id": pa.array(["1", "2"]),
+                          "source": pa.array(["cands", "cands"]),
+                          "spans": pa.array([[span], [span]],
+                                            type=pa.list_(SPAN_TYPE))})
+    out, some = _fused(batch, fused_state), _fused(docs.slice(0, 8), fused_state)
+    assert out.num_rows == 0 and some.num_rows > 0
+    assert out.schema == some.schema
 
 
 def test_checkpoint_resume_byte_identical(ray_session, tmp_path):
