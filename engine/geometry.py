@@ -18,10 +18,14 @@ one object at a time: ``Meshes`` holds every surface vertex of the batch in
 one flat float64 table with surface and object offsets, vertex dedup is one
 lexsort over (object, x, y, z), and every property is a vectorized pass over
 the flat tables — segment reductions, one flat triangle-fan table, stacked
-``np.cov``/``np.linalg.eigh``, a batched monotone chain for the 2D hull and a
-batched facet enumeration for small 3D hulls (quickhull above
-``HULL_BATCH_MAX_VERTICES``).  ``compute_properties`` is the same kernel on
-a batch of one.
+``np.cov``/``np.linalg.eigh``, one lockstep quickhull for the 3D hulls of
+the whole batch and a batched monotone chain for the 2D hulls, over the
+points the 3D hulls leave as 2D candidates.  The quickhull adds one hull
+vertex per object per round, so its rounds (and numpy calls) number at most
+the batch's longest candidate list; an object whose float hull rounding bent
+near coplanar points is rerun in exact rational arithmetic (never on grid
+inputs).  ``compute_properties`` and
+``convex_hull_3d_volume`` are the same kernels on a batch of one.
 
 Deterministic-arithmetic notes (why tests can assert exact equality against a
 SQL oracle): sums of exactly-representable terms are accumulated sequentially,
@@ -39,8 +43,16 @@ the bits of the former one-object-at-a-time kernel:
   by row exactly like a single length-m array;
 * ``log`` and ``pow`` go through ``math`` element by element, because numpy's
   SIMD versions can differ from libm in the last bit;
+* ``np.log1p`` gets contiguous arrays only.  On a strided view (a column of
+  a 2D table) numpy falls back from SIMD to libm when the view's address
+  span, which runs past its buffer, overlaps the freshly allocated output:
+  the bits then depend on where malloc put that output;
 * a hull volume is a sum of exact dyadic determinants, so any triangulation
-  of the hull's facets gives the same double.
+  of the hull's facets gives the same double;
+* the 2D chain skips only points strictly inside every non-horizontal face
+  of the 3D hull (beyond HULL_TOL) or strictly inside an axis-parallel run:
+  their xy cannot be strict-turn hull vertices, so the chain's vertex
+  sequence, and the order of its perimeter sum, do not change.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -65,23 +78,11 @@ PROPERTY_NAMES = [
 
 MIN_SURFACES_NUM = 10  # reference pipelines.py:17
 
-# Objects with at most this many hull candidates (unique vertices left after
-# _axis_run_ends) get their 3D hull volume from the batched facet enumeration
-# (_small_hull_volumes, O(v^4) per object but vectorized over the batch);
-# larger ones from quickhull.  Set at the measured per-object crossover on
-# one core: on dense-generator prisms the enumeration took 0.50 ms against
-# quickhull's 0.56 ms at 25 candidates, 0.88 against 0.84 ms at 27.
-HULL_BATCH_MAX_VERTICES = 26
-
 # Hull predicates treat a signed distance within this fraction of the
-# coordinate scale (max |coordinate| x extent^2 for a facet distance,
-# extent^2 for an in-plane one) as zero.  On the 1/64 grid of the corpora a
-# nonzero distance is at least 64^-3, far above it, so dyadic inputs are
-# decided exactly.
+# coordinate scale (max |coordinate| x extent^2 for a facet distance) as
+# zero.  On the 1/64 grid of the corpora a nonzero distance is at least
+# 64^-3, far above it, so dyadic inputs are decided exactly.
 HULL_TOL = 16.0 * np.finfo(np.float64).eps
-# Elements per (objects, points, triples) temporary of the facet enumeration:
-# 2 MB of float64 stays cache-resident (larger chunks measured slower).
-HULL_CHUNK = 1 << 18
 
 
 def parse_geom_payload(text: str):
@@ -365,216 +366,195 @@ def hull_area_2d(points: np.ndarray) -> float:
     return abs(acc) / 2.0
 
 
-def convex_hull_3d_volume(points: np.ndarray,
-                          assume_unique: bool = False) -> float:
-    """Volume of the 3D convex hull via incremental quickhull (pure numpy).
-
-    Signed tetra determinants are accumulated and divided by 6 once at the
-    end (exact for dyadic inputs).  Degenerate (rank<3) inputs return 0.0.
-    ``assume_unique``: skip the defensive np.unique when the caller already
-    deduplicated.
-    """
-    faces = _quickhull_3d(points, assume_unique=assume_unique)
-    if faces is None:
-        return 0.0
-    acc = 0.0
-    for (a, b, c) in faces:
-        acc += (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-    return abs(acc) / 6.0
+def convex_hull_3d_volume(points: np.ndarray) -> float:
+    """Volume of the 3D convex hull of (n, 3) points: the batch hull on a
+    batch of one (see _hull_volumes).  Degenerate (rank < 3) inputs return
+    0.0."""
+    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 3),
+                    axis=0)
+    return float(_hull_volumes(pts, np.array([len(pts)]))[0][0])
 
 
-def _quickhull_3d(points: np.ndarray, assume_unique: bool = False):
-    """Incremental convex hull; returns list of outward-oriented triangles
-    (as vertex-coordinate triples) or None when degenerate.  Face-local
-    arithmetic is scalar Python: quickhull only runs on objects above
-    HULL_BATCH_MAX_VERTICES, one object at a time.  A point counts as
-    outside a face only beyond HULL_TOL of the coordinate scale, both when
-    picking the next far point and when collecting the faces it sees:
-    rounding noise on a near-coplanar point must not pick it."""
-    pts = np.asarray(points, dtype=np.float64)
-    if not assume_unique:
-        pts = np.unique(pts, axis=0)
-    n = len(pts)
-    if n < 4:
-        return None
-    # initial simplex: extreme point pairs, then farthest from line / plane
-    i0 = int(np.argmin(pts[:, 0]))
-    i1 = int(np.argmax(pts[:, 0]))
-    if i0 == i1:
-        i1 = int(np.argmax(pts[:, 1]))
-        if i0 == i1:
-            return None
-    d = pts - pts[i0]
-    lx, ly, lz = (float(pts[i1, 0] - pts[i0, 0]),
-                  float(pts[i1, 1] - pts[i0, 1]),
-                  float(pts[i1, 2] - pts[i0, 2]))
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-    # manual cross/norm: same elementwise formulas as np.cross (bit-equal),
-    # without the moveaxis wrapper overhead on these tiny arrays
-    cx = dy * lz - dz * ly
-    cy = dz * lx - dx * lz
-    cz = dx * ly - dy * lx
-    dist2 = cx * cx + cy * cy + cz * cz
-    i2 = int(np.argmax(dist2))
-    if dist2[i2] <= 0.0:
-        return None
-    ux, uy, uz = lx, ly, lz
-    vx, vy, vz = (float(pts[i2, 0] - pts[i0, 0]),
-                  float(pts[i2, 1] - pts[i0, 1]),
-                  float(pts[i2, 2] - pts[i0, 2]))
-    nx0 = uy * vz - uz * vy
-    ny0 = uz * vx - ux * vz
-    nz0 = ux * vy - uy * vx
-    h = dx * nx0 + dy * ny0 + dz * nz0
-    i3 = int(np.argmax(np.abs(h)))
-    if h[i3] == 0.0:
-        return None
-    extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
-    eps = HULL_TOL * float(np.abs(pts).max()) * extent * extent
+def _quickhulls(P: np.ndarray, cnt: np.ndarray):
+    """Quickhull on k objects in lockstep.  P (k, m, 3) holds each object's
+    points, padded past its cnt real ones with repeats of its last point
+    (a repeat never wins an argmax over the point it copies).
 
-    P = pts.tolist()
-    px, py, pz = (np.ascontiguousarray(pts[:, 0]),
-                  np.ascontiguousarray(pts[:, 1]),
-                  np.ascontiguousarray(pts[:, 2]))
-    ix_, iy_, iz_ = ((P[i0][0] + P[i1][0] + P[i2][0] + P[i3][0]) / 4.0,
-                     (P[i0][1] + P[i1][1] + P[i2][1] + P[i3][1]) / 4.0,
-                     (P[i0][2] + P[i1][2] + P[i2][2] + P[i3][2]) / 4.0)
-    faces: list[tuple] = []     # oriented index triples
-    d_cols: list[np.ndarray] = []  # signed distance of every point to each face
-    face_far: list[tuple] = []  # cached (argmax idx, max value) per face —
-    #                             a face's distance column never changes, so
-    #                             the far-point scan needn't re-argmax it
-    alive: list[bool] = []
+    One flat face table serves the whole batch: object, vertices a, b, c
+    (flat indices into the k * m points), outward normal, offset and the
+    face's far point.  Each round adds, for every object that has one, the
+    far point of its first face with a point beyond HULL_TOL of the
+    coordinate scale: the faces that point sees die, their directed edges
+    cancel against their reverses in one sort of (object, edge) keys, and
+    each edge left (the horizon) makes a new face with the point, wound the
+    way the dead face ran along it.  Faces are oriented by this winding
+    alone (the simplex's by the sign of its volume), so every edge of the
+    surface stays matched by its reverse even where rounding makes a point
+    see two patches that touch.  A round makes its point a hull vertex,
+    and a hull vertex is never a far point again, so an object needs at
+    most cnt - 4 rounds: the number of rounds (and of numpy calls) grows
+    with the batch's longest hull, not with its faces.
 
-    def add_face(a, b, c):
-        ax, ay, az = P[a]
-        bx, by, bz = P[b]
-        cx, cy, cz = P[c]
-        ux, uy, uz = bx - ax, by - ay, bz - az
-        vx, vy, vz = cx - ax, cy - ay, cz - az
-        nx = uy * vz - uz * vy
-        ny = uz * vx - ux * vz
-        nz = ux * vy - uy * vx
-        if (ix_ - ax) * nx + (iy_ - ay) * ny + (iz_ - az) * nz > 0:
-            b, c = c, b
-            nx, ny, nz = -nx, -ny, -nz
-        faces.append((a, b, c))
-        col = (px * nx + py * ny + pz * nz
-               - (ax * nx + ay * ny + az * nz))
-        d_cols.append(col)
-        j = int(np.argmax(col))
-        face_far.append((j, float(col[j])))
-        alive.append(True)
-        return len(faces) - 1
+    Tolerance calls near coplanar points can still bend the surface.  An
+    object is rerun in exact rational arithmetic (P as Fractions, zero
+    tolerance, where quickhull cannot go wrong) when a hull vertex is the
+    farthest point beyond one of its faces, or when it still has an open
+    face after cnt - 4 rounds; otherwise its surface is closed and every
+    face has every point behind it, within the tolerance: the hull.  The
+    exact run raises instead of returning a partial hull.
 
-    for tri in ((i0, i1, i2), (i0, i1, i3), (i0, i2, i3), (i1, i2, i3)):
-        add_face(*tri)
-
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 8 * n:  # safety net on degenerate inputs
-            break
-        far, fsel = -1, -1
-        for fi in range(len(faces)):
-            if not alive[fi]:
-                continue
-            j, mx = face_far[fi]
-            if mx > eps:
-                far, fsel = j, fi
-                break
-        if fsel < 0:
-            break
-        # faces visible from `far` + their horizon edges
-        edge_count: dict[tuple, int] = {}
-        for gi in range(len(faces)):
-            if not alive[gi] or d_cols[gi][far] <= eps:
-                continue
-            alive[gi] = False
-            g = faces[gi]
-            for e in ((g[0], g[1]), (g[1], g[2]), (g[2], g[0])):
-                key = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-                got = edge_count.get(key)
-                edge_count[key] = (got[0] + 1, e) if got else (1, e)
-        for cnt, (ea, eb) in edge_count.values():
-            if cnt == 1:
-                add_face(ea, eb, far)
-
-    return [(P[f[0]], P[f[1]], P[f[2]]) for fi, f in enumerate(faces)
-            if alive[fi]]
-
-
-def _small_hull_volumes(P: np.ndarray, I: np.ndarray, J: np.ndarray,
-                        K: np.ndarray) -> np.ndarray:
-    """3D hull volumes of k objects with m unique points each, P (k, m, 3);
-    (I, J, K) enumerate the point triples i < j < k.
-
-    Every triple is tested as a supporting plane: all points on one side,
-    not all on it.  The points on such a plane are one hull facet, and the
-    facet is triangulated as the fan from its lowest-index point i over its
-    boundary edges (j, k): pairs with every facet point on one side of line
-    jk and none strictly between j and k.  Each fan triangle appears as
-    exactly one triple, so summing the outward-oriented determinants of
-    those triples gives 6 x volume."""
+    Returns the hull volumes (signed determinants of the tetrahedra from
+    the object's first point to each face, summed and divided by 6 once),
+    the (k, m) mask of points within the tolerance of, or beyond, a
+    non-horizontal hull face (the only points whose xy can be 2D hull
+    vertices) and the face count of each hull.  An object whose points all
+    lie within the tolerance of one plane has volume 0, every point in the
+    mask and no faces."""
     k, m, _ = P.shape
     X, Y, Z = (np.ascontiguousarray(P[:, :, i]) for i in range(3))
-    ax, ay, az = X[:, I], Y[:, I], Z[:, I]
-    ux, uy, uz = X[:, J] - ax, Y[:, J] - ay, Z[:, J] - az
-    vx, vy, vz = X[:, K] - ax, Y[:, K] - ay, Z[:, K] - az
-    # plane (n, -n.a) of every triple, (k, 4, triples); d[k, point, triple]
-    # = signed distance of the point, scaled by |n|
-    plane = np.empty((k, 4, len(I)))
-    nx, ny, nz = plane[:, 0], plane[:, 1], plane[:, 2]
-    np.subtract(uy * vz, uz * vy, out=nx)
-    np.subtract(uz * vx, ux * vz, out=ny)
-    np.subtract(ux * vy, uy * vx, out=nz)
-    plane[:, 3] = -(nx * ax + ny * ay + nz * az)
-    d = np.concatenate([P, np.ones((k, m, 1))], axis=2) @ plane
-    extent = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
-    tol2 = HULL_TOL * extent * extent
-    tol3 = (tol2 * np.abs(P).max(axis=(1, 2)))[:, None]
-    above, below = d.max(axis=1) > tol3, d.min(axis=1) < -tol3
-    ko, to = np.nonzero(above ^ below)
-    # the facet's points; i must be the lowest-index one (i itself is on it)
-    on = np.abs(d[ko, :, to]) <= tol3[ko]
-    low = on.argmax(axis=1) == I[to]
-    ko, to, on = ko[low], to[low], on[low]
-    i, j, kk = I[to], J[to], K[to]
-    # boundary-edge test inside the facet's plane: o is the component of
-    # e x w along the normal's dominant axis (a 2D cross product after
-    # projecting that axis away)
-    e = np.stack([C[ko, kk] - C[ko, j] for C in (X, Y, Z)])          # (3, F)
-    w = np.stack([C[ko] - C[ko, j][:, None] for C in (X, Y, Z)])  # (3, F, m)
-    r = np.arange(len(ko))
-    dom = np.abs(plane[ko, :3, to]).argmax(axis=1)
-    a1, a2 = (dom + 1) % 3, (dom + 2) % 3
-    o = e[a1, r][:, None] * w[a2, r] - e[a2, r][:, None] * w[a1, r]
-    t2 = tol2[ko][:, None]
-    one_side = ~(on & (o > t2)).any(axis=1) | ~(on & (o < -t2)).any(axis=1)
-    along = (w * e[:, :, None]).sum(axis=0)
-    ee = (e * e).sum(axis=0)[:, None]
-    between = on & (np.abs(o) <= t2) & (along > t2) & (along < ee - t2)
-    edge = one_side & ~between.any(axis=1)
-    x0, y0, z0 = X[ko, i], Y[ko, i], Z[ko, i]
-    x1, y1, z1 = X[ko, j], Y[ko, j], Z[ko, j]
-    x2, y2, z2 = X[ko, kk], Y[ko, kk], Z[ko, kk]
-    det = (x0 * (y1 * z2 - z1 * y2)
-           - y0 * (x1 * z2 - z1 * x2)
-           + z0 * (x1 * y2 - y1 * x2))
-    # a facet's normal points outward when every other point is below it
-    det = np.where(edge, np.where(below[ko, to], det, -det), 0.0)
-    return np.abs(np.bincount(ko, weights=det, minlength=k)) / 6.0
+    gx, gy, gz = X.ravel(), Y.ravel(), Z.ravel()
+    r = np.arange(k)
+    exact = P.dtype == object
+    if exact:
+        eps = np.full(k, Fraction(0), dtype=object)
+    else:
+        extent = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
+        eps = HULL_TOL * np.abs(P).max(axis=(1, 2)) * extent * extent
+    # initial simplex: the x-extreme pair, then the points farthest from
+    # their line and from the plane of the three; h is 6 x its signed
+    # volume, and a simplex within the tolerance of flat means a flat object
+    i0, i1 = X.argmin(axis=1), X.argmax(axis=1)
+    dx, dy, dz = (C - C[r, i0][:, None] for C in (X, Y, Z))
+    lx, ly, lz = (d[r, i1][:, None] for d in (dx, dy, dz))
+    cx, cy, cz = dy * lz - dz * ly, dz * lx - dx * lz, dx * ly - dy * lx
+    i2 = (cx * cx + cy * cy + cz * cz).argmax(axis=1)
+    vx, vy, vz = (d[r, i2][:, None] for d in (dx, dy, dz))
+    h = (dx * (ly * vz - lz * vy) + dy * (lz * vx - lx * vz)
+         + dz * (lx * vy - ly * vx))
+    i3 = np.abs(h).argmax(axis=1)
+    h = h[r, i3]
+    ok = np.abs(h) > eps
+
+    def plane(fo, a, b, c):
+        """Normal (b - a) x (c - a) and offset of faces (a, b, c)."""
+        ax, ay, az = gx[a], gy[a], gz[a]
+        ux, uy, uz = gx[b] - ax, gy[b] - ay, gz[b] - az
+        vx, vy, vz = gx[c] - ax, gy[c] - ay, gz[c] - az
+        nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        return fo, a, b, c, nx, ny, nz, ax * nx + ay * ny + az * nz
+
+    def faces(fo, a, b, c, nx, ny, nz, off):
+        """Face rows (object, a, b, c, far point) and (normal, offset,
+        far distance, tolerance) of the open faces (a point beyond).  A
+        closed face has every point behind it, so no later far point sees
+        it: it is final, and goes to ``closed`` with the points near it if
+        it is a side face."""
+        d = (X[fo] * nx[:, None] + Y[fo] * ny[:, None] + Z[fo] * nz[:, None]
+             - off[:, None])
+        # padding repeats a real point and never wins the argmax over it; a
+        # hull vertex that wins it, beyond the tolerance, means the surface
+        # is not convex there: a tolerance call near coplanar points went
+        # wrong
+        j = d.argmax(axis=1)
+        far_d = d[np.arange(len(j)), j]
+        bad[fo[added[fo, j] & (far_d > eps[fo])]] = True
+        F = np.array([fo, a, b, c, fo * m + j]).T
+        R = np.array([nx, ny, nz, off, far_d, eps[fo]]).T
+        shut = R[:, 4] <= R[:, 5]
+        side = shut & ((nx != 0.0) | (ny != 0.0))
+        closed.append((F[shut, :4], fo[side], d[side] > -R[side, 5, None]))
+        return F[~shut], R[~shut]
+
+    # the simplex's four faces, wound (by the sign of h) so that their
+    # normals point outward
+    closed = []
+    bad = np.zeros(k, dtype=bool)
+    s = np.column_stack([i0, np.where(h > 0, i1, i2), np.where(h > 0, i2, i1),
+                         i3])[ok] + (np.flatnonzero(ok) * m)[:, None]
+    added = np.zeros((k, m), dtype=bool)
+    added.ravel()[s.ravel()] = True
+    fo = np.repeat(np.flatnonzero(ok), 4)
+    tri = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+    a, b, c = s[:, tri].reshape(-1, 3).T
+    F, R = faces(*plane(fo, a, b, c))
+
+    for _ in range(int(cnt.max()) - 4):
+        if len(F) == 0:
+            break
+        fo = F[:, 0]
+        objs, first = np.unique(fo, return_index=True)
+        far = np.zeros(k, dtype=np.int64)
+        far[objs] = F[first, 4]
+        added.ravel()[far[objs]] = True
+        p = far[fo]
+        seen = np.flatnonzero(gx[p] * R[:, 0] + gy[p] * R[:, 1]
+                              + gz[p] * R[:, 2] - R[:, 3] > R[:, 5])
+        # directed edges a-b, b-c, c-a of the seen faces; the horizon is
+        # what is left when each cancels its reverse.  On a manifold that is
+        # the edges a seen face shares with an unseen one; where rounding
+        # makes a point see two patches that touch, it still leaves every
+        # edge of the surface matched by its reverse
+        V = F[seen]
+        e0, e1 = V[:, 1:4].ravel(), V[:, [2, 3, 1]].ravel()
+        key, inv = np.unique(np.minimum(e0, e1) * (k * m) + np.maximum(e0, e1),
+                             return_inverse=True)
+        net = np.bincount(inv, weights=np.where(e0 < e1, 1.0, -1.0),
+                          minlength=len(key))
+        lo, hi = key // (k * m), key % (k * m)
+        rep = np.abs(net).astype(np.int64)
+        a = np.repeat(np.where(net > 0, lo, hi), rep)
+        b = np.repeat(np.where(net > 0, hi, lo), rep)
+        fo = a // m
+        Fn, Rn = faces(*plane(fo, a, b, far[fo]))
+        F = np.concatenate([np.delete(F, seen, axis=0), Fn])
+        R = np.concatenate([np.delete(R, seen, axis=0), Rn])
+        if bad.any():
+            F, R = F[~bad[F[:, 0]]], R[~bad[F[:, 0]]]
+    bad[F[:, 0]] = True
+    if exact and bad.any():
+        raise RuntimeError(
+            f"exact convex hulls of objects {np.flatnonzero(bad).tolist()} "
+            f"of the batch are not closed and convex after "
+            f"{int(cnt.max()) - 4} rounds, one per candidate")
+
+    fo, a, b, c = np.concatenate([f for f, _, _ in closed]).T
+    fine = ~bad[fo]
+    fo, a, b, c = fo[fine], a[fine], b[fine], c[fine]
+    # tetrahedra from each object's first point to its faces
+    ax, ay, az, bx, by, bz, cx, cy, cz = (
+        g[v] - g[fo * m] for v in (a, b, c) for g in (gx, gy, gz))
+    det = (ax * (by * cz - bz * cy) - ay * (bx * cz - bz * cx)
+           + az * (bx * cy - by * cx))
+    if exact:
+        volume = np.zeros(k, dtype=object)
+        np.add.at(volume, fo, det)
+        volume = np.array([float(abs(v) / 6) for v in volume])
+    else:
+        volume = np.abs(np.bincount(fo, weights=det, minlength=k)) / 6.0
+    # OR the side faces' near-point rows per object
+    fs = np.concatenate([f for _, f, _ in closed])
+    order = np.argsort(fs, kind="stable")
+    order = order[~bad[fs[order]]]
+    fs = fs[order]
+    heads = np.flatnonzero(np.r_[True, fs[1:] != fs[:-1]])
+    near = ~ok[:, None].repeat(m, axis=1)
+    if len(fs):
+        near[fs[heads]] = np.logical_or.reduceat(
+            np.concatenate([d for _, _, d in closed])[order], heads, axis=0)
+    count = np.bincount(fo, minlength=k)
+    if bad.any():
+        again = np.flatnonzero(bad)
+        exact_p = np.vectorize(Fraction, otypes=[object])(P[again])
+        volume[again], near[again], count[again] = _quickhulls(exact_p,
+                                                               cnt[again])
+    return volume, near, count
 
 
 def _axis_run_ends(obj: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Mask of the points that are not strictly between two other points of
     their object on an axis-parallel line (wall-split and panel-split
     vertices of building meshes).  Such points are never hull vertices, so
-    the hull enumeration may drop them."""
+    the hulls may drop them."""
     keep = np.ones(len(obj), dtype=bool)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
@@ -587,34 +567,30 @@ def _axis_run_ends(obj: np.ndarray, X: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _hull_volumes(U: np.ndarray, nv: np.ndarray) -> np.ndarray:
+def _hull_volumes(U: np.ndarray, nv: np.ndarray):
     """3D hull volume of each object's unique vertices (object-ordered
-    rows of U, nv per object); fewer than 4 points give 0.0.  Points inside
-    an axis-parallel run are dropped first; objects left with more than
-    HULL_BATCH_MAX_VERTICES points go through quickhull one by one, the
-    others through the facet enumeration in batches of equal point
-    count."""
+    rows of U, nv per object), and the mask of the rows that can be 2D hull
+    vertices of their object's xy.  Points inside an axis-parallel run are
+    dropped first (their xy lies exactly between, or on, two other points'
+    xy); objects with at least 4 points left go through the lockstep
+    quickhull, which also drops the points strictly inside every
+    non-horizontal face.  Objects with fewer points, or a degenerate hull,
+    have volume 0.0 and keep all their run ends."""
     n = len(nv)
-    vol = np.zeros(n)
     obj = np.repeat(np.arange(n), nv)
-    rows = np.flatnonzero(nv[obj] >= 4)
-    rows = rows[_axis_run_ends(obj[rows], U[rows])]   # object-ordered
-    for m, objs, rr in _groups(np.bincount(obj[rows], minlength=n)):
-        if m < 4:
-            continue
-        pts = U[rows[rr]]
-        if m > HULL_BATCH_MAX_VERTICES:
-            for o, p in zip(objs.tolist(), pts):
-                vol[o] = convex_hull_3d_volume(p, assume_unique=True)
-            continue
-        triples = np.array(list(itertools.combinations(range(m), 3)),
-                           dtype=np.int64).T
-        # bounds the (objects, m, triples) temporaries
-        step = max(1, HULL_CHUNK // (m * triples.shape[1]))
-        for s in range(0, len(objs), step):
-            vol[objs[s:s + step]] = _small_hull_volumes(pts[s:s + step],
-                                                        *triples)
-    return vol
+    rows = np.flatnonzero(_axis_run_ends(obj, U))     # object-ordered
+    cand = np.zeros(len(U), dtype=bool)
+    cand[rows] = True
+    vol = np.zeros(n)
+    c = np.bincount(obj[rows], minlength=n)
+    objs = np.flatnonzero(c >= 4)
+    if len(objs):
+        cnt = c[objs]
+        pad = rows[_starts(c)[objs][:, None]
+                   + np.minimum(np.arange(cnt.max()), cnt[:, None] - 1)]
+        vol[objs], near, _ = _quickhulls(U[pad], cnt)
+        cand[pad[~near]] = False
+    return vol, cand
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +684,8 @@ def batch_properties(meshes: Meshes, log_transform: bool = False):
     area, volume = _fan(meshes)
     area = np.maximum(area, 1.0)
     perimeter = _perimeters(meshes, zlo, zhi)
-    ch_per = _hull_perimeters(uo, ux, uy, n)
-    ch_vol = _hull_volumes(U, nv)
+    ch_vol, cand = _hull_volumes(U, nv)
+    ch_per = _hull_perimeters(uo[cand], ux[cand], uy[cand], n)
     centroid, acd, elongation, aligned = _vertex_stats(U, nv)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -747,7 +723,8 @@ def batch_properties(meshes: Meshes, log_transform: bool = False):
             "num_vertices": nv.astype(np.float64),
         }
     if log_transform:
-        props = {k: np.log1p(v) for k, v in props.items()}
+        # contiguous inputs: see the module docstring
+        props = {k: np.log1p(np.ascontiguousarray(v)) for k, v in props.items()}
     return props, centroid
 
 

@@ -75,11 +75,12 @@ class MediaFeatureActor:
 
 
 
-# Per-worker-process memoized stage instances: these stages' state is a few
-# KB (a seeded projection matrix, sizes, an md5 stub) — building it once per
-# WORKER via a module-global cache gives the same load-once semantics as an
-# actor pool without paying cold per-actor process spawn (seconds on a
-# 30-wide pool for seconds-long stages).  A REAL heavyweight encoder
+# Memoized stage instances: these stages' state is a few KB (a seeded
+# projection matrix, sizes, an md5 stub).  Engine modules travel into Ray
+# tasks by value (engine/__init__.py), so this module-global dict is rebuilt
+# for every task: a stage is built once per TASK, and reused across that
+# task's batches, not once per worker process.  That is cheap at this
+# size and pays no cold per-actor process spawn.  A REAL heavyweight encoder
 # (multi-GB weights) should run as an actor pool instead: pass the actor
 # class to map_batches with concurrency=(1, N) — the classes below keep
 # that __init__ slot intact.
@@ -100,7 +101,7 @@ def _worker_stage(cls, **kw):
 def media_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> deterministic feature vectors (task pool, state
-    memoized per worker — see _worker_stage).  Small batch_size on
+    memoized per task — see _worker_stage).  Small batch_size on
     purpose: real binary payloads are heap-heavy per row."""
     def stage(batch: pa.Table) -> pa.Table:
         return _worker_stage(MediaFeatureActor)(batch)

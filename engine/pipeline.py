@@ -32,6 +32,7 @@ from engine.properties import _props_batch, properties_dataset
 
 
 STATE_VERSION = "r2"  # bump when prepare-state semantics change
+_PROCESS_CACHE = "_ray_geo_er_process_cache"   # sys.modules name
 
 
 def property_table(sf_dir: str, n_cands: int | None = None,
@@ -394,6 +395,21 @@ def fused_apply_batch(batch: pa.Table, s: dict, idx_sq: np.ndarray,
     })
 
 
+def _process_cache() -> dict:
+    """A dict that lives as long as the current process.  Engine modules
+    travel into Ray tasks by value (engine/__init__.py), so their module
+    globals, and any cache kept in them, are rebuilt for every task; a
+    module registered in sys.modules is not, so every task a worker process
+    runs sees the same dict."""
+    import sys
+    import types
+    mod = sys.modules.get(_PROCESS_CACHE)
+    if mod is None:
+        mod = sys.modules[_PROCESS_CACHE] = types.ModuleType(_PROCESS_CACHE)
+        mod.cache = {}
+    return mod.cache
+
+
 def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
                                 num_cpus_per_task: float | None = None
                                 ) -> ray.data.Dataset:
@@ -402,7 +418,12 @@ def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
     execution.  Output: (cand_id, index_id, rank, dist, label, pred) pairs.
 
     Physical form: a stateless TASK pool with the prepared state broadcast
-    via ray.put and cached per worker process (zero-copy plasma reads).
+    via ray.put and cached per worker process (zero-copy plasma reads; the
+    cache holds the latest state only, keyed by its object ref).  That
+    latest state stays pinned: after the pipeline ends and the caller drops
+    it, every worker that ran one of its tasks still holds its plasma
+    arrays, so object-store memory of the size of the index state stays in
+    use until the next fused pipeline on that worker replaces it.
     Measured 35% faster than the equivalent actor pool on this host — task
     pools have no ramp and stay fully elastic; actor pools remain the right
     shape when per-actor setup is expensive (model load), which a plasma get
@@ -411,16 +432,17 @@ def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
     import pyarrow as pa
 
     state_ref = ray.put(state)
-    worker_cache: dict = {}
+    key = state_ref.hex()
     log_transform = bool(state.get("log_transform", False))
 
     def fused(batch: pa.Table) -> pa.Table:
-        if "s" not in worker_cache:
+        cache = _process_cache()
+        got = cache.get("fused")
+        if got is None or got[0] != key:
             s = ray.get(state_ref)
-            worker_cache["s"] = s
-            worker_cache["idx_sq"] = (s["idx_scaled"] * s["idx_scaled"]).sum(1)
-        return fused_apply_batch(batch, worker_cache["s"],
-                                 worker_cache["idx_sq"], log_transform)
+            got = cache["fused"] = (key, s,
+                                    (s["idx_scaled"] * s["idx_scaled"]).sum(1))
+        return fused_apply_batch(batch, got[1], got[2], log_transform)
 
     kwargs = {}
     if num_cpus_per_task:

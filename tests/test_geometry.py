@@ -8,11 +8,13 @@ import pytest
 
 from datagen.buildings import (build_mesh, building_params, doc_spans,
                                expected_volume)
-from engine.geometry import (_quickhull_3d, compute_properties,
+from engine.geometry import (Meshes, _hull_volumes, _quickhulls,
+                             batch_properties, compute_properties,
                              convex_hull_3d_volume, hull_area_2d,
                              hull_perimeter_2d, mesh_area, mesh_perimeter,
                              mesh_volume, parse_geom_payload,
                              points_in_polygon, unique_vertices)
+from perfbench import dense
 
 
 def _mesh(w, l, h, roof=0, rise=2.0):
@@ -83,25 +85,213 @@ def test_quickhull_off_grid_apex_stays_small():
     built 2708 faces on this mesh).  A triangulated hull of n points has at
     most 2n - 4 faces, and its volume lies between the (non-convex) mesh
     volume and the bounding-box volume."""
-    from perfbench import dense
     b = dense.building(0, 41)
     cx, cy = b["centre"]
     m = [np.asarray(s, dtype=float) for s in dense.build_mesh(
         b["corners"], (cx + 0.1, cy + 1 / 3), b["h"], b["rise"] + 0.01)]
     verts = unique_vertices(m)
-    faces = _quickhull_3d(verts, assume_unique=True)
-    assert len(faces) <= 2 * len(verts) - 4
+    _, _, faces = _quickhulls(verts[None], np.array([len(verts)]))
+    assert 4 <= faces[0] <= 2 * len(verts) - 4
     hv = convex_hull_3d_volume(verts)
     assert mesh_volume(m) <= hv <= np.prod(verts.max(0) - verts.min(0))
+
+
+def test_quickhull_sliver_vertex_is_not_added_again():
+    """A hull vertex on a sliver face can round out past the tolerance (it
+    once ran the rounds past the one-per-candidate bound).  The hull is the
+    pyramid from (323, 0, 0) over a 2.75 m2 polygon in the x = 0 plane (plus
+    a 1.2e-7 sliver)."""
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0], [0.0, 1.0, 0.0],
+                    [0.0, 0.5, 0.0], [323.0, 0.0, 0.0],
+                    [1.192092896e-07, 2.0, 0.0]])
+    assert convex_hull_3d_volume(pts) == pytest.approx(2.75 * 323 / 3,
+                                                       rel=1e-9)
+
+
+def test_hull_of_a_cloud_flat_within_the_tolerance_is_zero():
+    """Five points within 1.2e-16 of the plane x = 1 (bounding box 3.3e-13
+    m3).  Their hull volume was 999.17 when the simplex's faces were turned
+    by a side test that rounding decides on a flat simplex."""
+    pts = np.array([[1.0, 1.0, 999.9999999999999],
+                    [0.9999999999999999, 0.5, 1.0000000000000002],
+                    [1.0, 3.0, 0.5], [1.0, 1e-10, 1.0000000000000002],
+                    [1.0, 3.0, 3.0]])
+    assert convex_hull_3d_volume(pts) == 0.0
+
+
+# 27 points at the corners, edges and faces of a 1000 m cube, many within
+# 1e-10 of a face plane (0, 5e-324, 1e-300, 1.19e-7, 999.9999999999999):
+# tolerance calls near those planes leave the float hull bent (a hull vertex
+# beyond a face, or a seen patch that is not a disk), so these objects take
+# the exact rerun.  The volumes are the exact rational hull volumes (facet
+# enumeration over Fractions) rounded to double.
+NEAR_COPLANAR_CLOUDS = [
+    ([[0.5, 1.192092896e-07, 500.0], [6.103515625e-05, 6.103515625e-05,
+      999.9999999999999], [1.192092896e-07, 1.0, 1.0000000000000002],
+      [1.192092896e-07, 999.9999999999999, 1e-10], [999.9999999999999,
+      1e-10, 6.103515625e-05], [2.2250738585072014e-308, 1.0, 1000.0],
+      [3.0, 323.0, 999.9999999999999], [0.0, 1000.0, 1e-10],
+      [0.3333333333333333, 5e-324, 5e-324], [1.0000000000000002,
+      2.2250738585072014e-308, 500.0], [323.0, 500.0, 323.0],
+      [323.0, 999.9999999999999, 3.0], [1.0, 1000.0, 1000.0],
+      [0.5, 2.0, 0.5], [1.0, 1.192092896e-07, 0.5], [999.9999999999999,
+      1000.0, 323.0], [2.0, 1.0, 1.0000000000000002], [5e-324, 1e-300, 0.1],
+      [323.0, 0.1, 0.5], [323.0, 999.9999999999999, 5e-324],
+      [3.0, 0.3333333333333333, 2.0], [500.0, 1e-300,
+      2.2250738585072014e-308], [999.9999999999999, 3.0, 0.0],
+      [5e-324, 5e-324, 1000.0], [6.103515625e-05, 0.9999999999999999,
+      6.103515625e-05], [999.9999999999999, 999.9999999999999,
+      1.192092896e-07], [0.1, 0.9999999999999999, 0.0]],
+     607915074.0601537),
+    ([[500.0, 3.0, 999.9999999999999], [107.24336243159172, 6.103515625e-05,
+      1.0], [539.9798792389886, 736.3891127620972, 921.2795428571604],
+      [1e-10, 1e-10, 2.2250738585072014e-308], [1.0000000000000002,
+      0.3333333333333333, 3.0], [0.3333333333333333, 195.74643552712666,
+      500.0], [1000.0, 2.0, 6.103515625e-05], [70.27763479544124,
+      1.192092896e-07, 0.9999999999999999], [173.90575965933675, 1e-300,
+      288.4339868720153], [323.0, 761.2114689522211, 3.0],
+      [996.1201961799757, 6.103515625e-05, 323.0], [1e-10, 0.1, 0.0],
+      [0.1, 0.0, 2.2250738585072014e-308], [0.3333333333333333,
+      729.7508214565368, 6.103515625e-05], [1e-10, 0.9999999999999999,
+      999.9999999999999], [1.192092896e-07, 3.0, 3.0], [1.0000000000000002,
+      5e-324, 0.9999999999999999], [999.9999999999999, 970.5856457229002,
+      2.0], [0.9999999999999999, 1000.0, 1000.0], [1.0000000000000002,
+      1e-300, 1e-300], [1.0000000000000002, 183.30664732446755,
+      689.5489421803504], [2.2250738585072014e-308, 5e-324, 1.192092896e-07],
+      [988.077647449151, 1.192092896e-07, 1e-300], [112.81243597317004,
+      2.2250738585072014e-308, 0.0], [1000.0, 1000.0, 365.62181886818854],
+      [1.192092896e-07, 934.0247757338648, 5e-324], [999.9999999999999,
+      1.192092896e-07, 1000.0]],
+     892946697.7592751),
+]
+
+
+@pytest.mark.parametrize("cloud,volume", NEAR_COPLANAR_CLOUDS)
+def test_near_coplanar_cloud_takes_the_exact_rerun(cloud, volume,
+                                                   monkeypatch):
+    import engine.geometry as geo
+    reruns = []
+    lockstep = geo._quickhulls
+
+    def spy(P, cnt):
+        reruns.append(P.dtype == object)
+        return lockstep(P, cnt)
+
+    monkeypatch.setattr(geo, "_quickhulls", spy)
+    assert convex_hull_3d_volume(np.array(cloud)) == volume
+    assert reruns == [False, True]
+
+
+def test_quickhull_raises_past_its_round_bound():
+    """A hull still open after cnt - 4 rounds, one per candidate, is rerun
+    exactly, and the exact run raises naming the object instead of
+    returning a partial hull.  A cube passed with cnt 5 gets one round;
+    its hull needs four."""
+    cube = np.array([[x, y, z] for x in (0, 2) for y in (0, 2)
+                     for z in (0, 2)], dtype=float)
+    with pytest.raises(RuntimeError, match=r"objects \[0\]"):
+        _quickhulls(cube[None], np.array([5]))
+    assert _quickhulls(cube[None], np.array([8]))[0].tolist() == [8.0]
+
+
+def test_exact_rerun_leaves_the_rest_of_the_batch():
+    """An object sent to the exact rerun gets its exact volume; the other
+    objects of its batch keep the volumes they have alone."""
+    cloud, volume = NEAR_COPLANAR_CLOUDS[0]
+    objs = [unique_vertices(_mesh(4.0, 6.0, 3.0)),
+            np.unique(np.array(cloud), axis=0),
+            unique_vertices(_mesh(7.5, 5.25, 4.125, 2))]
+    got, _ = _hull_volumes(np.concatenate(objs),
+                           np.array([len(o) for o in objs]))
+    assert got.tolist() == [72.0, volume, convex_hull_3d_volume(objs[2])]
+
+
+def _hull_area(corners):
+    """Area of the convex hull of 1/64-grid corners: Andrew's chain and the
+    shoelace in exact integer arithmetic."""
+    pts = sorted({(int(x * 64), int(y * 64)) for x, y in corners})
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = half(pts) + half(pts[::-1])
+    twice = sum(x0 * y1 - x1 * y0
+                for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))
+    return twice / 2 / 64 / 64
+
+
+def test_dense_hull_volume_closed_form():
+    """The hull of a prism-and-cone mesh is the prism over the footprint's
+    hull plus the cone over it: area x h + area x rise / 3."""
+    meshes, want = [], []
+    for key in range(30):
+        b = dense.building(0, key)
+        meshes.append(dense.build_mesh(b["corners"], b["centre"], b["h"],
+                                       b["rise"]))
+        area = _hull_area(b["corners"])
+        want.append(area * b["h"] + area * b["rise"] / 3.0)
+    got = batch_properties(Meshes.from_surfaces(meshes))[0]
+    assert got["convex_hull_volume"] == pytest.approx(want, rel=1e-12)
+
+
+def test_degenerate_hulls_in_a_mixed_batch():
+    """Degenerate objects (< 4 points, collinear, coplanar, duplicates of
+    3 points) get 0.0 next to normal objects, whose volumes are those they
+    have alone."""
+    cube = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+    t = np.arange(6.0)[:, None] / 4
+    tri = [[0, 0, 0], [1, 0, 0], [0, 1, 1]]
+    normal = [cube, unique_vertices(_mesh(4.0, 6.0, 3.0)),
+              unique_vertices(_mesh(7.5, 5.25, 4.125, 2)),
+              cube + [[1, 1, 1], [2, 1, 1]] * 3]
+    plane = [[x, y, 0.5 * x + 0.25 * y] for x in range(3) for y in range(3)]
+    degenerate = [tri, [1.0, 2.0, 3.0] + t * [0.5, 0.25, 2.0], plane, tri * 8]
+    objs = [np.unique(np.asarray(o, dtype=float), axis=0)
+            for pair in zip(normal, degenerate) for o in pair]
+    got, _ = _hull_volumes(np.concatenate(objs),
+                           np.array([len(o) for o in objs]))
+    assert got[1::2].tolist() == [0.0] * 4
+    assert got[::2].tolist() == [convex_hull_3d_volume(o) for o in normal]
+    assert got[0] == got[6] == 8.0 and got[2] == 72.0
+
+
+def _dense_289():
+    """A 96-corner dense mesh: 289 unique vertices, 193 hull candidates."""
+    key = next(k for k in range(1000)
+               if len(dense.building(0, k)["corners"]) == 96)
+    b = dense.building(0, key)
+    return dense.build_mesh(b["corners"], b["centre"], b["h"], b["rise"])
+
+
+def test_hull_independent_of_a_large_neighbour():
+    """A rotated (non-dyadic) building's hull volume and 2D hull perimeter
+    are the same bits alone and next to a 289-vertex dense mesh, which
+    widens the padded point table and lengthens the rounds."""
+    c, s = math.cos(0.65), math.sin(0.65)
+    rotated = [np.asarray([[c * x - s * y, s * x + c * y, z] for x, y, z in f])
+               for f in _mesh(7.5, 5.25, 4.125, 3, 2.375)]
+    big = _dense_289()
+    assert len(unique_vertices([np.asarray(f) for f in big])) == 289
+    alone = compute_properties(rotated)
+    both = batch_properties(Meshes.from_surfaces([big, rotated]))[0]
+    for name in ("convex_hull_volume", "convex_hull_area"):
+        assert both[name][1] == alone[name]
 
 
 @pytest.mark.parametrize("angle", [0.15, 0.65])
 @pytest.mark.parametrize("roof", range(5))
 def test_hull_volume_of_rotated_building(roof, angle):
     """Rotated off the axes, a convex building's hull volume is still its
-    mesh volume, through quickhull and through the batched enumeration
-    (compute_properties); near-coplanar rounding noise once made quickhull
-    over-estimate the gabled one by 28%."""
+    mesh volume, alone and through the batch kernel (compute_properties);
+    near-coplanar rounding noise once made quickhull over-estimate the
+    gabled one by 28%."""
     c, s = math.cos(angle), math.sin(angle)
     m = [np.asarray([[c * x - s * y, s * x + c * y, z] for x, y, z in f])
          for f in _mesh(7.5, 5.25, 4.125, roof, 2.375)]

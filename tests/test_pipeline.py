@@ -55,6 +55,28 @@ def test_fused_pipeline_matches_quality(fused_state):
     assert 2 * p * r / (p + r) >= 0.9
 
 
+def test_fused_state_fetched_once_per_worker(fused_state, monkeypatch):
+    """Every task a worker process runs reuses the state the first one
+    fetched: engine modules travel by value, so a cache in their globals
+    would be rebuilt per task.  The probe counts the uses of each fetched
+    state dict; a fetch shows as a use count of 1."""
+    import engine.pipeline as pipe
+    from engine.corpus import corpus_dataset
+
+    def probe(batch, s, idx_sq, log_transform):
+        import os
+        import pyarrow as pa
+        s["_uses"] = s.get("_uses", 0) + 1
+        return pa.table({"pid": [os.getpid()], "uses": [s["_uses"]]})
+
+    monkeypatch.setattr(pipe, "fused_apply_batch", probe)
+    docs = corpus_dataset(SF).repartition(16)
+    out = pipe.matching_inference_pipeline(docs, fused_state).to_pandas()
+    assert len(out) == 16
+    assert out.pid.nunique() < len(out)     # some worker ran several tasks
+    assert (out.uses == 1).sum() == out.pid.nunique()
+
+
 def _fused(batch, state):
     from engine.pipeline import fused_apply_batch
     idx_sq = (state["idx_scaled"] * state["idx_scaled"]).sum(1)

@@ -1,9 +1,11 @@
 """The batch property kernel (engine.properties._props_batch over
 engine.geometry.batch_properties): bit-exact golden digests of the full
-property table, hull routes forced both ways, independence from batch
-composition, and the empty-output cases."""
+property table, the 3D hull against a facet-enumeration oracle, the 2D hull
+over its candidates only, independence from batch composition, and the
+empty-output cases."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -99,8 +101,8 @@ def test_property_table_matches_golden_digest(corpora, name, log_transform):
 
 
 def _small_dense_meshes() -> list:
-    """Dense-generator prisms with 4-8 corners: 9-17 hull candidates, so
-    both hull routes can run them."""
+    """Dense-generator prisms with 4-8 corners: 13-25 unique vertices, few
+    enough for the facet-enumeration oracle."""
     objs = []
     for key in range(40):
         b = dense.building(3, key)
@@ -115,20 +117,160 @@ def _small_dense_meshes() -> list:
     return objs
 
 
-def test_hull_routes_agree(corpora, monkeypatch):
-    """Cap 0 (quickhull for every object) and an unbounded cap (facet
-    enumeration for every object) give identical tables."""
+def _facet_volumes(P: np.ndarray) -> np.ndarray:
+    """Oracle: 3D hull volumes of k objects with m unique points each, P
+    (k, m, 3), by facet enumeration.
+
+    Every point triple i < j < k is tested as a supporting plane: all
+    points on one side, not all on it.  The points on such a plane are one
+    hull facet, and the facet is triangulated as the fan from its
+    lowest-index point i over its boundary edges (j, k): pairs with every
+    facet point on one side of line jk and none strictly between j and k.
+    Each fan triangle appears as exactly one triple, so summing the
+    outward-oriented determinants of those triples gives 6 x volume."""
+    k, m, _ = P.shape
+    I, J, K = np.array(list(itertools.combinations(range(m), 3))).T
+    X, Y, Z = (np.ascontiguousarray(P[:, :, i]) for i in range(3))
+    ax, ay, az = X[:, I], Y[:, I], Z[:, I]
+    ux, uy, uz = X[:, J] - ax, Y[:, J] - ay, Z[:, J] - az
+    vx, vy, vz = X[:, K] - ax, Y[:, K] - ay, Z[:, K] - az
+    # plane (n, -n.a) of every triple, (k, 4, triples); d[k, point, triple]
+    # = signed distance of the point, scaled by |n|
+    plane = np.empty((k, 4, len(I)))
+    nx, ny, nz = plane[:, 0], plane[:, 1], plane[:, 2]
+    np.subtract(uy * vz, uz * vy, out=nx)
+    np.subtract(uz * vx, ux * vz, out=ny)
+    np.subtract(ux * vy, uy * vx, out=nz)
+    plane[:, 3] = -(nx * ax + ny * ay + nz * az)
+    d = np.concatenate([P, np.ones((k, m, 1))], axis=2) @ plane
+    extent = (P.max(axis=1) - P.min(axis=1)).max(axis=1)
+    tol2 = geo.HULL_TOL * extent * extent
+    tol3 = (tol2 * np.abs(P).max(axis=(1, 2)))[:, None]
+    above, below = d.max(axis=1) > tol3, d.min(axis=1) < -tol3
+    ko, to = np.nonzero(above ^ below)
+    # the facet's points; i must be the lowest-index one (i itself is on it)
+    on = np.abs(d[ko, :, to]) <= tol3[ko]
+    low = on.argmax(axis=1) == I[to]
+    ko, to, on = ko[low], to[low], on[low]
+    i, j, kk = I[to], J[to], K[to]
+    # boundary-edge test inside the facet's plane: o is the component of
+    # e x w along the normal's dominant axis
+    e = np.stack([C[ko, kk] - C[ko, j] for C in (X, Y, Z)])
+    w = np.stack([C[ko] - C[ko, j][:, None] for C in (X, Y, Z)])
+    r = np.arange(len(ko))
+    dom = np.abs(plane[ko, :3, to]).argmax(axis=1)
+    a1, a2 = (dom + 1) % 3, (dom + 2) % 3
+    o = e[a1, r][:, None] * w[a2, r] - e[a2, r][:, None] * w[a1, r]
+    t2 = tol2[ko][:, None]
+    one_side = ~(on & (o > t2)).any(axis=1) | ~(on & (o < -t2)).any(axis=1)
+    along = (w * e[:, :, None]).sum(axis=0)
+    ee = (e * e).sum(axis=0)[:, None]
+    between = on & (np.abs(o) <= t2) & (along > t2) & (along < ee - t2)
+    edge = one_side & ~between.any(axis=1)
+    x0, y0, z0 = X[ko, i], Y[ko, i], Z[ko, i]
+    x1, y1, z1 = X[ko, j], Y[ko, j], Z[ko, j]
+    x2, y2, z2 = X[ko, kk], Y[ko, kk], Z[ko, kk]
+    det = (x0 * (y1 * z2 - z1 * y2)
+           - y0 * (x1 * z2 - z1 * x2)
+           + z0 * (x1 * y2 - y1 * x2))
+    # a facet's normal points outward when every other point is below it
+    det = np.where(edge, np.where(below[ko, to], det, -det), 0.0)
+    return np.abs(np.bincount(ko, weights=det, minlength=k)) / 6.0
+
+
+def _oracle_volumes(objects: list) -> np.ndarray:
+    """_facet_volumes over objects of any size, in runs of equal size."""
+    sizes = np.array([len(o) for o in objects])
+    vol = np.zeros(len(objects))
+    for m in np.unique(sizes[sizes >= 4]).tolist():
+        idx = np.flatnonzero(sizes == m)
+        for s in range(0, len(idx), 32):
+            part = idx[s:s + 32]
+            vol[part] = _facet_volumes(np.stack([objects[i] for i in part]))
+    return vol
+
+
+def _geom_texts(docs: pa.Table) -> list:
+    return [next(s["text"] for s in spans if s["kind"] == "geom")
+            for spans in docs.column("spans").to_pylist()]
+
+
+def test_lockstep_hull_matches_facet_enumeration(corpora):
+    """The lockstep quickhull gives the facet enumeration's volumes, bit
+    for bit, on sf0.001 (all five roofs) and on 4-8-corner dense prisms,
+    whose hulls hold every mesh."""
     docs = corpora["sf0.001"]
-    tables = []
-    meshes = geo.Meshes.from_surfaces(_small_dense_meshes())
-    for cap in (0, 10 ** 9):
-        monkeypatch.setattr(geo, "HULL_BATCH_MAX_VERTICES", cap)
-        tables.append((_props(docs), geo.batch_properties(meshes)[0]))
-    (t0, p0), (t1, p1) = tables
-    assert t0.equals(t1)
-    for name in PROPERTY_NAMES:
-        assert np.array_equal(p0[name], p1[name]), name
-    assert (p0["convex_hull_volume"] >= p0["volume"]).all()
+    parsed = [geo.parse_geom_payload(t) for t in _geom_texts(docs)]
+    objs = [geo.unique_vertices(p[1]) for p in parsed if p is not None]
+    got = _props(docs).column("convex_hull_volume").to_numpy()
+    assert np.array_equal(got, _oracle_volumes(objs))
+    meshes = _small_dense_meshes()
+    props = geo.batch_properties(geo.Meshes.from_surfaces(meshes))[0]
+    objs = [geo.unique_vertices([np.asarray(s, dtype=float) for s in mesh])
+            for mesh in meshes]
+    assert np.array_equal(props["convex_hull_volume"], _oracle_volumes(objs))
+    assert (props["convex_hull_volume"] >= props["volume"]).all()
+
+
+def test_corpora_never_take_the_exact_hull_rerun(corpora, monkeypatch):
+    """The float lockstep hull finishes every object of the corpora (and of
+    the non-dyadic clouds) itself: the exact rerun over Fractions, for
+    hulls that rounding bent, is never needed there."""
+    lockstep = geo._quickhulls
+    exact = []
+
+    def spy(P, cnt):
+        exact.append(P.dtype == object)
+        return lockstep(P, cnt)
+
+    monkeypatch.setattr(geo, "_quickhulls", spy)
+    for docs in corpora.values():
+        _props(docs)
+    geo.batch_properties(geo.Meshes.from_surfaces(_ulps_clouds()))
+    assert exact and not any(exact)
+
+
+def _ulps_clouds() -> list:
+    """Non-dyadic point clouds: prisms over random convex polygons with
+    interior points, and points a few ulps inside and outside one edge of
+    the footprint at several heights.  Each cloud is one "surface"."""
+    objs = []
+    for key in range(40):
+        r = np.random.default_rng(key)
+        n = 5 + key % 6
+        ang = np.sort(r.uniform(0.0, 2 * np.pi, n))
+        xy = (r.uniform(3.0, 30.0) * np.column_stack([np.cos(ang),
+                                                      np.sin(ang)])
+              + r.uniform(-100.0, 100.0, 2))
+        h = r.uniform(2.0, 20.0)
+        inner = r.dirichlet(np.ones(n), 20) @ xy
+        edge = xy[0] + r.uniform(0.1, 0.9, (12, 1)) * (xy[1] - xy[0])
+        edge += r.integers(-4, 5, edge.shape) * np.spacing(np.abs(edge))
+        objs.append([np.vstack([
+            np.column_stack([xy, np.zeros(n)]),
+            np.column_stack([xy, np.full(n, h)]),
+            np.column_stack([inner, r.uniform(0.0, h, 20)]),
+            np.column_stack([edge, r.uniform(0.0, h, 12)])])])
+    return objs
+
+
+@pytest.mark.parametrize("name", ["sf0.001", "dense-s0", "dense-s1", "ulps"])
+def test_hull_perimeter_same_on_2d_candidates(corpora, name):
+    """The 2D hull chain gives the same bits over the hull's 2D candidates
+    as over every unique point, and the candidates leave points out."""
+    if name == "ulps":
+        meshes = geo.Meshes.from_surfaces(_ulps_clouds())
+    else:
+        meshes = geo.parse_geom_payloads(_geom_texts(corpora[name]))[2]
+    uo, ux, uy, uz = geo._distinct(meshes.row_obj, meshes.x, meshes.y,
+                                   meshes.z)
+    n = meshes.n
+    _, cand = geo._hull_volumes(np.column_stack([ux, uy, uz]),
+                                np.bincount(uo, minlength=n))
+    assert not cand.all()
+    assert np.array_equal(geo._hull_perimeters(uo, ux, uy, n),
+                          geo._hull_perimeters(uo[cand], ux[cand], uy[cand],
+                                               n))
 
 
 def test_properties_independent_of_batch_composition(corpora):
