@@ -28,6 +28,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from engine import gates
 from engine.geometry import PROPERTY_NAMES
 
 NN_PARAM = 21  # config.py:60-61: max cand pairs per item (20) + 1
@@ -455,13 +456,6 @@ def embedding_nn_dataset(cand_emb: ray.data.Dataset, index_emb: pd.DataFrame,
         topk, batch_format="pyarrow", batch_size=1024)
 
 
-# Declared broadcast bound for the embedding blocker's index side: under
-# this many rows the index matrix is one driver DataFrame + ray.put (the
-# reference's faiss-index shape); above it embedding_nn_sharded stages the
-# matrix shard-by-shard so the driver never holds the whole index.
-MAX_BROADCAST_INDEX_ROWS = 1_000_000
-
-
 def embedding_nn_sharded(cand_emb: ray.data.Dataset,
                          index_emb: ray.data.Dataset,
                          nn_param: int = NN_PARAM,
@@ -484,7 +478,7 @@ def embedding_nn_sharded(cand_emb: ray.data.Dataset,
     if hasattr(index_emb, "iter_batches"):
         index_batches = index_emb.iter_batches(batch_size=shard_rows,
                                                batch_format="pyarrow")
-    else:                      # pre-pulled batch iterable (the auto gate)
+    else:                      # the auto gate's stream of blocks
         index_batches = index_emb
     shard_refs, total = [], 0
     for b in index_batches:
@@ -547,36 +541,21 @@ def embedding_nn_sharded(cand_emb: ray.data.Dataset,
 def embedding_nn_auto(cand_emb: ray.data.Dataset,
                       index_emb: ray.data.Dataset,
                       nn_param: int = NN_PARAM,
-                      exact: bool = False,
-                      max_broadcast_rows: int = MAX_BROADCAST_INDEX_ROWS,
-                      shard_rows: int = 65536) -> ray.data.Dataset:
-    """Size-gated embedding blocker (the same size-aware plan pairs.py:83
-    and relational.shipping_priority use), decided in ONE streaming pass
-    over the index side: batches accumulate on the driver only while the
-    running row count stays under ``max_broadcast_rows`` (then broadcast —
-    the reference's faiss-index shape); the moment the bound trips, the
-    prefix plus the rest of the SAME stream become object-store shards
-    (bit-identical output either way, never an O(index) driver collect and
-    never a second counting execution)."""
-    import itertools
+                      exact: bool = False) -> ray.data.Dataset:
+    """Size-gated embedding blocker, decided in ONE streaming pass over the
+    index side: within ``gates.MAX_BROADCAST_INDEX_ROWS`` the index is
+    broadcast (the reference's faiss-index shape); past it, the collected
+    prefix plus the rest of the SAME stream become object-store shards, one
+    per block (bit-identical output either way, never an O(index) driver
+    collect and never a second execution)."""
     cols = ["doc_id", "raw", "norm"] if exact else ["doc_id", "feature"]
-    proj = index_emb.select_columns(cols)
-    # iter() is load-bearing: iter_batches returns an ITERABLE whose every
-    # iteration restarts the stream — chaining the iterable itself would
-    # replay the prefix rows a second time.
-    it = iter(proj.iter_batches(batch_size=shard_rows,
-                                batch_format="pyarrow"))
-    prefix, total = [], 0
-    for b in it:
-        prefix.append(b)
-        total += b.num_rows
-        if total > max_broadcast_rows:
-            return embedding_nn_sharded(
-                cand_emb, itertools.chain(prefix, it), nn_param=nn_param,
-                shard_rows=shard_rows, exact=exact)
-    index_df = pa.concat_tables(prefix).to_pandas() if prefix else \
-        proj.limit(0).to_pandas()
-    return embedding_nn_dataset(cand_emb, index_df,
+    index_t, blocks = gates.collect_under_budget(
+        index_emb.select_columns(cols), "embedding_nn_auto",
+        gates.MAX_BROADCAST_INDEX_ROWS, None)
+    if index_t is None:
+        return embedding_nn_sharded(cand_emb, blocks, nn_param=nn_param,
+                                    exact=exact)
+    return embedding_nn_dataset(cand_emb, index_t.to_pandas(),
                                 nn_param=nn_param, exact=exact)
 
 

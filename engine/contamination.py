@@ -14,7 +14,7 @@ import pyarrow as pa
 import ray.data
 
 from engine.joins import stable_hash64
-from engine.pairs import MAX_RATIO_VAL, RATIO_FEATURE_NAMES
+from engine.pairs import RATIO_CAP, RATIO_FEATURE_NAMES
 
 
 def contaminate(ds: ray.data.Dataset, fraction: float, seed: int = 1,
@@ -33,7 +33,7 @@ def contaminate(ds: ray.data.Dataset, fraction: float, seed: int = 1,
         sub = mat[rows]
         nz = sub != 0.0
         with np.errstate(divide="ignore"):
-            inv = np.minimum(1.0 / sub, MAX_RATIO_VAL)
+            inv = np.minimum(1.0 / sub, RATIO_CAP)
         sub[nz] = inv[nz]
         mat[rows] = sub
         out = {name: batch.column(name) for name in batch.column_names

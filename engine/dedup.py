@@ -10,6 +10,7 @@ makes the checks non-trivial at any scale.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -17,6 +18,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from engine import gates
+from engine.joins import list_column_matrix
 
 
 def planted_dup_corpus(docs: ray.data.Dataset) -> ray.data.Dataset:
@@ -308,162 +312,116 @@ def _shingle_signatures(docs: ray.data.Dataset, n: int,
 def _involved_filter(ds: ray.data.Dataset, id_col: str,
                      involved: np.ndarray) -> ray.data.Dataset:
     """Filter ``ds`` to rows whose ``id_col`` is in the broadcast sorted
-    int64 ``involved`` array (ray.put once, searchsorted membership per
-    batch) — the shared scan of every driver-verify gate."""
+    int64 ``involved`` array (ray.put once, sorted membership per batch):
+    the data-induced semi-join predicate of every driver-verify scan."""
     inv_ref = ray.put(involved)
 
     def keep(bt: pa.Table) -> pa.Table:
-        arr = ray.get(inv_ref)
-        ids = bt.column(id_col).to_numpy()
-        pos = np.searchsorted(arr, ids)
-        pos[pos == len(arr)] = 0
-        return bt.filter(pa.array(arr[pos] == ids))
+        return bt.filter(pa.array(gates.sorted_member(
+            ray.get(inv_ref), bt.column(id_col).to_numpy())))
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
 
-def _nondeterministic(gate: str) -> RuntimeError:
-    return RuntimeError(
-        f"{gate}: id missing from the filtered scan — upstream pipeline is "
-        "nondeterministic between the candidate and verify scans")
+def _verify_pairs(gate: str, pairs: ray.data.Dataset,
+                  sigs: ray.data.Dataset, id_col: str, val_col: str,
+                  score, drop_missing: bool) -> ray.data.Dataset:
+    """Score candidate (a_id, b_id) pairs against the per-id ``val_col`` of
+    ``sigs``.  ``score`` maps a batch of (a_id, b_id, a_val, b_val) to the
+    kept output rows; both routes call it, so they agree by construction.
+
+    Driver route: the pair table collects under
+    ``gates.MAX_DRIVER_VERIFY_PAIRS`` rows, ONE scan of ``sigs`` filtered to
+    the <= 2x|pairs| involved ids collects under
+    ``gates.MAX_DRIVER_VERIFY_BYTES``, and the pairs are scored on the
+    driver.  Distributed route: pairs ⋈ sigs(a side) ⋈ sigs(b side) by two
+    bucketed hash joins, nothing on the driver.
+
+    A pair whose id has no ``sigs`` row is dropped when ``drop_missing`` (as
+    the inner joins drop it); otherwise the driver route raises the
+    nondeterministic-upstream error, since the candidate and verify scans
+    are two executions of the same pipeline."""
+    from engine.joins import bucketed_hash_join
+
+    pt, _ = gates.collect_under_budget(
+        pairs, gate, gates.MAX_DRIVER_VERIFY_PAIRS, None)
+    if pt is not None:
+        a = pt.column("a_id").to_numpy().astype(np.int64)
+        b = pt.column("b_id").to_numpy().astype(np.int64)
+        kt, _ = gates.collect_under_budget(
+            _involved_filter(sigs, id_col, np.unique(np.concatenate([a, b]))),
+            gate, None, gates.MAX_DRIVER_VERIFY_BYTES)
+        if kt is not None:
+            kt = kt.sort_by(id_col)
+            kid = kt.column(id_col).to_numpy()
+            if drop_missing:
+                m = gates.sorted_member(kid, a) & gates.sorted_member(kid, b)
+                a, b = a[m], b[m]
+            vals = kt.column(val_col)
+            return ray.data.from_arrow(score(pa.table({
+                "a_id": a, "b_id": b,
+                "a_val": vals.take(gates.sorted_positions(kid, a, gate)),
+                "b_val": vals.take(gates.sorted_positions(kid, b, gate))})))
+
+    # materialized to the object store, not the driver: it feeds both sides
+    sigs = sigs.materialize()
+
+    def side(prefix: str) -> ray.data.Dataset:
+        def f(bt: pa.Table) -> pa.Table:
+            return pa.table({f"{prefix}_key": bt.column(id_col),
+                             f"{prefix}_val": bt.column(val_col)})
+        return sigs.map_batches(f, batch_format="pyarrow")
+
+    j = bucketed_hash_join(pairs, side("a"),
+                           "a_id", "a_key").drop_columns(["a_key"])
+    j = bucketed_hash_join(j, side("b"),
+                           "b_id", "b_key").drop_columns(["b_key"])
+    return j.map_batches(score, batch_format="pyarrow")
 
 
-def _sorted_positions(kid: np.ndarray, probe: np.ndarray,
-                      gate: str) -> np.ndarray:
-    """Positions of the ``probe`` ids in the sorted id array ``kid``.  The
-    filtered scan that produced ``kid`` re-executes the upstream pipeline,
-    so an absent id means that pipeline is nondeterministic: fail loudly
-    rather than score a pair against a neighbouring row."""
-    pos = np.minimum(np.searchsorted(kid, probe), max(len(kid) - 1, 0))
-    if len(kid) == 0 or not (kid[pos] == probe).all():
-        raise _nondeterministic(gate)
-    return pos
+def _kept(batch: pa.Table, col: str, values, keep: np.ndarray) -> pa.Table:
+    """The verified output rows: (a_id, b_id, ``col``) where ``keep``."""
+    m = pa.array(keep, type=pa.bool_())
+    return pa.table({
+        "a_id": batch.column("a_id").cast(pa.int64()).filter(m),
+        "b_id": batch.column("b_id").cast(pa.int64()).filter(m),
+        col: values.filter(m)})
 
 
-# Driver-verify bound for _verify_pairs_join: candidate pair tables are
-# bounded upstream (stop-bucket / max_df / banding caps), so they are
-# usually tiny; under this many pairs the exact-Jaccard verify runs on the
-# driver over ONE filtered signature scan instead of paying two bucketed
-# joins.  Above it, the no-driver join plan runs.
-MAX_DRIVER_VERIFY_PAIRS = 50_000
-# ... and a CELL budget on what the driver-verify gates may collect (shingle
-# hashes / embedding floats across all involved docs, ~8 bytes each —
-# 50M cells ~= 400 MB): pair count alone says nothing about row width.
-MAX_DRIVER_VERIFY_CELLS = 50_000_000
+def _jaccard_score(batch: pa.Table, threshold: float) -> pa.Table:
+    """Exact Jaccard of sorted unique uint64 shingle-hash lists, kept at
+    ``threshold``; an empty signature scores 0.0."""
+    def flat(col):
+        arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        return (arr.values.to_numpy(zero_copy_only=False),
+                arr.offsets.to_numpy(zero_copy_only=False))
+
+    av, ao = flat(batch.column("a_val"))
+    bv, bo = flat(batch.column("b_val"))
+    out = np.zeros(batch.num_rows)
+    for i in range(batch.num_rows):
+        sa = av[ao[i]:ao[i + 1]]
+        sb = bv[bo[i]:bo[i + 1]]
+        if len(sa) and len(sb):
+            # sorted unique uint64 arrays -> C-speed intersection size
+            inter = np.intersect1d(sa, sb, assume_unique=True).size
+            out[i] = inter / (len(sa) + len(sb) - inter)
+    return _kept(batch, "jaccard", pa.array(out, type=pa.float64()),
+                 out >= threshold)
 
 
 def _verify_pairs_join(docs: ray.data.Dataset, cand_pairs: ray.data.Dataset,
                        n: int, threshold: float,
-                       pad: bool = False,
-                       max_driver_pairs: int | None = None
-                       ) -> ray.data.Dataset:
-    """Exact-Jaccard verification of candidate pairs, size-gated.
-
-    SMALL pair tables (<= MAX_DRIVER_VERIFY_PAIRS — the common case, since
-    every candidate generator caps its buckets): one scan of the corpus
-    computes shingle signatures, FILTERED to the <= 2x|pairs| involved docs
-    via a broadcast sorted-id array; the exact int-ratio Jaccard then runs
-    on the driver with the identical numpy math as the join path's kernel.
-
-    LARGE pair tables: pairs ⋈ signatures(a side) ⋈ signatures(b side) via
-    two bucketed hash joins, then a per-row exact Jaccard + threshold
-    filter — nothing materializes on the driver; both joins bound
-    per-group memory by bucket count."""
-    from engine.joins import bucketed_hash_join
-
-    cand_pairs = cand_pairs.materialize()
-    bound = MAX_DRIVER_VERIFY_PAIRS if max_driver_pairs is None \
-        else max_driver_pairs
-    shs_map = None
-    if cand_pairs.count() <= bound:
-        pdf = cand_pairs.to_pandas()
-        empty = pa.table({"a_id": pa.array([], type=pa.int64()),
-                          "b_id": pa.array([], type=pa.int64()),
-                          "jaccard": pa.array([], type=pa.float64())})
-        if len(pdf) == 0:
-            return ray.data.from_arrow(empty)
-        a = pdf["a_id"].to_numpy(dtype=np.int64)
-        b = pdf["b_id"].to_numpy(dtype=np.int64)
-        involved = np.unique(np.concatenate([a, b]))
-        # BYTE bound as well as the row bound: the involved docs' shingle
-        # sets land on the driver, and pair count says nothing about set
-        # width.  Stream the filtered scan and bail to the join plan if
-        # the total cell count exceeds the budget (the join plan never
-        # drivers a doc->shingles map).
-        shs_map, cells = {}, 0
-        for bt in _involved_filter(_shingle_signatures(docs, n, pad),
-                                   "doc_id", involved) \
-                .iter_batches(batch_format="pyarrow"):
-            kdf = bt.to_pandas()
-            for did, shs in zip(kdf["doc_id"].to_numpy(dtype=np.int64),
-                                kdf["shs"]):
-                shs_map[did] = shs
-                cells += len(shs)
-            if cells > MAX_DRIVER_VERIFY_CELLS:
-                shs_map = None     # too wide: fall through to the joins
-                break
-    if shs_map is not None:
-        out = np.zeros(len(pdf))
-        # a pair whose doc has no signature row is dropped, as the
-        # inner joins of the distributed plan drop it
-        found = np.array([x in shs_map and y in shs_map
-                          for x, y in zip(a.tolist(), b.tolist())], dtype=bool)
-        for i in np.flatnonzero(found).tolist():
-            sa = np.asarray(shs_map[a[i]], dtype=np.uint64)
-            sb = np.asarray(shs_map[b[i]], dtype=np.uint64)
-            if not len(sa) or not len(sb):
-                continue
-            inter = np.intersect1d(sa, sb, assume_unique=True).size
-            out[i] = inter / (len(sa) + len(sb) - inter)
-        m = found & (out >= threshold)
-        return ray.data.from_arrow(pa.table({
-            "a_id": pa.array(a[m], type=pa.int64()),
-            "b_id": pa.array(b[m], type=pa.int64()),
-            "jaccard": pa.array(out[m], type=pa.float64()),
-        }) if m.any() else empty)
-
-    # materialize (to the distributed object store, not the driver): the
-    # signature table feeds BOTH join sides
-    sigs = _shingle_signatures(docs, n, pad).materialize()
-
-    def sig_side(prefix: str) -> ray.data.Dataset:
-        def f(b: pa.Table) -> pa.Table:
-            return pa.table({f"{prefix}_doc": b.column("doc_id"),
-                             f"{prefix}_shs": b.column("shs")})
-        return sigs.map_batches(f, batch_format="pyarrow")
-
-    j = bucketed_hash_join(cand_pairs, sig_side("a"),
-                           "a_id", "a_doc").drop_columns(["a_doc"])
-    j = bucketed_hash_join(j, sig_side("b"),
-                           "b_id", "b_doc").drop_columns(["b_doc"])
-
-    def jac(batch: pa.Table) -> pa.Table:
-        def flat(col):
-            arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            return (arr.values.to_numpy(zero_copy_only=False),
-                    arr.offsets.to_numpy(zero_copy_only=False))
-
-        av, ao = flat(batch.column("a_shs"))
-        bv, bo = flat(batch.column("b_shs"))
-        out = np.empty(batch.num_rows)
-        for i in range(batch.num_rows):
-            sa = av[ao[i]:ao[i + 1]]
-            sb = bv[bo[i]:bo[i + 1]]
-            if not len(sa) or not len(sb):
-                out[i] = 0.0
-                continue
-            # sorted unique uint64 arrays -> C-speed intersection size
-            inter = np.intersect1d(sa, sb, assume_unique=True).size
-            out[i] = inter / (len(sa) + len(sb) - inter)
-        t = pa.table({
-            "a_id": batch.column("a_id").cast(pa.int64()),
-            "b_id": batch.column("b_id").cast(pa.int64()),
-            "jaccard": pa.array(out, type=pa.float64()),
-        })
-        return t.filter(pc.greater_equal(t.column("jaccard"),
-                                         pa.scalar(threshold)))
-
-    return j.map_batches(jac, batch_format="pyarrow")
+                       pad: bool = False) -> ray.data.Dataset:
+    """Exact-Jaccard verification of candidate pairs through
+    ``_verify_pairs`` (candidate tables are bounded upstream by the
+    stop-bucket / max_df / banding caps, so the driver route is the common
+    case).  A pair whose doc has no signature row is dropped."""
+    return _verify_pairs(
+        "verify_pairs_join", cand_pairs.materialize(),
+        _shingle_signatures(docs, n, pad), "doc_id", "shs",
+        functools.partial(_jaccard_score, threshold=threshold),
+        drop_missing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +483,6 @@ def minhash_lsh_pairs(docs: ray.data.Dataset, num_perm: int = 64,
     sigs = minhash_signatures(docs, num_perm, n)
 
     NUM_BUCKETS = 64
-    from engine.joins import list_column_matrix  # hoisted: workers can't import late
 
     def band_explode(batch: pa.Table) -> pa.Table:
         """Vectorized: band key = a 64-bit multiply-xor mix of the band's
@@ -613,18 +570,15 @@ def simhash_signatures(docs: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3,
-                  bands: int = 4, max_bucket: int = 2000,
-                  max_driver_pairs: int | None = None) -> ray.data.Dataset:
+                  bands: int = 4, max_bucket: int = 2000) -> ray.data.Dataset:
     """SimHash near-dup pairs: banded exact-match blocking + popcount verify.
 
     The 64-bit signature splits into ``bands`` equal slices; by pigeonhole
     any pair within hamming distance <= bands-1 matches exactly on at least
     one slice, so the banded groupby is LOSSLESS for ``max_hamming <=
-    bands - 1`` (the default).  Verification joins each side's signature
-    back via the bucketed hash join and filters on vectorized popcount of
-    the XOR.  Emits (a_id, b_id, hamming), a_id < b_id."""
-    from engine.joins import bucketed_hash_join, fast_hash64
-
+    bands - 1`` (the default).  Verification (``_verify_pairs``) filters
+    on vectorized popcount of the XOR.  Emits (a_id, b_id, hamming),
+    a_id < b_id."""
     assert max_hamming <= bands - 1, "banded blocking lossless only there"
     sigs = simhash_signatures(docs).materialize()
     width = 64 // bands
@@ -663,64 +617,22 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3,
                                    batch_format="pandas")
     dd = _distinct_pairs(cand).materialize()
 
-    # driver-verify gate (the _verify_pairs_join pattern): banding caps
-    # bound the pair table, and a signature is ONE uint64 per doc — under
-    # the bound, pull only the <= 2x|pairs| involved signatures via a
-    # broadcast-membership scan and popcount-verify fully vectorized on
-    # the driver; identical rows to the two-join plan (pinned by test).
-    bound = MAX_DRIVER_VERIFY_PAIRS if max_driver_pairs is None \
-        else max_driver_pairs
-    if dd.count() <= bound:
-        pdf = dd.to_pandas()
-        empty = pa.table({"a_id": pa.array([], type=pa.int64()),
-                          "b_id": pa.array([], type=pa.int64()),
-                          "hamming": pa.array([], type=pa.int32())})
-        if len(pdf) == 0:
-            return ray.data.from_arrow(empty)
-        a = pdf["a_id"].to_numpy(dtype=np.int64)
-        b = pdf["b_id"].to_numpy(dtype=np.int64)
-        involved = np.unique(np.concatenate([a, b]))
-        kept = _involved_filter(sigs, "doc_id", involved).to_pandas()
-        order = np.argsort(kept["doc_id"].to_numpy(dtype=np.int64))
-        kid = kept["doc_id"].to_numpy(dtype=np.int64)[order]
-        ksig = kept["simhash"].to_numpy().astype(np.uint64)[order]
-        gate = "simhash driver-verify gate"
-        xa = ksig[_sorted_positions(kid, a, gate)]
-        xb = ksig[_sorted_positions(kid, b, gate)]
-        x = (xa ^ xb).view(np.uint8).reshape(-1, 8)
-        ham = np.unpackbits(x, axis=1).sum(axis=1).astype(np.int32)
-        m = ham <= max_hamming
-        return ray.data.from_arrow(pa.table({
-            "a_id": pa.array(a[m], type=pa.int64()),
-            "b_id": pa.array(b[m], type=pa.int64()),
-            "hamming": pa.array(ham[m]),
-        }) if m.any() else empty)
+    # banding caps bound the pair table, and a signature is ONE uint64 per
+    # doc, so the driver route is the common case
+    return _verify_pairs("simhash_pairs", dd, sigs, "doc_id", "simhash",
+                         functools.partial(_popcount_score,
+                                           max_hamming=max_hamming),
+                         drop_missing=False)
 
-    def sig_side(prefix: str) -> ray.data.Dataset:
-        def f(b: pa.Table) -> pa.Table:
-            return pa.table({f"{prefix}_doc": b.column("doc_id"),
-                             f"{prefix}_sig": b.column("simhash")})
-        return sigs.map_batches(f, batch_format="pyarrow")
 
-    j = bucketed_hash_join(dd, sig_side("a"),
-                           "a_id", "a_doc").drop_columns(["a_doc"])
-    j = bucketed_hash_join(j, sig_side("b"),
-                           "b_id", "b_doc").drop_columns(["b_doc"])
-
-    def verify(b: pa.Table) -> pa.Table:
-        xa = b.column("a_sig").to_numpy().astype(np.uint64)
-        xb = b.column("b_sig").to_numpy().astype(np.uint64)
-        x = (xa ^ xb).view(np.uint8).reshape(-1, 8)
-        ham = np.unpackbits(x, axis=1).sum(axis=1).astype(np.int32)
-        t = pa.table({
-            "a_id": b.column("a_id").cast(pa.int64()),
-            "b_id": b.column("b_id").cast(pa.int64()),
-            "hamming": pa.array(ham),
-        })
-        return t.filter(pc.less_equal(t.column("hamming"),
-                                      pa.scalar(max_hamming, type=pa.int32())))
-
-    return j.map_batches(verify, batch_format="pyarrow")
+def _popcount_score(batch: pa.Table, max_hamming: int) -> pa.Table:
+    """Hamming distance of two 64-bit simhashes (popcount of the XOR), kept
+    at ``max_hamming``."""
+    xa = batch.column("a_val").to_numpy().astype(np.uint64)
+    xb = batch.column("b_val").to_numpy().astype(np.uint64)
+    x = (xa ^ xb).view(np.uint8).reshape(-1, 8)
+    ham = np.unpackbits(x, axis=1).sum(axis=1).astype(np.int32)
+    return _kept(batch, "hamming", pa.array(ham), ham <= max_hamming)
 
 
 def planted_neardup_embeddings(emb: ray.data.Dataset) -> ray.data.Dataset:
@@ -734,7 +646,6 @@ def planted_neardup_embeddings(emb: ray.data.Dataset) -> ray.data.Dataset:
     ``md5_number_upper`` is the same first-8-digest-bytes little-endian
     integer, and its DOUBLE→REAL cast is the same round-to-nearest as
     numpy's astype(float32) (both verified; see oracles.DEDUP_EMBEDDING)."""
-    from engine.joins import list_column_matrix  # driver-level: closure capture
 
     def dup(batch: pa.Table) -> pa.Table:
         ids = batch.column("vec_id").to_numpy()
@@ -765,9 +676,7 @@ def planted_neardup_embeddings(emb: ray.data.Dataset) -> ray.data.Dataset:
 def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
                        bands: int = 8, bits_per_band: int = 8,
                        max_bucket: int = 2000, dim: int = 64,
-                       seed: int = 11,
-                       max_driver_pairs: int | None = None
-                       ) -> ray.data.Dataset:
+                       seed: int = 11) -> ray.data.Dataset:
     """Embedding-cosine near-dup, banded (the minhash_lsh_pairs shape).
 
     ``bands`` independent random-hyperplane tables of ``bits_per_band`` bits
@@ -782,11 +691,9 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
     entirely (stop-bucket removal, as in minhash_lsh_pairs — degenerate
     directions whose O(size²) pair explosion would dominate; clusters that
     large still surface through their other bands); candidate pairs go
-    through the distributed distinct and a bucketed-JOIN exact-cosine
-    verify, never an in-group all-pairs over a corpus fraction.
+    through the distributed distinct and the exact-cosine
+    ``_verify_pairs``, never an in-group all-pairs over a corpus fraction.
     Emits (a_id, b_id, cosine) with a_id < b_id, cosine >= threshold."""
-    import ray
-    from engine.joins import bucketed_hash_join, list_column_matrix
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((bands * bits_per_band, dim))
     planes_ref = ray.put(planes)
@@ -828,78 +735,24 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
         .groupby("__b").map_groups(pairs_in_shuffle_bucket,
                                    batch_format="pandas")
     dd = _distinct_pairs(cand).materialize()
+    return _verify_pairs("embedding_near_dup", dd, emb, "vec_id", "embedding",
+                         functools.partial(_cosine_score, threshold=threshold),
+                         drop_missing=False)
 
-    # driver-verify gate (the _verify_pairs_join pattern): under the bound,
-    # pull only the <= 2x|pairs| involved embeddings via a broadcast-
-    # membership scan and verify the exact cosine vectorized on the driver
-    # — same per-row numpy expression as the join kernel, so bit-identical
-    # (pinned by test); above the bound the two bucketed joins run.
-    bound = MAX_DRIVER_VERIFY_PAIRS if max_driver_pairs is None \
-        else max_driver_pairs
-    if dd.count() <= bound and \
-            2 * dd.count() * dim <= MAX_DRIVER_VERIFY_CELLS:
-        pdf = dd.to_pandas()
-        empty = pa.table({"a_id": pa.array([], type=pa.int64()),
-                          "b_id": pa.array([], type=pa.int64()),
-                          "cosine": pa.array([], type=pa.float64())})
-        if len(pdf) == 0:
-            return ray.data.from_arrow(empty)
-        a = pdf["a_id"].to_numpy(dtype=np.int64)
-        b = pdf["b_id"].to_numpy(dtype=np.int64)
-        involved = np.unique(np.concatenate([a, b]))
-        gate = "embedding driver-verify gate"
-        kbs = list(_involved_filter(emb, "vec_id", involved)
-                   .iter_batches(batch_format="pyarrow"))
-        if not kbs:          # pairs imply involved rows exist
-            raise _nondeterministic(gate)
-        kt = pa.concat_tables(kbs)
-        order = np.argsort(kt.column("vec_id").to_numpy())
-        kid = kt.column("vec_id").to_numpy()[order]
-        kv = list_column_matrix(kt.column("embedding"))[order]
-        va = kv[_sorted_positions(kid, a, gate)]
-        vb = kv[_sorted_positions(kid, b, gate)]
-        cos = (va * vb).sum(1) / (np.linalg.norm(va, axis=1)
-                                  * np.linalg.norm(vb, axis=1))
-        keepm = cos >= threshold
-        cosq = np.floor(cos[keepm] * 1e9) / 1e9
-        return ray.data.from_arrow(pa.table({
-            "a_id": pa.array(a[keepm], type=pa.int64()),
-            "b_id": pa.array(b[keepm], type=pa.int64()),
-            "cosine": pa.array(cosq, type=pa.float64()),
-        }) if keepm.any() else empty)
 
-    def emb_side(prefix: str) -> ray.data.Dataset:
-        def f(b: pa.Table) -> pa.Table:
-            return pa.table({f"{prefix}_vid": b.column("vec_id"),
-                             f"{prefix}_emb": b.column("embedding")})
-        return emb.map_batches(f, batch_format="pyarrow")
-
-    j = bucketed_hash_join(dd, emb_side("a"),
-                           "a_id", "a_vid").drop_columns(["a_vid"])
-    j = bucketed_hash_join(j, emb_side("b"),
-                           "b_id", "b_vid").drop_columns(["b_vid"])
-
-    def verify(b: pa.Table) -> pa.Table:
-        va = list_column_matrix(b.column("a_emb"))
-        vb = list_column_matrix(b.column("b_emb"))
-        if len(va) == 0:
-            return pa.table({"a_id": pa.array([], type=pa.int64()),
-                             "b_id": pa.array([], type=pa.int64()),
-                             "cosine": pa.array([], type=pa.float64())})
-        cos = (va * vb).sum(1) / (np.linalg.norm(va, axis=1)
-                                  * np.linalg.norm(vb, axis=1))
-        keepm = cos >= threshold
-        # emitted cosine is quantized to 1e-9 so the value is independent of
-        # float accumulation order (numpy pairwise sum vs the oracle's
-        # sequential SQL sum differ in the last ulps); the threshold test
-        # stays on the raw value
-        cosq = np.floor(cos[keepm] * 1e9) / 1e9
-        return pa.table({
-            "a_id": b.column("a_id").cast(pa.int64()).filter(pa.array(keepm)),
-            "b_id": b.column("b_id").cast(pa.int64()).filter(pa.array(keepm)),
-            "cosine": pa.array(cosq, type=pa.float64())})
-
-    return j.map_batches(verify, batch_format="pyarrow")
+def _cosine_score(batch: pa.Table, threshold: float) -> pa.Table:
+    """Exact cosine of two embeddings, kept at ``threshold``.  The emitted
+    cosine is quantized to 1e-9 so the value is independent of float
+    accumulation order (numpy pairwise sum vs the oracle's sequential SQL
+    sum differ in the last ulps); the threshold test stays on the raw
+    value."""
+    va = list_column_matrix(batch.column("a_val"))
+    vb = list_column_matrix(batch.column("b_val"))
+    cos = (va * vb).sum(1) / (np.linalg.norm(va, axis=1)
+                              * np.linalg.norm(vb, axis=1))
+    return _kept(batch, "cosine",
+                 pa.array(np.floor(cos * 1e9) / 1e9, type=pa.float64()),
+                 cos >= threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +760,7 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
 # ---------------------------------------------------------------------------
 
 def dup_clusters(pairs: ray.data.Dataset,
-                 max_iters: int = 50,
-                 small_graph_rows: int = 2_000_000) -> ray.data.Dataset:
+                 max_iters: int = 50) -> ray.data.Dataset:
     """Connected components over a (a_id, b_id) duplicate-pair table:
     one row per distinct doc appearing in a pair, labeled with the MIN doc id
     of its component (the canonical representative a dedup pass keeps).
@@ -924,25 +776,24 @@ def dup_clusters(pairs: ray.data.Dataset,
     rounds suffices at any corpus size; ``max_iters`` bounds the worst case.
     Each round is a full streaming pass — nothing driver-side but the
     1-row convergence aggregate.
-    Size-aware escape hatch: a pair table at or under ``small_graph_rows``
-    (the VERIFIED near-dup pairs — a vanishing fraction of any real corpus,
+    Size gate: a pair table within ``gates.MAX_SMALL_GRAPH_ROWS`` (the
+    VERIFIED near-dup pairs — a vanishing fraction of any real corpus,
     bounded by the LSH stop-bucket caps upstream) is a small-side problem;
     it collects once and runs driver-side union-find with min-root labels —
-    identical output, none of the BSP rounds' shuffle latency.  Pass 0 to
-    force the distributed path (tests do).
+    identical output, none of the BSP rounds' shuffle latency.
     """
     from ray.data.aggregate import Min, Sum
     from engine.joins import bucketed_hash_join
 
     pairs = pairs.select_columns(["a_id", "b_id"]).materialize()
 
-    if pairs.count() <= small_graph_rows:
-        edges_df = pairs.to_pandas()
-        a = edges_df["a_id"].to_numpy(dtype=np.int64)
-        b = edges_df["b_id"].to_numpy(dtype=np.int64)
-        nodes = np.unique(np.concatenate([a, b]))
-        ai = np.searchsorted(nodes, a)
-        bi = np.searchsorted(nodes, b)
+    et, _ = gates.collect_under_budget(pairs, "dup_clusters",
+                                       gates.MAX_SMALL_GRAPH_ROWS, None)
+    if et is not None:
+        nodes, inv = np.unique(np.concatenate([
+            et.column("a_id").to_numpy(), et.column("b_id").to_numpy()
+        ]).astype(np.int64), return_inverse=True)
+        ai, bi = inv[:et.num_rows], inv[et.num_rows:]
         # vectorized union-find: alternate full pointer-jumping compression
         # (parent = parent[parent] to fixpoint) with a batched hook that
         # points every edge's larger root at the smallest root seen for it
@@ -1080,12 +931,7 @@ def decontaminate(train: ray.data.Dataset, benchmark: ray.data.Dataset,
         bench = _ray.get(bench_ref)
         counts, stream = _batch_shingle_hashes(batch.column("text").to_pylist(),
                                                n, pad=False)
-        if len(stream) and len(bench):
-            idx = np.searchsorted(bench, stream)
-            idx[idx == len(bench)] = 0
-            hit = (bench[idx] == stream).astype(np.int64)
-        else:
-            hit = np.zeros(len(stream), dtype=np.int64)
+        hit = gates.sorted_member(bench, stream).astype(np.int64)
         # per-doc segment sums via cumsum (exact for zero-gram docs anywhere
         # in the batch, unlike reduceat whose clamped starts could swallow
         # the preceding doc's final hit when a zero-gram doc ends the batch)
@@ -1103,18 +949,9 @@ def decontaminate(train: ray.data.Dataset, benchmark: ray.data.Dataset,
     return train.map_batches(flag, batch_format="pyarrow")
 
 
-# Broadcast bound for substring_dup_stats' duplicated-gram set: under this
-# many grams the set ships as one sorted array (ray.put once, searchsorted
-# membership inside the second doc scan); above it the bucketed-join path
-# runs (no broadcast assumption).
-MAX_BROADCAST_DUP_GRAMS = 5_000_000
-
-
 def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
                         num_buckets: int = 64,
-                        hash_grams: bool = True,
-                        max_broadcast_dup_grams: int | None = None
-                        ) -> ray.data.Dataset:
+                        hash_grams: bool = True) -> ray.data.Dataset:
     """Substring-level duplication profile (Lee et al. 2022, "Deduplicating
     Training Data Makes Language Models Better" — the ExactSubstr signal at
     token-window granularity): for every token position, is the w-token
@@ -1127,10 +964,10 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
     (2) document frequency per gram via the per-block partial-count
     combiner + pre-aggregated groupby (each (doc, gram) row is one distinct
     doc, so block counts sum to df); (3) SIZE-GATED tail: the df>=2 gram
-    set is usually tiny (only cross-doc duplicates), so under
-    MAX_BROADCAST_DUP_GRAMS it broadcasts as one sorted array and a second
-    doc scan emits the complete per-doc profile in one pass (searchsorted
-    membership; per-doc sums are local because each doc's grams are
+    set is usually tiny (only cross-doc duplicates), so within
+    ``gates.MAX_BROADCAST_DUP_GRAMS`` it broadcasts as one sorted array and
+    a second doc scan emits the complete per-doc profile in one pass
+    (sorted membership; per-doc sums are local because each doc's grams are
     computed inside one call) — zero post-aggregate shuffles; above the
     bound, the original no-broadcast plan runs: bucketed hash join on the
     gram, per-doc sum combiner + groupby, LEFT join against the per-doc
@@ -1245,32 +1082,22 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
         lambda b: b.filter(pc.greater_equal(b.column("df"), pa.scalar(2))),
         batch_format="pyarrow").materialize()
 
-    # Size-gated tail (the same size-aware plan pairs.py uses): the
-    # duplicated-gram set is usually a vanishing fraction of the corpus
-    # (only grams appearing in >=2 docs).  Under the bound it broadcasts as
-    # one sorted array and a SECOND doc scan emits the complete per-doc
-    # profile in one pass — membership via searchsorted, per-doc sums local
-    # to the scan (each doc's grams are computed inside one call), zero
-    # joins or groupbys after the df aggregate.  A pathologically
+    # Size-gated tail: the duplicated-gram set is usually a vanishing
+    # fraction of the corpus (only grams appearing in >=2 docs).  Within the
+    # budget it broadcasts as one sorted array and a SECOND doc scan emits
+    # the complete per-doc profile in one pass — sorted membership, per-doc
+    # sums local to the scan (each doc's grams are computed inside one
+    # call), zero joins or groupbys after the df aggregate.  A pathologically
     # duplicated corpus falls back to the bucketed-join path below.
-    bound = MAX_BROADCAST_DUP_GRAMS if max_broadcast_dup_grams is None \
-        else max_broadcast_dup_grams
-    if dup_grams.count() <= bound:
-        if hash_grams:
-            parts = [b.column("gram").to_numpy() for b in
-                     dup_grams.iter_batches(batch_format="pyarrow")]
-            dup_arr = np.sort(np.concatenate(parts)) if parts else \
-                np.empty(0, dtype=np.int64)
-        else:
-            vals: list[str] = []
-            for b in dup_grams.iter_batches(batch_format="pyarrow"):
-                vals.extend(b.column("gram").to_pylist())
-            # object (not 'U') dtype: a numpy U array is FIXED-width, so
-            # one long gram would inflate every slot (rows x longest x 4
-            # bytes); python-str searchsorted is slower but memory-sane,
-            # and the string path is the A/B-test flavor only
-            dup_arr = np.sort(np.asarray(vals, dtype=object)) if vals else \
-                np.empty(0, dtype=object)
+    gt, _ = gates.collect_under_budget(dup_grams, "substring_dup_stats",
+                                       gates.MAX_BROADCAST_DUP_GRAMS, None)
+    if gt is not None:
+        # strings stay an object (not 'U') array: a numpy U array is
+        # FIXED-width, so one long gram would inflate every slot (rows x
+        # longest x 4 bytes); python-str searchsorted is slower but
+        # memory-sane, and the string path is the A/B-test flavor only
+        dup_arr = np.sort(gt.column("gram").to_numpy()) if gt.num_rows \
+            else np.empty(0, dtype=np.int64 if hash_grams else object)
         dup_ref = ray.put(dup_arr)
 
         def profile(batch: pa.Table) -> pa.Table:
@@ -1305,9 +1132,7 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
                     u, c = np.unique(
                         [" ".join(toks[k:k + w]) for k in range(n_pos)],
                         return_counts=True)
-                pos = np.searchsorted(arr, u)
-                pos[pos == len(arr)] = 0
-                dp_out[i] = int(c[arr[pos] == u].sum())
+                dp_out[i] = int(c[gates.sorted_member(arr, u)].sum())
             with np.errstate(invalid="ignore"):
                 frac = np.where(n_pos_out > 0,
                                 dp_out / np.maximum(n_pos_out, 1), 0.0)

@@ -709,9 +709,14 @@ def batch_properties(meshes: Meshes, log_transform: bool = False):
             "shape_ind": perimeter / np.sqrt(4 * math.pi * area),
             "hemisphericality": 3.0 * math.sqrt(2.0) * math.sqrt(math.pi)
             * volume / (area * np.sqrt(area)),
+            # area is floored at 1, so log(area) is 0 for every mesh whose
+            # surface is at most one square unit and the ratio is undefined
+            # (the reference divides by zero): such a mesh gets 0.0, the
+            # same value as a mesh without volume, instead of failing its
+            # batch or carrying an infinity into the ratio features
             "fractality": _map(
                 lambda v, a: 1.0 - math.log(v) / (1.5 * math.log(a))
-                if v > 0 else 0.0, volume, area),
+                if v > 0 and a > 1.0 else 0.0, volume, area),
             "cubeness": 6.0 * _map(lambda v: math.pow(v, 2.0 / 3.0), volume)
             / area,
             "circumference": 4.0 * math.pi * _map(

@@ -20,9 +20,10 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from engine import gates
 from engine.geometry import PROPERTY_NAMES
 
-MAX_RATIO_VAL = 1000.0  # reference config.py:23
+RATIO_CAP = 1000.0  # reference config.py:23 (MAX_RATIO_VAL)
 RATIO_FEATURE_NAMES = [f"{p}_ratio" for p in PROPERTY_NAMES]
 
 
@@ -43,8 +44,8 @@ def ratio_features(cand_vals: np.ndarray, index_vals: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         r = cand_vals / index_vals
     r = np.round(r, 3)
-    r[np.isnan(r)] = MAX_RATIO_VAL
-    return np.minimum(r, MAX_RATIO_VAL)
+    r[np.isnan(r)] = RATIO_CAP
+    return np.minimum(r, RATIO_CAP)
 
 
 def pair_features_dataset(pairs: ray.data.Dataset,
@@ -88,21 +89,16 @@ def pair_features_dataset(pairs: ray.data.Dataset,
                              batch_size=16384, concurrency=concurrency)
 
 
-BROADCAST_MAX_SIDE_ROWS = 2_000_000  # ~430 MB of f64 side matrix per side
-
-
 def pair_features_join(pairs: ray.data.Dataset, props: ray.data.Dataset,
-                       num_buckets: int = 32,
-                       strategy: str = "auto") -> ray.data.Dataset:
-    """Dataset-native pair feature stage with size-aware plan selection.
+                       num_buckets: int = 32) -> ray.data.Dataset:
+    """Dataset-native pair feature stage with a size gate.
 
-    ``strategy='broadcast'`` (the small-side fast case — chosen by 'auto'
-    when both property sides fit comfortably in a worker heap): each side's
-    narrow (doc_id + 25 props) matrix is collected once, ``ray.put`` once,
-    and pairs stream through a no-shuffle vectorized ratio map.
+    Broadcast plan (both property sides within twice
+    ``gates.BROADCAST_MAX_SIDE_ROWS``): the narrow (doc_id + 25 props)
+    table is collected once, each side's matrix is ``ray.put`` once, and
+    pairs stream through a no-shuffle vectorized ratio map.
 
-    ``strategy='join'`` (the 10^12 path — chosen by 'auto' beyond
-    BROADCAST_MAX_SIDE_ROWS): pairs ⋈ props(cands) on cand_id, ⋈
+    Join plan (the 10^12 path): pairs ⋈ props(cands) on cand_id, ⋈
     props(index) on index_id via two explicit bucketed hash joins
     (SURVEY §7.3); no property table ever lands on the driver.
     Both plans produce identical rows (tested).
@@ -111,14 +107,12 @@ def pair_features_join(pairs: ray.data.Dataset, props: ray.data.Dataset,
 
     from engine.joins import bucketed_hash_join
 
-    if strategy == "auto":
-        strategy = "broadcast" \
-            if props.count() <= 2 * BROADCAST_MAX_SIDE_ROWS else "join"
-
-    if strategy == "broadcast":
-        # ONE narrow collect for both sides (was two full scans)
-        pdf = props.select_columns(
-            ["doc_id", "source", *PROPERTY_NAMES]).to_pandas()
+    # ONE narrow collect for both sides
+    side_t, _ = gates.collect_under_budget(
+        props.select_columns(["doc_id", "source", *PROPERTY_NAMES]),
+        "pair_features_join", 2 * gates.BROADCAST_MAX_SIDE_ROWS, None)
+    if side_t is not None:
+        pdf = side_t.to_pandas()
         return pair_features_dataset(pairs,
                                      pdf[pdf.source == "cands"],
                                      pdf[pdf.source == "index"])

@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray.data
 
 from engine import blocking as blk
-from engine import matching, metrics, pairs, splits
+from engine import gates, matching, metrics, pairs, splits
 from engine.corpus import corpus_dataset
 from engine.geometry import PROPERTY_NAMES
 from engine.joins import broadcast_semi_join
@@ -86,13 +86,9 @@ def split_cands_dataset(cands: ray.data.Dataset, index_sorted_ref,
         ids = b.column("doc_id").to_pylist()
         if not ids:
             return b
-        idx = ray.get(index_sorted_ref)
-        if len(idx) == 0:   # empty index side -> empty intersection
-            return b.filter(pa.array(np.zeros(len(ids), dtype=bool)))
-        v = np.asarray([int(i) for i in ids], dtype=np.int64)
-        pos = np.searchsorted(idx, v)
-        pos[pos == len(idx)] = 0
-        in_idx = idx[pos] == v
+        in_idx = gates.sorted_member(
+            ray.get(index_sorted_ref),
+            np.asarray([int(i) for i in ids], dtype=np.int64))
         tr = splits.split_bucket(ids, seed)
         return b.filter(pa.array(in_idx & (tr if train else ~tr)))
 
@@ -133,14 +129,9 @@ def prep_train(props: ray.data.Dataset, seed: int = 1,
         if not ids:
             return pa.table({"doc_id": pa.array([], type=pa.string()),
                              "is_train": pa.array([], type=pa.bool_())})
-        idx = ray.get(split_ref)
-        v = np.asarray([int(i) for i in ids], dtype=np.int64)
-        if len(idx):
-            pos = np.searchsorted(idx, v)
-            pos[pos == len(idx)] = 0
-            in_idx = idx[pos] == v
-        else:
-            in_idx = np.zeros(len(v), dtype=bool)
+        in_idx = gates.sorted_member(
+            ray.get(split_ref),
+            np.asarray([int(i) for i in ids], dtype=np.int64))
         tr = splits.split_bucket(ids, seed)
         b = b.filter(pa.array(in_idx))
         return pa.table({"doc_id": b.column("doc_id"),

@@ -19,7 +19,7 @@ import ray.data
 
 from engine.storage import read_parquet_clean
 
-from engine import dedup, relational, similarity, spatial, text
+from engine import dedup, gates, relational, similarity, spatial, text
 from engine.corpus import corpus_dataset
 from engine.geometry import PROPERTY_NAMES
 from engine.properties import properties_dataset
@@ -326,11 +326,8 @@ def geo_recall_grid_exact(sf_dir: str):
 
     def inter(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc2
-        idx = ray.get(idx_ids)
         v = pc2.cast(b.column("doc_id"), pa.int64()).to_numpy()
-        pos = np.searchsorted(idx, v)
-        pos[pos == len(idx)] = 0
-        hit = idx[pos] == v
+        hit = gates.sorted_member(ray.get(idx_ids), v)
         return pa.table({"n": pa.array([int(hit.sum())], type=pa.int64())})
 
     n_inter = cands.map_batches(inter, batch_format="pyarrow") \
@@ -370,13 +367,12 @@ def geo_ratio_std(sf_dir: str):
         import pyarrow.compute as pc2
         idx_ids, idx_mat = ray.get(idx_ref)
         ids = pc2.cast(b.column("doc_id"), pa.int64()).to_numpy()
-        pos = np.searchsorted(idx_ids, ids)
-        pos[pos == len(idx_ids)] = 0
-        m = idx_ids[pos] == ids
+        m = gates.sorted_member(idx_ids, ids)
+        pos = np.searchsorted(idx_ids, ids[m])
         rows = []
         for k, f in enumerate(feats):
             vc = b.column(f).to_numpy()[m]
-            vi = idx_mat[pos[m], k]
+            vi = idx_mat[pos, k]
             rq = np.floor((vi / vc) * QUANT).astype(np.int64)
             s2 = int((rq.astype(object) ** 2).sum())
             # moment sums ride the shuffle split into 31-bit limbs so the
@@ -701,8 +697,9 @@ def multimodal_real(sf_dir: str):
                                                pa.scalar(s))),
             batch_format="pyarrow")
 
-    # size-gated: index broadcasts only under MAX_BROADCAST_INDEX_ROWS,
-    # else shard-staged exact top-k (bit-identical; pinned by test)
+    # size-gated: index broadcasts only within the
+    # gates.MAX_BROADCAST_INDEX_ROWS budget, else shard-staged exact top-k
+    # (bit-identical; pinned by test)
     return embedding_nn_auto(side("cands"), side("index"), nn_param=5)
 
 

@@ -18,6 +18,7 @@ import ray.data
 from engine.storage import read_parquet_clean
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from engine import gates
 from engine.joins import broadcast_lookup, broadcast_semi_join
 
 
@@ -303,8 +304,7 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
 
 def shipping_priority(sf_dir: str, segment: str = "BUILDING",
                       cutoff: str = "1998-01-01",
-                      k: int = 10,
-                      strategy: str = "auto") -> ray.data.Dataset:
+                      k: int = 10) -> ray.data.Dataset:
     """TPC-H Q3 shape — the canonical 3-way star join + top-k:
     customer(segment) ⋉ orders(date < cutoff) ⋈ lineitem(ship > cutoff),
     revenue per order, global top-k by revenue.
@@ -380,21 +380,18 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
         return b.append_column(
             "__b", pa.array((key % NUM_BUCKETS).astype(np.int64)))
 
-    # size-aware plan (the pair_features_join pattern): the filtered
-    # orders dimension usually collapses far below the fact side — then
-    # broadcast it once (ray.put, sorted-key searchsorted lookup, no
-    # shuffle); beyond BROADCAST_MAX_SIDE_ROWS fall back to the bucketed
-    # hash join (the 10^12 path).  Identical rows either way (tested).
-    from engine.pairs import BROADCAST_MAX_SIDE_ROWS
-    if strategy == "auto":
-        strategy = "broadcast" \
-            if orders.count() <= BROADCAST_MAX_SIDE_ROWS else "join"
-
-    if strategy == "broadcast":
-        odf = orders.to_pandas().sort_values("o_orderkey")
-        side_ref = ray.put((odf.o_orderkey.to_numpy(np.int64),
-                            odf.o_date_us.to_numpy(np.int64),
-                            odf.o_orderpriority.to_numpy(object)))
+    # size gate: the filtered orders dimension usually collapses far below
+    # the fact side — then broadcast it once (ray.put, sorted-key lookup,
+    # no shuffle); beyond gates.BROADCAST_MAX_SIDE_ROWS fall back to the
+    # bucketed hash join (the 10^12 path).  Identical rows either way
+    # (tested).
+    ot, _ = gates.collect_under_budget(orders, "shipping_priority",
+                                       gates.BROADCAST_MAX_SIDE_ROWS, None)
+    if ot is not None:
+        ot = ot.sort_by("o_orderkey")
+        side_ref = ray.put(tuple(
+            ot.column(c).to_numpy()
+            for c in ("o_orderkey", "o_date_us", "o_orderpriority")))
         holder: dict = {}
 
         def member(b: pa.Table) -> pa.Table:
@@ -403,13 +400,8 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
             # usually ~1/5 selective)
             if "s" not in holder:
                 holder["s"] = ray.get(side_ref)
-            okey = holder["s"][0]
-            key = b.column("l_orderkey").to_numpy()
-            pos = np.searchsorted(okey, key)
-            pos_c = np.minimum(pos, max(len(okey) - 1, 0))
-            hit = (okey[pos_c] == key) if len(okey) else \
-                np.zeros(len(key), dtype=bool)
-            return b.filter(pa.array(hit))
+            return b.filter(pa.array(gates.sorted_member(
+                holder["s"][0], b.column("l_orderkey").to_numpy())))
 
         rev = line.map_batches(rev_partial, batch_format="pyarrow") \
             .map_batches(member, batch_format="pyarrow") \
@@ -418,12 +410,12 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
         def join_finish(b: pa.Table) -> pa.Table:
             # rows here already passed the `member` pre-shuffle filter, so
-            # every key is present — the searchsorted is a pure lookup
+            # every key is present; a miss means a nondeterministic upstream
             if "s" not in holder:
                 holder["s"] = ray.get(side_ref)
             okey, odate, oprio = holder["s"]
             key = b.column("l_orderkey").to_numpy()
-            pos = np.searchsorted(okey, key)
+            pos = gates.sorted_positions(okey, key, "shipping_priority")
             return pa.table({
                 "l_orderkey": pa.array(key, type=pa.int64()),
                 "revenue": pa.array(

@@ -28,18 +28,21 @@ def read_parquet_clean(path, columns=None, **kw) -> ray.data.Dataset:
     a pyarrow Schema holding a metadata dict is UNHASHABLE here, which
     defeats Ray Data's schema dedup (`unify_schemas` early-exit) — every
     block merge logs "Failed to hash the schemas" and pays the expensive
-    unify path.  Stripping costs one footer read on the driver and makes
-    every downstream block schema hashable."""
-    p0 = path
-    if isinstance(path, (list, tuple)):
-        p0 = path[0]
-    if os.path.isdir(p0):
-        files = sorted(glob.glob(os.path.join(p0, "**", "*.parquet"),
-                                 recursive=True))
-        if not files:  # empty dir: let read_parquet raise its own error
-            return ray.data.read_parquet(path, columns=columns, **kw)
-        p0 = files[0]
-    sch = pq.read_schema(p0).remove_metadata()
+    unify path.  Stripping costs one footer read per file on the driver
+    and makes every downstream block schema hashable.  When the files'
+    stripped schemas differ (say an all-null column typed null in one of
+    them), no one schema fits them all: plain ``read_parquet`` unifies."""
+    files = []
+    for p in path if isinstance(path, (list, tuple)) else [path]:
+        files += sorted(glob.glob(os.path.join(p, "**", "*.parquet"),
+                                  recursive=True)) if os.path.isdir(p) \
+            else [p]
+    if not files:  # empty dir: let read_parquet raise its own error
+        return ray.data.read_parquet(path, columns=columns, **kw)
+    sch = pq.read_schema(files[0]).remove_metadata()
+    if any(not pq.read_schema(f).remove_metadata().equals(sch)
+           for f in files[1:]):
+        return ray.data.read_parquet(path, columns=columns, **kw)
     if columns:
         sch = pa.schema([sch.field(c) for c in columns])
     return ray.data.read_parquet(path, columns=columns, schema=sch, **kw)

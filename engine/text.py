@@ -12,6 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from engine import gates
 from engine.joins import stable_hash64
 
 STOPWORDS = {"the", "a", "and", "of", "to"}
@@ -375,13 +376,6 @@ def corpus_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-# Broadcast bound for tfidf_topk's document-frequency map: under this many
-# distinct terms the (term, df) table ships once (sorted arrays via
-# ray.put) and scoring+top-k run locally in one doc scan; above it the
-# term-partitioned join plan runs.
-MAX_BROADCAST_VOCAB = 2_000_000
-
-
 def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
                num_buckets: int = 64) -> ray.data.Dataset:
     """Per-document top-k terms by rational tf-idf — the term-weighting
@@ -435,24 +429,20 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
     df = tf.map_batches(block_df, batch_format="pyarrow") \
         .groupby("term").aggregate(Sum("n", alias_name="df")).materialize()
 
-    # size-gated tail: under MAX_BROADCAST_VOCAB distinct terms the df map
-    # broadcasts sorted and ONE further doc scan does everything locally —
-    # per-doc tf, df lookup (searchsorted), score, and the per-doc top-k
-    # (a doc's terms are all computed inside one call), zero joins or
-    # shuffles after the df aggregate.  A larger vocabulary falls back to
-    # the term-partitioned join plan below (no broadcast assumption).
-    broadcast_ok = df.count() <= MAX_BROADCAST_VOCAB
-    if broadcast_ok:
-        pdf = df.to_pandas()
-        t_arr = np.asarray(pdf["term"].to_numpy(), dtype="U")
-        # numpy U arrays are FIXED-width (rows x longest term x 4 bytes):
-        # cap the broadcast by BYTES too, not just term count
-        if t_arr.nbytes > 256 * 1024 * 1024:
-            broadcast_ok = False
-    if broadcast_ok:
-        order = np.argsort(t_arr, kind="stable")
-        df_ref = ray.put((t_arr[order],
-                          pdf["df"].to_numpy(dtype=np.int64)[order]))
+    # size-gated tail: within the gates.MAX_BROADCAST_VOCAB(_BYTES) budget
+    # the df map broadcasts sorted and ONE further doc scan does everything
+    # locally — per-doc tf, df lookup, score, and the per-doc top-k (a
+    # doc's terms are all computed inside one call), zero joins or shuffles
+    # after the df aggregate.  A larger vocabulary falls back to the
+    # term-partitioned join plan below (no broadcast assumption).
+    dft, _ = gates.collect_under_budget(df, "tfidf_topk",
+                                        gates.MAX_BROADCAST_VOCAB,
+                                        gates.MAX_BROADCAST_VOCAB_BYTES)
+    if dft is not None:
+        dft = dft.sort_by("term")
+        df_ref = ray.put((
+            np.asarray(dft.column("term").to_numpy(), dtype="U"),
+            dft.column("df").to_numpy().astype(np.int64)))
         holder: dict = {}
 
         def topk_local(batch: pa.Table) -> pa.Table:
@@ -463,18 +453,8 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
             for d, t in zip(batch.column("doc_id").to_pylist(),
                             batch.column("text").to_pylist()):
                 toks, counts = np.unique(t.split(" "), return_counts=True)
-                pos = np.searchsorted(terms_s, toks)
-                pos_c = np.minimum(pos, max(len(terms_s) - 1, 0))
-                # guard the "every term is in the df map" invariant: the
-                # vocab and scoring scans are two executions of the same
-                # deterministic pipeline, so a miss means upstream
-                # nondeterminism — fail loudly, never score a wrong df
-                if len(terms_s) == 0 or not (terms_s[pos_c] == toks).all():
-                    raise RuntimeError(
-                        "tfidf broadcast gate: token missing from the df "
-                        "map — upstream pipeline is nondeterministic "
-                        "between the vocabulary and scoring scans")
-                dfv = dfs_s[pos_c]
+                dfv = dfs_s[gates.sorted_positions(terms_s, toks,
+                                                   "tfidf_topk")]
                 s = (counts.astype(np.int64) * n_docs).astype(np.float64) \
                     / dfv.astype(np.float64)
                 o = np.lexsort((toks, -s))[:k]        # (score desc, term asc)

@@ -262,6 +262,22 @@ def test_degenerate_hulls_in_a_mixed_batch():
     assert got[0] == got[6] == 8.0 and got[2] == 72.0
 
 
+def test_fractality_of_a_sub_unit_mesh_is_zero():
+    """Area is floored at 1, so a mesh with at most one square unit of
+    surface and positive volume has log(area) == 0 and an undefined
+    fractality: it gets 0.0, and the meshes batched with it keep the rows
+    they have alone."""
+    normal = [_mesh(4.0, 6.0, 3.0), _mesh(7.5, 5.25, 4.125, 2)]
+    tiny = _mesh(0.25, 0.25, 0.25)
+    props = batch_properties(Meshes.from_surfaces(
+        [normal[0], tiny, normal[1]]))[0]
+    assert props["area"][1] == 1.0 and props["volume"][1] == 0.25 ** 3
+    assert props["fractality"][1] == 0.0
+    for row, m in ((0, normal[0]), (2, normal[1])):
+        alone = compute_properties(m)
+        assert {k: v[row] for k, v in props.items()} == alone
+
+
 def _dense_289():
     """A 96-corner dense mesh: 289 unique vertices, 193 hull candidates."""
     key = next(k for k in range(1000)

@@ -213,13 +213,9 @@ def test_dup_clusters_chain_transitivity(ray_session):
     }))
     want = {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10,
             20: 20, 21: 20, 22: 20}
-    # small-graph union-find path (the default) and the distributed BSP
-    # min-label propagation (small_graph_rows=0) must agree exactly
-    for sgr in (2_000_000, 0):
-        out = dup_clusters(pairs, small_graph_rows=sgr) \
-            .to_pandas().sort_values("doc_id")
-        got = dict(zip(out.doc_id, out.cluster_id))
-        assert got == want, (sgr, got)
+    # both routes of the size gate: tests/test_gates.py
+    out = dup_clusters(pairs).to_pandas().sort_values("doc_id")
+    assert dict(zip(out.doc_id, out.cluster_id)) == want
 
 
 def test_png_render_valid_and_deterministic(ray_session):
@@ -707,18 +703,6 @@ def test_heavy_hitters_compression_path(ray_session):
     pd.testing.assert_frame_equal(got1, got8)
 
 
-def test_shipping_priority_strategies_equal(ray_session):
-    """The size-aware broadcast plan and the bucketed-join scale plan
-    produce identical top-k rows (TPC-H Q3 shape)."""
-    from engine.relational import shipping_priority
-    sf = "/root/testdata/sf0.001"
-    a = shipping_priority(sf, strategy="broadcast").to_pandas()
-    b = shipping_priority(sf, strategy="join").to_pandas()
-    pd.testing.assert_frame_equal(a.reset_index(drop=True),
-                                  b.reset_index(drop=True))
-    assert len(a) > 0 and a.revenue.is_monotonic_decreasing
-
-
 def test_reservoir_per_group_exact_k_and_parallelism(ray_session):
     """Exactly min(k, |group|) rows per group; identical sample at 1 and 8
     partitions (hash ranks, no RNG); matches a serial pandas reference;
@@ -1201,13 +1185,11 @@ def test_bloom_semi_join_exact_despite_false_positives(ray_session):
 def test_embedding_nn_sharded_equals_broadcast(ray_session):
     """embedding_nn_sharded (index staged shard-by-shard, running tie-aware
     top-k fold) is bit-identical to embedding_nn_dataset (whole-index
-    broadcast) in both modes, including the exact-cosine path, and
-    embedding_nn_auto routes to each side of its size gate without changing
-    a row.  shard_rows is set far below the index size so the fold merges
-    several shards."""
+    broadcast) in both modes, including the exact-cosine path.  shard_rows
+    is set far below the index size so the fold merges several shards
+    (embedding_nn_auto's size gate: tests/test_gates.py)."""
     import pandas as pd
-    from engine.blocking import (embedding_nn_auto, embedding_nn_dataset,
-                                 embedding_nn_sharded)
+    from engine.blocking import embedding_nn_dataset, embedding_nn_sharded
     rng = np.random.default_rng(11)
     n_idx, n_cand, dim = 257, 40, 12
 
@@ -1241,21 +1223,13 @@ def test_embedding_nn_sharded_equals_broadcast(ray_session):
             cand_ds, idx_ds, nn_param=7, shard_rows=48,
             exact=exact).to_pandas())
         pd.testing.assert_frame_equal(got, want)  # bit-identical
-        # the auto gate: broadcast route (huge bound) and sharded route
-        # (tiny bound) both reproduce the same rows
-        for bound in (10**6, 1):
-            auto = norm(embedding_nn_auto(
-                cand_ds, idx_ds, nn_param=7, exact=exact,
-                max_broadcast_rows=bound, shard_rows=48).to_pandas())
-            pd.testing.assert_frame_equal(auto, want)
 
 
 def test_dup_clusters_vectorized_uf_equals_serial_random(ray_session):
     """Randomized pin: the vectorized union-find fast path (pointer-jumping
     + batched min-hook) equals a serial per-edge union-by-min reference on
     a random multigraph with self-loops, duplicate edges, and a giant
-    component; a smaller slice also cross-checks the distributed BSP path
-    (kept small: each BSP round is a bucketed shuffle)."""
+    component."""
     from engine.dedup import dup_clusters
     rng = np.random.default_rng(7)
     a = rng.integers(0, 800, 3000)
@@ -1281,12 +1255,12 @@ def test_dup_clusters_vectorized_uf_equals_serial_random(ray_session):
     pairs = ray.data.from_arrow(pa.table({
         "a_id": pa.array(a, type=pa.int64()),
         "b_id": pa.array(b, type=pa.int64())})).repartition(4)
-    fast = dup_clusters(pairs, small_graph_rows=10**6).to_pandas()
+    fast = dup_clusters(pairs).to_pandas()
     want = serial_components(a, b)
     assert dict(zip(fast.doc_id, fast.cluster_id)) == want
-    # (BSP == fast-path agreement is pinned by
-    # test_dup_clusters_chain_transitivity; each BSP round is a bucketed
-    # shuffle, too heavy to repeat on a random graph here)
+    # (BSP == fast-path agreement is pinned by tests/test_gates.py; each
+    # BSP round is a bucketed shuffle, too heavy to repeat on a random
+    # graph here)
 
 
 def test_pii_scrub_planted_counts(ray_session):
@@ -1331,71 +1305,6 @@ def test_merge_pair_counts_matches_serial(ray_session):
         [((l, r), n) for (l, r), n in want]
 
 
-def test_substring_broadcast_tail_equals_join_path(ray_session):
-    """substring_dup_stats' size-gated broadcast tail (second doc scan +
-    searchsorted membership) equals the bucketed-join fallback row for row,
-    in both gram representations."""
-    import pandas as pd
-    from engine.dedup import planted_dup_corpus, substring_dup_stats
-    from engine.storage import read_parquet_clean
-    docs = planted_dup_corpus(read_parquet_clean(
-        "/root/testdata/sf0.001/documents.parquet",
-        columns=["doc_id", "text"]))
-
-    def norm(ds):
-        return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-    for hg in (True, False):
-        fast = norm(substring_dup_stats(docs, hash_grams=hg))
-        join = norm(substring_dup_stats(docs, hash_grams=hg,
-                                        max_broadcast_dup_grams=0))
-        pd.testing.assert_frame_equal(fast, join)
-        assert fast.dup_positions.sum() > 0   # planted dups present
-
-
-def test_verify_pairs_driver_path_equals_join_path(ray_session):
-    """_verify_pairs_join's size-gated driver verify (one filtered
-    signature scan + driver Jaccard) equals the two-bucketed-join plan
-    bit-for-bit on the planted minhash candidates."""
-    import pandas as pd
-    from engine.dedup import (_distinct_pairs, _verify_pairs_join,
-                              minhash_signatures, planted_dup_corpus)
-    from engine.dedup import minhash_lsh_pairs
-    from engine.storage import read_parquet_clean
-    docs = planted_dup_corpus(read_parquet_clean(
-        "/root/testdata/sf0.001/documents.parquet",
-        columns=["doc_id", "text"]))
-
-    # reuse the public chain to get candidate pairs, then verify both ways
-    import engine.dedup as D
-
-    def norm(ds):
-        return ds.to_pandas().sort_values(["a_id", "b_id"]) \
-            .reset_index(drop=True)
-
-    for threshold in (0.5, 0.0):
-        fast = norm(minhash_lsh_pairs(docs, threshold=threshold))
-        # force the join path through the public entry by shrinking the bound
-        orig = D.MAX_DRIVER_VERIFY_PAIRS
-        D.MAX_DRIVER_VERIFY_PAIRS = 0
-        try:
-            join = norm(minhash_lsh_pairs(docs, threshold=threshold))
-        finally:
-            D.MAX_DRIVER_VERIFY_PAIRS = orig
-        pd.testing.assert_frame_equal(fast, join)
-        assert len(fast) > 0
-
-    # a candidate pair whose doc has no signature row: both plans drop it,
-    # even at threshold 0.0 (the join plan by its inner joins)
-    pairs = pa.table({"a_id": pa.array([5, 7], type=pa.int64()),
-                      "b_id": pa.array([6, 99_999_999], type=pa.int64())})
-    plans = [norm(_verify_pairs_join(docs, ray.data.from_arrow(pairs), 3, 0.0,
-                                     max_driver_pairs=bound))
-             for bound in (None, 0)]
-    pd.testing.assert_frame_equal(*plans)
-    assert plans[0][["a_id", "b_id"]].values.tolist() == [[5, 6]]
-
-
 @pytest.mark.parametrize("gate", ["simhash", "embedding"])
 def test_driver_verify_gates_fail_on_missing_ids(ray_session, monkeypatch,
                                                  gate):
@@ -1416,70 +1325,3 @@ def test_driver_verify_gates_fail_on_missing_ids(ray_session, monkeypatch,
             from engine.queries import _emb
             D.embedding_near_dup(D.planted_neardup_embeddings(
                 _emb("/root/testdata/sf0.001")), threshold=0.95)
-
-
-def test_tfidf_broadcast_vocab_equals_join_path(ray_session):
-    """tfidf_topk's size-gated broadcast-vocabulary tail (one local scan)
-    equals the term-partitioned join plan bit-for-bit."""
-    import pandas as pd
-    import engine.text as T
-    from engine.storage import read_parquet_clean
-    docs = read_parquet_clean("/root/testdata/sf0.001/documents.parquet",
-                              columns=["doc_id", "text"])
-
-    def norm(ds):
-        df = ds.to_pandas().sort_values(["doc_id", "rnk"]) \
-            .reset_index(drop=True)
-        return df[["doc_id", "term", "tf", "df", "score", "rnk"]]
-
-    fast = norm(T.tfidf_topk(docs))
-    orig = T.MAX_BROADCAST_VOCAB
-    T.MAX_BROADCAST_VOCAB = 0
-    try:
-        join = norm(T.tfidf_topk(docs))
-    finally:
-        T.MAX_BROADCAST_VOCAB = orig
-    pd.testing.assert_frame_equal(fast, join)
-    assert (fast.groupby("doc_id").size() <= 5).all() and len(fast) > 0
-
-
-def test_simhash_driver_verify_equals_join_path(ray_session):
-    """simhash_pairs' driver-verify gate equals the two-join popcount plan
-    bit-for-bit on the planted corpus."""
-    import pandas as pd
-    import engine.dedup as D
-    from engine.dedup import planted_dup_corpus, simhash_pairs
-    from engine.storage import read_parquet_clean
-    docs = planted_dup_corpus(read_parquet_clean(
-        "/root/testdata/sf0.001/documents.parquet",
-        columns=["doc_id", "text"]))
-
-    def norm(ds):
-        return ds.to_pandas().sort_values(["a_id", "b_id"]) \
-            .reset_index(drop=True)
-
-    fast = norm(simhash_pairs(docs))
-    join = norm(simhash_pairs(docs, max_driver_pairs=0))
-    pd.testing.assert_frame_equal(fast, join)
-    assert len(fast) > 0 and (fast.hamming <= 3).all()
-
-
-def test_embedding_near_dup_driver_verify_equals_join(ray_session):
-    """embedding_near_dup's driver-verify gate equals the two-join exact-
-    cosine plan bit-for-bit (same numpy expression, same quantization)."""
-    import pandas as pd
-    import engine.dedup as D
-    from engine.dedup import embedding_near_dup
-    from engine.dedup import planted_neardup_embeddings
-    from engine.queries import _emb
-    emb = planted_neardup_embeddings(_emb("/root/testdata/sf0.001"))
-
-    def norm(ds):
-        return ds.to_pandas().sort_values(["a_id", "b_id"]) \
-            .reset_index(drop=True)
-
-    fast = norm(embedding_near_dup(emb, threshold=0.95))
-    join = norm(embedding_near_dup(emb, threshold=0.95,
-                                   max_driver_pairs=0))
-    pd.testing.assert_frame_equal(fast, join)
-    assert len(fast) > 0

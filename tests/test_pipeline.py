@@ -256,30 +256,6 @@ def test_prep_split_is_dataset_side_and_bounded(ray_session):
     assert sorted(got_test, key=int) == sorted(want_test, key=int)
 
 
-def test_pair_features_plans_agree(ray_session):
-    """The broadcast fast case and the bucketed-join 10^12 path of the pair
-    feature stage produce identical rows."""
-    import pyarrow as pa
-    import ray.data
-    from engine import pairs as P
-    from engine.pipeline import property_table, side_ids
-    props = property_table(SF)
-    cand_ids, index_ids = side_ids(props)
-    matched = sorted(set(cand_ids) & set(index_ids), key=int)[:40]
-    pair_ds = ray.data.from_arrow(pa.table({
-        "cand_id": pa.array(matched + matched, type=pa.string()),
-        "index_id": pa.array(matched + list(reversed(matched)),
-                             type=pa.string()),
-    }))
-    a = P.pair_features_join(pair_ds, props, strategy="broadcast") \
-        .to_pandas().sort_values(["cand_id", "index_id"]).reset_index(drop=True)
-    b = P.pair_features_join(pair_ds, props, strategy="join") \
-        .to_pandas().sort_values(["cand_id", "index_id"]).reset_index(drop=True)
-    assert len(a) == len(b) == 80
-    for c in P.RATIO_FEATURE_NAMES:
-        assert (a[c].to_numpy() == b[c].to_numpy()).all(), c
-
-
 def test_flagship_log_transform_quality(ray_session):
     """Quality floor holds under the reference's default log1p property
     normalization (config.py:52) — blocking recall and matching F1."""
@@ -406,3 +382,22 @@ def test_read_schemas_stay_hashable(ray_session):
             5, batch_format="pyarrow")
         assert b.schema.metadata is None
         hash(b.schema)   # must not raise
+
+
+def test_read_parquet_clean_falls_back_when_file_schemas_differ(
+        ray_session, tmp_path):
+    """Sibling files whose metadata-free schemas differ are not read under
+    the first file's schema (which fails, or silently casts, on the other
+    files): plain read_parquet reads each file with its own types."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from engine.storage import read_parquet_clean
+    pq.write_table(pa.table({"a": [1, 2], "b": [10, 20]}),
+                   tmp_path / "part-0.parquet")
+    pq.write_table(pa.table({"a": [3, 4], "b": ["x", "y"]}),
+                   tmp_path / "part-1.parquet")
+    got = {}
+    for b in read_parquet_clean(str(tmp_path), columns=["a", "b"]) \
+            .iter_batches(batch_size=None, batch_format="pyarrow"):
+        got.update(zip(b.column("a").to_pylist(), b.column("b").to_pylist()))
+    assert got == {1: 10, 2: 20, 3: "x", 4: "y"}
