@@ -28,7 +28,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from engine import gates
+from engine import gates, storage
 from engine.geometry import PROPERTY_NAMES
 
 NN_PARAM = 21  # config.py:60-61: max cand pairs per item (20) + 1
@@ -287,11 +287,10 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
                 "dist": pa.array(dtop.ravel().astype(np.float64), type=pa.float64()),
             })
 
-    # stateless TASK pool with the worker-process cache pattern from the
-    # fused apply path (pipeline.matching_inference_pipeline): the closure is
-    # deserialized once per worker, so the scaled index tiles are built once
-    # per process from the plasma ref — no actor ramp, fully elastic, and
-    # identical math to the former actor pool
+    # stateless TASK pool: the closure, and with it ``holder``, is
+    # deserialized once per task, so the scaled index tiles are built once
+    # per task from the plasma ref and reused across its batches — no actor
+    # ramp, fully elastic, and identical math to the former actor pool
     holder: dict = {}
 
     def knn_fn(batch: pa.Table) -> pa.Table:
@@ -299,8 +298,10 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
             holder["a"] = KnnActor()
         return holder["a"](batch)
 
+    # four blocks per pool slot, within the cluster cap: every block is one
+    # task, and each rebuilds the index tiles
     cands = cand_props.select_columns(["doc_id", *features]) \
-        .repartition(concurrency * 4)
+        .repartition(storage.cluster_cap(concurrency * 4))
     nn = cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024,
                            concurrency=concurrency)
     return nn, time.time() - start

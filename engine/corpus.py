@@ -20,6 +20,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
+from engine import storage
 from engine.storage import read_parquet_clean
 
 from datagen.buildings import doc_spans, building_params, INDEX_EXTRA_OFFSET
@@ -90,21 +91,25 @@ def size_aware_blocks(path: str, requested: int, min_blocks: int = 8,
     task launches (measured +25-35% on sub-2.5 s queries), a large one still
     splits wide enough to fill the CPU budget.  Rows, not bytes: these
     tables carry text/geometry whose per-row downstream work dwarfs their
-    compressed size."""
+    compressed size.
+
+    Never more than twice the cluster's CPUs (``storage.cluster_cap``):
+    each block is one task of every fused map downstream."""
     if os.path.isdir(path):
         files = sorted(e.path for e in os.scandir(path)
                        if e.is_file() and e.name.endswith(".parquet"))
     else:
         files = [path]
     if not files:
-        return int(min(min_blocks, requested))
+        return storage.cluster_cap(int(min(min_blocks, requested)))
     # probe at most 16 footers and extrapolate — a 100 TB corpus with
     # thousands of files must not pay a footer read per file on the driver
     probe = files[:: max(1, len(files) // 16)][:16]
     rows = sum(pq.ParquetFile(f).metadata.num_rows for f in probe)
     rows = rows * len(files) // len(probe)
     need = max(1, (rows + rows_per_block - 1) // rows_per_block)
-    return int(max(min(min_blocks, requested), min(requested, need)))
+    return storage.cluster_cap(
+        int(max(min(min_blocks, requested), min(requested, need))))
 
 
 def corpus_dataset(sf_dir: str, n_cands: int | None = None,

@@ -757,8 +757,8 @@ def predict_dataset(ds: ray.data.Dataset, model, feature_cols: list[str],
                     "proba", pa.array(self.model.predict_proba(X), type=pa.float64()))
             return batch
 
-    # stateless task pool, model fetched once per worker process (the
-    # per-worker cache pattern from pipeline.matching_inference_pipeline)
+    # stateless task pool: the closure, and with it ``holder``, is
+    # deserialized once per task, so the model is fetched once per task
     holder: dict = {}
 
     def predict_fn(batch: pa.Table) -> pa.Table:

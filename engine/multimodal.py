@@ -76,32 +76,35 @@ class MediaFeatureActor:
 
 
 # Memoized stage instances: these stages' state is a few KB (a seeded
-# projection matrix, sizes, an md5 stub).  Engine modules travel into Ray
-# tasks by value (engine/__init__.py), so this module-global dict is rebuilt
-# for every task: a stage is built once per TASK, and reused across that
-# task's batches, not once per worker process.  That is cheap at this
-# size and pays no cold per-actor process spawn.  A REAL heavyweight encoder
-# (multi-GB weights) should run as an actor pool instead: pass the actor
-# class to map_batches with concurrency=(1, N) — the classes below keep
-# that __init__ slot intact.
-_WORKER_STAGE_CACHE: dict = {}
-
-
+# projection matrix, sizes, an md5 stub), built once and reused across
+# batches, which pays no cold per-actor process spawn.  The memo lives on
+# the class object, so it lasts as long as the class does: a module-level
+# stage class shipped by reference is imported once per worker process and
+# built once per worker; one shipped by value (a function-local class, or
+# any class when the engine travels by value, engine/__init__.py) is
+# rebuilt by every task.  A REAL heavyweight encoder (multi-GB weights)
+# should run as an actor pool instead: pass the actor class to map_batches
+# with concurrency=(1, N) — the classes below keep that __init__ slot intact.
 def _worker_stage(cls, **kw):
-    # key by (module, qualname): two distinct classes sharing a bare name
-    # (e.g. the function-local KnnActor in both spatial.py and blocking.py)
-    # must never share a cached instance
-    key = (cls.__module__, cls.__qualname__, tuple(sorted(kw.items())))
-    inst = _WORKER_STAGE_CACHE.get(key)
+    """The memoized ``cls(**kw)``; ``kw`` values must be hashable.  Kept on
+    the class object itself, not keyed by its name: two function-local
+    classes from different calls share a qualname but may close over
+    different state."""
+    key = tuple(sorted(kw.items()))
+    if "_stage_memo" not in cls.__dict__:
+        cls._stage_memo = {}
+    memo = cls._stage_memo
+    inst = memo.get(key)
     if inst is None:
-        inst = _WORKER_STAGE_CACHE[key] = cls(**kw)
+        inst = memo[key] = cls(**kw)
     return inst
 
 
 def media_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> deterministic feature vectors (task pool, state
-    memoized per task — see _worker_stage).  Small batch_size on
+    memoized per worker process, or per task when the engine travels by
+    value — see _worker_stage).  Small batch_size on
     purpose: real binary payloads are heap-heavy per row."""
     def stage(batch: pa.Table) -> pa.Table:
         return _worker_stage(MediaFeatureActor)(batch)

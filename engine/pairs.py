@@ -74,10 +74,11 @@ def pair_features_dataset(pairs: ray.data.Dataset,
                     name, pa.array(feats[:, j], type=pa.float64()))
             return batch
 
-    # stateless TASK pool with the per-worker-process cache pattern
-    # (pipeline.matching_inference_pipeline): the side matrices are plasma
-    # refs fetched once per worker — no actor ramp, no ray#53727 surface,
-    # fully elastic across whatever cores the executor has free
+    # stateless TASK pool: the closure, and with it ``holder``, is
+    # deserialized once per task, so the side matrices are plasma refs
+    # fetched once per task and reused across its batches — no actor ramp,
+    # no ray#53727 surface, fully elastic across whatever cores the
+    # executor has free
     holder: dict = {}
 
     def ratio_fn(batch: pa.Table) -> pa.Table:

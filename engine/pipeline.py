@@ -387,11 +387,12 @@ def fused_apply_batch(batch: pa.Table, s: dict, idx_sq: np.ndarray,
 
 
 def _process_cache() -> dict:
-    """A dict that lives as long as the current process.  Engine modules
-    travel into Ray tasks by value (engine/__init__.py), so their module
-    globals, and any cache kept in them, are rebuilt for every task; a
-    module registered in sys.modules is not, so every task a worker process
-    runs sees the same dict."""
+    """A dict that lives as long as the current process.  When engine
+    modules travel into Ray tasks by value (a driver with a foreign cwd,
+    engine/__init__.py), their module globals, and any cache kept in them,
+    are rebuilt for every task; a module registered in sys.modules is not,
+    so every task a worker process runs sees the same dict in either
+    shipping mode."""
     import sys
     import types
     mod = sys.modules.get(_PROCESS_CACHE)
@@ -409,8 +410,11 @@ def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
     execution.  Output: (cand_id, index_id, rank, dist, label, pred) pairs.
 
     Physical form: a stateless TASK pool with the prepared state broadcast
-    via ray.put and cached per worker process (zero-copy plasma reads; the
-    cache holds the latest state only, keyed by its object ref).  That
+    via ray.put and cached per worker process in ``_process_cache`` (zero-
+    copy plasma reads; the cache holds the latest state only, keyed by its
+    object ref), so it is fetched once per worker whichever way the engine
+    modules are shipped.  The pass runs one task per input block; read the
+    docs with ``corpus.size_aware_blocks`` so that is about two per CPU.  That
     latest state stays pinned: after the pipeline ends and the caller drops
     it, every worker that ran one of its tasks still holds its plasma
     arrays, so object-store memory of the size of the index state stays in

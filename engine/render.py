@@ -23,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from engine import storage
 from engine.geometry import parse_geom_payload, unique_vertices
 
 
@@ -127,11 +128,8 @@ def pool_width(concurrency: int | None) -> int:
     nodes (a 4-actor pool leaves 28 of 32 cores idle)."""
     if concurrency is not None:
         return concurrency
-    try:
-        import ray
-        return max(4, int(ray.cluster_resources().get("CPU", 8)) - 2)
-    except Exception:   # pragma: no cover - ray not yet initialised
-        return 4
+    cpus = storage.cluster_cpus()
+    return max(4, cpus - 2) if cpus else 4
 
 
 def render_dataset(docs: ray.data.Dataset, size: int = 64,

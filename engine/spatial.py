@@ -277,10 +277,10 @@ def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
                 "dist2": pa.array(out_d, type=pa.float64()),
             })
 
-    # task pool with a per-worker cached index (the blocking.py knn_fn
-    # pattern): Ray deserializes the closure once per worker process, so
-    # the cell index builds once per worker and every later task reuses it
-    # — actor-pool load-once semantics without cold actor spawn.
+    # task pool with a per-task cached index (the blocking.py knn_fn
+    # pattern): the closure, and with it ``holder``, is deserialized once
+    # per task, so the cell index builds once per task and every later
+    # batch of that task reuses it — without cold actor spawn.
     holder: dict = {}
 
     def knn_fn(batch: pa.Table) -> pa.Table:

@@ -48,6 +48,25 @@ def read_parquet_clean(path, columns=None, **kw) -> ray.data.Dataset:
     return ray.data.read_parquet(path, columns=columns, schema=sch, **kw)
 
 
+def cluster_cpus() -> int | None:
+    """CPU count of the Ray cluster this process is attached to; None
+    before ``ray.init`` (Ray Data then starts a cluster on first use) or
+    on a cluster that reports no CPUs."""
+    if not ray.is_initialized():
+        return None
+    return int(ray.cluster_resources().get("CPU", 0)) or None
+
+
+def cluster_cap(n: int) -> int:
+    """``n``, but at most twice the cluster's CPUs: Ray Data's own read
+    parallelism rule.  For a block count feeding a map stage: each block
+    is one task, and a task no CPU runs alongside the others only adds its
+    launch, deserialization and per-batch fixed cost (~30 ms each on one
+    CPU for the fused apply pass)."""
+    cpus = cluster_cpus()
+    return min(n, 2 * cpus) if cpus else n
+
+
 def read_table(path: str, columns=None, override_num_blocks=None) -> ray.data.Dataset:
     if HAVE_LANCE:
         return ray.data.read_lance(path, columns=columns)

@@ -57,9 +57,9 @@ def test_fused_pipeline_matches_quality(fused_state):
 
 def test_fused_state_fetched_once_per_worker(fused_state, monkeypatch):
     """Every task a worker process runs reuses the state the first one
-    fetched: engine modules travel by value, so a cache in their globals
-    would be rebuilt per task.  The probe counts the uses of each fetched
-    state dict; a fetch shows as a use count of 1."""
+    fetched, also when engine modules travel by value and a cache in their
+    globals would be rebuilt per task.  The probe counts the uses of each
+    fetched state dict; a fetch shows as a use count of 1."""
     import engine.pipeline as pipe
     from engine.corpus import corpus_dataset
 
@@ -87,6 +87,67 @@ def _corpus_table():
     import pyarrow.parquet as pq
     from engine.corpus import ensure_corpus
     return pq.read_table(ensure_corpus(SF))
+
+
+# A driver whose cwd is not the repository when Ray starts, so the engine
+# ships itself by value: Ray is up before the engine is imported, or the
+# engine is imported at the repository root and the cwd moves before
+# ray.init.
+FOREIGN_DRIVER = """
+import json, os, sys
+repo, sf, out, order = sys.argv[1:5]
+sys.path.insert(0, repo)
+if order == "engine_first":
+    import engine
+    os.chdir(os.path.dirname(out))
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from ray import cloudpickle
+from engine.corpus import corpus_dataset
+from engine.pipeline import matching_inference_pipeline, prepare_state
+state = prepare_state(sf, seed=1, bkafi_dim=6, k=5, concurrency=2)
+pairs = matching_inference_pipeline(corpus_dataset(sf), state)
+pairs.to_pandas().to_parquet(out)
+print(json.dumps(sorted(cloudpickle.list_registry_pickle_by_value())))
+ray.shutdown()
+"""
+
+
+@pytest.mark.parametrize("order", ["ray_first", "engine_first"])
+def test_foreign_cwd_driver_ships_engine_by_value(fused_state, tmp_path,
+                                                  order):
+    """The fused pass from a driver outside the repository (engine shipped
+    by value) emits the same pairs as from the repository root (engine
+    imported by the workers), where nothing is registered by value."""
+    import json
+    import os
+    import subprocess
+    import sys
+    import pandas as pd
+    from ray import cloudpickle
+    from engine.corpus import corpus_dataset
+    from engine.pipeline import matching_inference_pipeline
+    assert not set(cloudpickle.list_registry_pickle_by_value()) & \
+        {"engine", "datagen"}
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = str(tmp_path / "pairs.parquet")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, "-c", FOREIGN_DRIVER, repo, SF, out, order],
+        cwd=repo if order == "engine_first" else tmp_path, env=env,
+        capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-3000:]
+    by_value = json.loads(run.stdout.strip().splitlines()[-1])
+    assert {"engine", "datagen"} <= set(by_value)
+    key = ["cand_id", "rank"]
+    here = matching_inference_pipeline(corpus_dataset(SF), fused_state) \
+        .to_pandas().sort_values(key).reset_index(drop=True)
+    there = pd.read_parquet(out).sort_values(key).reset_index(drop=True)
+    assert len(here) > 0
+    pd.testing.assert_frame_equal(here, there, check_exact=True)
 
 
 def test_fused_batch_ignores_index_docs(fused_state):
@@ -279,23 +340,82 @@ def test_flagship_fully_deterministic(ray_session):
     assert (a.dist.to_numpy() == b.dist.to_numpy()).all()
 
 
-def test_size_aware_blocks_bounds():
+def test_size_aware_blocks_bounds(monkeypatch):
     """Block sizing: floors at min(min_blocks, requested), caps at
-    requested, scales with row count, and probes at most a bounded number
-    of parquet footers (extrapolation for many-file corpora)."""
+    requested and at twice the cluster's CPUs, scales with row count, and
+    probes at most a bounded number of parquet footers (extrapolation for
+    many-file corpora)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import tempfile, os
+    from engine import storage
     from engine.corpus import size_aware_blocks
+
+    def cpus(n):
+        monkeypatch.setattr(storage, "cluster_cpus", lambda: n)
+
     with tempfile.TemporaryDirectory() as d:
         t = pa.table({"x": pa.array(range(100), type=pa.int64())})
         for i in range(40):  # 4000 rows over 40 files
             pq.write_table(t, os.path.join(d, f"p{i:03d}.parquet"))
+        one = os.path.join(d, "p000.parquet")
+        cpus(8)   # 16 blocks fit under 2 x 8 CPUs
         n = size_aware_blocks(d, requested=64, rows_per_block=256)
         assert n == 16, n  # ceil(4000/256)
         assert size_aware_blocks(d, requested=8) == 8      # cap
-        one = os.path.join(d, "p000.parquet")
         assert size_aware_blocks(one, requested=64) == 8   # floor
+        cpus(1)
+        assert size_aware_blocks(d, requested=64) == 2
+        assert size_aware_blocks(one, requested=64) == 2
+        for path in (d, one):
+            for requested in (1, 4, 8, 64):
+                cpus(None)   # no cluster: the rule without the CPU cap
+                uncapped = size_aware_blocks(path, requested)
+                for n in (1, 2, 4, 8, 32):
+                    cpus(n)
+                    got = size_aware_blocks(path, requested)
+                    assert 1 <= got <= min(uncapped, 2 * n), (path, n)
+
+
+def test_fused_pairs_do_not_depend_on_block_count(fused_state):
+    """The fused pass emits the same pairs whether the corpus is read as
+    1, 2 or 8 blocks (one task each)."""
+    import pandas as pd
+    from engine.corpus import ensure_corpus
+    from engine.pipeline import matching_inference_pipeline
+    from engine.storage import read_parquet_clean
+    path = ensure_corpus(SF)
+    outs = []
+    for n in (1, 2, 8):
+        docs = read_parquet_clean(path, override_num_blocks=n).materialize()
+        assert docs.num_blocks() == n
+        out = matching_inference_pipeline(docs, fused_state).to_pandas()
+        outs.append(out.sort_values(["cand_id", "rank"])
+                    .reset_index(drop=True))
+    assert len(outs[0]) > 0
+    for out in outs[1:]:
+        pd.testing.assert_frame_equal(outs[0], out, check_exact=True)
+
+
+def test_knn_output_does_not_depend_on_cluster_width(monkeypatch):
+    """bkafi_nn_dataset splits its cands into at most two blocks per
+    cluster CPU; the per-row kNN output is the same at any width."""
+    from engine import blocking as blk
+    from engine import storage
+    from engine.pipeline import property_table, side_dataset, side_frame
+    props = property_table(SF)
+    feats = ["volume", "area", "height_diff"]
+    index_df = side_frame(props, "index", ["doc_id", *feats])
+    outs = []
+    for n in (1, 4, None):
+        monkeypatch.setattr(storage, "cluster_cpus", lambda: n)
+        cands = side_dataset(props, "cands", ["doc_id", *feats])
+        nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, 3, concurrency=8)
+        outs.append(nn.to_pandas().sort_values(["cand_id", "rank"])
+                    .reset_index(drop=True))
+    assert len(outs[0]) > 0
+    for out in outs[1:]:
+        assert outs[0].equals(out)
 
 
 def test_partitioned_resume_survives_sigkill_sf01(ray_session, tmp_path):
