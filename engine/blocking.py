@@ -119,14 +119,29 @@ def select_blocking_features(feature_importances: list[tuple[str, float]],
     return [f.split("_ratio")[0] for f, _ in feature_importances[:bkafi_dim]]
 
 
+def topk_by_key(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of the ``k`` smallest entries of each row of the 2D
+    ``d``, ordered by (d, key) with one key per column.  Tie-complete: the
+    kth smallest value is found by a partition, every entry <= it is kept,
+    and a (d, key) lexsort cuts them to k, so ties at the kth value go to
+    the smallest keys, never to an arbitrary subset of them."""
+    kk = min(k, d.shape[1])
+    thr = np.partition(d, kk - 1, axis=1)[:, kk - 1]
+    top = np.empty((len(d), kk), dtype=np.int64)
+    for r in range(len(d)):
+        cols = np.nonzero(d[r] <= thr[r])[0]
+        top[r] = cols[np.lexsort((keys[cols], d[r, cols]))[:kk]]
+    return top
+
+
 def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
                 idx_num: np.ndarray, k: int,
                 tile: int = 64, chunk: int = 4096):
     """Threshold-pruned EXACT k-NN over L2-resident f32 tiles, tie-resolved
     by (d2, numeric index id).
 
-    Per cand tile, only the FIRST index chunk pays a selection (argpartition
-    for the kth value, then a tie-complete <= sweep); every later chunk does
+    Per cand tile, only the FIRST index chunk pays a selection
+    (``topk_by_key``); every later chunk does
     one SIMD compare of its distance block against the running kth-best and
     merges only the (rare) survivors with a tie-exact (d2, idx_num) lexsort.
     The old argpartition-per-chunk merge scanned every chunk with an
@@ -143,19 +158,9 @@ def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
         x_sq = (Xt * Xt).sum(1)[:, None]
         e0 = min(chunk, n_idx)
         d2 = x_sq - 2.0 * (Xt @ idx32[:e0].T) + idx_sq[None, :e0]
-        best_d = np.empty((nt, kk), dtype=d2.dtype)
-        best_i = np.empty((nt, kk), dtype=np.int64)
-        if kk < e0:
-            part = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-            thr = np.take_along_axis(d2, part, axis=1).max(axis=1)
-        else:
-            thr = d2.max(axis=1)
-        for r in range(nt):
-            cols = np.nonzero(d2[r] <= thr[r])[0]
-            o = np.lexsort((idx_num[cols], d2[r, cols]))[:kk]
-            best_d[r] = d2[r, cols[o]]
-            best_i[r] = cols[o]
-            thr[r] = best_d[r, -1]
+        best_i = topk_by_key(d2, idx_num, kk)
+        best_d = np.take_along_axis(d2, best_i, axis=1)
+        thr = best_d[:, -1].copy()
         for c in range(chunk, n_idx, chunk):
             e = min(c + chunk, n_idx)
             d2 = x_sq - 2.0 * (Xt @ idx32[c:e].T) + idx_sq[None, c:e]
@@ -209,7 +214,6 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
     idx_ids = index_df["doc_id"].to_numpy()
     idx_num = index_df["doc_id"].astype(np.int64).to_numpy()
     start = time.time()
-    ref = ray.put((idx_mat, idx_ids, idx_num, med, iqr))
 
     # float32 like the reference's vectors (blocking.py:109-110).  Tile sizes
     # keep the distance block (tile*chunk*4B ~ 1 MiB) L2-resident: this stage
@@ -218,8 +222,8 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
     TILE, CHUNK = 64, 4096
 
     class KnnActor:
-        def __init__(self):
-            self.idx_mat, self.idx_ids, self.idx_num, self.med, self.iqr = ray.get(ref)
+        def __init__(self, side):
+            self.idx_mat, self.idx_ids, self.idx_num, self.med, self.iqr = side
             self.idx32 = np.ascontiguousarray(self.idx_mat, dtype=np.float32)
             self.idx_sq = (self.idx32 * self.idx32).sum(1)
 
@@ -287,19 +291,16 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
                 "dist": pa.array(dtop.ravel().astype(np.float64), type=pa.float64()),
             })
 
-    # stateless TASK pool: the closure, and with it ``holder``, is
-    # deserialized once per task, so the scaled index tiles are built once
-    # per task from the plasma ref and reused across its batches — no actor
+    # stateless TASK pool, the index tiles built once per worker — no actor
     # ramp, fully elastic, and identical math to the former actor pool
-    holder: dict = {}
+    knn = storage.broadcast((idx_mat, idx_ids, idx_num, med, iqr),
+                            build=KnnActor)
 
     def knn_fn(batch: pa.Table) -> pa.Table:
-        if "a" not in holder:
-            holder["a"] = KnnActor()
-        return holder["a"](batch)
+        return knn()(batch)
 
     # four blocks per pool slot, within the cluster cap: every block is one
-    # task, and each rebuilds the index tiles
+    # task
     cands = cand_props.select_columns(["doc_id", *features]) \
         .repartition(storage.cluster_cap(concurrency * 4))
     nn = cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024,
@@ -355,12 +356,9 @@ def centroid_nn_dataset(cand_df: pd.DataFrame, index_df: pd.DataFrame,
         dx = ct[:, 0][:, None] - ixy[None, :, 0]
         dy = ct[:, 1][:, None] - ixy[None, :, 1]
         d2 = dx * dx + dy * dy
-        part = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-        rows = np.arange(len(ct))[:, None]
-        order = np.lexsort((idx_num[part], d2[rows, part]), axis=1)
-        top = part[rows, order]
+        top = topk_by_key(d2, idx_num, kk)
         tops.append(top)
-        d2s.append(d2[rows, top])
+        d2s.append(np.take_along_axis(d2, top, axis=1))
     top = np.concatenate(tops, 0)
     d2 = np.concatenate(d2s, 0)
     return pd.DataFrame({
@@ -420,10 +418,10 @@ def embedding_nn_dataset(cand_emb: ray.data.Dataset, index_emb: pd.DataFrame,
     idx_ids = index_emb["doc_id"].to_numpy()
     idx_num = index_emb["doc_id"].astype(np.int64).to_numpy()
     idx_norm = index_emb["norm"].to_numpy(dtype=np.float64) if exact else None
-    ref = ray.put((iv, idx_ids, idx_num, idx_norm))
+    side = storage.broadcast((iv, idx_ids, idx_num, idx_norm))
 
     def topk(batch: pa.Table) -> pa.Table:
-        iv_, ids_, num_, inorm_ = ray.get(ref)
+        iv_, ids_, num_, inorm_ = side()
         cv = list_column_matrix(batch.column(feat_col))
         sim = cv @ iv_.T
         if exact:
@@ -509,6 +507,8 @@ def embedding_nn_sharded(cand_emb: ray.data.Dataset,
         best_i = np.full((n, kk), None, dtype=object)
         rows = np.arange(n)[:, None]
         for ref in shard_refs:
+            # a plain get, not storage.broadcast: a worker holds one shard
+            # at a time, and memoizing the shards would hold them all
             iv_, ids_, num_, inorm_ = ray.get(ref)
             sim = cv @ iv_.T
             if exact:
@@ -644,13 +644,13 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
     counts = assigned.groupby("cell").aggregate(Count(alias_name="n")).to_pandas()
     hot = {int(c): int(np.ceil(n / salt_threshold))
            for c, n in zip(counts.cell, counts.n) if n > salt_threshold}
-    hot_ref = ray.put(hot)
+    hot_side = storage.broadcast(hot)
 
     def salt(batch: pa.Table) -> pa.Table:
         """Vectorized hot-cell salting: index rows hash into one sub-cell,
         cand rows of hot cells replicate to every sub-cell (np.repeat
         index arithmetic + Table.take — no per-row .as_py())."""
-        hot_map = ray.get(hot_ref)
+        hot_map = hot_side()
         if not hot_map:
             return batch.append_column(
                 "salted", pc.cast(pc.shift_left(batch.column("cell"),

@@ -19,7 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from engine import gates
+from engine import gates, storage
 from engine.joins import list_column_matrix
 
 
@@ -121,8 +121,6 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
     shingle ASC), deterministic at any parallelism.
     """
     NUM_BUCKETS = 64
-    import ray as _ray
-
     from engine.joins import fast_hash64
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -160,7 +158,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
         .to_pandas()
     dfp = dfp.sort_values(["n", "shingle"], ascending=[False, True],
                           kind="mergesort").head(df_cap)
-    df_ref = _ray.put(dict(zip(dfp.shingle, dfp.n)))
+    df_side = storage.broadcast(dict(zip(dfp.shingle, dfp.n)))
 
     def prefix_explode(batch: pa.Table) -> pa.Table:
         """AllPairs/SSJoin prefix filter (Bayardo et al. 2007): under a
@@ -168,7 +166,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
         shingle within each side's first |S| - ceil(t*|S|) + 1 shingles —
         so candidate generation over PREFIX shingles only is lossless while
         skipping every high-DF shingle outside the rare prefix."""
-        dfmap = _ray.get(df_ref)
+        dfmap = df_side()
         ids, shs = [], []
         for d, t in zip(batch.column("doc_id").to_pylist(),
                         batch.column("text").to_pylist()):
@@ -312,13 +310,13 @@ def _shingle_signatures(docs: ray.data.Dataset, n: int,
 def _involved_filter(ds: ray.data.Dataset, id_col: str,
                      involved: np.ndarray) -> ray.data.Dataset:
     """Filter ``ds`` to rows whose ``id_col`` is in the broadcast sorted
-    int64 ``involved`` array (ray.put once, sorted membership per batch):
+    int64 ``involved`` array (broadcast once, sorted membership per batch):
     the data-induced semi-join predicate of every driver-verify scan."""
-    inv_ref = ray.put(involved)
+    inv = storage.broadcast(involved)
 
     def keep(bt: pa.Table) -> pa.Table:
         return bt.filter(pa.array(gates.sorted_member(
-            ray.get(inv_ref), bt.column(id_col).to_numpy())))
+            inv(), bt.column(id_col).to_numpy())))
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
@@ -696,14 +694,14 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
     Emits (a_id, b_id, cosine) with a_id < b_id, cosine >= threshold."""
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((bands * bits_per_band, dim))
-    planes_ref = ray.put(planes)
+    planes_side = storage.broadcast(planes)
     NUM_BUCKETS = 64
     pow2 = (1 << np.arange(bits_per_band)).astype(np.int64)
 
     emb = emb.materialize()  # feeds bucketing AND both verify-join sides
 
     def band_explode(batch: pa.Table) -> pa.Table:
-        pl = ray.get(planes_ref)
+        pl = planes_side()
         vecs = list_column_matrix(batch.column("embedding"))
         ids = batch.column("vec_id").to_numpy()
         bits = ((vecs @ pl.T) > 0).astype(np.int64)
@@ -904,7 +902,7 @@ def decontaminate(train: ray.data.Dataset, benchmark: ray.data.Dataset,
     Scale shape: the benchmark side is tiny by construction (benchmarks are
     megabytes even when the training corpus is 100 TB), so its DISTINCT
     shingle-hash set is reduced per-batch, unioned once on the driver and
-    ``ray.put`` as one sorted uint64 array; the training corpus then STREAMS
+    broadcast as one sorted uint64 array; the training corpus then STREAMS
     through a stateless map_batches doing a vectorized sorted-membership
     test (searchsorted) — no shuffle, no join, one pass.  If the benchmark
     side ever outgrew a broadcast, the bucketed-join path
@@ -915,8 +913,6 @@ def decontaminate(train: ray.data.Dataset, benchmark: ray.data.Dataset,
     present anywhere in the benchmark.  All counts are exact ints (md5
     64-bit shingle hashing, same injectivity convention as the dedup
     operators), so the table is SQL-exact."""
-    import ray as _ray
-
     def bench_hashes(batch: pa.Table) -> pa.Table:
         _, stream = _batch_shingle_hashes(batch.column("text").to_pylist(),
                                           n, pad=False)
@@ -925,10 +921,10 @@ def decontaminate(train: ray.data.Dataset, benchmark: ray.data.Dataset,
     parts = benchmark.map_batches(bench_hashes, batch_format="pyarrow") \
         .to_pandas()  # DISTINCT hashes only — the declared small side
     bench_sorted = np.unique(parts["h"].to_numpy(dtype=np.uint64))
-    bench_ref = _ray.put(bench_sorted)
+    bench_side = storage.broadcast(bench_sorted)
 
     def flag(batch: pa.Table) -> pa.Table:
-        bench = _ray.get(bench_ref)
+        bench = bench_side()
         counts, stream = _batch_shingle_hashes(batch.column("text").to_pylist(),
                                                n, pad=False)
         hit = gates.sorted_member(bench, stream).astype(np.int64)
@@ -1098,10 +1094,10 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
         # memory-sane, and the string path is the A/B-test flavor only
         dup_arr = np.sort(gt.column("gram").to_numpy()) if gt.num_rows \
             else np.empty(0, dtype=np.int64 if hash_grams else object)
-        dup_ref = ray.put(dup_arr)
+        dups = storage.broadcast(dup_arr)
 
         def profile(batch: pa.Table) -> pa.Table:
-            arr = ray.get(dup_ref)
+            arr = dups()
             tok_lists = [t.split(" ")
                          for t in batch.column("text").to_pylist()]
             if hash_grams:

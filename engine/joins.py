@@ -2,9 +2,9 @@
 
 Two physical plans, chosen by side size (ray_guide.md patterns):
 
-* ``broadcast`` — the small side is ``ray.put`` once and looked up inside
-  ``map_batches`` (no shuffle).  Replaces the reference's dict-of-dict lookups
-  (/root/reference/process_pairs.py:62-66).
+* ``broadcast`` — the small side is shipped once (``storage.broadcast``)
+  and looked up inside ``map_batches`` (no shuffle).  Replaces the
+  reference's dict-of-dict lookups (reference process_pairs.py:62-66).
 * ``bucketed`` — both sides large: add ``bucket = stable_hash(key) % B`` to
   both, union with a side tag, ``groupby(bucket).map_groups`` doing a local
   hash join per bucket.  B and hot-key salting are explicit (SURVEY.md §7.3).
@@ -17,8 +17,9 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
+
+from engine import storage
 
 
 def stable_hash64(values) -> np.ndarray:
@@ -82,21 +83,21 @@ def broadcast_lookup(ds: ray.data.Dataset, key: str, lookup: dict,
     Lookups are vectorized: each worker unpacks the broadcast mapping once
     into per-column pandas Series and maps key arrays in C.
     """
-    ref = ray.put(lookup)
     names = list(out_cols)
     idxs = [out_cols[n] for n in names]
-    cache: dict = {}
+
+    def column_maps(table: dict) -> dict:
+        keys_ = list(table.keys())
+        return {n: pd.Series([table[k][i] for k in keys_], index=keys_)
+                for n, i in zip(names, idxs)}
+
+    maps = storage.broadcast(lookup, build=column_maps)
 
     def attach(batch: pa.Table) -> pa.Table:
-        if "maps" not in cache:
-            table = ray.get(ref)
-            keys_ = list(table.keys())
-            cache["maps"] = {
-                n: pd.Series([table[k][i] for k in keys_], index=keys_)
-                for n, i in zip(names, idxs)}
         keys = pd.Series(batch.column(key).to_numpy(zero_copy_only=False))
+        cols = maps()
         for n in names:
-            vals = keys.map(cache["maps"][n])
+            vals = keys.map(cols[n])
             if default is not None:
                 vals = vals.fillna(default)
             batch = batch.append_column(n, pa.Array.from_pandas(vals))
@@ -108,10 +109,10 @@ def broadcast_lookup(ds: ray.data.Dataset, key: str, lookup: dict,
 def broadcast_semi_join(ds: ray.data.Dataset, key: str, keep_keys,
                         anti: bool = False) -> ray.data.Dataset:
     """Semi/anti join against a broadcast key set (no shuffle)."""
-    ref = ray.put(frozenset(keep_keys))
+    keep = storage.broadcast(frozenset(keep_keys))
 
     def filt(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
+        ks = keep()
         mask = np.fromiter((k in ks for k in batch.column(key).to_pylist()),
                            dtype=bool, count=batch.num_rows)
         if anti:
@@ -316,7 +317,7 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
     the right key set is too big to broadcast but the match rate is low:
 
       1. distributed Bloom build over the right keys (OR tree above);
-      2. the m_bits/8-byte bitmap (16 KiB at the default) is ray.put ONCE
+      2. the m_bits/8-byte bitmap (16 KiB at the default) is broadcast ONCE
          and every left block drops its guaranteed-non-members locally —
          no false negatives, so nothing exact is lost;
       3. only the surviving left rows (true matches + the ~(1-e^{-jn/m})^j
@@ -324,13 +325,10 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
 
     Output is EXACT (verify step removes false positives); the bloom only
     cuts shuffle bytes."""
-    ref = ray.put(build_bloom(right, right_key, m_bits, j))
-    holder: dict = {}
+    bloom = storage.broadcast(build_bloom(right, right_key, m_bits, j))
 
     def prefilter(batch: pa.Table) -> pa.Table:
-        if "bm" not in holder:
-            holder["bm"] = ray.get(ref)
-        bm = holder["bm"]
+        bm = bloom()
         pos = _bloom_positions(batch.column(left_key).to_pylist(), m_bits, j)
         hit = (bm[pos // 8] >> (pos % 8).astype(np.uint8)) & 1
         return batch.filter(pa.array(hit.all(axis=1)))

@@ -5,7 +5,7 @@ Replaces the reference's FlexibleClassifier model zoo
 implementations whose results are independent of parallelism: training runs on
 the driver over a canonically-sorted train matrix (SURVEY.md §7.4.6), exactly
 as the reference fits on the driver (classifier.py:150-163).  Prediction is
-distributed via an actor-pool map_batches (PredictActor).
+distributed via a task-pool map_batches (PredictActor).
 
 Provided models: RandomForest (the reference's blocking model,
 config.py:78), GradientBoosting (stumps on logistic loss), and a model
@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+
+from engine import storage
 
 
 # Set True inside grid-search CV workers so model fits stay single-process
@@ -166,6 +168,7 @@ class RandomForest:
         if ray.is_initialized() and not _SERIAL_FIT and len(X) * f >= 100_000:
             fit_remote = ray.remote(num_cpus=1)(_fit_forest_tree)
             Xr, yr = ray.put(X), ray.put(y)
+            # remote fit results, gathered on the driver (no map UDF)
             self.trees_ = ray.get([fit_remote.remote(Xr, yr, params, t)
                                    for t in range(self.n_estimators)])
         else:
@@ -721,6 +724,7 @@ def grid_search_fit(model_name: str, grid: dict, X, y, cv: int = 3, seed: int = 
         Xr = ray.put(np.ascontiguousarray(X, dtype=np.float64))
         yr = ray.put(np.asarray(y, dtype=np.int8))
         foldr = ray.put(fold)
+        # remote fit results, gathered on the driver (no map UDF)
         scores = ray.get([fit_remote.remote(Xr, yr, foldr, model_name,
                                             combos[ci], f, seed)
                           for ci, f in jobs])
@@ -739,14 +743,12 @@ def grid_search_fit(model_name: str, grid: dict, X, y, cv: int = 3, seed: int = 
 def predict_dataset(ds: ray.data.Dataset, model, feature_cols: list[str],
                     concurrency: int = 4, batch_size: int = 8192,
                     proba: bool = False) -> ray.data.Dataset:
-    """Distributed inference: model broadcast once, actor pool per batch
+    """Distributed inference: model broadcast once, task pool per batch
     (the reference's classifier.predict loop — classifier.py:132-135 — as a
     map_batches stage)."""
-    model_ref = ray.put(model)
-
     class PredictActor:
-        def __init__(self):
-            self.model = ray.get(model_ref)
+        def __init__(self, model):
+            self.model = model
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             X = np.column_stack([batch.column(c).to_numpy() for c in feature_cols])
@@ -757,14 +759,11 @@ def predict_dataset(ds: ray.data.Dataset, model, feature_cols: list[str],
                     "proba", pa.array(self.model.predict_proba(X), type=pa.float64()))
             return batch
 
-    # stateless task pool: the closure, and with it ``holder``, is
-    # deserialized once per task, so the model is fetched once per task
-    holder: dict = {}
+    # stateless task pool, the model fetched once per worker
+    predictor = storage.broadcast(model, build=PredictActor)
 
     def predict_fn(batch: pa.Table) -> pa.Table:
-        if "a" not in holder:
-            holder["a"] = PredictActor()
-        return holder["a"](batch)
+        return predictor()(batch)
 
     return ds.map_batches(predict_fn, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)

@@ -16,6 +16,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from engine import storage
 from engine.render import encode_png_gray, pool_width, render_doc_png
 
 FEATURE_DIM = 8
@@ -74,40 +75,22 @@ class MediaFeatureActor:
         })
 
 
-
-# Memoized stage instances: these stages' state is a few KB (a seeded
-# projection matrix, sizes, an md5 stub), built once and reused across
-# batches, which pays no cold per-actor process spawn.  The memo lives on
-# the class object, so it lasts as long as the class does: a module-level
-# stage class shipped by reference is imported once per worker process and
-# built once per worker; one shipped by value (a function-local class, or
-# any class when the engine travels by value, engine/__init__.py) is
-# rebuilt by every task.  A REAL heavyweight encoder (multi-GB weights)
+# Stage instances ship through ``storage.broadcast`` (their kwargs, or None,
+# as the value and the class as the build): their state is a few KB (a
+# seeded projection matrix, sizes, an md5 stub), built once per worker
+# process and reused across its batches and tasks, which pays no cold
+# per-actor process spawn.  A REAL heavyweight encoder (multi-GB weights)
 # should run as an actor pool instead: pass the actor class to map_batches
 # with concurrency=(1, N) — the classes below keep that __init__ slot intact.
-def _worker_stage(cls, **kw):
-    """The memoized ``cls(**kw)``; ``kw`` values must be hashable.  Kept on
-    the class object itself, not keyed by its name: two function-local
-    classes from different calls share a qualname but may close over
-    different state."""
-    key = tuple(sorted(kw.items()))
-    if "_stage_memo" not in cls.__dict__:
-        cls._stage_memo = {}
-    memo = cls._stage_memo
-    inst = memo.get(key)
-    if inst is None:
-        inst = memo[key] = cls(**kw)
-    return inst
-
-
 def media_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> deterministic feature vectors (task pool, state
-    memoized per worker process, or per task when the engine travels by
-    value — see _worker_stage).  Small batch_size on
-    purpose: real binary payloads are heap-heavy per row."""
+    built once per worker process).  Small batch_size on purpose: real
+    binary payloads are heap-heavy per row."""
+    actor = storage.broadcast(None, build=lambda _: MediaFeatureActor())
+
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(MediaFeatureActor)(batch)
+        return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=pool_width(concurrency))
@@ -226,8 +209,11 @@ def patch_embeddings(docs: ray.data.Dataset, concurrency: int | None = None,
     real-bytes patch-embedding stage (task pool, projection memoized per
     worker).  Small batches: each row renders and decodes a canvas
     (heap-heavy, like any real media decode)."""
+    actor = storage.broadcast(actor_kw,
+                              build=lambda kw: PatchEmbedActor(**kw))
+
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(PatchEmbedActor, **actor_kw)(batch)
+        return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=pool_width(concurrency))
@@ -289,8 +275,11 @@ def media_resize(docs: ray.data.Dataset, out_size: int = 16,
                  concurrency: int | None = None,
                  batch_size: int = 128) -> ray.data.Dataset:
     """docs (doc_id, spans) -> resized-media metadata (task pool)."""
+    actor = storage.broadcast({"out_size": out_size},
+                              build=lambda kw: MediaResizeActor(**kw))
+
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(MediaResizeActor, out_size=out_size)(batch)
+        return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=pool_width(concurrency))
@@ -378,8 +367,10 @@ def audio_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> audio DSP features (task pool; stub decode
     declared, DSP real)."""
+    actor = storage.broadcast(None, build=lambda _: AudioFeatureActor())
+
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(AudioFeatureActor)(batch)
+        return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=pool_width(concurrency))
@@ -453,8 +444,10 @@ def video_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> per-frame video features (task pool; stub decode
     declared, frame ops real)."""
+    actor = storage.broadcast(None, build=lambda _: VideoFeatureActor())
+
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(VideoFeatureActor)(batch)
+        return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=pool_width(concurrency))

@@ -6,7 +6,7 @@ Reference semantics (/root/reference/process_pairs.py:42-66): for each of the
 (utils.get_feature_name_list / config.py:44-49).
 
 Physical plan: property tables are broadcast as {doc_id -> float64[25]}
-matrices (ray.put once, read per actor — the reference re-ships its whole
+matrices (broadcast once, read per worker — the reference re-ships its whole
 dict per Pool task, object_properties.py:43-48, which we avoid) and the ratio
 kernel is fully vectorized per batch.  For index sides too large to
 broadcast, use joins.bucketed_hash_join twice instead (documented scale path).
@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
-from engine import gates
+from engine import gates, storage
 from engine.geometry import PROPERTY_NAMES
 
 RATIO_CAP = 1000.0  # reference config.py:23 (MAX_RATIO_VAL)
@@ -55,11 +54,10 @@ def pair_features_dataset(pairs: ray.data.Dataset,
     """pairs (cand_id, index_id, ...) -> + 25 `<prop>_ratio` columns."""
     c_ids, c_mat = props_matrix(cand_props)
     i_ids, i_mat = props_matrix(index_props)
-    ref = ray.put((c_ids, c_mat, i_ids, i_mat))
 
     class RatioActor:
-        def __init__(self):
-            self.c_ids, self.c_mat, self.i_ids, self.i_mat = ray.get(ref)
+        def __init__(self, sides):
+            self.c_ids, self.c_mat, self.i_ids, self.i_mat = sides
 
         def __call__(self, batch: pa.Table) -> pa.Table:
             cand = batch.column("cand_id").to_pylist()
@@ -74,17 +72,13 @@ def pair_features_dataset(pairs: ray.data.Dataset,
                     name, pa.array(feats[:, j], type=pa.float64()))
             return batch
 
-    # stateless TASK pool: the closure, and with it ``holder``, is
-    # deserialized once per task, so the side matrices are plasma refs
-    # fetched once per task and reused across its batches — no actor ramp,
-    # no ray#53727 surface, fully elastic across whatever cores the
-    # executor has free
-    holder: dict = {}
+    # stateless TASK pool, the side matrices fetched once per worker — no
+    # actor ramp, no ray#53727 surface, fully elastic across whatever cores
+    # the executor has free
+    ratio = storage.broadcast((c_ids, c_mat, i_ids, i_mat), build=RatioActor)
 
     def ratio_fn(batch: pa.Table) -> pa.Table:
-        if "a" not in holder:
-            holder["a"] = RatioActor()
-        return holder["a"](batch)
+        return ratio()(batch)
 
     return pairs.map_batches(ratio_fn, batch_format="pyarrow",
                              batch_size=16384, concurrency=concurrency)
@@ -96,7 +90,7 @@ def pair_features_join(pairs: ray.data.Dataset, props: ray.data.Dataset,
 
     Broadcast plan (both property sides within twice
     ``gates.BROADCAST_MAX_SIDE_ROWS``): the narrow (doc_id + 25 props)
-    table is collected once, each side's matrix is ``ray.put`` once, and
+    table is collected once, each side's matrix is broadcast once, and
     pairs stream through a no-shuffle vectorized ratio map.
 
     Join plan (the 10^12 path): pairs ⋈ props(cands) on cand_id, ⋈
@@ -155,10 +149,10 @@ def concatenation_features_dataset(pairs: ray.data.Dataset,
     (process_pairs.py:30-40): [cand props..., index props...] columns."""
     c_ids, c_mat = props_matrix(cand_props)
     i_ids, i_mat = props_matrix(index_props)
-    ref = ray.put((c_ids, c_mat, i_ids, i_mat))
+    sides = storage.broadcast((c_ids, c_mat, i_ids, i_mat))
 
     def attach(batch: pa.Table) -> pa.Table:
-        c_ids_, c_mat_, i_ids_, i_mat_ = ray.get(ref)
+        c_ids_, c_mat_, i_ids_, i_mat_ = sides()
         cand = batch.column("cand_id").to_pylist()
         index = batch.column("index_id").to_pylist()
         ci = np.fromiter((c_ids_[c] for c in cand), dtype=np.int64, count=len(cand))

@@ -19,7 +19,7 @@ import ray.data
 
 from engine.storage import read_parquet_clean
 
-from engine import dedup, gates, relational, similarity, spatial, text
+from engine import dedup, gates, relational, similarity, spatial, storage, text
 from engine.corpus import corpus_dataset
 from engine.geometry import PROPERTY_NAMES
 from engine.properties import properties_dataset
@@ -321,13 +321,13 @@ def geo_recall_grid_exact(sf_dir: str):
     cands = _flat_side(props, "cands", ["doc_id", *_FIXED_BLOCK_FEATURES])
     index_df = _flat_side(
         props, "index", ["doc_id", *_FIXED_BLOCK_FEATURES]).to_pandas()
-    idx_ids = ray.put(
+    idx_ids = storage.broadcast(
         np.sort(index_df["doc_id"].astype(np.int64).to_numpy()))
 
     def inter(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc2
         v = pc2.cast(b.column("doc_id"), pa.int64()).to_numpy()
-        hit = gates.sorted_member(ray.get(idx_ids), v)
+        hit = gates.sorted_member(idx_ids(), v)
         return pa.table({"n": pa.array([int(hit.sum())], type=pa.int64())})
 
     n_inter = cands.map_batches(inter, batch_format="pyarrow") \
@@ -358,14 +358,14 @@ def geo_ratio_std(sf_dir: str):
     feats = _FIXED_BLOCK_FEATURES
     props = _props(sf_dir)
     index_df = _flat_side(props, "index", ["doc_id", *feats]).to_pandas()
-    idx_ref = ray.put((
+    index = storage.broadcast((
         np.sort(index_df["doc_id"].astype(np.int64).to_numpy()),
         index_df.sort_values("doc_id", key=lambda s: s.astype(np.int64))
         [feats].to_numpy(dtype=np.float64)))
 
     def partial(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc2
-        idx_ids, idx_mat = ray.get(idx_ref)
+        idx_ids, idx_mat = index()
         ids = pc2.cast(b.column("doc_id"), pa.int64()).to_numpy()
         m = gates.sorted_member(idx_ids, ids)
         pos = np.searchsorted(idx_ids, ids[m])
@@ -434,11 +434,11 @@ def geo_blocking_metrics(sf_dir: str):
                                  bkafi_dim=6, exact=True)
     # |cands ∩ index|: the index id set is already the blocker's declared
     # broadcast small side — reuse it as a broadcast membership filter
-    idx_ids = ray.put(index_df["doc_id"].to_numpy())
+    idx_ids = storage.broadcast(index_df["doc_id"].to_numpy())
 
     def inter(b: pa.Table) -> pa.Table:
         ids = np.asarray(b.column("doc_id").to_pylist(), dtype=object)
-        hit = np.isin(ids, ray.get(idx_ids))
+        hit = np.isin(ids, idx_ids())
         return pa.table({"n": pa.array([int(hit.sum())], type=pa.int64())})
 
     from ray.data.aggregate import Sum

@@ -18,7 +18,7 @@ import ray.data
 from engine.storage import read_parquet_clean
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from engine import gates
+from engine import gates, storage
 from engine.joins import broadcast_lookup, broadcast_semi_join
 
 
@@ -381,7 +381,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
             "__b", pa.array((key % NUM_BUCKETS).astype(np.int64)))
 
     # size gate: the filtered orders dimension usually collapses far below
-    # the fact side — then broadcast it once (ray.put, sorted-key lookup,
+    # the fact side — then broadcast it once (sorted-key lookup,
     # no shuffle); beyond gates.BROADCAST_MAX_SIDE_ROWS fall back to the
     # bucketed hash join (the 10^12 path).  Identical rows either way
     # (tested).
@@ -389,19 +389,16 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
                                        gates.BROADCAST_MAX_SIDE_ROWS, None)
     if ot is not None:
         ot = ot.sort_by("o_orderkey")
-        side_ref = ray.put(tuple(
+        side = storage.broadcast(tuple(
             ot.column(c).to_numpy()
             for c in ("o_orderkey", "o_date_us", "o_orderpriority")))
-        holder: dict = {}
 
         def member(b: pa.Table) -> pa.Table:
             # membership BEFORE the revenue shuffle: only the segment's
             # orders ride the bucket groupby (the dimension filter is
             # usually ~1/5 selective)
-            if "s" not in holder:
-                holder["s"] = ray.get(side_ref)
             return b.filter(pa.array(gates.sorted_member(
-                holder["s"][0], b.column("l_orderkey").to_numpy())))
+                side()[0], b.column("l_orderkey").to_numpy())))
 
         rev = line.map_batches(rev_partial, batch_format="pyarrow") \
             .map_batches(member, batch_format="pyarrow") \
@@ -411,9 +408,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
         def join_finish(b: pa.Table) -> pa.Table:
             # rows here already passed the `member` pre-shuffle filter, so
             # every key is present; a miss means a nondeterministic upstream
-            if "s" not in holder:
-                holder["s"] = ray.get(side_ref)
-            okey, odate, oprio = holder["s"]
+            okey, odate, oprio = side()
             key = b.column("l_orderkey").to_numpy()
             pos = gates.sorted_positions(okey, key, "shipping_priority")
             return pa.table({
@@ -525,13 +520,10 @@ def heavy_hitters(ds: ray.data.Dataset, col: str = "user_id",
     else:
         ent = merged[merged.key != "__D__"]
         cand = set(ent.loc[(ent.c + D) * denom > n_total, "key"])
-    cand_ref = ray.put(cand)
-    holder: dict = {}
+    cands = storage.broadcast(cand)
 
     def exact_partial(batch: pa.Table) -> pa.Table:
-        if "c" not in holder:
-            holder["c"] = ray.get(cand_ref)
-        cset = holder["c"]
+        cset = cands()
         v = np.asarray([str(x) for x in batch.column(col).to_pylist()],
                        dtype=object)
         if cset is not None:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
+from engine import storage
+from engine.blocking import topk_by_key
 from engine.joins import list_column_matrix
 
 
@@ -31,13 +32,25 @@ def _query_matrix(emb: ray.data.Dataset, query_ids: list[int]):
     return qdf["vec_id"].to_numpy(), qn
 
 
+def _rerank(partials: pd.DataFrame, k: int) -> pd.DataFrame:
+    """The final re-reduce over the (tiny) union of local top-k sets:
+    (qid, neighbor_id, rank) ranked by (sim desc, neighbor_id asc) per
+    query, rank <= k."""
+    partials = partials.sort_values(
+        ["qid", "sim", "neighbor_id"], ascending=[True, False, True])
+    partials["rank"] = partials.groupby("qid").cumcount() + 1
+    out = partials[partials["rank"] <= k][["qid", "neighbor_id", "rank"]]
+    out["rank"] = out["rank"].astype(np.int32)
+    return out.reset_index(drop=True)
+
+
 def brute_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10) -> pd.DataFrame:
     """Exact cosine top-k: (qid, neighbor_id, rank) — rank by (sim desc, id asc)."""
     qids, qn = _query_matrix(emb, query_ids)
-    ref = ray.put((qids, qn))
+    queries = storage.broadcast((qids, qn))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        qids_, qn_ = ray.get(ref)
+        qids_, qn_ = queries()
         vecs = list_column_matrix(batch.column("embedding"))
         ids = batch.column("vec_id").to_numpy()
         vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -55,14 +68,8 @@ def brute_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10) -> pd.Da
                             type=pa.float64()),
         })
 
-    partials = emb.map_batches(local_topk, batch_format="pyarrow").to_pandas()
-    # final re-reduce on the (tiny) union of local top-k sets
-    partials = partials.sort_values(
-        ["qid", "sim", "neighbor_id"], ascending=[True, False, True])
-    partials["rank"] = partials.groupby("qid").cumcount() + 1
-    out = partials[partials["rank"] <= k][["qid", "neighbor_id", "rank"]]
-    out["rank"] = out["rank"].astype(np.int32)
-    return out.reset_index(drop=True)
+    return _rerank(
+        emb.map_batches(local_topk, batch_format="pyarrow").to_pandas(), k)
 
 
 def _kmeans_fit(sample: np.ndarray, n_clusters: int, n_iter: int = 10
@@ -116,10 +123,10 @@ def ivf_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
     qd2 = ((qn[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
     probes = np.argsort(qd2, axis=1, kind="stable")[:, :n_probe]
     allowed = {int(qid): set(map(int, row)) for qid, row in zip(qids, probes)}
-    ref = ray.put((qids, qn, centroids, allowed))
+    queries = storage.broadcast((qids, qn, centroids, allowed))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        qids_, qn_, cents_, allowed_ = ray.get(ref)
+        qids_, qn_, cents_, allowed_ = queries()
         vecs = list_column_matrix(batch.column("embedding"))
         ids = batch.column("vec_id").to_numpy()
         vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -142,13 +149,8 @@ def ivf_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
                          "neighbor_id": pa.array(out_n, type=pa.int64()),
                          "sim": pa.array(out_s, type=pa.float64())})
 
-    partials = emb.map_batches(local_topk, batch_format="pyarrow").to_pandas()
-    partials = partials.sort_values(
-        ["qid", "sim", "neighbor_id"], ascending=[True, False, True])
-    partials["rank"] = partials.groupby("qid").cumcount() + 1
-    out = partials[partials["rank"] <= k][["qid", "neighbor_id", "rank"]]
-    out["rank"] = out["rank"].astype(np.int32)
-    return out.reset_index(drop=True)
+    return _rerank(
+        emb.map_batches(local_topk, batch_format="pyarrow").to_pandas(), k)
 
 
 def lsh_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
@@ -164,10 +166,10 @@ def lsh_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
     for qi, b in zip(qids, qbuck):
         s = {int(b)} | {int(b) ^ (1 << i) for i in range(bits)}
         allowed[int(qi)] = s
-    ref = ray.put((qids, qn, planes, allowed))
+    queries = storage.broadcast((qids, qn, planes, allowed))
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        qids_, qn_, planes_, allowed_ = ray.get(ref)
+        qids_, qn_, planes_, allowed_ = queries()
         vecs = list_column_matrix(batch.column("embedding"))
         ids = batch.column("vec_id").to_numpy()
         vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -179,19 +181,13 @@ def lsh_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
                 continue
             sim = vn[mask] @ qvec
             sel_ids = ids[mask]
-            kk = min(k, len(sim))
-            part = np.argpartition(-sim, kk - 1)[:kk]
-            out_q.extend([int(qi)] * kk)
-            out_n.extend(sel_ids[part].tolist())
-            out_s.extend(sim[part].tolist())
+            top = topk_by_key(-sim[None], sel_ids, k)[0]
+            out_q.extend([int(qi)] * len(top))
+            out_n.extend(sel_ids[top].tolist())
+            out_s.extend(sim[top].tolist())
         return pa.table({"qid": pa.array(out_q, type=pa.int64()),
                          "neighbor_id": pa.array(out_n, type=pa.int64()),
                          "sim": pa.array(out_s, type=pa.float64())})
 
-    partials = emb.map_batches(local_topk, batch_format="pyarrow").to_pandas()
-    partials = partials.sort_values(
-        ["qid", "sim", "neighbor_id"], ascending=[True, False, True])
-    partials["rank"] = partials.groupby("qid").cumcount() + 1
-    out = partials[partials["rank"] <= k][["qid", "neighbor_id", "rank"]]
-    out["rank"] = out["rank"].astype(np.int32)
-    return out.reset_index(drop=True)
+    return _rerank(
+        emb.map_batches(local_topk, batch_format="pyarrow").to_pandas(), k)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
-from engine import cells
+from engine import cells, storage
+from engine.blocking import topk_by_key
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +229,10 @@ def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
     ids = index_df["doc_id"].to_numpy()
     xy = index_df[["cx", "cy"]].to_numpy(dtype=np.float64)
     id_num = index_df["doc_id"].astype(np.int64).to_numpy()
-    index_ref = ray.put((ids, xy, id_num, res))
 
     class KnnActor:
-        def __init__(self):
-            ids, xy, id_num, r = ray.get(index_ref)
+        def __init__(self, index):
+            ids, xy, id_num, r = index
             self.idx = _CellIndex(ids, xy, r)
             self.id_num = id_num
             self.cs = cells.cell_size(res)
@@ -254,20 +253,16 @@ def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
                         dx = self.idx.xy[rows, 0] - x
                         dy = self.idx.xy[rows, 1] - y
                         d2 = dx * dx + dy * dy
-                        kk = min(k, len(rows))
-                        part = np.argpartition(d2, kk - 1)[:kk]
-                        dmax = float(d2[part].max())
+                        top = topk_by_key(d2[None], self.id_num[rows], k)[0]
                         # guarantee: everything outside disk r is farther than
                         # (r * cs) from the cell of (x, y) in the worst case
                         guard = (r * self.cs) ** 2
-                        if dmax <= guard or len(rows) == n_idx:
-                            sel = rows[part]
-                            order = np.lexsort((self.id_num[sel], d2[part]))
-                            for rank, j in enumerate(order, start=1):
+                        if d2[top[-1]] <= guard or len(rows) == n_idx:
+                            for rank, j in enumerate(top, start=1):
                                 out_c.append(ci)
-                                out_i.append(self.idx.ids[sel[j]])
+                                out_i.append(self.idx.ids[rows[j]])
                                 out_r.append(rank)
-                                out_d.append(float(d2[part][j]))
+                                out_d.append(float(d2[j]))
                             break
                     r += 1
             return pa.table({
@@ -277,16 +272,11 @@ def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
                 "dist2": pa.array(out_d, type=pa.float64()),
             })
 
-    # task pool with a per-task cached index (the blocking.py knn_fn
-    # pattern): the closure, and with it ``holder``, is deserialized once
-    # per task, so the cell index builds once per task and every later
-    # batch of that task reuses it — without cold actor spawn.
-    holder: dict = {}
+    # task pool, the cell index built once per worker — no cold actor spawn
+    knn = storage.broadcast((ids, xy, id_num, res), build=KnnActor)
 
     def knn_fn(batch: pa.Table) -> pa.Table:
-        if "a" not in holder:
-            holder["a"] = KnnActor()
-        return holder["a"](batch)
+        return knn()(batch)
 
     return cands.map_batches(knn_fn, batch_format="pyarrow",
                              batch_size=1024, concurrency=concurrency)
@@ -306,19 +296,16 @@ def geom_pair_features(cands: ray.data.Dataset,
     Every input coordinate is a dyadic rational (exact in f64), so all
     adds/muls/max are exact and only the final sqrt / division round —
     one IEEE op each, replicated 1:1 by the SQL oracle.  Physical shape:
-    the matched index rectangles broadcast once (``ray.put``), cands
+    the matched index rectangles broadcast once, cands
     stream; no shuffle."""
     cols = ["x0", "y0", "bounding_box_width", "bounding_box_length",
             "cx", "cy"]
     lookup = {d: i for i, d in enumerate(index_df["doc_id"].tolist())}
     mat = index_df[cols].to_numpy(dtype=np.float64)
-    ref = ray.put((lookup, mat))
-    holder: dict = {}
+    side = storage.broadcast((lookup, mat))
 
     def feats(batch: pa.Table) -> pa.Table:
-        if "s" not in holder:
-            holder["s"] = ray.get(ref)
-        look, m = holder["s"]
+        look, m = side()
         ids = batch.column("doc_id").to_pylist()
         rows = np.fromiter((look.get(d, -1) for d in ids), dtype=np.int64,
                            count=len(ids))

@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
 import ray.data
 
+from engine import storage
 from engine.joins import stable_hash64
 
 
@@ -63,11 +63,11 @@ def negative_sample_pairs(cand_ids: ray.data.Dataset | list,
     """(cand_id, cand_id) positive + ``neg_num`` sampled negatives per cand,
     labels included.  Distributed map_batches with the index id list
     broadcast; per-row RNG seeded by stable hash (deterministic)."""
-    index_sorted = sorted(index_ids, key=int)
-    ref = ray.put(np.asarray(index_sorted, dtype=object))
+    index_sorted = storage.broadcast(
+        np.asarray(sorted(index_ids, key=int), dtype=object))
 
     def sample(batch: pa.Table) -> pa.Table:
-        idx = ray.get(ref)
+        idx = index_sorted()
         cands, indexes, labels = [], [], []
         for cid in batch.column("cand_id").to_pylist():
             cands.append(cid)
@@ -91,5 +91,6 @@ def negative_sample_pairs(cand_ids: ray.data.Dataset | list,
     if isinstance(cand_ids, list):
         cand_ids = ray.data.from_arrow(
             pa.table({"cand_id": pa.array(cand_ids, type=pa.string())}))
-    cand_ids = cand_ids.repartition(16)
+    # sampling is seeded per cand id, so the block count changes no row
+    cand_ids = cand_ids.repartition(storage.cluster_cap(16))
     return cand_ids.map_batches(sample, batch_format="pyarrow", batch_size=2048)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import glob
 import os
+import sys
+import threading
+import types
+from collections import OrderedDict
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -65,6 +69,61 @@ def cluster_cap(n: int) -> int:
     CPU for the fused apply pass)."""
     cpus = cluster_cpus()
     return min(n, 2 * cpus) if cpus else n
+
+
+# The most built broadcast values one worker process keeps.  One pipeline
+# streams at most two broadcast stages at once (prepare_state's semi-join
+# filter feeding the kNN map); the other two slots are headroom for the
+# stages of a pipeline started before the last one drained.  A bound too
+# small only costs rebuilds from the ref; it never changes a result.
+BROADCAST_SLOTS = 4
+_PROCESS_CACHE = "_ray_geo_er_process_cache"   # sys.modules name
+
+
+def _process_cache() -> types.ModuleType:
+    """A namespace that lives as long as the current process: an LRU dict
+    ``cache`` and the ``lock`` that guards it.  When engine modules travel
+    into Ray tasks by value (a driver with a foreign cwd,
+    engine/__init__.py), their module globals, and any cache kept in them,
+    are rebuilt for every task; a module registered in sys.modules is not,
+    so every task a worker process runs sees the same dict in either
+    shipping mode."""
+    mod = sys.modules.get(_PROCESS_CACHE)
+    if mod is None:
+        mod = types.ModuleType(_PROCESS_CACHE)
+        mod.cache, mod.lock = OrderedDict(), threading.RLock()
+        mod = sys.modules.setdefault(_PROCESS_CACHE, mod)
+    return mod
+
+
+def broadcast(value, build=None):
+    """Ship driver-side state to map UDFs: ``ray.put(value)`` once, here,
+    and return a handle.  Calling the handle inside a task returns
+    ``build(value)`` (``value`` itself without ``build``), fetched and built
+    once per worker process and memoized by the ref in ``_process_cache``,
+    so every later batch and task on that worker reuses it whichever way
+    the engine is shipped.
+
+    The built value is shared by every batch and task the worker runs: it
+    must be read-only.  It stays pinned in the worker, plasma buffers
+    included, until ``BROADCAST_SLOTS`` newer broadcasts used there evict
+    it, also after the pipeline ends and the caller drops the handle."""
+    ref = ray.put(value)
+    key = ref.hex()
+
+    def get():
+        memo = _process_cache()
+        with memo.lock:
+            if key in memo.cache:
+                memo.cache.move_to_end(key)
+                return memo.cache[key]
+            got = ray.get(ref)
+            got = memo.cache[key] = got if build is None else build(got)
+            while len(memo.cache) > BROADCAST_SLOTS:
+                memo.cache.popitem(last=False)
+            return got
+
+    return get
 
 
 def read_table(path: str, columns=None, override_num_blocks=None) -> ray.data.Dataset:

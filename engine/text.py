@@ -12,7 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from engine import gates
+from engine import gates, storage
 from engine.joins import stable_hash64
 
 STOPWORDS = {"the", "a", "and", "of", "to"}
@@ -74,11 +74,11 @@ def lang_id(docs: ray.data.Dataset) -> ray.data.Dataset:
                 "pred_lang": pa.array(preds, type=pa.string()),
             })
 
-    from engine.multimodal import _worker_stage
     from engine.render import pool_width
+    actor = storage.broadcast(None, build=lambda _: LangActor())
 
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(LangActor)(batch)
+        return actor()(batch)
 
     return docs.map_batches(stage, batch_format="pyarrow",
                             concurrency=pool_width(None))
@@ -116,11 +116,11 @@ def token_counts(docs: ray.data.Dataset) -> ray.data.Dataset:
                 "n_chars": pa.array(n_ch),
             })
 
-    from engine.multimodal import _worker_stage
     from engine.render import pool_width
+    actor = storage.broadcast(None, build=lambda _: TokenActor())
 
     def stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(TokenActor)(batch)
+        return actor()(batch)
 
     return docs.map_batches(stage, batch_format="pyarrow",
                             concurrency=pool_width(None))
@@ -342,11 +342,11 @@ def corpus_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
                 "distincts": pa.array(m[:, 5]),
             })
 
-    from engine.multimodal import _worker_stage
     from engine.render import pool_width
+    actor = storage.broadcast(None, build=lambda _: PartialActor())
 
     def _stage(batch: pa.Table) -> pa.Table:
-        return _worker_stage(PartialActor)(batch)
+        return actor()(batch)
 
     partial = docs.map_batches(_stage, batch_format="pyarrow",
                                concurrency=pool_width(None))
@@ -440,15 +440,12 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
                                         gates.MAX_BROADCAST_VOCAB_BYTES)
     if dft is not None:
         dft = dft.sort_by("term")
-        df_ref = ray.put((
+        vocab = storage.broadcast((
             np.asarray(dft.column("term").to_numpy(), dtype="U"),
             dft.column("df").to_numpy().astype(np.int64)))
-        holder: dict = {}
 
         def topk_local(batch: pa.Table) -> pa.Table:
-            if "s" not in holder:
-                holder["s"] = ray.get(df_ref)
-            terms_s, dfs_s = holder["s"]
+            terms_s, dfs_s = vocab()
             ids, terms, tfs, dfs, scores, rnks = [], [], [], [], [], []
             for d, t in zip(batch.column("doc_id").to_pylist(),
                             batch.column("text").to_pylist()):
@@ -648,10 +645,10 @@ def pack_sequences(docs: ray.data.Dataset, window: int = 256,
     totals = np.zeros(num_buckets, dtype=np.int64)
     totals[sums["__b"].to_numpy()] = sums["n"].to_numpy()
     offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
-    off_ref = ray.put(offsets)
+    offsets = storage.broadcast(offsets)
 
     def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(off_ref)
+        off = offsets()
         g = g.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
         n = g["n_tokens"].to_numpy()
         start = np.cumsum(n) - n + off[int(g["__b"].iloc[0])]
@@ -694,13 +691,10 @@ def mixture_sample(docs: ray.data.Dataset, seed: int = 1) -> ray.data.Dataset:
     thr = {l: int(np.floor(np.sqrt(np.float64(n) / np.float64(n_max))
                            * SCALE))
            for l, n in zip(cnt["lang"], cnt["n"])}
-    thr_ref = ray.put(thr)
-    holder: dict = {}
+    thresholds = storage.broadcast(thr)
 
     def sample(batch: pa.Table) -> pa.Table:
-        if "t" not in holder:
-            holder["t"] = ray.get(thr_ref)
-        t = holder["t"]
+        t = thresholds()
         ids = batch.column("doc_id").to_pylist()
         langs = batch.column("lang").to_pylist()
         h = stable_hash64([f"mix|{seed}|{d}" for d in ids]) % np.uint64(SCALE)
@@ -743,13 +737,10 @@ def lm_quality(docs: ray.data.Dataset, max_cost: int = 16,
     # k = ceil(log2(T / c)) = bit_length(ceil(T/c) - 1), exact in ints
     cost = {tok: min(max_cost, max(int(-(-T // n) - 1).bit_length(), 0))
             for tok, n in zip(cnt["tok"], cnt["n"])}
-    ref = ray.put(cost)
-    holder: dict = {}
+    costs = storage.broadcast(cost)
 
     def score(batch: pa.Table) -> pa.Table:
-        if "c" not in holder:
-            holder["c"] = ray.get(ref)
-        cmap = holder["c"]
+        cmap = costs()
         texts = batch.column("text").to_pylist()
         bits = np.empty(len(texts), dtype=np.int64)
         ntok = np.empty(len(texts), dtype=np.int64)

@@ -302,3 +302,23 @@ def test_budgets_and_bound_checks_live_only_in_gates():
         bad += [f"{f.name}: {m.group(0).strip()}"
                 for m in count_cmp.finditer(src)]
     assert not bad, bad
+
+
+def test_worker_state_goes_only_through_broadcast():
+    """Map UDFs read driver-side state through ``storage.broadcast`` alone:
+    no engine module but storage.py calls ``ray.get``, except the shard
+    loop of blocking.embedding_nn_sharded (memoizing its shards would hold
+    them all in one worker) and matching.py's two driver-side gathers of
+    remote fit results; and the old hand-rolled worker caches stay gone."""
+    get = re.compile(r"(?<![\w.])_?ray\.get\(")
+    idiom = re.compile(r"holder: dict|_worker_stage|_stage_memo")
+    allowed_gets = {"blocking.py": 1, "matching.py": 2}
+    engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
+    bad = []
+    for f in sorted(engine.glob("*.py")):
+        src = f.read_text()
+        bad += [f"{f.name}: {m.group(0)}" for m in idiom.finditer(src)]
+        n = len(get.findall(src))
+        if f.name != "storage.py" and n > allowed_gets.get(f.name, 0):
+            bad.append(f"{f.name}: {n} ray.get calls")
+    assert not bad, bad

@@ -247,28 +247,6 @@ def test_media_resize_and_frame_sample(ray_session):
     assert f.frame_idx.tolist() == [0, 2, 4]
 
 
-def test_worker_stage_keys_on_the_class():
-    """Stage memo: two function-local classes that share a qualname but
-    close over different state get their own instances, and one class with
-    the same kwargs gets the same instance."""
-    from engine.multimodal import _worker_stage
-
-    def make(tag):
-        class Stage:
-            def __init__(self, scale=1):
-                self.out = tag * scale
-        return Stage
-
-    a, b = make(1), make(2)
-    assert a.__module__ == b.__module__ and a.__qualname__ == b.__qualname__
-    assert _worker_stage(a).out == 1
-    assert _worker_stage(b).out == 2
-    assert _worker_stage(a, scale=3).out == 3
-    assert _worker_stage(a) is _worker_stage(a)
-    with pytest.raises(TypeError, match="unhashable"):
-        _worker_stage(a, scale=[3])
-
-
 def test_audio_features_closed_forms(ray_session):
     """Square-wave DSP: zero crossings = floor((n-1)/p), minimal-shift
     period = 2p, energy = n * A^2 — the real scans must equal the closed

@@ -341,6 +341,33 @@ def test_lsh_knn_recall_vs_brute(ray_session):
     assert len(e & a) / len(e) >= 0.5  # approximate, but far above chance
 
 
+@pytest.mark.parametrize("site", ["centroid", "spatial", "lsh"])
+def test_knn_ties_at_the_kth_distance_keep_the_smallest_ids(site):
+    """Thirty index rows at one distance from a cand, planted in descending
+    id order: every top-k site keeps ids 0-4, the (distance, numeric id)
+    order of the DuckDB oracles, not an arbitrary subset of the ties."""
+    ids = list(range(29, -1, -1))
+    idx = pd.DataFrame({"doc_id": [str(i) for i in ids], "cx": 1.0,
+                        "cy": 0.0})
+    cand = pd.DataFrame({"doc_id": ["100"], "cx": [0.0], "cy": [0.0]})
+    if site == "centroid":
+        from engine.blocking import centroid_nn_dataset
+        got = centroid_nn_dataset(cand, idx, nn_param=5)
+        got = got.sort_values("rank").index_id.tolist()
+    elif site == "spatial":
+        from engine.spatial import knn_join
+        got = knn_join(ray.data.from_pandas(cand), idx, k=5).to_pandas()
+        got = got.sort_values("rank").index_id.tolist()
+    else:
+        from engine.similarity import lsh_knn
+        emb = ray.data.from_items(
+            [{"vec_id": i, "embedding": [1.0, 2.0, 3.0, 4.0]}
+             for i in [100, *ids]], override_num_blocks=1)
+        got = lsh_knn(emb, [100], k=5).sort_values("rank")
+        got = got.neighbor_id.astype(str).tolist()
+    assert got == ["0", "1", "2", "3", "4"]
+
+
 def test_spatial_knn_matches_bruteforce(ray_session):
     from engine.spatial import knn_join
     rng = np.random.default_rng(0)

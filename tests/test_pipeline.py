@@ -77,6 +77,115 @@ def test_fused_state_fetched_once_per_worker(fused_state, monkeypatch):
     assert (out.uses == 1).sum() == out.pid.nunique()
 
 
+def test_broadcast_builds_once_per_worker():
+    """A broadcast build runs once per worker process, however many tasks
+    that worker runs: 16 single-batch tasks all read the built value, and
+    each worker shows one build."""
+    import os
+    import pyarrow as pa
+    import ray.data
+    from engine import storage
+
+    shipped = storage.broadcast(7, build=lambda v: {"v": v, "uses": 0})
+
+    def probe(batch):
+        s = shipped()
+        s["uses"] += 1
+        return pa.table({"pid": [os.getpid()], "v": [s["v"]],
+                         "uses": [s["uses"]]})
+
+    out = ray.data.range(16, override_num_blocks=16) \
+        .map_batches(probe, batch_format="pyarrow").to_pandas()
+    assert len(out) == 16 and (out.v == 7).all()
+    assert out.pid.nunique() < len(out)     # some worker ran several tasks
+    assert (out.uses == 1).sum() == out.pid.nunique()
+
+
+def test_broadcast_evicts_the_least_recently_used(monkeypatch):
+    """The per-process memo holds at most BROADCAST_SLOTS built values; a
+    hit refreshes an entry, and an evicted value is rebuilt on its next
+    call."""
+    from engine import storage
+    monkeypatch.setattr(storage, "BROADCAST_SLOTS", 2)
+    builds = []
+
+    def handle(tag):
+        return storage.broadcast(tag, build=lambda v: builds.append(v) or [v])
+
+    a, b, c = handle("a"), handle("b"), handle("c")
+    first = a()
+    b()
+    assert a() is first                     # a hit, and a is now newest
+    c()                                     # evicts b
+    assert len(storage._process_cache().cache) == 2
+    assert builds == ["a", "b", "c"]
+    assert a() is first
+    assert b() == ["b"] and builds == ["a", "b", "c", "b"]
+    assert len(storage._process_cache().cache) == 2
+
+
+def test_broadcast_memo_under_threads(monkeypatch):
+    """Eight threads calling six handles through a two-slot memo, switching
+    every few microseconds: every call returns its own handle's value, no
+    call trips over another's eviction, and the memo ends within its
+    bound."""
+    import sys
+    import threading
+    from engine import storage
+    monkeypatch.setattr(storage, "BROADCAST_SLOTS", 2)
+    handles = [storage.broadcast(i, build=lambda v: (v, [v]))
+               for i in range(6)]
+    errors = []
+
+    def hammer(seed):
+        try:
+            for j in range(3000):
+                i = (seed * 7 + j) % 6
+                got = handles[i]()
+                assert got[0] == i and got[1] == [i]
+        except Exception as e:  # reported below, from the main thread
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(storage._process_cache().cache) <= 2
+
+
+def test_broadcast_builds_per_handle():
+    """Two function-local classes that share a qualname but close over
+    different state get their own instances; one handle gives the same
+    instance on every call, and values need not be hashable."""
+    from engine import storage
+
+    def make(tag):
+        class Stage:
+            def __init__(self, scale=1):
+                self.out = tag * scale
+        return Stage
+
+    a, b = make(1), make(2)
+    assert a.__module__ == b.__module__ and a.__qualname__ == b.__qualname__
+    stage_a = storage.broadcast(None, build=lambda _: a())
+    assert stage_a().out == 1
+    assert storage.broadcast(None, build=lambda _: b())().out == 2
+    assert storage.broadcast({"scale": 3},
+                             build=lambda kw: a(**kw))().out == 3
+    assert stage_a() is stage_a()
+    assert storage.broadcast({"scale": [3]},
+                             build=lambda kw: a(**kw))().out == [3]
+
+
 def _fused(batch, state):
     from engine.pipeline import fused_apply_batch
     idx_sq = (state["idx_scaled"] * state["idx_scaled"]).sum(1)
@@ -111,6 +220,13 @@ from engine.pipeline import matching_inference_pipeline, prepare_state
 state = prepare_state(sf, seed=1, bkafi_dim=6, k=5, concurrency=2)
 pairs = matching_inference_pipeline(corpus_dataset(sf), state)
 pairs.to_pandas().to_parquet(out)
+from engine.pipeline import property_table, side_frame
+from engine.pairs import pair_features_dataset
+props = property_table(sf)
+feats = pair_features_dataset(pairs.select_columns(["cand_id", "index_id"]),
+                              side_frame(props, "cands", None),
+                              side_frame(props, "index", None))
+feats.to_pandas().to_parquet(out + ".feats")
 print(json.dumps(sorted(cloudpickle.list_registry_pickle_by_value())))
 ray.shutdown()
 """
@@ -119,17 +235,21 @@ ray.shutdown()
 @pytest.mark.parametrize("order", ["ray_first", "engine_first"])
 def test_foreign_cwd_driver_ships_engine_by_value(fused_state, tmp_path,
                                                   order):
-    """The fused pass from a driver outside the repository (engine shipped
-    by value) emits the same pairs as from the repository root (engine
-    imported by the workers), where nothing is registered by value."""
+    """The fused pass and a broadcast-built pair feature stage from a
+    driver outside the repository (engine shipped by value) emit the same
+    rows as from the repository root (engine imported by the workers),
+    where nothing is registered by value."""
     import json
     import os
     import subprocess
     import sys
     import pandas as pd
+    import ray.data
     from ray import cloudpickle
     from engine.corpus import corpus_dataset
-    from engine.pipeline import matching_inference_pipeline
+    from engine.pairs import pair_features_dataset
+    from engine.pipeline import (matching_inference_pipeline, property_table,
+                                 side_frame)
     assert not set(cloudpickle.list_registry_pickle_by_value()) & \
         {"engine", "datagen"}
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -147,6 +267,16 @@ def test_foreign_cwd_driver_ships_engine_by_value(fused_state, tmp_path,
         .to_pandas().sort_values(key).reset_index(drop=True)
     there = pd.read_parquet(out).sort_values(key).reset_index(drop=True)
     assert len(here) > 0
+    pd.testing.assert_frame_equal(here, there, check_exact=True)
+    props = property_table(SF)
+    pair = ["cand_id", "index_id"]
+    here = pair_features_dataset(
+        ray.data.from_pandas(here[pair]), side_frame(props, "cands", None),
+        side_frame(props, "index", None)).to_pandas() \
+        .sort_values(pair).reset_index(drop=True)
+    there = pd.read_parquet(out + ".feats").sort_values(pair) \
+        .reset_index(drop=True)
+    assert len(here) == len(there) > 0
     pd.testing.assert_frame_equal(here, there, check_exact=True)
 
 
@@ -416,6 +546,24 @@ def test_knn_output_does_not_depend_on_cluster_width(monkeypatch):
     assert len(outs[0]) > 0
     for out in outs[1:]:
         assert outs[0].equals(out)
+
+
+def test_negative_sampler_does_not_depend_on_cluster_width(monkeypatch):
+    """negative_sample_pairs splits its cands into at most two blocks per
+    cluster CPU; each cand's negatives are seeded by its own id, so the
+    sorted sampler output is the same at any width."""
+    import pandas as pd
+    from engine import splits, storage
+    cands = [str(i) for i in range(0, 400, 3)]
+    index = [str(i) for i in range(300)]
+    outs = []
+    for n in (1, 8):
+        monkeypatch.setattr(storage, "cluster_cpus", lambda: n)
+        ds = splits.negative_sample_pairs(cands, index, 2, seed=3)
+        outs.append(ds.to_pandas().sort_values(["cand_id", "index_id"])
+                    .reset_index(drop=True))
+    assert len(outs[0]) > len(cands)
+    pd.testing.assert_frame_equal(outs[0], outs[1], check_exact=True)
 
 
 def test_partitioned_resume_survives_sigkill_sf01(ray_session, tmp_path):
