@@ -34,15 +34,16 @@ from engine.geometry import PROPERTY_NAMES
 NN_PARAM = 21  # config.py:60-61: max cand pairs per item (20) + 1
 
 
-def robust_scale_stats(df: pd.DataFrame, cols: list[str]):
-    """(median, iqr) per column — sklearn RobustScaler defaults
-    (centering=median, scale=q75-q25); iqr of 0 degrades to 1 like sklearn."""
-    med = np.array([np.percentile(df[c].to_numpy(), 50) for c in cols])
-    q75 = np.array([np.percentile(df[c].to_numpy(), 75) for c in cols])
-    q25 = np.array([np.percentile(df[c].to_numpy(), 25) for c in cols])
-    iqr = q75 - q25
-    iqr[iqr == 0.0] = 1.0
-    return med, iqr
+def robust_scale_stats(X: np.ndarray):
+    """(median, iqr) per column of the driver-side matrix ``X``, from the
+    same per-column (value, count) distribution and arithmetic as
+    robust_scale_stats_ds, so the two are bit-equal on the same rows."""
+    dists = []
+    for j in range(X.shape[1]):
+        v, n = np.unique(X[:, j], return_counts=True)
+        keep = ~np.isnan(v)   # the distributed groupby drops NaN keys
+        dists.append((v[keep], n[keep]))
+    return scale_stats_from_counts(dists)
 
 
 def weighted_percentile(values: np.ndarray, counts: np.ndarray, q: float) -> float:
@@ -64,17 +65,34 @@ def weighted_percentile(values: np.ndarray, counts: np.ndarray, q: float) -> flo
     return a + diff * t
 
 
+def scale_stats_from_counts(dists: list[tuple[np.ndarray, np.ndarray]],
+                            sdr: np.ndarray | None = None):
+    """sklearn RobustScaler stats (centering=median, scale=q75-q25; an iqr
+    of 0 degrades to 1 like sklearn) from one ascending (values, counts)
+    distribution per column.  ``sdr``: positive per-column factors applied
+    to the values BEFORE the percentiles (the reference's
+    fit-on-sdr-scaled-cands semantics)."""
+    sdr = np.ones(len(dists)) if sdr is None else np.asarray(sdr, dtype=np.float64)
+    med, q25, q75 = (np.empty(len(dists)) for _ in range(3))
+    for j, (vals, cnt) in enumerate(dists):
+        vals = vals * sdr[j]
+        med[j] = weighted_percentile(vals, cnt, 50)
+        q75[j] = weighted_percentile(vals, cnt, 75)
+        q25[j] = weighted_percentile(vals, cnt, 25)
+    iqr = q75 - q25
+    iqr[iqr == 0.0] = 1.0
+    return med, iqr
+
+
 def robust_scale_stats_ds(ds: ray.data.Dataset, cols: list[str],
                           sdr: np.ndarray | None = None):
     """Distributed RobustScaler stats: per-block (col, value) count partials
-    -> one groupby-sum shuffle -> exact weighted percentiles from the merged
+    merged on the driver -> exact weighted percentiles from the merged
     distribution.  Driver memory is O(distinct values), never O(rows), and
     the result is bit-equal to np.percentile over the collected column
     (tested).  At 10^12 rows the exact count merge becomes a t-digest
     sketch; the two-pass fit->broadcast shape is unchanged (SURVEY §7.4.2).
-
-    ``sdr``: positive per-column factors applied to the values BEFORE the
-    percentiles (the reference's fit-on-sdr-scaled-cands semantics)."""
+    ``sdr`` as in scale_stats_from_counts."""
     def counts(batch: pa.Table) -> pa.Table:
         outs = []
         for j, c in enumerate(cols):
@@ -93,18 +111,11 @@ def robust_scale_stats_ds(ds: ray.data.Dataset, cols: list[str],
     partials = ds.select_columns(cols) \
         .map_batches(counts, batch_format="pyarrow").to_pandas()
     agg = partials.groupby(["col", "value"], as_index=False)["n"].sum()
-    sdr = np.ones(len(cols)) if sdr is None else np.asarray(sdr, dtype=np.float64)
-    med, q25, q75 = (np.empty(len(cols)) for _ in range(3))
+    dists = []
     for j in range(len(cols)):
         g = agg[agg.col == j].sort_values("value")
-        vals = g["value"].to_numpy() * sdr[j]
-        cnt = g["n"].to_numpy()
-        med[j] = weighted_percentile(vals, cnt, 50)
-        q75[j] = weighted_percentile(vals, cnt, 75)
-        q25[j] = weighted_percentile(vals, cnt, 25)
-    iqr = q75 - q25
-    iqr[iqr == 0.0] = 1.0
-    return med, iqr
+        dists.append((g["value"].to_numpy(), g["n"].to_numpy()))
+    return scale_stats_from_counts(dists, sdr)
 
 
 def select_blocking_features(feature_importances: list[tuple[str, float]],
@@ -178,6 +189,109 @@ def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
     return np.concatenate(tops, 0), np.concatenate(dists, 0)
 
 
+# float32 like the reference's vectors (blocking.py:109-110).  Tile sizes
+# keep the distance block (tile*chunk*4B ~ 1 MiB) L2-resident: the kNN is
+# DRAM-bandwidth-bound when run on every core, and large temporaries
+# collapse multi-worker scaling (measured 13x on 16 workers).
+KNN_TILE, KNN_CHUNK = 64, 4096
+
+
+class BkafiKnn:
+    """The bkafi kNN kernel over one scaled index side: the map UDF of
+    bkafi_nn_dataset and, called directly, its driver-side form."""
+
+    def __init__(self, side, features: list[str], sdr: np.ndarray,
+                 nn_param: int, exact: bool):
+        self.idx_mat, self.idx_ids, self.idx_num, self.med, self.iqr = side
+        self.features, self.sdr = features, sdr
+        self.nn_param, self.exact = nn_param, exact
+        self.idx32 = np.ascontiguousarray(self.idx_mat, dtype=np.float32)
+        self.idx_sq = (self.idx32 * self.idx32).sum(1)
+
+    def _topk_exact_tile(self, Xt: np.ndarray):
+        """Exact-f64 top-k for one cand tile: per-feature elementwise
+        (c-i)^2 accumulation in declared feature order (left-assoc IEEE
+        chain — SQL-replicable), chunked over the index with a
+        tie-correct (d2, idx_num) lexsort merge."""
+        nn_param = self.nn_param
+        n = len(Xt)
+        n_idx = len(self.idx_mat)
+        best_d = best_i = None
+        rows = np.arange(n)[:, None]
+        for s in range(0, n_idx, KNN_CHUNK):
+            e = min(s + KNN_CHUNK, n_idx)
+            d2 = np.zeros((n, e - s))
+            for f in range(Xt.shape[1]):
+                d = Xt[:, f][:, None] - self.idx_mat[None, s:e, f]
+                d2 += d * d
+            kk = min(nn_param, e - s)
+            loc = np.lexsort((self.idx_num[s:e][None, :].repeat(n, 0), d2),
+                             axis=1)[:, :kk]
+            dloc = d2[rows, loc]
+            iloc = loc.astype(np.int64) + s
+            if best_d is None:
+                best_d, best_i = dloc, iloc
+            else:
+                dall = np.concatenate([best_d, dloc], axis=1)
+                iall = np.concatenate([best_i, iloc], axis=1)
+                kk2 = min(nn_param, dall.shape[1])
+                order = np.lexsort((self.idx_num[iall], dall),
+                                   axis=1)[:, :kk2]
+                best_d = np.take_along_axis(dall, order, axis=1)
+                best_i = np.take_along_axis(iall, order, axis=1)
+        order = np.lexsort((self.idx_num[best_i], best_d), axis=1)
+        top = np.take_along_axis(best_i, order, axis=1)
+        return top, np.sqrt(np.take_along_axis(best_d, order, axis=1))
+
+    def _topk_tile(self, Xt: np.ndarray):
+        """top nn_param for one cand tile: threshold-pruned exact scan
+        (topk_l2_f32), tie-exact by (d2, idx_num)."""
+        return topk_l2_f32(Xt, self.idx32, self.idx_sq, self.idx_num,
+                           self.nn_param, tile=KNN_TILE, chunk=KNN_CHUNK)
+
+    def search(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(index row positions, distances), each (n, min(nn_param, index
+        rows)) and ranked, for the raw selected-feature rows ``X``."""
+        X = (X * self.sdr - self.med) / self.iqr
+        topk = self._topk_exact_tile if self.exact else self._topk_tile
+        if not self.exact:
+            X = X.astype(np.float32)
+        tops, dists = [], []
+        for s in range(0, len(X), KNN_TILE):
+            t, d = topk(X[s:s + KNN_TILE])
+            tops.append(t)
+            dists.append(d)
+        return np.concatenate(tops, axis=0), np.concatenate(dists, axis=0)
+
+    def __call__(self, batch: pa.Table, bkafi_dim: int) -> pa.Table:
+        ids = batch.column("doc_id").to_pylist()
+        top, dtop = self.search(np.column_stack(
+            [batch.column(c).to_numpy() for c in self.features]))
+        n, kk = top.shape
+        return pa.table({
+            "bkafi_dim": pa.array(np.full(n * kk, bkafi_dim, dtype=np.int32)),
+            "cand_id": pa.array(np.repeat(np.asarray(ids, dtype=object), kk).tolist(),
+                                type=pa.string()),
+            "index_id": pa.array(self.idx_ids[top].ravel().tolist(), type=pa.string()),
+            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32), n)),
+            "dist": pa.array(dtop.ravel().astype(np.float64), type=pa.float64()),
+        })
+
+
+def bkafi_knn(index_df: pd.DataFrame, features: list[str], stats: tuple,
+              nn_param: int = NN_PARAM) -> BkafiKnn:
+    """bkafi_nn_dataset's f32 kernel over ``index_df`` (doc_id + selected
+    columns) scaled by ``stats`` = (med, iqr), to call on the driver."""
+    return BkafiKnn(_knn_side(index_df, features, *stats), features,
+                    np.ones(len(features)), nn_param, exact=False)
+
+
+def _knn_side(index_df: pd.DataFrame, features: list[str], med, iqr):
+    return ((index_df[features].to_numpy(dtype=np.float64) - med) / iqr,
+            index_df["doc_id"].to_numpy(),
+            index_df["doc_id"].astype(np.int64).to_numpy(), med, iqr)
+
+
 def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
                      features: list[str], bkafi_dim: int,
                      sdr_factors: np.ndarray | None = None,
@@ -209,95 +323,15 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
         sdr_factors, dtype=np.float64)
     med, iqr = stats if stats is not None else robust_scale_stats_ds(
         cand_props, features, sdr=sdr)
-
-    idx_mat = (index_df[features].to_numpy(dtype=np.float64) - med) / iqr
-    idx_ids = index_df["doc_id"].to_numpy()
-    idx_num = index_df["doc_id"].astype(np.int64).to_numpy()
     start = time.time()
-
-    # float32 like the reference's vectors (blocking.py:109-110).  Tile sizes
-    # keep the distance block (tile*chunk*4B ~ 1 MiB) L2-resident: this stage
-    # is DRAM-bandwidth-bound when run on every core, and large temporaries
-    # collapse multi-worker scaling (measured 13x on 16 workers).
-    TILE, CHUNK = 64, 4096
-
-    class KnnActor:
-        def __init__(self, side):
-            self.idx_mat, self.idx_ids, self.idx_num, self.med, self.iqr = side
-            self.idx32 = np.ascontiguousarray(self.idx_mat, dtype=np.float32)
-            self.idx_sq = (self.idx32 * self.idx32).sum(1)
-
-        def _topk_exact_tile(self, Xt: np.ndarray):
-            """Exact-f64 top-k for one cand tile: per-feature elementwise
-            (c-i)^2 accumulation in declared feature order (left-assoc IEEE
-            chain — SQL-replicable), chunked over the index with a
-            tie-correct (d2, idx_num) lexsort merge."""
-            n = len(Xt)
-            n_idx = len(self.idx_mat)
-            best_d = best_i = None
-            rows = np.arange(n)[:, None]
-            for s in range(0, n_idx, CHUNK):
-                e = min(s + CHUNK, n_idx)
-                d2 = np.zeros((n, e - s))
-                for f in range(Xt.shape[1]):
-                    d = Xt[:, f][:, None] - self.idx_mat[None, s:e, f]
-                    d2 += d * d
-                kk = min(nn_param, e - s)
-                loc = np.lexsort((self.idx_num[s:e][None, :].repeat(n, 0), d2),
-                                 axis=1)[:, :kk]
-                dloc = d2[rows, loc]
-                iloc = loc.astype(np.int64) + s
-                if best_d is None:
-                    best_d, best_i = dloc, iloc
-                else:
-                    dall = np.concatenate([best_d, dloc], axis=1)
-                    iall = np.concatenate([best_i, iloc], axis=1)
-                    kk2 = min(nn_param, dall.shape[1])
-                    order = np.lexsort((self.idx_num[iall], dall),
-                                       axis=1)[:, :kk2]
-                    best_d = np.take_along_axis(dall, order, axis=1)
-                    best_i = np.take_along_axis(iall, order, axis=1)
-            order = np.lexsort((self.idx_num[best_i], best_d), axis=1)
-            top = np.take_along_axis(best_i, order, axis=1)
-            return top, np.sqrt(np.take_along_axis(best_d, order, axis=1))
-
-        def _topk_tile(self, Xt: np.ndarray):
-            """top nn_param for one cand tile: threshold-pruned exact scan
-            (topk_l2_f32), tie-exact by (d2, idx_num)."""
-            return topk_l2_f32(Xt, self.idx32, self.idx_sq, self.idx_num,
-                               nn_param, tile=TILE, chunk=CHUNK)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_pylist()
-            X = np.column_stack([batch.column(c).to_numpy() for c in features])
-            X = (X * sdr - self.med) / self.iqr
-            topk = self._topk_exact_tile if exact else self._topk_tile
-            if not exact:
-                X = X.astype(np.float32)
-            tops, dists = [], []
-            for s in range(0, len(X), TILE):
-                t, d = topk(X[s:s + TILE])
-                tops.append(t)
-                dists.append(d)
-            top = np.concatenate(tops, axis=0)
-            dtop = np.concatenate(dists, axis=0)
-            n, kk = top.shape
-            return pa.table({
-                "bkafi_dim": pa.array(np.full(n * kk, bkafi_dim, dtype=np.int32)),
-                "cand_id": pa.array(np.repeat(np.asarray(ids, dtype=object), kk).tolist(),
-                                    type=pa.string()),
-                "index_id": pa.array(self.idx_ids[top].ravel().tolist(), type=pa.string()),
-                "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32), n)),
-                "dist": pa.array(dtop.ravel().astype(np.float64), type=pa.float64()),
-            })
-
     # stateless TASK pool, the index tiles built once per worker — no actor
-    # ramp, fully elastic, and identical math to the former actor pool
-    knn = storage.broadcast((idx_mat, idx_ids, idx_num, med, iqr),
-                            build=KnnActor)
+    # ramp, fully elastic
+    knn = storage.broadcast(
+        _knn_side(index_df, features, med, iqr),
+        build=lambda side: BkafiKnn(side, features, sdr, nn_param, exact))
 
     def knn_fn(batch: pa.Table) -> pa.Table:
-        return knn()(batch)
+        return knn()(batch, bkafi_dim)
 
     # four blocks per pool slot, within the cluster cap: every block is one
     # task

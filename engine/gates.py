@@ -1,13 +1,15 @@
 """Size gates: the one place that decides between a driver plan and a
 distributed plan.
 
-Nine operators keep two physical plans for the same result: a driver plan
+Ten operators keep two physical plans for the same result: a driver plan
 (collect one side on the driver, then broadcast it or verify on the driver)
 when that side is small, and a distributed plan (bucketed joins or shuffles,
 nothing on the driver) when it is not.  Each gate streams ONE execution of
 its small-side candidate through ``collect_under_budget``; the stream either
 fits its budget and becomes the collected table, or the gate gives up at the
-budget and runs the distributed plan.  Every call logs one line on the
+budget and runs the distributed plan.  A gate whose size is known before
+it runs (the train kNN's cands x index cells) decides through
+``driver_route`` instead.  Every call logs one line on the
 ``engine.gates`` logger: gate, route, rows and bytes seen, budget.
 
 Every budget lives here and is read as ``gates.<NAME>`` at call time, so a
@@ -49,6 +51,26 @@ MAX_BROADCAST_DUP_GRAMS = 5_000_000
 BROADCAST_MAX_SIDE_ROWS = 2_000_000
 # dedup.dup_clusters: verified pair edges solved by driver union-find.
 MAX_SMALL_GRAPH_ROWS = 2_000_000
+# pipeline.blocking_train_pairs: train cands x index rows of the train kNN
+# run on the driver, ~0.25 s of one core at ~12 ns per cell; above it the
+# kNN is a distributed map.
+MAX_DRIVER_KNN_CELLS = 20_000_000
+
+
+def _log_route(gate: str, driver: bool, rows: int, nbytes: int,
+               max_rows, max_bytes) -> None:
+    log.info("%s: route=%s rows=%d bytes=%d budget rows=%s bytes=%s",
+             gate, "driver" if driver else "distributed", rows, nbytes,
+             max_rows, max_bytes)
+
+
+def driver_route(gate: str, rows: int, max_rows: float) -> bool:
+    """Whether a gate whose size ``rows`` is known up front stays within
+    ``max_rows`` and takes its driver plan; logs the route like
+    collect_under_budget."""
+    driver = rows <= max_rows
+    _log_route(gate, driver, rows, 0, max_rows, None)
+    return driver
 
 
 def collect_under_budget(ds: ray.data.Dataset, gate: str,
@@ -78,9 +100,7 @@ def collect_under_budget(ds: ray.data.Dataset, gate: str,
                 (max_bytes is not None and nbytes > max_bytes):
             over = True
             break
-    log.info("%s: route=%s rows=%d bytes=%d budget rows=%s bytes=%s",
-             gate, "distributed" if over else "driver", rows, nbytes,
-             max_rows, max_bytes)
+    _log_route(gate, not over, rows, nbytes, max_rows, max_bytes)
     rest = itertools.chain(prefix, it)
     if over:
         return None, rest

@@ -5,14 +5,27 @@ Mirrors the reference lifecycle (SURVEY.md §3): PipelineManager's stages
 (/root/reference/pipelines.py:408-420, 589-626) as one composable Ray flow.
 
 Residency policy (scale-first): the document stream, the property table and
-every per-row stage are ray.data Datasets end to end.  Driver-side state is
-limited to (a) narrow id lists (doc_id/source) that drive the deterministic
-splits, (b) the broadcast small sides the physical plan calls for — the kNN
-index matrix (the reference's KDTree index, blocking.py:106-118) — and (c)
-the collected TRAIN matrix, which is small by construction and fit on the
-driver exactly as the reference does (classifier.py:150-163).  Pair features
-run through bucketed hash joins (pairs.pair_features_join); scaler stats
-through the distributed exact-quantile aggregate (blocking.robust_scale_stats_ds).
+every per-row stage are ray.data Datasets end to end.  What reaches the
+driver in the set-up (prep_train + prepare_state), after the property table
+is materialized:
+
+(a) the index side, doc_id + 25 properties, collected once (side_frame): the
+    broadcast small side of this physical plan (the reference's KDTree and
+    property dict, blocking.py:106-118);
+(b) the train cands, doc_id + 25 properties + their sampled negatives, and
+    the test-cand count, from one pass over the cands side (never a test id
+    or a test row);
+(c) the (value, count) distribution of each selected feature over all cands
+    (blocking.robust_scale_stats_ds);
+(d) above ``gates.MAX_DRIVER_KNN_CELLS``, the train kNN's narrow rank table.
+
+Both train matrices, both fits (the reference fits on the driver,
+classifier.py:150-163), the ratio statistics and the train kNN below that
+gate run in numpy over (a) and (b).  The evaluation side (run_flagship's
+test split, train_test_features' test pairs) streams its cands, but its
+pair features go through pairs.pair_features_join, whose driver plan
+collects both sides' property tables (doc_id + 25 properties) within
+``gates.BROADCAST_MAX_SIDE_ROWS``.
 """
 
 from __future__ import annotations
@@ -20,13 +33,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from engine import blocking as blk
 from engine import gates, matching, metrics, pairs, splits, storage
 from engine.corpus import corpus_dataset
 from engine.geometry import PROPERTY_NAMES
-from engine.joins import broadcast_semi_join
 from engine.pairs import RATIO_FEATURE_NAMES, ratio_features
 from engine.properties import _props_batch, properties_dataset
 
@@ -45,8 +58,6 @@ def property_table(sf_dir: str, n_cands: int | None = None,
 def side_dataset(props: ray.data.Dataset, source: str,
                  cols: list[str] | None = None) -> ray.data.Dataset:
     """One side ('cands'|'index') of the two-source property table."""
-    import pyarrow.compute as pc
-
     def pick(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b.column("source"), pa.scalar(source)))
         return b.select(cols) if cols else b
@@ -55,17 +66,18 @@ def side_dataset(props: ray.data.Dataset, source: str,
 
 
 def side_frame(props: ray.data.Dataset, source: str,
-               cols: list[str]) -> pd.DataFrame:
-    """Broadcast-side collect: a NARROW column set for the side the physical
-    plan broadcasts (the kNN index matrix — the reference's in-memory KDTree
-    side).  The streaming side is never collected."""
+               cols: list[str] | None) -> pd.DataFrame:
+    """Collect the ``cols`` of one side to the driver (all columns for
+    None).  The set-up calls it once, for the index side's doc_id + 25
+    properties, which ``prep["index_df"]`` then carries; the cands side is
+    collected only by the test helpers and the geo_match_concat query."""
     return side_dataset(props, source, cols).to_pandas()
 
 
 def side_ids(props: ray.data.Dataset) -> tuple[list[str], list[str]]:
     """Narrow (doc_id, source) collect — test-fixture helper only; the prep
-    path applies the split predicate dataset-side (split_cands_dataset) and
-    never collects the cands id column."""
+    path applies the split predicate dataset-side and never collects the
+    cands id column."""
     pdf = props.select_columns(["doc_id", "source"]).to_pandas()
     return (pdf[pdf.source == "cands"].doc_id.tolist(),
             pdf[pdf.source == "index"].doc_id.tolist())
@@ -95,61 +107,114 @@ def split_cands_dataset(cands: ray.data.Dataset, index_sorted_ref,
     return cands.map_batches(f, batch_format="pyarrow")
 
 
+def _id_order(ids: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+    """(stable argsort, sorted values) of the numeric ids of ``ids``: the
+    index side's order for membership tests, negative draws and lookups."""
+    num = ids.astype(np.int64).to_numpy()
+    order = np.argsort(num, kind="stable")
+    return order, num[order]
+
+
+def _train_pass(props: ray.data.Dataset, split_ref, n_index: int,
+                seed: int, neg_num: int) -> tuple[pd.DataFrame, np.ndarray,
+                                                  int]:
+    """The one pass over the cands side.  Per batch it keeps the cands in
+    the index (searchsorted against ``split_ref``, the broadcast sorted
+    index ids) on the train side of the hash split, draws each one's
+    seeded negatives (splits.negative_draws), and counts the test side.
+    Returns the train rows (doc_id + 25 properties, sorted by numeric id),
+    their draws (positions into the sorted index ids) and the test count;
+    no test id leaves the workers."""
+    m = min(neg_num, n_index)
+    negs = [f"neg{j}" for j in range(m)]
+
+    def tag(b: pa.Table) -> pa.Table:
+        ids = b.column("doc_id").to_pylist()
+        in_idx = gates.sorted_member(
+            split_ref(), np.asarray([int(i) for i in ids], dtype=np.int64))
+        tr = splits.split_bucket(ids, seed)
+        b = b.filter(pa.array(in_idx & tr))
+        draws = splits.negative_draws(b.column("doc_id").to_pylist(),
+                                      n_index, neg_num, seed)
+        for j, name in enumerate(negs):
+            b = b.append_column(name, pa.array(draws[:, j]))
+        b = b.append_column("n_test", pa.array(np.zeros(b.num_rows,
+                                                        dtype=np.int64)))
+        # one count row per batch, told apart by its null doc_id
+        count = {f.name: pa.nulls(1, f.type) for f in b.schema}
+        count["n_test"] = pa.array([int((in_idx & ~tr).sum())])
+        return pa.concat_tables([b, pa.table(count, schema=b.schema)])
+
+    out = side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES]) \
+        .map_batches(tag, batch_format="pyarrow")
+    t = pa.concat_tables(list(out.iter_batches(batch_size=None,
+                                               batch_format="pyarrow")))
+    is_count = pc.is_null(t.column("doc_id"))
+    n_test = int(pc.sum(t.filter(is_count).column("n_test")).as_py() or 0)
+    t = t.filter(pc.invert(is_count))
+    t = t.take(np.argsort(pc.cast(t.column("doc_id"), pa.int64()).to_numpy(),
+                          kind="stable"))
+    draws = np.column_stack([t.column(c).to_numpy() for c in negs]) if negs \
+        else np.empty((t.num_rows, 0), dtype=np.int64)
+    return t.select(["doc_id", *PROPERTY_NAMES]).to_pandas(), draws, n_test
+
+
+def _pair_frame(cand_rows: pd.DataFrame, index_df: pd.DataFrame,
+                ci: np.ndarray, ii: np.ndarray) -> pd.DataFrame:
+    """Train pairs (cand row ``ci``, index row ``ii``) -> the fit matrix:
+    cand_id, index_id, the key-equality label and the 25 ratio features,
+    canonically sorted by (cand_id, index_id) so the fit is independent of
+    any upstream parallelism (SURVEY.md §7.4.6)."""
+    cand = cand_rows["doc_id"].to_numpy()[ci]
+    index = index_df["doc_id"].to_numpy()[ii]
+    feats = ratio_features(
+        cand_rows[PROPERTY_NAMES].to_numpy(dtype=np.float64)[ci],
+        index_df[PROPERTY_NAMES].to_numpy(dtype=np.float64)[ii])
+    df = pd.DataFrame({"cand_id": cand, "index_id": index,
+                       "label": (cand == index).astype(np.int8),
+                       **dict(zip(RATIO_FEATURE_NAMES, feats.T))})
+    return df.sort_values(["cand_id", "index_id"]).reset_index(drop=True)
+
+
 def prep_train(props: ray.data.Dataset, seed: int = 1,
                neg_num: int = 2, model_name: str = "RandomForest",
                grid: bool = False):
     """Preparatory phase (pipelines.py:601-616): negative-sampled train pairs
-    -> ratio features (bucketed joins) -> fit model -> feature importances +
-    property ratios.
+    -> ratio features -> fit model -> feature importances + property
+    ratios, in two executions: the index-side collect and one pass over the
+    cands side (_train_pass).  ``grid`` enables the deterministic
+    grid-search CV (classifier.py:150-163).
 
-    Training matrix is canonically sorted by (cand_id, index_id) so the fit is
-    independent of any upstream parallelism (SURVEY.md §7.4.6).  ``grid``
-    enables the deterministic grid-search CV (classifier.py:150-163).
+    Driver-side it holds the index side (doc_id + 25 properties, carried
+    as ``index_df``) and the train cands (doc_id + 25 properties, carried
+    as ``train_rows``); the cands side is never collected whole.
+    BROADCAST-SIZE CONTRACT: the index SIDE of this pipeline is the small
+    side by design (the reference's index/candidate asymmetry) — its id
+    array and scaled matrix are broadcast once and read per worker.  When
+    the index side itself is corpus-scale (10^9+ rows), this prep is the
+    wrong plan: route blocking through blocking.cell_blocking (spatial
+    co-partitioning, no broadcast) and the split through
+    split_cands_dataset with a bucketed semi-join instead of the
+    searchsorted membership.
     """
-    # index ids: the declared broadcast side (KDTree / negative-sampling
-    # space); cands ids NEVER collect to the driver — the split predicate
-    # runs dataset-side and only the train subset materializes.
-    # BROADCAST-SIZE CONTRACT: the index SIDE of this pipeline is the small
-    # side by design (the reference's index/candidate asymmetry) — its id
-    # array and scaled matrix are broadcast once and read per worker.  When
-    # the index side itself is corpus-scale (10^9+ rows), this prep is the
-    # wrong plan: route blocking through blocking.cell_blocking (spatial
-    # co-partitioning, no broadcast) and the split through
-    # split_cands_dataset with a bucketed semi-join instead of the
-    # searchsorted membership.
-    index_ids = side_dataset(props, "index", ["doc_id"]) \
-        .to_pandas().doc_id.tolist()
-    split_ref = storage.broadcast(
-        np.sort(np.asarray(index_ids, dtype=np.int64)))
-    # ONE pass over the cands side: intersection membership + split flag,
-    # materialized as a narrow (doc_id, is_train) id table in the object
-    # store; only the train subset then collects to the driver and the test
-    # count is the complement — no second scan of the property table
-    def tag(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_pylist()
-        if not ids:
-            return pa.table({"doc_id": pa.array([], type=pa.string()),
-                             "is_train": pa.array([], type=pa.bool_())})
-        in_idx = gates.sorted_member(
-            split_ref(),
-            np.asarray([int(i) for i in ids], dtype=np.int64))
-        tr = splits.split_bucket(ids, seed)
-        b = b.filter(pa.array(in_idx))
-        return pa.table({"doc_id": b.column("doc_id"),
-                         "is_train": pa.array(tr[in_idx])})
-
-    inter_ds = side_dataset(props, "cands", ["doc_id"]) \
-        .map_batches(tag, batch_format="pyarrow").materialize()
-    train_ids = sorted(
-        inter_ds.map_batches(lambda b: b.filter(b.column("is_train")),
-                             batch_format="pyarrow")
-        .to_pandas().doc_id.tolist(), key=int)
-    n_test = inter_ds.count() - len(train_ids)
-    pair_ds = splits.negative_sample_pairs(train_ids, index_ids, neg_num,
-                                           seed)
-    feat_ds = pairs.pair_features_join(pair_ds, props)
-    train_df = feat_ds.to_pandas().sort_values(
-        ["cand_id", "index_id"]).reset_index(drop=True)
+    index_df = side_frame(props, "index", ["doc_id", *PROPERTY_NAMES])
+    order, index_sorted = _id_order(index_df["doc_id"])
+    split_ref = storage.broadcast(index_sorted)
+    train, draws, n_test = _train_pass(props, split_ref, len(index_df), seed,
+                                       neg_num)
+    # positives pair each cand with its own index row; a negative that
+    # draws the cand itself is dropped (the reference drops self-pairs)
+    n, m = draws.shape
+    index_ids = index_df["doc_id"].to_numpy()
+    cand_rep = np.repeat(np.arange(n), m)
+    neg_rows = order[draws.ravel()]
+    keep = index_ids[neg_rows] != train["doc_id"].to_numpy()[cand_rep]
+    own = order[gates.sorted_positions(
+        index_sorted, train["doc_id"].astype(np.int64).to_numpy(),
+        "prep_train")]
+    train_df = _pair_frame(train, index_df,
+                           np.concatenate([np.arange(n), cand_rep[keep]]),
+                           np.concatenate([own, neg_rows[keep]]))
     X = train_df[RATIO_FEATURE_NAMES].to_numpy(dtype=np.float64)
     y = train_df["label"].to_numpy(dtype=np.int8)
     if grid:
@@ -159,16 +224,53 @@ def prep_train(props: ray.data.Dataset, seed: int = 1,
         model = matching.MODEL_REGISTRY[model_name](random_state=seed).fit(X, y)
     importances = sorted(zip(RATIO_FEATURE_NAMES, model.feature_importances_),
                          key=lambda kv: kv[1], reverse=True)
-    # train-matched property rows: a small semi-join collect (train ids only)
-    tr = broadcast_semi_join(props, "doc_id", train_ids).to_pandas()
-    ratios = metrics.property_ratio_stats(
-        tr[tr.source == "cands"], tr[tr.source == "index"], PROPERTY_NAMES)
+    ratios = metrics.property_ratio_stats(train, index_df, PROPERTY_NAMES)
     return {
         "model": model, "importances": importances, "ratios": ratios,
-        "train_ids": train_ids, "train_df": train_df,
-        "index_ids": index_ids, "n_test": n_test,
+        "train_ids": train["doc_id"].tolist(), "train_df": train_df,
+        "index_ids": index_df["doc_id"].tolist(), "n_test": n_test,
         "seed": seed, "split_ref": split_ref,
+        "index_df": index_df, "train_rows": train,
     }
+
+
+def blocking_train_pairs(prep: dict, features: list[str], bkafi_dim: int,
+                         k: int, concurrency: int = 4) -> pd.DataFrame:
+    """The blocking-based train matrix (the reference's
+    matching_cands_generation='blocking-based', pipelines.py:426-432): the
+    bkafi kNN of the train cands against the index, scaled by the train
+    cands' own RobustScaler stats, cut at rank ``k``, as _pair_frame rows.
+
+    The kNN runs on the driver over ``prep``'s train rows and index frame
+    while train cands x index rows stays within
+    ``gates.MAX_DRIVER_KNN_CELLS``; above it, as the distributed
+    bkafi_nn_dataset map fed from the same train rows."""
+    train, index_df = prep["train_rows"], prep["index_df"]
+    X = train[features].to_numpy(dtype=np.float64)
+    stats = blk.robust_scale_stats(X)
+    index_feat = index_df[["doc_id", *features]]
+    if gates.driver_route("train_knn", len(train) * len(index_df),
+                          gates.MAX_DRIVER_KNN_CELLS):
+        top = blk.bkafi_knn(index_feat, features, stats).search(X)[0][:, :k]
+        return _pair_frame(train, index_df,
+                           np.repeat(np.arange(len(train)), top.shape[1]),
+                           top.ravel())
+    cands = ray.data.from_arrow(pa.Table.from_pandas(
+        train[["doc_id", *features]], preserve_index=False)
+        .replace_schema_metadata(None))
+    nn, _ = blk.bkafi_nn_dataset(cands, index_feat, features, bkafi_dim,
+                                 concurrency=concurrency, stats=stats)
+    nn = nn.select_columns(["cand_id", "index_id", "rank"]).to_pandas()
+    nn = nn[nn["rank"] <= k]
+    order, index_sorted = _id_order(index_df["doc_id"])
+    return _pair_frame(
+        train, index_df,
+        gates.sorted_positions(train["doc_id"].astype(np.int64).to_numpy(),
+                               nn["cand_id"].astype(np.int64).to_numpy(),
+                               "train_knn"),
+        order[gates.sorted_positions(
+            index_sorted, nn["index_id"].astype(np.int64).to_numpy(),
+            "train_knn")])
 
 
 def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
@@ -198,24 +300,15 @@ def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
 
     features = blk.select_blocking_features(
         prep["importances"], prep["ratios"], bkafi_dim)
-    index_feat_df = side_frame(props, "index", ["doc_id", *features])
+    index_feat_df = prep["index_df"][["doc_id", *features]]
     cands_all = side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES])
 
     matcher = prep["model"]
     if train_mode == "blocking-based":
-        train_cands = broadcast_semi_join(cands_all, "doc_id", prep["train_ids"])
-        tnn, _ = blk.bkafi_nn_dataset(
-            train_cands, index_feat_df, features, bkafi_dim,
-            concurrency=concurrency)
-        tnn = tnn.materialize()  # kNN/join fusion boundary (see prepare_state)
-        tpairs = blk.pairs_from_nn(tnn, k).select_columns(
-            ["cand_id", "index_id", "label"])
-        tfeat = pairs.pair_features_join(tpairs, props)
-        tdf = tfeat.to_pandas().sort_values(
-            ["cand_id", "index_id"]).reset_index(drop=True)
-        Xb = tdf[RATIO_FEATURE_NAMES].to_numpy(dtype=np.float64)
-        yb = tdf["label"].to_numpy(dtype=np.int8)
-        matcher = matching.MODEL_REGISTRY[model_name](random_state=seed).fit(Xb, yb)
+        tdf = blocking_train_pairs(prep, features, bkafi_dim, k, concurrency)
+        matcher = matching.MODEL_REGISTRY[model_name](random_state=seed).fit(
+            tdf[RATIO_FEATURE_NAMES].to_numpy(dtype=np.float64),
+            tdf["label"].to_numpy(dtype=np.int8))
 
     # test split (blocking evaluation runs on held-out cands, all index) —
     # dataset-side split predicate, no test-id list on the driver
@@ -278,32 +371,19 @@ def prepare_state(sf_dir: str, n_cands: int | None = None, seed: int = 1,
         prep = prep_train(props, seed=seed, neg_num=neg_num)
     features = blk.select_blocking_features(
         prep["importances"], prep["ratios"], bkafi_dim)
-    index_feat_df = side_frame(props, "index", ["doc_id", *features])
-    cands_all = side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES])
-
-    train_cands = broadcast_semi_join(cands_all, "doc_id", prep["train_ids"])
-    tnn, _ = blk.bkafi_nn_dataset(
-        train_cands, index_feat_df, features, bkafi_dim, concurrency=concurrency)
-    # boundary on the NARROW nn table: without it the streaming executor
-    # fuses the bandwidth-bound kNN stage with the downstream ratio join and
-    # the fused tasks serialize (measured 37 s lazy vs 17 s split at sf0.1)
-    tnn = tnn.materialize()
-    tpairs = blk.pairs_from_nn(tnn, k).select_columns(
-        ["cand_id", "index_id", "label"])
-    tfeat = pairs.pair_features_join(tpairs, props)
-    tdf = tfeat.to_pandas().sort_values(
-        ["cand_id", "index_id"]).reset_index(drop=True)
+    tdf = blocking_train_pairs(prep, features, bkafi_dim, k, concurrency)
     matcher = matching.RandomForest(random_state=seed).fit(
         tdf[RATIO_FEATURE_NAMES].to_numpy(dtype=np.float64),
         tdf["label"].to_numpy(dtype=np.int8))
 
     # scaler stats fit on ALL cands, distributed exact quantiles
-    med, iqr = blk.robust_scale_stats_ds(cands_all, features)
+    med, iqr = blk.robust_scale_stats_ds(
+        side_dataset(props, "cands", features), features)
     feat_idx = [PROPERTY_NAMES.index(f) for f in features]
     # the index side is the broadcast small side of this physical plan (the
     # reference's in-memory KDTree/property dict); at 10^12 index rows the
     # cell-shuffle blocker replaces the broadcast (blocking.cell_blocking)
-    index_df = side_frame(props, "index", ["doc_id", *PROPERTY_NAMES])
+    index_df = prep["index_df"]
     idx_props = index_df[PROPERTY_NAMES].to_numpy(dtype=np.float64)
     idx_scaled = np.ascontiguousarray(
         (idx_props[:, feat_idx] - med) / iqr, dtype=np.float32)
@@ -439,22 +519,18 @@ def train_test_features(sf_dir: str, seed: int = 1, bkafi_dim: int = 6,
         prep = prep_train(props, seed=seed, neg_num=neg_num)
     features = blk.select_blocking_features(
         prep["importances"], prep["ratios"], bkafi_dim)
-    index_feat_df = side_frame(props, "index", ["doc_id", *features])
-    cands_all = side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES])
-
-    def feats_for(cands):
-        nn, _ = blk.bkafi_nn_dataset(cands, index_feat_df, features,
-                                     bkafi_dim, concurrency=concurrency)
-        fd = pairs.pair_features_join(
-            blk.pairs_from_nn(nn, k).select_columns(
-                ["cand_id", "index_id", "label"]), props)
-        return fd.to_pandas().sort_values(
-            ["cand_id", "index_id"]).reset_index(drop=True)
-
-    train_cands = broadcast_semi_join(cands_all, "doc_id", prep["train_ids"])
-    test_cands = split_cands_dataset(cands_all, prep["split_ref"],
-                                     prep["seed"], train=False)
-    return feats_for(train_cands), feats_for(test_cands), prep
+    test_cands = split_cands_dataset(
+        side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES]),
+        prep["split_ref"], prep["seed"], train=False)
+    nn, _ = blk.bkafi_nn_dataset(test_cands,
+                                 prep["index_df"][["doc_id", *features]],
+                                 features, bkafi_dim, concurrency=concurrency)
+    test = pairs.pair_features_join(
+        blk.pairs_from_nn(nn, k).select_columns(
+            ["cand_id", "index_id", "label"]), props).to_pandas() \
+        .sort_values(["cand_id", "index_id"]).reset_index(drop=True)
+    return (blocking_train_pairs(prep, features, bkafi_dim, k, concurrency),
+            test, prep)
 
 
 def seed_averaged_eval(sf_dir: str, seeds=(1, 2, 3), n_cands: int | None = None,

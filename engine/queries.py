@@ -284,10 +284,8 @@ def geo_blocking_recall_grid(sf_dir: str):
     import pandas as pd
     from engine import blocking as blk, metrics
     from engine.geometry import PROPERTY_NAMES
-    from engine.joins import broadcast_semi_join
-    from engine.pipeline import side_dataset, side_frame
+    from engine.pipeline import side_dataset, split_cands_dataset
     props, prep = _prep(sf_dir)
-    from engine.pipeline import split_cands_dataset
     cands = split_cands_dataset(
         side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES]),
         prep["split_ref"], prep["seed"], train=False).materialize()
@@ -299,7 +297,7 @@ def geo_blocking_recall_grid(sf_dir: str):
     for dim in range(1, 25):
         feats = blk.select_blocking_features(prep["importances"],
                                              prep["ratios"], dim)
-        index_df = side_frame(props, "index", ["doc_id", *feats])
+        index_df = prep["index_df"][["doc_id", *feats]]
         nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, dim,
                                      concurrency=4)
         frames.append(metrics.blocking_recall(
@@ -912,10 +910,8 @@ def geo_blocking_recall_std(sf_dir: str):
     import pandas as pd
 
     from engine import blocking as blk, metrics
-    from engine.joins import broadcast_semi_join
-    from engine.pipeline import side_dataset, side_frame
+    from engine.pipeline import side_dataset, split_cands_dataset
     props, prep = _prep(sf_dir)
-    from engine.pipeline import split_cands_dataset
     cands = split_cands_dataset(
         side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES]),
         prep["split_ref"], prep["seed"], train=False).materialize()
@@ -924,7 +920,7 @@ def geo_blocking_recall_std(sf_dir: str):
     for crit in ("feature_importance", "std"):
         feats = blk.select_blocking_features(
             prep["importances"], prep["ratios"], 6, criterion=crit)
-        index_df = side_frame(props, "index", ["doc_id", *feats])
+        index_df = prep["index_df"][["doc_id", *feats]]
         nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, 6, concurrency=4)
         rec = metrics.blocking_recall(nn.materialize(), n_inter,
                                       ks=[1, 5, 10, 20])
@@ -943,10 +939,9 @@ def geo_match_concat(sf_dir: str):
     from engine.matching import RandomForest, f1_binary
     from engine.pairs import concatenation_features_dataset
     from engine.pipeline import side_frame
-    tr, te, _ = _ttf(sf_dir)
-    props = _props(sf_dir)
-    cand_df = side_frame(props, "cands", ["doc_id", *PROPERTY_NAMES])
-    index_df = side_frame(props, "index", ["doc_id", *PROPERTY_NAMES])
+    tr, te, prep = _ttf(sf_dir)
+    cand_df = side_frame(_props(sf_dir), "cands", ["doc_id", *PROPERTY_NAMES])
+    index_df = prep["index_df"]
     cols = [f"{p}_cand" for p in PROPERTY_NAMES] + \
         [f"{p}_index" for p in PROPERTY_NAMES]
 

@@ -57,27 +57,41 @@ def dirty_blocking_split(cand_ids, index_ids, seed: int,
     return test_cands, index_keep, sorted(removed, key=int)
 
 
+def negative_draws(cand_ids: list[str], n_index: int, neg_num: int,
+                   seed: int) -> np.ndarray:
+    """Per cand, ``min(neg_num, n_index)`` distinct positions into the index
+    ids sorted by numeric id: the draws of data_partition.py:55-60, from a
+    per-cand RNG seeded by the stable hash of (seed, cand_id).  Shape
+    (len(cand_ids), min(neg_num, n_index)), int64."""
+    m = min(neg_num, n_index)
+    out = np.empty((len(cand_ids), m), dtype=np.int64)
+    for r, h in enumerate(stable_hash64(cand_ids)):
+        # modulo on the uint64 SCALAR, as the draws were defined: NumPy 1.x
+        # takes it through float64, so the array modulo gives other seeds
+        rng = np.random.default_rng(seed + int(h % 1_000_000))
+        out[r] = rng.choice(n_index, size=m, replace=False)
+    return out
+
+
 def negative_sample_pairs(cand_ids: ray.data.Dataset | list,
                           index_ids: list[str], neg_num: int,
                           seed: int) -> ray.data.Dataset:
-    """(cand_id, cand_id) positive + ``neg_num`` sampled negatives per cand,
-    labels included.  Distributed map_batches with the index id list
-    broadcast; per-row RNG seeded by stable hash (deterministic)."""
+    """(cand_id, cand_id) positive + ``neg_num`` sampled negatives per cand
+    (negative_draws), labels included.  Distributed map_batches with the
+    index id list broadcast (deterministic)."""
     index_sorted = storage.broadcast(
         np.asarray(sorted(index_ids, key=int), dtype=object))
 
     def sample(batch: pa.Table) -> pa.Table:
         idx = index_sorted()
+        cids = batch.column("cand_id").to_pylist()
         cands, indexes, labels = [], [], []
-        for cid in batch.column("cand_id").to_pylist():
+        for cid, draws in zip(cids, negative_draws(cids, len(idx), neg_num,
+                                                   seed)):
             cands.append(cid)
             indexes.append(cid)
             labels.append(1)
-            h = int(stable_hash64([cid])[0] % 1_000_000)
-            rng = np.random.default_rng(seed + h)
-            for neg in rng.choice(len(idx), size=min(neg_num, len(idx)),
-                                  replace=False):
-                nid = idx[neg]
+            for nid in idx[draws]:
                 if nid != cid:  # reference drops accidental self-pairs
                     cands.append(cid)
                     indexes.append(nid)

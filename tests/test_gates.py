@@ -153,6 +153,13 @@ def _substring(hash_grams: bool) -> list[pd.DataFrame]:
     return [out]
 
 
+def _prepare() -> list[pd.DataFrame]:
+    """Every recorded field of prep_train and prepare_state on sf0.001."""
+    from test_prepare import prepared, state_digests
+    d = state_digests(*prepared())
+    return [pd.DataFrame({"field": list(d), "digest": list(d.values())})]
+
+
 def _sf_knn() -> list[pd.DataFrame]:
     from engine.queries import geo_block_embedding
     return [geo_block_embedding(SF).to_pandas()]
@@ -201,6 +208,7 @@ CASES = {
     "substring_dup_stats-string": Case("substring_dup_stats",
                                        "MAX_BROADCAST_DUP_GRAMS",
                                        lambda: _substring(False)),
+    "train_knn": Case("train_knn", "MAX_DRIVER_KNN_CELLS", _prepare),
 }
 
 # One run on the test corpus per gate; the two gates whose route cases use
@@ -233,7 +241,7 @@ def test_gate_routes_agree(ray_session, monkeypatch, caplog, name):
 
 def test_every_gate_has_a_route_case():
     assert {c.gate for c in CASES.values()} == set(SF_RUNS)
-    assert len(SF_RUNS) == 9
+    assert len(SF_RUNS) == 10
 
 
 @pytest.mark.parametrize("gate", sorted(SF_RUNS))
