@@ -11,6 +11,10 @@ with prepared state broadcast (mirrors the reference, whose Table 3 blocking
 times also exclude training/property prep).  Training/prep wall time is
 reported separately as prepare_sec.
 
+Each query's entry under "queries" is its wall seconds; "query_memos" names
+the shared materializations (engine.queries memos) the query built ("cold")
+and the ones it reused ("warm").
+
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS (default 32),
 GEO_BENCH_CANDS (default 80000 -> 228k docs; corpus cached in /tmp across
 runs so generation never pollutes timings).
@@ -24,6 +28,14 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+
+def memo_tags(before: dict, after: dict) -> dict[str, list[str]]:
+    """The memos a query built ("cold") and the ones it only reused
+    ("warm"), from the (hits, misses) counters read around it."""
+    cold = [m for m in after if after[m][1] > before[m][1]]
+    warm = [m for m in after if after[m][0] > before[m][0] and m not in cold]
+    return {"cold": cold, "warm": warm}
 
 
 def run_bench() -> dict:
@@ -103,31 +115,31 @@ def run_bench() -> dict:
     timings["properties_sec"] = round(dt, 3)
     timings["properties_objs_per_s"] = round(nrows / dt, 1)
 
-    # operator benches over the standard sf corpus/tables
+    # operator benches over the standard sf corpus/tables, each tagged with
+    # the shared materializations (engine.queries memos) it built or reused
+    memos: dict[str, dict[str, list[str]]] = {}
     for name in ("geo_tiles", "geo_knn_spatial", "geo_pip", "q_lineitem_agg",
                  "q_events_hourly", "dedup_minhash", "sim_knn_cosine",
                  "text_tfidf", "dedup_substring", "pack_sequences",
-                 # media trio shares one render materialization
-                 # (_RENDER_CACHE): geo_render runs FIRST and pays the
-                 # corpus render pass (the work its name implies);
-                 # media_resize / multimodal_real then time their own
-                 # decode/resize/embed+nn stages over the cached bytes.
                  "geo_render", "media_resize", "multimodal_real",
                  "media_audio", "geo_block_cells", "geo_cell_hierarchy",
                  "reservoir_sample", "q_shipping_priority", "approx_distinct",
                  "media_video", "curation_pipeline", "q_events_heavy_hitters",
                  "q_events_interval", "q_events_quantiles"):
+        before = Q.memo_counts()
         t0 = time.time()
         out = Q.QUERIES[name](sf_dir)
         if hasattr(out, "count"):
             out.count()
         timings[name] = round(time.time() - t0, 3)
+        memos[name] = memo_tags(before, Q.memo_counts())
 
     return {
         "metric": "matching_pipeline_sec",
         "value": round(headline, 3),
         "unit": "sec",
         "queries": timings,
+        "query_memos": memos,
         "sf": sf_dir,
         "num_cpus": num_cpus,
         "bench_cands": n_cands,

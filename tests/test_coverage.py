@@ -200,6 +200,155 @@ def test_bkafi_std_criterion():
     assert select_blocking_features(imp, ratios, 2) == ["area", "height_diff"]
 
 
+# sha256 of each oracle's SQL text; the set of keys is the oracle-checked
+# set, and the registry adds the 14 rows-only queries of the test above
+ORACLE_SHA256 = {
+    "approx_distinct":
+        "00ba48c3135e71fd6f66b424dff8d84c50608456c986b90fd1229df5a2db29a6",
+    "corpus_sample":
+        "18e9bf765764bf4425908ab3d510a1d2fee448ae17228775c9c6cf6afbc618b2",
+    "corpus_stats":
+        "6979bf7fb7d1782880ad685321a6e0942b8935a2747cde0bb7af193058c87f10",
+    "curation_pipeline":
+        "80550ec7e4af9ca4b9da1ea165fc77272a9ba73f7e521271000a89fc4a761926",
+    "decontam":
+        "9fffd259d25992cdddc3d15b5f6b0a67527d30a7ed1144b586eaec0803a735c6",
+    "dedup_clusters":
+        "bba115a0f9d96e3b643927702a172bb1c572e93ab06bbf76e423fcfa049b2d04",
+    "dedup_embedding":
+        "6e515ed745b79048ba299d09524c5a43009c4cba0320c542ba75864091b0cdf4",
+    "dedup_exact":
+        "62550eaca4ac4b1c5a69643c80872b8143e355cc9ebdea779ac0705156d8ccca",
+    "dedup_minhash":
+        "3e7bb4409e99e89b07b6534d16cc045c4e7f15be896be01bb475a217a0159fdb",
+    "dedup_ngram":
+        "86168691811256f06205fbe74944f07cf8a1498cefcbaadbd67e0eda95758ae8",
+    "dedup_semantic":
+        "fba2a8b0ea9d4e5dd5c5bb364e13adb31bb8a5825e412c240570438b28d1c702",
+    "dedup_simhash":
+        "647abc9cbec6cf1c1bf6c79a9d004906f9836759a3e87b76568541b930dc2203",
+    "dedup_simhash_pairs":
+        "9b5f369cc219b6560b7ccf652e92ce3820ed0fcfb34b1cd64a187bfd2e742cc5",
+    "dedup_substring":
+        "59f3dc50b9a117a44f640bc9054a6f7667e85e1e7b04d4a8e19b3cca8a4ad505",
+    "geo_block_bkafi":
+        "7cefe58b3b17a27e6142545ede93a51bccfd45581e9b5d996a576229f114fb93",
+    "geo_block_cells":
+        "7f9de7a6cf5bdc6446ec12773049cd5a69571c960c08829e73eb0eb2736a5818",
+    "geo_block_centroid":
+        "2e3a8a55cf1d520c888662c4c7ab26f7dd511ba44c31d5b0399fab4b41eb6305",
+    "geo_block_embedding":
+        "df4bf0bfbc263ea24125cc72ea515371fc4800b3133873a037633710205b4eea",
+    "geo_blocking_dirty":
+        "cfbb74b1ad0e1b5b895b29c739adea809ca8a002e6f7dbc0b3ae97a792b03ce2",
+    "geo_blocking_metrics":
+        "24aab66991701b6534f8dc9a7f465c9c61983802b4c0fe46066f7eb6bbfc69ed",
+    "geo_cell_hierarchy":
+        "00a0fbd2ac5ae8c60c1a8bc70c98eafd1488baec1ca60eb2fe8208e65a8f65cb",
+    "geo_centroids":
+        "efa65e2359e3a4928465ea5d5c6ab5da133567e5d90ec50645caaed22ee46081",
+    "geo_knn_spatial":
+        "55593e571317cffc67b684ce7e31a3370090ffc23ffe5d88fbcd86c07b61d0dc",
+    "geo_pair_features":
+        "195131a19b305dcc33595e3f4ea237332aff6582cc32c9b9c48a2801f8ae25f2",
+    "geo_pip":
+        "f7e6bea1610eafcceded467e1e54c0b07aa01b248b540d2273b70f3406fb8797",
+    "geo_properties":
+        "f10e310fac0eb020969c3337310b0acd75280fd790716752b4e95ffd1a0df168",
+    "geo_properties_roofs":
+        "77921a8ccbf3d186428734bb51efc51f58bbda86c5fc7408cfc071fed278fafe",
+    "geo_range_join":
+        "10f31545ec96fe781be3101afc0529caae6cecd08446ce11d4cb09464e38f284",
+    "geo_ratio_std":
+        "87805293d427329a91eea71b346b6748e139d215f44ff7dcbdbaf68536900787",
+    "geo_recall_grid_exact":
+        "b4fb43e790cc042b839c4444aa343832a4e6671631f11f6c7b06626a27fce3b5",
+    "geo_threshold_sweep":
+        "5e1d053c0e141c9f6389109a1f559ccd268a9ed66eaa8529350c1b56b81c682e",
+    "geo_tile_stats":
+        "f0671d1132db3815d9d29a3ed8bedd4336cf5130f34ebd1f322269bb3b42ac5d",
+    "geo_tiles":
+        "583c3748a619a7a0971e49b6243fe80b77e56b5a70c88166a4008b0164700d59",
+    "inverted_index":
+        "6bc13d70c9e62e4c5b109f3a75cefdb22c472b5cc69806e90ab995b170b8f20f",
+    "lm_quality":
+        "cf23d7bd1b7267093371a8b08d9a534cd983acf35ce4b58a6ff151cb5f11961c",
+    "media_audio":
+        "f8cf20d7a18e44d50d154ec865524ac3934f2d6fe6561188b1d54fff19cd140b",
+    "media_video":
+        "e0ff02f19ae8b8627772a5e0dc146a03edc81fcee4cb9f960b39936811b4f7c1",
+    "mixture_sample":
+        "ac7c2946025b3f2eddc87c39cc7361097b10321bc0770b6924558dff66a07f6c",
+    "multimodal_features":
+        "4792b759aa141f5b8980af46548d80664594a7389d4d55b858592b36c727d177",
+    "pack_sequences":
+        "a2adfa4adf5f6b09669366585a086b71e9ff541282510bcea316940a092d9883",
+    "q_customers_bloom":
+        "9f0a093fcb2947d790ced560aeb61bb8386768ac230fc8293f2b7ea00d3db827",
+    "q_customers_with_orders":
+        "9f0a093fcb2947d790ced560aeb61bb8386768ac230fc8293f2b7ea00d3db827",
+    "q_customers_without_orders":
+        "b91fff4ba24eb89c27242f2aedb629981ae59bd365e9dad7fb8780d990d6d5d3",
+    "q_events_asof":
+        "140c9f6494c3f0e2cc22625689c67e0bbcabe2fdbde1e89d453acbfbad975fa4",
+    "q_events_heavy_hitters":
+        "d56654a4e2609a71e1f55c19c2448ab6b344fb31a174ea195908cb1d315ba5c8",
+    "q_events_hourly":
+        "af50b3b17d4ebe31fcc148c7eb333ebc0adb9b83ef04795e38fb56196753574b",
+    "q_events_interval":
+        "4fa77fb49f81745be57b130c3e06770f7b6f641ae53f45bba42c6dc3c5c2f57c",
+    "q_events_quantiles":
+        "e7835cebeffdf37c9982669029e314c25d723803cf1bd2854293f4fec75eec11",
+    "q_events_running":
+        "2b96529a59f3d2a5a92b6a7edc48f36eac2eb7fcb1673b68520e7bf087a12ca1",
+    "q_events_sessions":
+        "31810de8c5b6e4f7c7f0f0e949a0de757e544566cc66c82f9b6bcbafaec60a6b",
+    "q_events_sliding":
+        "8420c76ffbffe7b9bd7a8671913f7a921f12d1858d871bd3456c03acb31e7963",
+    "q_lineitem_agg":
+        "81fe9e85e595b62e2637ff983d50991a03a0f4b0b55b1c334b3f212fe2738496",
+    "q_orders_by_nation":
+        "213e68fb961a09f6dfc93b746d1950995632b53414bf279adc864d2e09bcc416",
+    "q_part_brand_agg":
+        "620289ef08d2afe5cb9d28898f6efe63d571d82277a20ee7e55e35a1ad6e2f3b",
+    "q_shipping_priority":
+        "691b063f3e0c9d4ed5161b73af865490f720556c175df68b44c748e4474b50b3",
+    "q_top_orders":
+        "e610a837459eeb993542d56113777aa88afbee0a113e789f129c3a97b60111e8",
+    "quality_filter":
+        "f8fcba6631cb8ede802608dca0f8dc4caefd33dfad79dfc9432939fb28598a1f",
+    "reservoir_sample":
+        "294d680bf49f09bf70e8667d2f5b3a3c46d6969bd8a14fe836f6bb4da62e2ab5",
+    "sim_knn_cosine":
+        "70e5c38dc60644fe96717ad06df534a1c01dfc89d2a2eb7216c758efdf0cc2b7",
+    "sim_knn_lsh":
+        "2bb4be9ba96429a68b587e92a80e16f55fc3db13c9b7716b23682dfdd9036905",
+    "text_fingerprint":
+        "e95cdc7e9ce79c3a5a5b9ea7cc1c46cc4afc834c73b11b29e720ad0c4c668668",
+    "text_langid":
+        "0874c03e52be396472fafd65e9be479f060ec64f462af1cdc4d63a89a64cd1e4",
+    "text_pii_scrub":
+        "f94353a130708e984d9cdad1a1f2f1b7550108a609834ccb3f51d86ad81cf048",
+    "text_repetition":
+        "15580917a6b963582d4926d179d81cb8a5b2d8d5d7df0e28aaaab34884d6c05d",
+    "text_stats":
+        "260ed7111130c064ecb0b402741c07dbac44659957ab275ca6208a4d08c02577",
+    "text_tfidf":
+        "e7568d4953a7e8f81185ac53b387beddadf9e0ee405d39dca69b99c43d62626c",
+    "text_tokens":
+        "ab92a70d1c470107f75b62d78af4c2dde2e7481cab6a9a618dc385b881cb884b",
+    "vocab_merge_pairs":
+        "8d21aa0dd0734ac1efa4141ef860b805239bb4dc9b2467439798516931da8207",
+}
+ROWS_ONLY = {
+    "contamination_retrain", "contrastive_matching",
+    "geo_blocking_recall_grid", "geo_blocking_recall_std",
+    "geo_contamination", "geo_match", "geo_match_concat",
+    "geo_properties_all", "geo_render", "matching_models_eval",
+    "media_frames", "media_resize", "multimodal_real", "sim_knn_ivf",
+}
+
+
 def test_query_oracle_registry_consistency():
     """Every oracle_sql key names a registered query; every query is
     callable; the driver-facing registries stay in sync."""
@@ -216,10 +365,42 @@ def test_query_oracle_registry_consistency():
                for s in osql.values())
     # the declared rows-only set stays the documented one
     rows_only = set(qs) - set(osql)
-    assert rows_only <= {
-        "contamination_retrain", "contrastive_matching",
-        "geo_blocking_recall_grid", "geo_blocking_recall_std",
-        "geo_contamination", "geo_match", "geo_match_concat",
-        "geo_properties_all", "geo_render", "matching_models_eval",
-        "media_frames", "media_resize", "multimodal_real", "sim_knn_ivf",
-    }, rows_only - {"..."}
+    assert rows_only <= ROWS_ONLY, rows_only - ROWS_ONLY
+    # the plans rewritten late in r05 open the sweep: the external
+    # correctness driver records only the first ~50 entries per round
+    first = list(qs)[:50]
+    assert {"text_tfidf", "geo_knn_spatial", "dedup_substring",
+            "dedup_ngram", "media_resize", "q_shipping_priority"} <= set(first)
+
+
+def test_query_registry_is_pinned():
+    """The 82 registered names and each of the 68 oracle SQL texts stay as
+    they are: a registry refactor may reorder entries but not drop, add,
+    rename or re-point one."""
+    import hashlib
+
+    from engine import queries
+    osql = queries.oracle_sql()
+    assert len(queries.QUERIES) == 82
+    assert set(queries.QUERIES) == set(ORACLE_SHA256) | ROWS_ONLY
+    assert {k: hashlib.sha256(v.encode()).hexdigest()
+            for k, v in osql.items()} == ORACLE_SHA256
+
+
+def test_memo_builds_once_per_sf_and_counts():
+    """A query memo builds its value once per sf dir and counts every call
+    as a hit or a miss (bench.py's cold/warm tags read these counts)."""
+    from engine import queries
+    built = []
+
+    @queries._Memo
+    def _probe(sf_dir):
+        built.append(sf_dir)
+        return len(built)
+
+    try:
+        assert [_probe("a"), _probe("a"), _probe("b")] == [1, 1, 2]
+        assert built == ["a", "b"]
+        assert queries.memo_counts()["probe"] == (1, 2)
+    finally:
+        queries._Memo.registry.pop("probe")

@@ -312,6 +312,21 @@ def test_budgets_and_bound_checks_live_only_in_gates():
     assert not bad, bad
 
 
+def test_queries_share_inputs_only_through_the_memo():
+    """engine/queries.py declares no module-level dict but its QUERIES
+    registry (a shared input is a ``_Memo``, which counts its hits), and it
+    picks a side only through pipeline.side_dataset or _flat_side: the
+    hand-rolled memo dicts and inline source filters stay gone."""
+    src = (pathlib.Path(__file__).resolve().parents[1] / "engine"
+           / "queries.py").read_text()
+    dicts = re.findall(r"^(\w+)\s*(?::[^=\n]*)?=\s*(?:\{\}|\w*[dD]ict\()",
+                       src, re.M)
+    assert dicts == ["QUERIES"], dicts
+    filters = re.findall(r"equal\(\s*[\w.]+\.column\(\s*[\"']source[\"']",
+                         src)
+    assert not filters, filters
+
+
 def test_worker_state_goes_only_through_broadcast():
     """Map UDFs read driver-side state through ``storage.broadcast`` alone:
     no engine module but storage.py calls ``ray.get``, except the shard

@@ -2,6 +2,8 @@
 contamination retraining experiment (reference classifier.py:43-54,106-176 and
 contamination_experiments.py:137-161)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,42 @@ def test_contamination_retrain_degrades_or_holds(ray_session):
     # beyond noise (the reference reports degradation)
     assert worst <= clean + 0.01
     assert (df.f1_delta_vs_clean.iloc[0] == 0.0)
+
+
+def test_geo_contamination_ignores_a_stale_disk_state(ray_session):
+    """geo_contamination builds its prepared state from the shared property
+    table and preparatory pass, never from the pickled state cache: a state
+    prepared with another seed, planted under this query's cache file name,
+    leaves its output unchanged."""
+    import pickle
+
+    from engine import queries
+    from engine.pipeline import STATE_VERSION, prep_train, prepare_state
+
+    def rows(ds):
+        return ds.to_pandas().sort_values(["cand_id", "index_id"]) \
+            .reset_index(drop=True)
+
+    clean = rows(queries.geo_contamination(SF))
+    props = queries._props(SF)
+    planted = prepare_state(SF, seed=2, bkafi_dim=6, k=5, props=props,
+                            prep=prep_train(props, seed=2))
+    path = (f"/tmp/ray_geo_state/{STATE_VERSION}_"
+            f"{os.path.basename(SF)}_nNone_s1_d6_k5_g2_l0.pkl")
+    before = open(path, "rb").read() if os.path.exists(path) else None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as f:
+            pickle.dump(planted, f)
+        queries._state.cache.pop(SF, None)
+        again = rows(queries.geo_contamination(SF))
+    finally:
+        if before is None:
+            os.remove(path)
+        else:
+            with open(path, "wb") as f:
+                f.write(before)
+    assert again.equals(clean)
 
 
 def test_png_codec_round_trip(ray_session):
