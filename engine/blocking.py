@@ -426,6 +426,16 @@ def kabsch_transform(source: np.ndarray, target: np.ndarray) -> np.ndarray:
 # Blocker registry — the reference's name -> method dispatch (blocking.py:47-56)
 # ---------------------------------------------------------------------------
 
+def inner_products(cv: np.ndarray, iv: np.ndarray) -> np.ndarray:
+    """(len(cv), len(iv)) dot products of the rows of cv with the rows of
+    iv, by numpy's own einsum loop (``optimize=False`` keeps BLAS out):
+    each output is one accumulation over its two rows in a fixed order, so
+    a score depends only on its two vectors.  A BLAS GEMM (``cv @ iv.T``)
+    rounds a row by where it sits in its tile, and cand rows reach a batch
+    in completion order.  About 2x a GEMM's time on one core."""
+    return np.einsum("id,jd->ij", cv, iv, optimize=False)
+
+
 def embedding_nn_dataset(cand_emb: ray.data.Dataset, index_emb: pd.DataFrame,
                          nn_param: int = NN_PARAM,
                          exact: bool = False,
@@ -457,7 +467,7 @@ def embedding_nn_dataset(cand_emb: ray.data.Dataset, index_emb: pd.DataFrame,
     def topk(batch: pa.Table) -> pa.Table:
         iv_, ids_, num_, inorm_ = side()
         cv = list_column_matrix(batch.column(feat_col))
-        sim = cv @ iv_.T
+        sim = inner_products(cv, iv_)
         if exact:
             cnorm = batch.column("norm").to_numpy(zero_copy_only=False)
             sim = sim / (cnorm[:, None] * inorm_[None, :])
@@ -544,7 +554,7 @@ def embedding_nn_sharded(cand_emb: ray.data.Dataset,
             # a plain get, not storage.broadcast: a worker holds one shard
             # at a time, and memoizing the shards would hold them all
             iv_, ids_, num_, inorm_ = ray.get(ref)
-            sim = cv @ iv_.T
+            sim = inner_products(cv, iv_)
             if exact:
                 sim = sim / (cnorm[:, None] * inorm_[None, :])
             all_s = np.concatenate([best_s, sim], axis=1)

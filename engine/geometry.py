@@ -14,8 +14,10 @@ Property semantics replicate the reference's ObjectPropertiesProcessor
   exactly as pipelines.py:137-139; centroid is their mean (pipelines.py:132-135).
 
 Batch kernel.  Properties are computed for a batch of objects at once, never
-one object at a time: ``Meshes`` holds every surface vertex of the batch in
-one flat float64 table with surface and object offsets, vertex dedup is one
+one object at a time: the batch's geom payloads are read by one pyarrow.json
+call (``parse_geom_payloads``), and ``Meshes`` holds every surface vertex of
+the batch in one flat float64 table with surface and object offsets, taken
+from the list offsets and values of that read.  Vertex dedup is one
 lexsort over (object, x, y, z), and every property is a vectorized pass over
 the flat tables — segment reductions, one flat triangle-fan table, stacked
 ``np.cov``/``np.linalg.eigh``, one lockstep quickhull for the 3D hulls of
@@ -58,11 +60,13 @@ the bits of the former one-object-at-a-time kernel:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.json as pj
 
 # Canonical property order — mirrors config.Features.object_properties
 # (/root/reference/config.py:44-49).
@@ -83,18 +87,6 @@ MIN_SURFACES_NUM = 10  # reference pipelines.py:17
 # zero.  On the 1/64 grid of the corpora a nonzero distance is at least
 # 64^-3, far above it, so dyadic inputs are decided exactly.
 HULL_TOL = 16.0 * np.finfo(np.float64).eps
-
-
-def parse_geom_payload(text: str):
-    """Parse a geom-span JSON payload -> (origin ndarray(2,), surfaces list of
-    ndarray(n,3)).  Returns None if the payload has < MIN_SURFACES_NUM surfaces
-    (the reference drops those objects, pipelines.py:144-145)."""
-    obj = json.loads(text)
-    surfaces = obj["surfaces"]
-    if len(surfaces) < MIN_SURFACES_NUM:
-        return None
-    origin = np.asarray(obj.get("origin", [0.0, 0.0]), dtype=np.float64)
-    return origin, [np.asarray(s, dtype=np.float64) for s in surfaces]
 
 
 def unique_vertices(surfaces: list[np.ndarray]) -> np.ndarray:
@@ -123,8 +115,8 @@ class Meshes:
     @classmethod
     def from_surfaces(cls, objects) -> "Meshes":
         """``objects``: an iterable over objects, each a sequence of surfaces
-        of [x, y, z] vertices (parsed JSON lists or (n, 3) arrays).  Each
-        object is flattened as soon as it is drawn."""
+        of [x, y, z] vertices (nested lists or (n, 3) arrays).  Each object
+        is flattened as soon as it is drawn."""
         flat = itertools.chain.from_iterable
         coords, surf_len, obj_surf = [np.zeros(0)], [], []
         for surfaces in objects:
@@ -135,27 +127,145 @@ class Meshes:
                                       count=3 * sum(lens)))
         return cls(np.concatenate(coords), surf_len, obj_surf)
 
+    def objects(self) -> list:
+        """Each object's surfaces, as (n, 3) arrays (views of one table)."""
+        xyz = np.column_stack([self.x, self.y, self.z])
+        surfaces = np.split(xyz, np.cumsum(self.surf_len)[:-1])
+        ends = np.cumsum(self.obj_surf).tolist()
+        return [surfaces[e - c:e]
+                for c, e in zip(self.obj_surf.tolist(), ends)]
 
-def parse_geom_payloads(texts):
+
+# The geom payload grammar: one JSON object per payload, whose "surfaces" is
+# a list of surfaces, each a list of [x, y, z] vertices, and whose optional
+# "origin" is [x0, y0] (absent or null: [0, 0]).  Numbers may be integers or
+# floats in any JSON form; other keys are ignored, but must hold JSON whose
+# numbers fit a double.
+GEOM_SCHEMA = pa.schema([
+    ("origin", pa.list_(pa.float64())),
+    ("surfaces", pa.list_(pa.list_(pa.list_(pa.float64())))),
+])
+_GEOM_PARSE = pj.ParseOptions(explicit_schema=GEOM_SCHEMA,
+                              newlines_in_values=True,
+                              unexpected_field_behavior="ignore")
+
+
+def parse_geom_payload(text: str):
+    """Parse one geom-span JSON payload -> (origin ndarray(2,), surfaces list
+    of ndarray(n,3)): parse_geom_payloads on a batch of one.  Returns None if
+    the payload has < MIN_SURFACES_NUM surfaces (the reference drops those
+    objects, pipelines.py:144-145)."""
+    keep, origin, m = parse_geom_payloads([text])
+    return (origin[0], m.objects()[0]) if len(keep) else None
+
+
+def _read_payloads(texts: pa.Array, ids) -> pa.Table:
+    """One pyarrow.json read over the payloads joined by newlines, one row
+    per payload.  A payload it cannot read is found by reading each alone
+    and raises ValueError naming its doc."""
+    if texts.null_count:
+        _reject(ids, int(np.argmax(texts.is_null().to_numpy(
+            zero_copy_only=False))), "the payload is null")
+    joined = pc.binary_join(pa.ListArray.from_arrays(
+        pa.array([0, len(texts)], type=pa.int32()), texts), "\n")[0]
+    try:
+        table = _read_json(joined.as_buffer())
+        if table.num_rows == len(texts):
+            return table
+    except pa.ArrowInvalid:
+        pass
+    for i, text in enumerate(texts.to_pylist()):
+        try:
+            rows = _read_json(pa.py_buffer(text.encode())).num_rows
+            what = f"{rows} JSON objects, not one"
+        except pa.ArrowInvalid as e:
+            rows, what = 0, str(e)
+        if rows != 1:
+            _reject(ids, i, what)
+    raise AssertionError("every geom payload reads alone but not together")
+
+
+def _read_json(buf: pa.Buffer) -> pa.Table:
+    """Read in one block (an object may not straddle two) on this thread."""
+    return pj.read_json(pa.BufferReader(buf), parse_options=_GEOM_PARSE,
+                        read_options=pj.ReadOptions(
+                            use_threads=False,
+                            block_size=max(buf.size + 1, 1 << 16)))
+
+
+def _reject(ids, i: int, what: str):
+    doc = ids[i] if ids is not None else f"#{i}"
+    raise ValueError(f"malformed geom payload of doc {doc}: {what}")
+
+
+def parse_geom_payloads(texts, ids=None):
     """Parse a batch of geom-span payloads -> (positions of the kept
     payloads, (n, 2) origins, Meshes).  Payloads with < MIN_SURFACES_NUM
-    surfaces are dropped, as in parse_geom_payload.  Payloads are parsed
-    one at a time as the flat table is built, so the parsed JSON trees never
-    pile up for the garbage collector to scan."""
-    keep, origins = [], []
+    surfaces are dropped, as in parse_geom_payload.
 
-    def kept():
-        for i, text in enumerate(texts):
-            obj = json.loads(text)
-            if len(obj["surfaces"]) < MIN_SURFACES_NUM:
-                continue
-            keep.append(i)
-            origins.append(obj.get("origin", [0.0, 0.0]))
-            yield obj["surfaces"]
+    ``texts`` is a list of str or an Arrow string array; ``ids`` (optional,
+    indexable like ``texts``) names the docs in errors.  The payloads are
+    read by one pyarrow.json call, and the flat tables are the list offsets
+    and values it returns: no Python object is made per coordinate.  A
+    payload is rejected with ValueError naming its doc when it is not one
+    JSON object of the grammar above, lacks ``surfaces``, has a null in
+    place of a surface, vertex or number, a vertex without exactly 3 numbers,
+    an origin without exactly 2, or a number that is not finite.  Unlike
+    ``json.loads``, the token ``-0`` reads as -0.0."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    elif not isinstance(texts, pa.Array):
+        texts = pa.array(texts, type=pa.string())
+    if not len(texts):
+        return (np.zeros(0, dtype=np.int64), np.zeros((0, 2)),
+                Meshes(np.zeros(0), [], []))
+    table = _read_payloads(texts, ids)
+    # one block, so one chunk: no copy (combine_chunks copies even one)
+    origin, surfaces = (col.chunk(0) if col.num_chunks == 1
+                        else col.combine_chunks()
+                        for col in (table.column("origin"),
+                                    table.column("surfaces")))
+    surf = surfaces.flatten()
+    verts = surf.flatten()
+    coords = verts.flatten()
+    xyz = coords.to_numpy(zero_copy_only=False)
+    xy0 = origin.flatten().to_numpy(zero_copy_only=False)
+    vlen = np.diff(np.asarray(verts.offsets))
+    olen = origin.value_lengths().fill_null(2).to_numpy()   # null: [0, 0]
+    null = [a.null_count for a in (surfaces, surf, verts, coords)]
+    if any(null) or (vlen != 3).any() or (olen != 2).any() \
+            or not np.isfinite(xyz).all() or not np.isfinite(xy0).all():
+        _locate(surfaces, origin, ids)
+    obj_surf = surfaces.value_lengths().to_numpy()
+    surf_len = np.diff(np.asarray(surf.offsets))
+    keep = obj_surf >= MIN_SURFACES_NUM
+    if not keep.all():
+        row_keep = np.repeat(keep, obj_surf)
+        xyz = xyz.reshape(-1, 3)[np.repeat(row_keep, surf_len)]
+        surf_len, obj_surf = surf_len[row_keep], obj_surf[keep]
+    origins = np.zeros((len(keep), 2))
+    origins[origin.is_valid().to_numpy(zero_copy_only=False)] = \
+        xy0.reshape(-1, 2)
+    return (np.flatnonzero(keep), origins[keep],
+            Meshes(xyz, surf_len, obj_surf))
 
-    meshes = Meshes.from_surfaces(kept())
-    return (np.asarray(keep, dtype=np.int64),
-            np.asarray(origins, dtype=np.float64).reshape(-1, 2), meshes)
+
+def _locate(surfaces: pa.ListArray, origin: pa.ListArray, ids):
+    """Raise ValueError for the first payload that breaks the grammar."""
+    for i, (o, s) in enumerate(zip(origin.to_pylist(), surfaces.to_pylist())):
+        if s is None:
+            _reject(ids, i, "no surfaces")
+        if o is not None and (len(o) != 2 or None in o
+                              or not np.isfinite(o).all()):
+            _reject(ids, i, f"origin {o} is not 2 finite numbers")
+        for surface in s:
+            if surface is None:
+                _reject(ids, i, "a surface is null")
+            for v in surface:
+                if v is None or len(v) != 3 or None in v \
+                        or not np.isfinite(v).all():
+                    _reject(ids, i, f"vertex {v} is not 3 finite numbers")
+    raise AssertionError("no malformed geom payload found")
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +485,13 @@ def convex_hull_3d_volume(points: np.ndarray) -> float:
     return float(_hull_volumes(pts, np.array([len(pts)]))[0][0])
 
 
+def _heads(v: np.ndarray) -> np.ndarray:
+    """Positions where a sorted array's value changes, and 0."""
+    new = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return new.nonzero()[0]
+
+
 def _quickhulls(P: np.ndarray, cnt: np.ndarray):
     """Quickhull on k objects in lockstep.  P (k, m, 3) holds each object's
     points, padded past its cnt real ones with repeats of its last point
@@ -435,35 +552,43 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
     h = h[r, i3]
     ok = np.abs(h) > eps
 
-    def plane(fo, a, b, c):
-        """Normal (b - a) x (c - a) and offset of faces (a, b, c)."""
+    def faces(fo, a, b, c):
+        """New faces (a, b, c) of objects fo: normal (b - a) x (c - a),
+        offset, signed distance of every point of the object and its far
+        point.  Returns the open faces (a point beyond the tolerance) as
+        rows (object, a, b, c, far point) and (normal, offset, tolerance).
+        A closed face has every point behind it, so no later far point sees
+        it: it is final, and goes to ``closed`` with the points near it if
+        it is a side face."""
         ax, ay, az = gx[a], gy[a], gz[a]
         ux, uy, uz = gx[b] - ax, gy[b] - ay, gz[b] - az
         vx, vy, vz = gx[c] - ax, gy[c] - ay, gz[c] - az
         nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-        return fo, a, b, c, nx, ny, nz, ax * nx + ay * ny + az * nz
-
-    def faces(fo, a, b, c, nx, ny, nz, off):
-        """Face rows (object, a, b, c, far point) and (normal, offset,
-        far distance, tolerance) of the open faces (a point beyond).  A
-        closed face has every point behind it, so no later far point sees
-        it: it is final, and goes to ``closed`` with the points near it if
-        it is a side face."""
-        d = (X[fo] * nx[:, None] + Y[fo] * ny[:, None] + Z[fo] * nz[:, None]
-             - off[:, None])
+        off = ax * nx + ay * ny + az * nz
+        # d = X nx + Y ny + Z nz - off, term by term in place
+        d = np.take(X, fo, axis=0)
+        d *= nx[:, None]
+        t = np.take(Y, fo, axis=0)
+        t *= ny[:, None]
+        d += t
+        np.take(Z, fo, axis=0, out=t)
+        t *= nz[:, None]
+        d += t
+        d -= off[:, None]
         # padding repeats a real point and never wins the argmax over it; a
         # hull vertex that wins it, beyond the tolerance, means the surface
         # is not convex there: a tolerance call near coplanar points went
         # wrong
         j = d.argmax(axis=1)
         far_d = d[np.arange(len(j)), j]
-        bad[fo[added[fo, j] & (far_d > eps[fo])]] = True
+        tol = eps[fo]
+        bad[fo[added[fo, j] & (far_d > tol)]] = True
         F = np.array([fo, a, b, c, fo * m + j]).T
-        R = np.array([nx, ny, nz, off, far_d, eps[fo]]).T
-        shut = R[:, 4] <= R[:, 5]
+        shut = far_d <= tol
         side = shut & ((nx != 0.0) | (ny != 0.0))
-        closed.append((F[shut, :4], fo[side], d[side] > -R[side, 5, None]))
-        return F[~shut], R[~shut]
+        closed.append((F[shut, :4], fo[side], d[side] > -tol[side, None]))
+        o = ~shut
+        return F[o], np.array([nx, ny, nz, off, tol]).T[o]
 
     # the simplex's four faces, wound (by the sign of h) so that their
     # normals point outward
@@ -473,22 +598,24 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
                          i3])[ok] + (np.flatnonzero(ok) * m)[:, None]
     added = np.zeros((k, m), dtype=bool)
     added.ravel()[s.ravel()] = True
-    fo = np.repeat(np.flatnonzero(ok), 4)
     tri = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
     a, b, c = s[:, tri].reshape(-1, 3).T
-    F, R = faces(*plane(fo, a, b, c))
+    F, R = faces(np.repeat(np.flatnonzero(ok), 4), a, b, c)
 
     for _ in range(int(cnt.max()) - 4):
         if len(F) == 0:
             break
-        fo = F[:, 0]
-        objs, first = np.unique(fo, return_index=True)
+        # each object's first open face in table order
+        n = len(F)
+        first = np.full(k, n)
+        np.minimum.at(first, F[:, 0], np.arange(n))
+        objs = np.flatnonzero(first < n)
         far = np.zeros(k, dtype=np.int64)
-        far[objs] = F[first, 4]
+        far[objs] = F[first[objs], 4]
         added.ravel()[far[objs]] = True
-        p = far[fo]
-        seen = np.flatnonzero(gx[p] * R[:, 0] + gy[p] * R[:, 1]
-                              + gz[p] * R[:, 2] - R[:, 3] > R[:, 5])
+        p = far[F[:, 0]]
+        seen = (gx[p] * R[:, 0] + gy[p] * R[:, 1] + gz[p] * R[:, 2]
+                - R[:, 3] > R[:, 4])
         # directed edges a-b, b-c, c-a of the seen faces; the horizon is
         # what is left when each cancels its reverse.  On a manifold that is
         # the edges a seen face shares with an unseen one; where rounding
@@ -496,20 +623,23 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
         # edge of the surface matched by its reverse
         V = F[seen]
         e0, e1 = V[:, 1:4].ravel(), V[:, [2, 3, 1]].ravel()
-        key, inv = np.unique(np.minimum(e0, e1) * (k * m) + np.maximum(e0, e1),
-                             return_inverse=True)
-        net = np.bincount(inv, weights=np.where(e0 < e1, 1.0, -1.0),
-                          minlength=len(key))
-        lo, hi = key // (k * m), key % (k * m)
-        rep = np.abs(net).astype(np.int64)
+        key = np.minimum(e0, e1) * (k * m) + np.maximum(e0, e1)
+        order = key.argsort()
+        key = key[order]
+        heads = _heads(key)
+        net = np.add.reduceat((e0 < e1)[order] * 2 - 1, heads)
+        lo, hi = np.divmod(key[heads], k * m)
+        rep = np.abs(net)
         a = np.repeat(np.where(net > 0, lo, hi), rep)
         b = np.repeat(np.where(net > 0, hi, lo), rep)
         fo = a // m
-        Fn, Rn = faces(*plane(fo, a, b, far[fo]))
-        F = np.concatenate([np.delete(F, seen, axis=0), Fn])
-        R = np.concatenate([np.delete(R, seen, axis=0), Rn])
+        Fn, Rn = faces(fo, a, b, far[fo])
+        keep = ~seen
         if bad.any():
-            F, R = F[~bad[F[:, 0]]], R[~bad[F[:, 0]]]
+            keep &= ~bad[F[:, 0]]
+            Fn, Rn = Fn[~bad[Fn[:, 0]]], Rn[~bad[Fn[:, 0]]]
+        F = np.concatenate([F[keep], Fn])
+        R = np.concatenate([R[keep], Rn])
     bad[F[:, 0]] = True
     if exact and bad.any():
         raise RuntimeError(
@@ -535,11 +665,10 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
     fs = np.concatenate([f for _, f, _ in closed])
     order = np.argsort(fs, kind="stable")
     order = order[~bad[fs[order]]]
-    fs = fs[order]
-    heads = np.flatnonzero(np.r_[True, fs[1:] != fs[:-1]])
     near = ~ok[:, None].repeat(m, axis=1)
-    if len(fs):
-        near[fs[heads]] = np.logical_or.reduceat(
+    if len(order):
+        heads = _heads(fs[order])
+        near[fs[order][heads]] = np.logical_or.reduceat(
             np.concatenate([d for _, _, d in closed])[order], heads, axis=0)
     count = np.bincount(fo, minlength=k)
     if bad.any():

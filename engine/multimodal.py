@@ -17,7 +17,7 @@ import pyarrow as pa
 import ray.data
 
 from engine import storage
-from engine.render import encode_png_gray, pool_width, render_doc_png
+from engine.render import encode_png_gray, pool_width, render_doc_pngs
 
 FEATURE_DIM = 8
 
@@ -186,10 +186,9 @@ class PatchEmbedActor:
                 srcs.append(so)
                 feats.append(self._embed(img).tolist())
         else:
-            for d, so, spans in zip(batch.column("doc_id").to_pylist(),
-                                    sources,
-                                    batch.column("spans").to_pylist()):
-                png = render_doc_png(spans, self.size)
+            doc_ids = batch.column("doc_id").to_pylist()
+            for d, so, png in zip(doc_ids, sources, render_doc_pngs(
+                    batch.column("spans").to_pylist(), self.size, doc_ids)):
                 if png is None:
                     continue
                 img = decode_png_gray(png)
@@ -249,10 +248,9 @@ class MediaResizeActor:
             rows = zip(batch.column("doc_id").to_pylist(), sources,
                        batch.column("png").to_pylist())
         else:
-            rows = ((d, so, render_doc_png(spans, self.in_size))
-                    for d, so, spans in
-                    zip(batch.column("doc_id").to_pylist(), sources,
-                        batch.column("spans").to_pylist()))
+            doc_ids = batch.column("doc_id").to_pylist()
+            rows = zip(doc_ids, sources, render_doc_pngs(
+                batch.column("spans").to_pylist(), self.in_size, doc_ids))
         for d, so, png in rows:
             if png is None:
                 continue

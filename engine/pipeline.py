@@ -338,6 +338,32 @@ def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
     }
 
 
+STATE_CACHE_DIR = "/tmp/ray_geo_state"
+
+
+def state_cache_path(sf_dir: str, n_cands, seed, bkafi_dim, k, neg_num,
+                     log_transform) -> str:
+    """The pickle ``prepare_state(cache=True)`` reads and writes.  Its name
+    holds STATE_VERSION (bumped when the engine's semantics change), the
+    parameters and a digest of the absolute sf path and of each of its
+    files' name, size and mtime: another directory with the same basename,
+    or an edited corpus file, gets another state."""
+    import hashlib
+    import os
+    sf = os.path.abspath(sf_dir)
+    h = hashlib.sha256(sf.encode())
+    paths = [os.path.join(sf, n) for n in sorted(os.listdir(sf))] \
+        if os.path.isdir(sf) else [sf]
+    for path in filter(os.path.isfile, paths):
+        st = os.stat(path)
+        h.update(f"\0{os.path.basename(path)}\0{st.st_size}"
+                 f"\0{st.st_mtime_ns}".encode())
+    tag = (f"{STATE_VERSION}_{os.path.basename(sf)}_{h.hexdigest()[:16]}"
+           f"_n{n_cands}_s{seed}_d{bkafi_dim}_k{k}_g{neg_num}"
+           f"_l{int(log_transform)}")
+    return os.path.join(STATE_CACHE_DIR, f"{tag}.pkl")
+
+
 def prepare_state(sf_dir: str, n_cands: int | None = None, seed: int = 1,
                   bkafi_dim: int = 6, k: int = 5, neg_num: int = 2,
                   concurrency: int = 8, cache: bool = False,
@@ -357,11 +383,8 @@ def prepare_state(sf_dir: str, n_cands: int | None = None, seed: int = 1,
     import pickle
     cache_path = None
     if cache:
-        # STATE_VERSION invalidates caches across engine-semantics changes
-        tag = (f"{STATE_VERSION}_{os.path.basename(os.path.normpath(sf_dir))}"
-               f"_n{n_cands}"
-               f"_s{seed}_d{bkafi_dim}_k{k}_g{neg_num}_l{int(log_transform)}")
-        cache_path = f"/tmp/ray_geo_state/{tag}.pkl"
+        cache_path = state_cache_path(sf_dir, n_cands, seed, bkafi_dim, k,
+                                      neg_num, log_transform)
         if os.path.exists(cache_path):
             with open(cache_path, "rb") as f:
                 return pickle.load(f)

@@ -24,7 +24,7 @@ import pyarrow as pa
 import ray.data
 
 from engine import storage
-from engine.geometry import parse_geom_payload, unique_vertices
+from engine.geometry import parse_geom_payloads, unique_vertices
 
 
 def _project_iso(verts: np.ndarray) -> np.ndarray:
@@ -79,19 +79,24 @@ def encode_png_gray(img: np.ndarray) -> bytes:
             + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
 
 
-def render_doc_png(spans: list[dict], size: int = 64) -> bytes | None:
-    """Render the document's geom span to PNG bytes (None when no geometry
-    survives the min-surface filter — mirroring the reference skipping
-    unreadable objects)."""
-    for s in spans:
-        if s.get("kind") != "geom":
-            continue
-        parsed = parse_geom_payload(s["text"])
-        if parsed is None:
-            return None
-        _, surfaces = parsed
-        return encode_png_gray(rasterize_wireframe(surfaces, size))
-    return None
+def render_doc_pngs(docs_spans: list, size: int = 64, ids=None) -> list:
+    """Render each document's first geom span to PNG bytes (None when no
+    geometry survives the min-surface filter — mirroring the reference
+    skipping unreadable objects).  The payloads of the batch are parsed in
+    one call; ``ids`` names the documents in parse errors."""
+    rows, texts = [], []
+    for i, spans in enumerate(docs_spans):
+        text = next((s["text"] for s in spans if s.get("kind") == "geom"),
+                    None)
+        if text is not None:
+            rows.append(i)
+            texts.append(text)
+    keep, _, meshes = parse_geom_payloads(
+        texts, None if ids is None else [ids[i] for i in rows])
+    pngs = [None] * len(docs_spans)
+    for j, surfaces in zip(keep.tolist(), meshes.objects()):
+        pngs[rows[j]] = encode_png_gray(rasterize_wireframe(surfaces, size))
+    return pngs
 
 
 class RenderActor:
@@ -105,10 +110,10 @@ class RenderActor:
         has_source = "source" in batch.column_names
         sources = batch.column("source").to_pylist() if has_source \
             else [""] * batch.num_rows
+        doc_ids = batch.column("doc_id").to_pylist()
         ids, srcs, pngs = [], [], []
-        for d, so, spans in zip(batch.column("doc_id").to_pylist(), sources,
-                                batch.column("spans").to_pylist()):
-            png = render_doc_png(spans, self.size)
+        for d, so, png in zip(doc_ids, sources, render_doc_pngs(
+                batch.column("spans").to_pylist(), self.size, doc_ids)):
             if png is None:
                 continue
             ids.append(d)

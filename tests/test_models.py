@@ -196,7 +196,7 @@ def test_geo_contamination_ignores_a_stale_disk_state(ray_session):
     import pickle
 
     from engine import queries
-    from engine.pipeline import STATE_VERSION, prep_train, prepare_state
+    from engine.pipeline import prep_train, prepare_state, state_cache_path
 
     def rows(ds):
         return ds.to_pandas().sort_values(["cand_id", "index_id"]) \
@@ -206,8 +206,7 @@ def test_geo_contamination_ignores_a_stale_disk_state(ray_session):
     props = queries._props(SF)
     planted = prepare_state(SF, seed=2, bkafi_dim=6, k=5, props=props,
                             prep=prep_train(props, seed=2))
-    path = (f"/tmp/ray_geo_state/{STATE_VERSION}_"
-            f"{os.path.basename(SF)}_nNone_s1_d6_k5_g2_l0.pkl")
+    path = state_cache_path(SF, None, 1, 6, 5, 2, False)
     before = open(path, "rb").read() if os.path.exists(path) else None
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -251,6 +250,41 @@ def test_multimodal_real_planted_recall(ray_session):
     again = multimodal_real(SF).to_pandas()
     assert nn.sort_values(["cand_id", "rank"]).reset_index(drop=True).equals(
         again.sort_values(["cand_id", "rank"]).reset_index(drop=True))
+
+
+def test_embedding_scores_independent_of_cand_order(ray_session):
+    """multimodal_real's cosine scores do not depend on which batch, or
+    where in it, a cand row arrives: shuffling the cand rows gives the same
+    score bits on both index routes, and so does scoring them in shuffled
+    97-row batches (where a BLAS GEMM, ``cv @ iv.T``, changes 7 of the 500
+    rows in the last bits)."""
+    from engine import blocking as blk
+    from engine import multimodal, queries
+    from engine.pipeline import side_dataset
+    emb = multimodal.patch_embeddings(queries._render(SF)).materialize()
+    cands, index = side_dataset(emb, "cands"), side_dataset(emb, "index")
+
+    def rows(ds):
+        return ds.to_pandas().sort_values(["cand_id", "rank"]) \
+            .reset_index(drop=True)
+
+    base = rows(blk.embedding_nn_auto(cands, index, nn_param=5))
+    shuffled = cands.random_shuffle(seed=1)
+    for out in (blk.embedding_nn_auto(shuffled, index, nn_param=5),
+                blk.embedding_nn_sharded(shuffled, index, nn_param=5,
+                                         shard_rows=97)):
+        got = rows(out)
+        assert got[["cand_id", "index_id", "rank"]].equals(
+            base[["cand_id", "index_id", "rank"]])
+        assert np.array_equal(got.score.to_numpy().view(np.uint64),
+                              base.score.to_numpy().view(np.uint64))
+    cv, iv = (np.array(ds.to_pandas().feature.tolist())
+              for ds in (cands, index))
+    perm = np.random.default_rng(1).permutation(len(cv))
+    whole = blk.inner_products(cv, iv)[perm]
+    parts = np.concatenate([blk.inner_products(cv[perm][i:i + 97], iv)
+                            for i in range(0, len(cv), 97)])
+    assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
 
 def test_media_resize_and_frame_sample(ray_session):

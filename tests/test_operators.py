@@ -224,10 +224,9 @@ def test_png_render_valid_and_deterministic(ray_session):
     import struct
     import zlib
     from datagen.buildings import doc_spans
-    from engine.render import encode_png_gray, render_dataset, render_doc_png
+    from engine.render import encode_png_gray, render_dataset, render_doc_pngs
     spans = doc_spans(7, "cands")
-    png1 = render_doc_png(spans)
-    png2 = render_doc_png(spans)
+    png1, png2 = render_doc_pngs([spans, spans])
     assert png1 == png2 and png1.startswith(b"\x89PNG\r\n\x1a\n")
     w, h = struct.unpack(">II", png1[16:24])
     assert (w, h) == (64, 64)

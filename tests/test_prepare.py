@@ -229,3 +229,41 @@ if __name__ == "__main__":   # print the digests to record
                  "matching_models_eval"):
         print(f"    {name!r}: {query_digest(name)!r},")
     ray.shutdown()
+
+
+def test_state_cache_keys_on_the_directory_and_its_files(tmp_path,
+                                                         monkeypatch):
+    """prepare_state(cache=True) reuses a pickled state only for the same
+    sf directory with unchanged files: a state planted from another
+    directory with the same basename, or before a corpus file changed, is
+    not reused."""
+    import os
+    import pickle
+
+    from engine import pipeline
+
+    class Computed(Exception):
+        pass
+
+    def compute(*args, **kwargs):
+        raise Computed
+
+    monkeypatch.setattr(pipeline, "STATE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(pipeline, "prep_train", compute)
+    a, b = tmp_path / "a" / "sf", tmp_path / "b" / "sf"
+    for d in (a, b):
+        d.mkdir(parents=True)
+        (d / "documents.parquet").write_bytes(b"same bytes")
+        os.utime(d / "documents.parquet", ns=(10**18, 10**18))
+    planted = {"planted": str(a)}
+    path = pipeline.state_cache_path(str(a), None, 1, 6, 5, 2, False)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as f:
+        pickle.dump(planted, f)
+    kw = dict(seed=1, bkafi_dim=6, k=5, cache=True, props=object())
+    assert pipeline.prepare_state(str(a), **kw) == planted
+    with pytest.raises(Computed):
+        pipeline.prepare_state(str(b), **kw)
+    (a / "documents.parquet").write_bytes(b"other bytes")
+    with pytest.raises(Computed):
+        pipeline.prepare_state(str(a), **kw)

@@ -308,3 +308,32 @@ def test_empty_batches_keep_the_schema(corpora, case):
     out = _props_batch(docs, False)
     assert out.num_rows == 0
     assert out.schema == _props(corpora["sf0.001"].slice(0, 3)).schema
+
+
+class _NoMatch:
+    def predict(self, feats):
+        return np.zeros(len(feats), dtype=np.int8)
+
+
+def test_fused_batch_runs_one_kernel_call(corpora, monkeypatch):
+    """A fused apply batch of the apply_dense shape (half the corpus: ~60
+    cands, over 1 MiB of geom payload) runs the property kernel once."""
+    import engine.properties as props
+    from engine.pipeline import fused_apply_batch
+    docs = corpora["dense-s1"]
+    batch = docs.slice(0, (docs.num_rows + 1) // 2)
+    cands = batch.filter(pc.equal(batch.column("source"), "cands"))
+    payload = sum(len(t) for t in _geom_texts(cands))
+    assert 1 << 20 < payload <= props.KERNEL_CHUNK_BYTES
+    calls = []
+    kernel = props.batch_properties
+    monkeypatch.setattr(props, "batch_properties",
+                        lambda m, log: (calls.append(m.n), kernel(m, log))[1])
+    state = {"feat_idx": [0], "med": np.zeros(1), "iqr": np.ones(1),
+             "idx_scaled": np.zeros((3, 1), dtype=np.float32),
+             "idx_num": np.arange(3), "k": 1,
+             "idx_props": np.ones((3, len(PROPERTY_NAMES))),
+             "matcher": _NoMatch()}
+    out = fused_apply_batch(batch, state, np.zeros(3, dtype=np.float32),
+                            False)
+    assert calls == [cands.num_rows] and out.num_rows == cands.num_rows
