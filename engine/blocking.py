@@ -7,10 +7,13 @@ Reference: /root/reference/blocking.py.  Mapping:
   median/IQR quantiles computed over the (narrow) selected cand columns, then
   broadcast as constants.  At 10^12 rows this becomes a t-digest sketch
   aggregate; the two-pass shape is identical (SURVEY.md §7.4.2).
-* KDTree.query(k=21) (blocking.py:113-118) -> actor-pool brute-force kNN per
-  batch against the broadcast scaled index matrix (vectorized argpartition).
+* KDTree.query(k=21) (blocking.py:113-118) -> a stateless task pool that
+  scans the broadcast scaled index matrix per batch (topk_l2_f32).
   Tie-break: (distance, numeric index id) — defined semantics, the KDTree's
   tie order is unspecified.
+* Every dense exact kNN here (bkafi in f32 and exact f64, centroid,
+  embedding) ranks through one selection (topk_by_key) and one chunked
+  scan (topk_scan); each caller only computes its distance blocks.
 * incremental k-prefix pair lists (blocking.py:211-230) -> one ranked nn
   table; pairs for any k are `rank <= k` filters (no recompute).
 * SDR factor (blocking.py:166-174): cand columns scaled by the train
@@ -20,8 +23,6 @@ Reference: /root/reference/blocking.py.  Mapping:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -29,7 +30,7 @@ import ray
 import ray.data
 
 from engine import gates, storage
-from engine.geometry import PROPERTY_NAMES
+from engine.joins import list_column_matrix
 
 NN_PARAM = 21  # config.py:60-61: max cand pairs per item (20) + 1
 
@@ -130,63 +131,77 @@ def select_blocking_features(feature_importances: list[tuple[str, float]],
     return [f.split("_ratio")[0] for f, _ in feature_importances[:bkafi_dim]]
 
 
+def _within(d: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``d`` that can rank at or before ``thr`` (one
+    per row, a column) in the (d, key) order with NaN after every number:
+    ``d <= thr``, and every entry of a row whose ``thr`` is NaN."""
+    return (d <= thr) | np.isnan(thr)
+
+
 def topk_by_key(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     """Column positions of the ``k`` smallest entries of each row of the 2D
-    ``d``, ordered by (d, key) with one key per column.  Tie-complete: the
-    kth smallest value is found by a partition, every entry <= it is kept,
-    and a (d, key) lexsort cuts them to k, so ties at the kth value go to
-    the smallest keys, never to an arbitrary subset of them."""
+    ``d``, ordered by (d, key) with NaN after every number and NaNs by key,
+    the order np.lexsort gives; ``keys`` holds one key per column or one
+    per entry.  Tie-complete: the kth smallest value is found by a
+    partition, every entry at or before it is kept, and a (d, key) lexsort
+    cuts them to k, so ties at the kth value go to the smallest keys, never
+    to an arbitrary subset of them."""
     kk = min(k, d.shape[1])
-    thr = np.partition(d, kk - 1, axis=1)[:, kk - 1]
+    if kk == 0:
+        return np.empty((len(d), 0), dtype=np.int64)
+    keys = np.broadcast_to(keys, d.shape)
+    keep = _within(d, np.partition(d, kk - 1, axis=1)[:, kk - 1:kk])
     top = np.empty((len(d), kk), dtype=np.int64)
-    for r in range(len(d)):
-        cols = np.nonzero(d[r] <= thr[r])[0]
-        top[r] = cols[np.lexsort((keys[cols], d[r, cols]))[:kk]]
+    for r, (dr, kr, kp) in enumerate(zip(d, keys, keep)):
+        cols = np.flatnonzero(kp)   # row views: a 2D fancy index costs ~1.5x
+        top[r] = cols[np.lexsort((kr[cols], dr[cols]))[:kk]]
     return top
 
 
-def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
-                idx_num: np.ndarray, k: int,
-                tile: int = 64, chunk: int = 4096):
-    """Threshold-pruned EXACT k-NN over L2-resident f32 tiles, tie-resolved
-    by (d2, numeric index id).
+def topk_scan(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k over a stream of distance blocks, ranked like
+    topk_by_key.
 
-    Per cand tile, only the FIRST index chunk pays a selection
-    (``topk_by_key``); every later chunk does
-    one SIMD compare of its distance block against the running kth-best and
-    merges only the (rare) survivors with a tie-exact (d2, idx_num) lexsort.
-    The old argpartition-per-chunk merge scanned every chunk with an
-    introselect — measured 2x slower; the scan was selection-bound, not
-    GEMM-bound.  Returns (top index positions, sqrt distances) shaped
-    (n, min(k, n_idx)), rows ordered by (d2, idx_num)."""
-    n_idx = len(idx32)
-    kk = min(k, n_idx)
-    chunk = max(chunk, kk)  # the seed chunk must hold a full top-k
-    tops, dists = [], []
-    for t0 in range(0, len(X32), tile):
-        Xt = X32[t0:t0 + tile]
-        nt = len(Xt)
-        x_sq = (Xt * Xt).sum(1)[:, None]
-        e0 = min(chunk, n_idx)
-        d2 = x_sq - 2.0 * (Xt @ idx32[:e0].T) + idx_sq[None, :e0]
-        best_i = topk_by_key(d2, idx_num, kk)
-        best_d = np.take_along_axis(d2, best_i, axis=1)
-        thr = best_d[:, -1].copy()
-        for c in range(chunk, n_idx, chunk):
-            e = min(c + chunk, n_idx)
-            d2 = x_sq - 2.0 * (Xt @ idx32[c:e].T) + idx_sq[None, c:e]
-            hit_r, hit_c = np.nonzero(d2 <= thr[:, None])
-            for r in np.unique(hit_r):
-                cols = hit_c[hit_r == r]
-                dall = np.concatenate([best_d[r], d2[r, cols]])
-                iall = np.concatenate([best_i[r], cols + c])
-                o = np.lexsort((idx_num[iall], dall))[:kk]
-                best_d[r] = dall[o]
-                best_i[r] = iall[o]
-                thr[r] = best_d[r, -1]
-        tops.append(best_i)
-        dists.append(np.sqrt(np.maximum(best_d, 0.0)))
-    return np.concatenate(tops, 0), np.concatenate(dists, 0)
+    ``blocks`` yields ``(d, keys, vals)`` per run of index rows: ``d`` (n, m)
+    the distances of the n query rows to those m rows, ``keys`` (m,) their
+    numeric ids and ``vals`` (m,) what to return for each (positions, ids).
+    Blocks are selected whole until k entries are held.  Each later block
+    keeps only the entries at or before the running kth-best (a filter, one
+    SIMD compare) and merges those rare survivors per row by (d, key).
+    Returns (vals, d), each (n, min(k, entries seen)), rows ranked."""
+    best = None
+    for d, keys, vals in blocks:
+        keys, vals = (np.broadcast_to(a, d.shape) for a in (keys, vals))
+        if best is None or best[0].shape[1] < k:
+            if best is not None:
+                d, keys, vals = (np.concatenate(p, axis=1)
+                                 for p in zip(best, (d, keys, vals)))
+            top = topk_by_key(d, keys, k)
+            best = [np.take_along_axis(a, top, axis=1)
+                    for a in (d, keys, vals)]
+            continue
+        best_d, best_k, best_v = best
+        hit_r, hit_c = np.nonzero(_within(d, best_d[:, -1:]))
+        rows, starts = np.unique(hit_r, return_index=True)
+        for r, cols in zip(rows, np.split(hit_c, starts[1:])):
+            dall = np.concatenate([best_d[r], d[r, cols]])
+            kall = np.concatenate([best_k[r], keys[r, cols]])
+            vall = np.concatenate([best_v[r], vals[r, cols]])
+            o = np.lexsort((kall, dall))[:k]
+            best_d[r], best_k[r], best_v[r] = dall[o], kall[o], vall[o]
+    return best[2], best[0]
+
+
+def _spans(n: int, chunk: int):
+    return ((s, min(s + chunk, n)) for s in range(0, n, chunk))
+
+
+def _by_tile(X: np.ndarray, tile: int, topk):
+    """``topk`` over each ``tile`` rows of ``X``, its outputs concatenated;
+    a ``X`` without rows is one empty tile, so the outputs keep their
+    shape."""
+    parts = [topk(X[s:s + tile]) for s in range(0, max(len(X), 1), tile)]
+    return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
 
 
 # float32 like the reference's vectors (blocking.py:109-110).  Tile sizes
@@ -194,6 +209,43 @@ def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
 # DRAM-bandwidth-bound when run on every core, and large temporaries
 # collapse multi-worker scaling (measured 13x on 16 workers).
 KNN_TILE, KNN_CHUNK = 64, 4096
+
+
+def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
+                idx_num: np.ndarray, k: int,
+                tile: int = KNN_TILE, chunk: int = KNN_CHUNK):
+    """Exact k-NN of the f32 rows ``X32`` among the index rows ``idx32``
+    (``idx_sq`` their squared norms), ranked by (d2, idx_num): topk_scan
+    over ``chunk``-row index blocks, d2 = |x|^2 - 2 x.y + |y|^2 by one GEMM
+    per ``tile`` cands x chunk block.  Per cand tile only the first chunk
+    pays a selection (an introselect per chunk measured 2x slower).
+    Returns (top index positions, sqrt distances) shaped (n, min(k,
+    n_idx))."""
+    def tile_topk(Xt):
+        x_sq = (Xt * Xt).sum(1)[:, None]
+        top, d2 = topk_scan(
+            ((x_sq - 2.0 * (Xt @ idx32[s:e].T) + idx_sq[None, s:e],
+              idx_num[s:e], np.arange(s, e))
+             for s, e in _spans(len(idx32), chunk)), k)
+        return top, np.sqrt(np.maximum(d2, 0.0))
+    return _by_tile(X32, tile, tile_topk)
+
+
+def topk_l2_exact(X: np.ndarray, idx: np.ndarray, idx_num: np.ndarray,
+                  k: int):
+    """Exact-f64 k-NN, ranked by (d2, idx_num): d2 accumulates per feature
+    in declared order, 0.0 + (x_0 - y_0)^2 + (x_1 - y_1)^2 + ..., a
+    left-associated IEEE chain SQL replicates 1:1.  Same topk_scan as
+    topk_l2_f32.  Returns (top index positions, d2)."""
+    def block(Xt, s, e):
+        d2 = np.zeros((len(Xt), e - s))
+        for f in range(X.shape[1]):
+            d = Xt[:, f][:, None] - idx[None, s:e, f]
+            d2 += d * d
+        return d2
+    return _by_tile(X, KNN_TILE, lambda Xt: topk_scan(
+        ((block(Xt, s, e), idx_num[s:e], np.arange(s, e))
+         for s, e in _spans(len(idx), KNN_CHUNK)), k))
 
 
 class BkafiKnn:
@@ -208,60 +260,16 @@ class BkafiKnn:
         self.idx32 = np.ascontiguousarray(self.idx_mat, dtype=np.float32)
         self.idx_sq = (self.idx32 * self.idx32).sum(1)
 
-    def _topk_exact_tile(self, Xt: np.ndarray):
-        """Exact-f64 top-k for one cand tile: per-feature elementwise
-        (c-i)^2 accumulation in declared feature order (left-assoc IEEE
-        chain — SQL-replicable), chunked over the index with a
-        tie-correct (d2, idx_num) lexsort merge."""
-        nn_param = self.nn_param
-        n = len(Xt)
-        n_idx = len(self.idx_mat)
-        best_d = best_i = None
-        rows = np.arange(n)[:, None]
-        for s in range(0, n_idx, KNN_CHUNK):
-            e = min(s + KNN_CHUNK, n_idx)
-            d2 = np.zeros((n, e - s))
-            for f in range(Xt.shape[1]):
-                d = Xt[:, f][:, None] - self.idx_mat[None, s:e, f]
-                d2 += d * d
-            kk = min(nn_param, e - s)
-            loc = np.lexsort((self.idx_num[s:e][None, :].repeat(n, 0), d2),
-                             axis=1)[:, :kk]
-            dloc = d2[rows, loc]
-            iloc = loc.astype(np.int64) + s
-            if best_d is None:
-                best_d, best_i = dloc, iloc
-            else:
-                dall = np.concatenate([best_d, dloc], axis=1)
-                iall = np.concatenate([best_i, iloc], axis=1)
-                kk2 = min(nn_param, dall.shape[1])
-                order = np.lexsort((self.idx_num[iall], dall),
-                                   axis=1)[:, :kk2]
-                best_d = np.take_along_axis(dall, order, axis=1)
-                best_i = np.take_along_axis(iall, order, axis=1)
-        order = np.lexsort((self.idx_num[best_i], best_d), axis=1)
-        top = np.take_along_axis(best_i, order, axis=1)
-        return top, np.sqrt(np.take_along_axis(best_d, order, axis=1))
-
-    def _topk_tile(self, Xt: np.ndarray):
-        """top nn_param for one cand tile: threshold-pruned exact scan
-        (topk_l2_f32), tie-exact by (d2, idx_num)."""
-        return topk_l2_f32(Xt, self.idx32, self.idx_sq, self.idx_num,
-                           self.nn_param, tile=KNN_TILE, chunk=KNN_CHUNK)
-
     def search(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(index row positions, distances), each (n, min(nn_param, index
         rows)) and ranked, for the raw selected-feature rows ``X``."""
         X = (X * self.sdr - self.med) / self.iqr
-        topk = self._topk_exact_tile if self.exact else self._topk_tile
-        if not self.exact:
-            X = X.astype(np.float32)
-        tops, dists = [], []
-        for s in range(0, len(X), KNN_TILE):
-            t, d = topk(X[s:s + KNN_TILE])
-            tops.append(t)
-            dists.append(d)
-        return np.concatenate(tops, axis=0), np.concatenate(dists, axis=0)
+        if self.exact:
+            top, d2 = topk_l2_exact(X, self.idx_mat, self.idx_num,
+                                    self.nn_param)
+            return top, np.sqrt(d2)
+        return topk_l2_f32(X.astype(np.float32), self.idx32, self.idx_sq,
+                           self.idx_num, self.nn_param)
 
     def __call__(self, batch: pa.Table, bkafi_dim: int) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -298,7 +306,7 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
                      nn_param: int = NN_PARAM,
                      concurrency: int = 4,
                      stats: tuple | None = None,
-                     exact: bool = False) -> tuple[ray.data.Dataset, float]:
+                     exact: bool = False) -> ray.data.Dataset:
     """kNN of every cand against the index in the selected feature space.
 
     ``cand_props`` streams; ``index_df`` (doc_id + selected columns, pandas)
@@ -313,17 +321,16 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
     ``exact``: f64 precision-parameterized variant of the same operator —
     distances accumulate elementwise per feature in declared order
     (sum((c_f - i_f)^2), left-associated) so every d2/dist is a
-    deterministic IEEE chain replicable 1:1 in SQL; chunk merges are
-    tie-correct via (d2, idx_num) lexsort.  This is the path the DuckDB
-    oracle checks bit-for-bit; the default f32-tile path is the
-    throughput configuration (same ranking semantics up to precision).
-    Returns (nn dataset with bkafi_dim/cand_id/index_id/rank/dist, exec_seconds).
+    deterministic IEEE chain replicable 1:1 in SQL (topk_l2_exact).  This
+    is the path the DuckDB oracle checks bit-for-bit; the default f32-tile
+    path is the throughput configuration (same ranking semantics up to
+    precision).
+    Returns the nn dataset (bkafi_dim, cand_id, index_id, rank, dist).
     """
     sdr = np.ones(len(features)) if sdr_factors is None else np.asarray(
         sdr_factors, dtype=np.float64)
     med, iqr = stats if stats is not None else robust_scale_stats_ds(
         cand_props, features, sdr=sdr)
-    start = time.time()
     # stateless TASK pool, the index tiles built once per worker — no actor
     # ramp, fully elastic
     knn = storage.broadcast(
@@ -339,7 +346,7 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
         .repartition(storage.cluster_cap(concurrency * 4))
     nn = cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024,
                            concurrency=concurrency)
-    return nn, time.time() - start
+    return nn
 
 
 def pairs_from_nn(nn: ray.data.Dataset, k: int) -> ray.data.Dataset:
@@ -372,32 +379,21 @@ def centroid_nn_dataset(cand_df: pd.DataFrame, index_df: pd.DataFrame,
     (blocking.py:62-92): brute-force L2 over 2D world centroids, optional
     Kabsch/SVD rigid alignment of the cand cloud onto the index cloud.
 
-    Distances are EXACT elementwise (cx-ix)^2 + (cy-iy)^2 in f64 — on the
-    dyadic-rational corpus every d2 is an exact dyadic value, so the output
-    (incl. dist2) is bit-checkable against the DuckDB window-SQL oracle.
-    Computed in cand tiles to bound the (tile, n_index) temporary."""
+    Distances are EXACT elementwise (cx-ix)^2 + (cy-iy)^2 in f64
+    (topk_l2_exact over the two columns) — on the dyadic-rational corpus
+    every d2 is an exact dyadic value, so the output (incl. dist2) is
+    bit-checkable against the DuckDB window-SQL oracle."""
     cxy = cand_df[["cx", "cy"]].to_numpy(dtype=np.float64)
     ixy = index_df[["cx", "cy"]].to_numpy(dtype=np.float64)
     if transform:
         cxy = kabsch_transform(cxy, ixy)
-    idx_num = index_df["doc_id"].astype(np.int64).to_numpy()
-    idx_ids = index_df["doc_id"].to_numpy()
-    kk = min(nn_param, len(ixy))
-    TILE = 256
-    tops, d2s = [], []
-    for s in range(0, len(cxy), TILE):
-        ct = cxy[s:s + TILE]
-        dx = ct[:, 0][:, None] - ixy[None, :, 0]
-        dy = ct[:, 1][:, None] - ixy[None, :, 1]
-        d2 = dx * dx + dy * dy
-        top = topk_by_key(d2, idx_num, kk)
-        tops.append(top)
-        d2s.append(np.take_along_axis(d2, top, axis=1))
-    top = np.concatenate(tops, 0)
-    d2 = np.concatenate(d2s, 0)
+    top, d2 = topk_l2_exact(cxy, ixy,
+                            index_df["doc_id"].astype(np.int64).to_numpy(),
+                            nn_param)
+    kk = top.shape[1]
     return pd.DataFrame({
         "cand_id": np.repeat(cand_df["doc_id"].to_numpy(), kk),
-        "index_id": idx_ids[top].ravel(),
+        "index_id": index_df["doc_id"].to_numpy()[top].ravel(),
         "rank": np.tile(np.arange(1, kk + 1, dtype=np.int32), len(cxy)),
         "dist2": d2.ravel(),
     })
@@ -422,10 +418,6 @@ def kabsch_transform(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     return s * (sc @ R) + tgt_mean
 
 
-# ---------------------------------------------------------------------------
-# Blocker registry — the reference's name -> method dispatch (blocking.py:47-56)
-# ---------------------------------------------------------------------------
-
 def inner_products(cv: np.ndarray, iv: np.ndarray) -> np.ndarray:
     """(len(cv), len(iv)) dot products of the rows of cv with the rows of
     iv, by numpy's own einsum loop (``optimize=False`` keeps BLAS out):
@@ -436,17 +428,70 @@ def inner_products(cv: np.ndarray, iv: np.ndarray) -> np.ndarray:
     return np.einsum("id,jd->ij", cv, iv, optimize=False)
 
 
-def embedding_nn_dataset(cand_emb: ray.data.Dataset, index_emb: pd.DataFrame,
-                         nn_param: int = NN_PARAM,
-                         exact: bool = False,
-                         repartition_blocks: int | None = None
-                         ) -> ray.data.Dataset:
+def _embedding_shard(t: pa.Table, exact: bool) -> tuple:
+    """(vectors, ids, numeric ids, norms in exact mode) of index rows."""
+    id_list = t.column("doc_id").to_pylist()
+    return (list_column_matrix(t.column("raw" if exact else "feature")),
+            np.asarray(id_list, dtype=object),
+            np.asarray(id_list).astype(np.int64),
+            t.column("norm").to_numpy(zero_copy_only=False) if exact
+            else None)
+
+
+def _embedding_nn(cand_emb: ray.data.Dataset, shards: list, nn_param: int,
+                  exact: bool) -> ray.data.Dataset:
+    """The embedding blocker's kernel: each cand batch folds the index
+    ``shards`` (handles that return _embedding_shard tuples) through
+    topk_scan on the negated score, so ties rank by numeric doc id and a
+    NaN score (a zero-norm vector in exact mode) after every number."""
+    feat_col = "raw" if exact else "feature"
+
+    def topk(batch: pa.Table) -> pa.Table:
+        cv = list_column_matrix(batch.column(feat_col))
+        cnorm = batch.column("norm").to_numpy(zero_copy_only=False) \
+            if exact else None
+
+        def neg_scores():
+            for shard in shards:
+                iv, ids, num, inorm = shard()
+                sim = inner_products(cv, iv)
+                if exact:
+                    sim = sim / (cnorm[:, None] * inorm[None, :])
+                yield -sim, num, ids
+
+        ids, neg = topk_scan(neg_scores(), nn_param)
+        kk = ids.shape[1]
+        return pa.table({
+            "cand_id": pa.array(
+                np.repeat(np.asarray(batch.column("doc_id").to_pylist(),
+                                     dtype=object), kk).tolist(),
+                type=pa.string()),
+            "index_id": pa.array(ids.ravel().tolist(), type=pa.string()),
+            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32),
+                                     len(cv))),
+            "score": pa.array(-neg.ravel(), type=pa.float64()),
+        })
+
+    return cand_emb.map_batches(topk, batch_format="pyarrow", batch_size=1024)
+
+
+def embedding_nn_auto(cand_emb: ray.data.Dataset,
+                      index_emb: ray.data.Dataset,
+                      nn_param: int = NN_PARAM,
+                      exact: bool = False) -> ray.data.Dataset:
     """Embedding blocker (the reference's ViT path, blocking.py:176-191):
-    inner-product top-k over per-object embedding vectors, as a streaming
-    map_batches with the (small-side) index embedding matrix broadcast —
-    the same physical shape as its bkafi sibling, never a driver-side
-    all-pairs matmul.  ``cand_emb`` streams (doc_id, feature); ties by
-    numeric doc id like every other blocker.
+    inner-product top-k of every streamed cand (doc_id, feature) over the
+    index embeddings, ties by numeric doc id like every other blocker.
+
+    Size-gated in ONE streaming pass over the index side: within
+    ``gates.MAX_BROADCAST_INDEX_ROWS`` the index is one shard broadcast
+    through storage.broadcast (the reference's faiss-index shape); past it,
+    the collected prefix plus the rest of the SAME stream become
+    object-store shards, one per block, that each cand batch folds one at a
+    time (a worker holds one shard; never an O(index) driver collect and
+    never a second execution).  Both placements run the same kernel, so
+    their output is bit-identical.  At 10^12 index rows route through the
+    approximate siblings (similarity.lsh_knn / ivf_knn) or cell_blocking.
 
     ``exact``: SQL-replicable cosine precision mode — expects integer-valued
     ``raw`` feature vectors plus a precomputed ``norm`` column on both sides
@@ -456,160 +501,30 @@ def embedding_nn_dataset(cand_emb: ray.data.Dataset, index_emb: pd.DataFrame,
     DuckDB oracle reproduces every score bit-for-bit.  The default mode dots
     the pre-normalized float vectors (the shape a real CLIP/ViT encoder
     output takes)."""
-    from engine.joins import list_column_matrix
-    feat_col = "raw" if exact else "feature"
-    iv = np.asarray(index_emb[feat_col].tolist(), dtype=np.float64)
-    idx_ids = index_emb["doc_id"].to_numpy()
-    idx_num = index_emb["doc_id"].astype(np.int64).to_numpy()
-    idx_norm = index_emb["norm"].to_numpy(dtype=np.float64) if exact else None
-    side = storage.broadcast((iv, idx_ids, idx_num, idx_norm))
-
-    def topk(batch: pa.Table) -> pa.Table:
-        iv_, ids_, num_, inorm_ = side()
-        cv = list_column_matrix(batch.column(feat_col))
-        sim = inner_products(cv, iv_)
-        if exact:
-            cnorm = batch.column("norm").to_numpy(zero_copy_only=False)
-            sim = sim / (cnorm[:, None] * inorm_[None, :])
-        kk = min(nn_param, sim.shape[1])
-        rows = np.arange(len(cv))[:, None]
-        # full tie-aware ranking (score desc, numeric id asc) — argpartition
-        # alone breaks boundary ties arbitrarily
-        order = np.lexsort((np.broadcast_to(num_, sim.shape), -sim),
-                           axis=1)[:, :kk]
-        n = len(cv)
-        return pa.table({
-            "cand_id": pa.array(
-                np.repeat(np.asarray(batch.column("doc_id").to_pylist(),
-                                     dtype=object), kk).tolist(),
-                type=pa.string()),
-            "index_id": pa.array(ids_[order].ravel().tolist(),
-                                 type=pa.string()),
-            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32), n)),
-            "score": pa.array(sim[rows, order].ravel(), type=pa.float64()),
-        })
-
-    # repartition is opt-in: the cand side usually arrives with enough read
-    # blocks for full width, and an unconditional repartition added an
-    # all-to-all barrier per call; pass repartition_blocks for single-block
-    # inputs.
-    if repartition_blocks:
-        cand_emb = cand_emb.repartition(repartition_blocks)
-    return cand_emb.map_batches(
-        topk, batch_format="pyarrow", batch_size=1024)
-
-
-def embedding_nn_sharded(cand_emb: ray.data.Dataset,
-                         index_emb: ray.data.Dataset,
-                         nn_param: int = NN_PARAM,
-                         shard_rows: int = 65536,
-                         exact: bool = False,
-                         repartition_blocks: int | None = None
-                         ) -> ray.data.Dataset:
-    """Exact inner-product top-k for an index side too large to collect as
-    one broadcast DataFrame: the index embedding matrix is staged
-    shard-by-shard into the object store (driver peak memory = one shard)
-    and each cand batch folds the shards through a running tie-aware
-    (score desc, numeric id asc) top-k merge.  Sharding splits the index
-    ROWS, never the dot-product reduction, and the tie order is total, so
-    every output row is bit-identical to embedding_nn_dataset's — pinned by
-    test_operators equality.  This is still the honest exact-kNN scan; at
-    10^12 index rows route through the approximate siblings
-    (similarity.lsh_knn / ivf_knn) or blocking.cell_blocking."""
-    from engine.joins import list_column_matrix
-    feat_col = "raw" if exact else "feature"
-    if hasattr(index_emb, "iter_batches"):
-        index_batches = index_emb.iter_batches(batch_size=shard_rows,
-                                               batch_format="pyarrow")
-    else:                      # the auto gate's stream of blocks
-        index_batches = index_emb
-    shard_refs, total = [], 0
-    for b in index_batches:
-        iv = list_column_matrix(b.column(feat_col))
-        id_list = b.column("doc_id").to_pylist()
-        ids = np.asarray(id_list, dtype=object)
-        num = np.asarray(id_list).astype(np.int64)
-        inorm = b.column("norm").to_numpy(zero_copy_only=False) if exact \
-            else None
-        total += len(ids)
-        shard_refs.append(ray.put((iv, ids, num, inorm)))
-    kk = min(nn_param, total)
-
-    def topk(batch: pa.Table) -> pa.Table:
-        cv = list_column_matrix(batch.column(feat_col))
-        n = len(cv)
-        cnorm = batch.column("norm").to_numpy(zero_copy_only=False) \
-            if exact else None
-        # NaN (not -inf) is the empty-slot sentinel: np.lexsort sorts NaN
-        # LAST, so sentinels lose to every real entry — including real
-        # entries whose exact-mode score is itself NaN (zero-norm vectors),
-        # where the secondary numeric-id key decides, exactly like the
-        # broadcast path's one-shot lexsort.  A -inf sentinel would WIN
-        # against NaN-scored real entries and surface null ids.
-        best_s = np.full((n, kk), np.nan)
-        best_n = np.full((n, kk), np.iinfo(np.int64).max, dtype=np.int64)
-        best_i = np.full((n, kk), None, dtype=object)
-        rows = np.arange(n)[:, None]
-        for ref in shard_refs:
-            # a plain get, not storage.broadcast: a worker holds one shard
-            # at a time, and memoizing the shards would hold them all
-            iv_, ids_, num_, inorm_ = ray.get(ref)
-            sim = inner_products(cv, iv_)
-            if exact:
-                sim = sim / (cnorm[:, None] * inorm_[None, :])
-            all_s = np.concatenate([best_s, sim], axis=1)
-            all_n = np.concatenate(
-                [best_n, np.broadcast_to(num_, sim.shape)], axis=1)
-            all_i = np.concatenate(
-                [best_i, np.broadcast_to(ids_, sim.shape)], axis=1)
-            order = np.lexsort((all_n, -all_s), axis=1)[:, :kk]
-            best_s = all_s[rows, order]
-            best_n = all_n[rows, order]
-            best_i = all_i[rows, order]
-        return pa.table({
-            "cand_id": pa.array(
-                np.repeat(np.asarray(batch.column("doc_id").to_pylist(),
-                                     dtype=object), kk).tolist(),
-                type=pa.string()),
-            "index_id": pa.array(best_i.ravel().tolist(), type=pa.string()),
-            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32),
-                                     n)),
-            "score": pa.array(best_s.ravel(), type=pa.float64()),
-        })
-
-    if repartition_blocks:   # opt-in, same contract as the broadcast path
-        cand_emb = cand_emb.repartition(repartition_blocks)
-    return cand_emb.map_batches(
-        topk, batch_format="pyarrow", batch_size=1024)
-
-
-def embedding_nn_auto(cand_emb: ray.data.Dataset,
-                      index_emb: ray.data.Dataset,
-                      nn_param: int = NN_PARAM,
-                      exact: bool = False) -> ray.data.Dataset:
-    """Size-gated embedding blocker, decided in ONE streaming pass over the
-    index side: within ``gates.MAX_BROADCAST_INDEX_ROWS`` the index is
-    broadcast (the reference's faiss-index shape); past it, the collected
-    prefix plus the rest of the SAME stream become object-store shards, one
-    per block (bit-identical output either way, never an O(index) driver
-    collect and never a second execution)."""
     cols = ["doc_id", "raw", "norm"] if exact else ["doc_id", "feature"]
     index_t, blocks = gates.collect_under_budget(
         index_emb.select_columns(cols), "embedding_nn_auto",
         gates.MAX_BROADCAST_INDEX_ROWS, None)
-    if index_t is None:
-        return embedding_nn_sharded(cand_emb, blocks, nn_param=nn_param,
-                                    exact=exact)
-    return embedding_nn_dataset(cand_emb, index_t.to_pandas(),
-                                nn_param=nn_param, exact=exact)
+    if index_t is not None:
+        shards = [storage.broadcast(_embedding_shard(index_t, exact))]
+    else:
+        # a plain get, not storage.broadcast: memoizing the shards would
+        # hold them all in one worker
+        shards = [lambda ref=ray.put(_embedding_shard(b, exact)): ray.get(ref)
+                  for b in blocks]
+    return _embedding_nn(cand_emb, shards, nn_param, exact)
 
+
+# ---------------------------------------------------------------------------
+# Blocker registry — the reference's name -> method dispatch (blocking.py:47-56)
+# ---------------------------------------------------------------------------
 
 BLOCKER_REGISTRY = {
-    "bkafi": bkafi_nn_dataset,             # feature-space kNN (actor pool)
+    "bkafi": bkafi_nn_dataset,             # feature-space kNN (task pool)
     "centroid": centroid_nn_dataset,       # exhaustive 2D centroid L2
     "centroid_with_transform": lambda c, i, **kw: centroid_nn_dataset(
         c, i, transform=True, **kw),
-    "embedding": embedding_nn_dataset,     # ViT/CLIP-slot inner-product top-k
+    "embedding": embedding_nn_auto,        # ViT/CLIP-slot inner-product top-k
 }
 
 

@@ -992,7 +992,7 @@ FROM nn
 """
 
 # Embedding blocker, exact-cosine precision mode (engine/blocking.py
-# embedding_nn_dataset(exact=True), the reference's ViT IndexFlatIP slot,
+# embedding_nn_auto(exact=True), the reference's ViT IndexFlatIP slot,
 # blocking.py:176-191): cosine = (sum of raw-byte products) / (nrm_c *
 # nrm_i).  The byte products/sums are exact integers in f64 (order-free),
 # leaving exactly one multiply + one divide rounding — the same two IEEE

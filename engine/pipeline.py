@@ -258,8 +258,8 @@ def blocking_train_pairs(prep: dict, features: list[str], bkafi_dim: int,
     cands = ray.data.from_arrow(pa.Table.from_pandas(
         train[["doc_id", *features]], preserve_index=False)
         .replace_schema_metadata(None))
-    nn, _ = blk.bkafi_nn_dataset(cands, index_feat, features, bkafi_dim,
-                                 concurrency=concurrency, stats=stats)
+    nn = blk.bkafi_nn_dataset(cands, index_feat, features, bkafi_dim,
+                              concurrency=concurrency, stats=stats)
     nn = nn.select_columns(["cand_id", "index_id", "rank"]).to_pandas()
     nn = nn[nn["rank"] <= k]
     order, index_sorted = _id_order(index_df["doc_id"])
@@ -314,9 +314,9 @@ def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
     # dataset-side split predicate, no test-id list on the driver
     test_cands = split_cands_dataset(cands_all, prep["split_ref"],
                                      prep["seed"], train=False)
-    nn, exec_s = blk.bkafi_nn_dataset(
-        test_cands, index_feat_df, features, bkafi_dim, concurrency=concurrency)
-    nn = nn.materialize()
+    nn = blk.bkafi_nn_dataset(
+        test_cands, index_feat_df, features, bkafi_dim,
+        concurrency=concurrency).materialize()
 
     pair_ds = blk.pairs_from_nn(nn, k)
     feat_ds = pairs.pair_features_join(pair_ds, props)
@@ -332,7 +332,6 @@ def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
     return {
         "props": props, "prep": prep, "nn": nn, "scored": scored,
         "blocking_recall": recall, "matching": prf,
-        "blocking_exec_s": exec_s,
         "n_test_cands": prep["n_test"],
         "n_index": len(prep["index_ids"]),
     }
@@ -463,7 +462,7 @@ def fused_apply_batch(batch: pa.Table, s: dict, idx_sq: np.ndarray,
             "fused pipeline requires numeric-string doc_ids (int64-"
             "castable); corpora with arbitrary string ids must route "
             "through the unfused stages (properties_dataset -> "
-            "bkafi_nn_dataset -> pair_ratio_features)") from e
+            "bkafi_nn_dataset -> pairs.pair_features_join)") from e
     P = np.column_stack([out.column(c).to_numpy() for c in PROPERTY_NAMES])
     Xs = ((P[:, s["feat_idx"]] - s["med"]) / s["iqr"]).astype(np.float32)
     top, dist = blk.topk_l2_f32(Xs, s["idx_scaled"], idx_sq,
@@ -545,9 +544,9 @@ def train_test_features(sf_dir: str, seed: int = 1, bkafi_dim: int = 6,
     test_cands = split_cands_dataset(
         side_dataset(props, "cands", ["doc_id", *PROPERTY_NAMES]),
         prep["split_ref"], prep["seed"], train=False)
-    nn, _ = blk.bkafi_nn_dataset(test_cands,
-                                 prep["index_df"][["doc_id", *features]],
-                                 features, bkafi_dim, concurrency=concurrency)
+    nn = blk.bkafi_nn_dataset(test_cands,
+                              prep["index_df"][["doc_id", *features]],
+                              features, bkafi_dim, concurrency=concurrency)
     test = pairs.pair_features_join(
         blk.pairs_from_nn(nn, k).select_columns(
             ["cand_id", "index_id", "label"]), props).to_pandas() \

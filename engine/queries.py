@@ -203,9 +203,8 @@ def _exact_nn(cands: ray.data.Dataset, index_df: pd.DataFrame,
               dim: int = 6) -> ray.data.Dataset:
     """Rank-21 nn table (bkafi_dim, cand_id, index_id, rank, dist) of the
     exact-f64 blocker over the first ``dim`` fixed keys."""
-    nn, _ = blk.bkafi_nn_dataset(cands, index_df, _FIXED_BLOCK_FEATURES[:dim],
-                                 bkafi_dim=dim, exact=True)
-    return nn
+    return blk.bkafi_nn_dataset(cands, index_df, _FIXED_BLOCK_FEATURES[:dim],
+                                bkafi_dim=dim, exact=True)
 
 
 def _overlap(cands: ray.data.Dataset,
@@ -400,7 +399,7 @@ def geo_blocking_recall_grid(sf_dir: str):
         feats = blk.select_blocking_features(prep["importances"],
                                              prep["ratios"], dim)
         index_df = prep["index_df"][["doc_id", *feats]]
-        nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, dim)
+        nn = blk.bkafi_nn_dataset(cands, index_df, feats, dim)
         frames.append(metrics.blocking_recall(
             nn.materialize(), n_inter, ks=list(range(1, 21))))
     return pd.concat(frames, ignore_index=True)
@@ -868,7 +867,7 @@ def geo_blocking_recall_std(sf_dir: str):
         feats = blk.select_blocking_features(
             prep["importances"], prep["ratios"], 6, criterion=crit)
         index_df = prep["index_df"][["doc_id", *feats]]
-        nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, 6)
+        nn = blk.bkafi_nn_dataset(cands, index_df, feats, 6)
         rec = metrics.blocking_recall(nn.materialize(), n_inter,
                                       ks=[1, 5, 10, 20])
         rec.insert(0, "criterion", crit)

@@ -55,16 +55,12 @@ def brute_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10) -> pd.Da
         ids = batch.column("vec_id").to_numpy()
         vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         sim = qn_ @ vn.T  # (nq, nb)
-        kk = min(k, sim.shape[1])
-        # tie-aware local reduce: full lexsort by (-sim, id) per row so the
-        # local top-k agrees with the global (sim DESC, id ASC) tie-break —
-        # argpartition alone keeps an arbitrary subset of boundary ties
-        order = np.lexsort((np.broadcast_to(ids, sim.shape), -sim),
-                           axis=1)[:, :kk]
+        # tie-aware local reduce by (-sim, id), the global tie-break
+        top = topk_by_key(-sim, ids, k)
         return pa.table({
-            "qid": pa.array(np.repeat(qids_.astype(np.int64), kk)),
-            "neighbor_id": pa.array(ids[order].ravel().astype(np.int64)),
-            "sim": pa.array(np.take_along_axis(sim, order, axis=1).ravel(),
+            "qid": pa.array(np.repeat(qids_.astype(np.int64), top.shape[1])),
+            "neighbor_id": pa.array(ids[top].ravel().astype(np.int64)),
+            "sim": pa.array(np.take_along_axis(sim, top, axis=1).ravel(),
                             type=pa.float64()),
         })
 
@@ -140,11 +136,10 @@ def ivf_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
                 continue
             sim = vn[mask] @ qvec
             sel = ids[mask]
-            kk = min(k, len(sim))
-            order = np.lexsort((sel, -sim))[:kk]
-            out_q.extend([int(qi)] * kk)
-            out_n.extend(sel[order].tolist())
-            out_s.extend(sim[order].tolist())
+            top = topk_by_key(-sim[None], sel, k)[0]
+            out_q.extend([int(qi)] * len(top))
+            out_n.extend(sel[top].tolist())
+            out_s.extend(sim[top].tolist())
         return pa.table({"qid": pa.array(out_q, type=pa.int64()),
                          "neighbor_id": pa.array(out_n, type=pa.int64()),
                          "sim": pa.array(out_s, type=pa.float64())})

@@ -49,17 +49,28 @@ def test_cell_blocking_salted_equals_unsalted(props_df, ray_session):
 
 
 def test_topk_l2_f32_equals_bruteforce():
-    """The threshold-pruned running top-k equals a full lexsort brute force
-    — including tie resolution by (d2, numeric id) — across random shapes,
-    duplicate index rows (forced distance ties) and k >= n_idx."""
+    """The threshold-pruned running top-k equals the lexsort oracle on the
+    kernel's own d2 — including tie resolution by (d2, numeric id) —
+    across random shapes, duplicate index rows (forced distance ties) and
+    k >= n_idx.  The integer-grid cases tie at many distances within and
+    across index chunks (their d2 is exact in any GEMM shape), and their
+    cand row 3 has a NaN feature: NaN distances rank after every number,
+    so it takes the k smallest ids."""
     import numpy as np
     from engine.blocking import topk_l2_f32
+    from test_topk import lexsort_topk
     rng = np.random.default_rng(42)
-    for trial, (n, n_idx, dim, k, chunk) in enumerate(
-            [(37, 500, 6, 5, 64), (5, 3, 4, 7, 2), (64, 4096, 6, 5, 512),
-             (130, 1000, 3, 10, 100)]):
-        X = rng.standard_normal((n, dim)).astype(np.float32)
-        idx = rng.standard_normal((n_idx, dim)).astype(np.float32)
+    for trial, (n, n_idx, dim, k, chunk, grid) in enumerate(
+            [(37, 500, 6, 5, 64, False), (5, 3, 4, 7, 2, False),
+             (64, 4096, 6, 5, 512, False), (130, 1000, 3, 10, 100, False),
+             (70, 300, 6, 9, 7, True), (70, 300, 6, 9, 64, True)]):
+        if grid:
+            X = rng.integers(-3, 4, size=(n, dim)).astype(np.float32)
+            idx = rng.integers(-3, 4, size=(n_idx, dim)).astype(np.float32)
+            X[3, 2] = np.nan
+        else:
+            X = rng.standard_normal((n, dim)).astype(np.float32)
+            idx = rng.standard_normal((n_idx, dim)).astype(np.float32)
         # plant exact duplicates so distance ties exercise the id tiebreak
         if n_idx >= 10:
             idx[1] = idx[0]
@@ -70,11 +81,12 @@ def test_topk_l2_f32_equals_bruteforce():
                                 tile=16, chunk=chunk)
         kk = min(k, n_idx)
         assert top.shape == (n, kk)
-        d2 = ((X[:, None, :] - idx[None, :, :]) ** 2).sum(2)
         x_sq = (X * X).sum(1)[:, None]
         d2_kernel = x_sq - 2.0 * (X @ idx.T) + idx_sq[None, :]
-        for r in range(n):
-            order = np.lexsort((idx_num, d2_kernel[r]))[:kk]
-            assert (top[r] == order).all(), (trial, r)
-            want = np.sqrt(np.maximum(d2_kernel[r, order], 0.0))
-            assert (dist[r] == want).all(), (trial, r)
+        want = lexsort_topk(d2_kernel, idx_num, kk)
+        assert (top == want).all(), trial
+        assert np.array_equal(dist, np.sqrt(np.maximum(
+            np.take_along_axis(d2_kernel, want, axis=1), 0.0)),
+            equal_nan=True), trial
+        if grid:
+            assert (top[3] == np.argsort(idx_num)[:kk]).all(), trial

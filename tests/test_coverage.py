@@ -180,11 +180,11 @@ def test_sdr_factor_scales_cands(ray_session):
                              "f2": rng.normal(5, 1, 50)})
     cand_df = pd.DataFrame({"doc_id": ["100"], "f1": [10.0], "f2": [5.0]})
     cands = ray.data.from_pandas(cand_df)
-    nn1, _ = blk.bkafi_nn_dataset(cands, index_df, feats, 2, nn_param=5,
-                                  concurrency=1)
-    nn2, _ = blk.bkafi_nn_dataset(ray.data.from_pandas(cand_df), index_df,
-                                  feats, 2, sdr_factors=np.array([2.0, 0.5]),
-                                  nn_param=5, concurrency=1)
+    nn1 = blk.bkafi_nn_dataset(cands, index_df, feats, 2, nn_param=5,
+                               concurrency=1)
+    nn2 = blk.bkafi_nn_dataset(ray.data.from_pandas(cand_df), index_df,
+                               feats, 2, sdr_factors=np.array([2.0, 0.5]),
+                               nn_param=5, concurrency=1)
     a = nn1.to_pandas().sort_values("rank").index_id.tolist()
     b = nn2.to_pandas().sort_values("rank").index_id.tolist()
     assert a != b  # the factor genuinely alters the query point

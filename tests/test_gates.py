@@ -37,34 +37,12 @@ def _sorted(ds, keys):
 
 
 def _knn(exact: bool) -> list[pd.DataFrame]:
-    """embedding_nn_auto on a 257-row index in 4 blocks (so the sharded
-    route folds several shards), with a zero-norm row whose exact-mode
-    scores are NaN, and the whole-index broadcast it must equal."""
-    from engine.blocking import embedding_nn_auto, embedding_nn_dataset
-    rng = np.random.default_rng(11)
-    dim = 12
-
-    def emb_table(n, offset):
-        raw = rng.integers(-4, 5, size=(n, dim)).astype(np.float64)
-        raw[0] = 0.0
-        feat = raw / np.maximum(np.linalg.norm(raw, axis=1), 1e-12)[:, None]
-        return pa.table({
-            "doc_id": pa.array([str(offset + i) for i in range(n)]),
-            "feature": pa.array(feat.tolist(), type=pa.list_(pa.float64())),
-            "raw": pa.array(raw.tolist(), type=pa.list_(pa.float64())),
-            "norm": pa.array(np.linalg.norm(raw, axis=1)),
-        })
-
-    idx_t, cand_t = emb_table(257, 0), emb_table(40, 100000)
-    cand_ds = ray.data.from_arrow(cand_t).repartition(3)
-    cols = ["doc_id", "raw", "norm"] if exact else ["doc_id", "feature"]
-    got = embedding_nn_auto(cand_ds, ray.data.from_arrow(idx_t).repartition(4),
-                            nn_param=7, exact=exact)
-    want = embedding_nn_dataset(cand_ds, idx_t.select(cols).to_pandas(),
-                                nn_param=7, exact=exact)
-    got, want = (_sorted(d, ["cand_id", "rank"]) for d in (got, want))
-    pd.testing.assert_frame_equal(got, want, check_exact=True)
-    return [got]
+    """embedding_nn_auto on the planted-tie 257-row index in 4 blocks (so
+    the sharded route folds several shards), with a zero-norm row whose
+    exact-mode scores are NaN; both routes also match the lexsort oracle
+    (test_operators.test_embedding_nn_sharded_equals_broadcast)."""
+    from test_operators import embedding_knn_case
+    return [embedding_knn_case(exact)]
 
 
 def _tfidf() -> list[pd.DataFrame]:
@@ -330,8 +308,9 @@ def test_queries_share_inputs_only_through_the_memo():
 def test_worker_state_goes_only_through_broadcast():
     """Map UDFs read driver-side state through ``storage.broadcast`` alone:
     no engine module but storage.py calls ``ray.get``, except the shard
-    loop of blocking.embedding_nn_sharded (memoizing its shards would hold
-    them all in one worker) and matching.py's two driver-side gathers of
+    handles of blocking.embedding_nn_auto's sharded placement (memoizing
+    its shards would hold them all in one worker) and matching.py's two
+    driver-side gathers of
     remote fit results; and the old hand-rolled worker caches stay gone."""
     get = re.compile(r"(?<![\w.])_?ray\.get\(")
     idiom = re.compile(r"holder: dict|_worker_stage|_stage_memo")
@@ -344,4 +323,27 @@ def test_worker_state_goes_only_through_broadcast():
         n = len(get.findall(src))
         if f.name != "storage.py" and n > allowed_gets.get(f.name, 0):
             bad.append(f"{f.name}: {n} ray.get calls")
+    assert not bad, bad
+
+
+def test_dense_knn_ranks_only_through_the_one_selection():
+    """engine/blocking.py, similarity.py and spatial.py call np.lexsort,
+    argpartition or np.partition only inside blocking.topk_by_key and
+    blocking.topk_scan: every dense kNN hands its distance blocks to that
+    one selection and scan, so no kNN grows its own merge."""
+    import ast
+    ranking = re.compile(r"np\.lexsort\(|argpartition\(|np\.partition\(")
+    engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
+    bad = []
+    for name in ("blocking.py", "similarity.py", "spatial.py"):
+        src = (engine / name).read_text()
+        inside = {line for node in ast.walk(ast.parse(src))
+                  if isinstance(node, ast.FunctionDef)
+                  and name == "blocking.py"
+                  and node.name in ("topk_by_key", "topk_scan")
+                  for line in range(node.lineno, node.end_lineno + 1)}
+        for m in ranking.finditer(src):
+            line = src.count("\n", 0, m.start()) + 1
+            if line not in inside:
+                bad.append(f"{name}:{line}: {m.group(0)}")
     assert not bad, bad

@@ -252,14 +252,15 @@ def test_multimodal_real_planted_recall(ray_session):
         again.sort_values(["cand_id", "rank"]).reset_index(drop=True))
 
 
-def test_embedding_scores_independent_of_cand_order(ray_session):
+def test_embedding_scores_independent_of_cand_order(ray_session,
+                                                   monkeypatch):
     """multimodal_real's cosine scores do not depend on which batch, or
     where in it, a cand row arrives: shuffling the cand rows gives the same
     score bits on both index routes, and so does scoring them in shuffled
     97-row batches (where a BLAS GEMM, ``cv @ iv.T``, changes 7 of the 500
     rows in the last bits)."""
     from engine import blocking as blk
-    from engine import multimodal, queries
+    from engine import gates, multimodal, queries
     from engine.pipeline import side_dataset
     emb = multimodal.patch_embeddings(queries._render(SF)).materialize()
     cands, index = side_dataset(emb, "cands"), side_dataset(emb, "index")
@@ -270,10 +271,10 @@ def test_embedding_scores_independent_of_cand_order(ray_session):
 
     base = rows(blk.embedding_nn_auto(cands, index, nn_param=5))
     shuffled = cands.random_shuffle(seed=1)
-    for out in (blk.embedding_nn_auto(shuffled, index, nn_param=5),
-                blk.embedding_nn_sharded(shuffled, index, nn_param=5,
-                                         shard_rows=97)):
-        got = rows(out)
+    for budget in (np.inf, 0):   # broadcast, then one shard per block
+        monkeypatch.setattr(gates, "MAX_BROADCAST_INDEX_ROWS", budget)
+        got = rows(blk.embedding_nn_auto(shuffled, index.repartition(5),
+                                         nn_param=5))
         assert got[["cand_id", "index_id", "rank"]].equals(
             base[["cand_id", "index_id", "rank"]])
         assert np.array_equal(got.score.to_numpy().view(np.uint64),

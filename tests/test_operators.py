@@ -188,16 +188,17 @@ def test_minhash_lsh_recovers_planted_dups(ray_session):
 def test_embedding_blocker_exact_tie_order(ray_session):
     """Exact-cosine mode: equal-score index docs (identical raw vectors)
     must rank by numeric doc id, and scores must equal intdot/(nc*ni)."""
-    from engine.blocking import embedding_nn_dataset
+    from engine.blocking import embedding_nn_auto
     raw = [[3.0, 4.0, 0.0], [3.0, 4.0, 0.0], [0.0, 5.0, 0.0]]
-    idx = pd.DataFrame({"doc_id": ["20", "7", "15"], "raw": raw,
-                        "norm": [5.0, 5.0, 5.0]})
+    idx = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(["20", "7", "15"]), "raw": pa.array(raw),
+        "norm": pa.array([5.0, 5.0, 5.0])}))
     cand = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(["1"]),
         "raw": pa.array([[3.0, 4.0, 0.0]]),
         "norm": pa.array([5.0]),
     }))
-    out = embedding_nn_dataset(cand, idx, nn_param=3, exact=True) \
+    out = embedding_nn_auto(cand, idx, nn_param=3, exact=True) \
         .to_pandas().sort_values("rank")
     assert list(out.index_id) == ["7", "20", "15"]  # ties 7<20, then 15
     assert list(out.score) == [1.0, 1.0, 20.0 / 25.0]
@@ -1208,47 +1209,68 @@ def test_bloom_semi_join_exact_despite_false_positives(ray_session):
     assert hit[[3, 17, 250, 299]].all()  # no false negatives, ever
 
 
-def test_embedding_nn_sharded_equals_broadcast(ray_session):
-    """embedding_nn_sharded (index staged shard-by-shard, running tie-aware
-    top-k fold) is bit-identical to embedding_nn_dataset (whole-index
-    broadcast) in both modes, including the exact-cosine path.  shard_rows
-    is set far below the index size so the fold merges several shards
-    (embedding_nn_auto's size gate: tests/test_gates.py)."""
-    import pandas as pd
-    from engine.blocking import embedding_nn_dataset, embedding_nn_sharded
+def embedding_knn_case(exact: bool, n_blocks: int = 4) -> pd.DataFrame:
+    """embedding_nn_auto (k=7) on a 257-row index in ``n_blocks`` blocks
+    and 40 cands, under whatever gate budget is set, checked against the
+    lexsort oracle; returns its rows sorted by (cand_id, rank).  The
+    integer raw vectors plant exact score ties, and row 0 of each side is
+    zero: its exact-mode scores are NaN, which rank after every number and
+    among themselves by numeric id."""
+    from engine.blocking import embedding_nn_auto, inner_products
+    from test_topk import lexsort_topk
     rng = np.random.default_rng(11)
-    n_idx, n_cand, dim = 257, 40, 12
+    dim = 12
 
     def emb_table(n, offset):
-        raw = rng.integers(-4, 5, size=(n, dim)).astype(np.float64)
-        raw[0] = 0.0   # zero-norm row: exact-mode scores are NaN — the
-        # sharded fold must still pick REAL ids by the numeric tie key,
-        # like the broadcast path's one-shot lexsort (NaN-sentinel pin)
-        feat = raw / np.maximum(np.linalg.norm(raw, axis=1), 1e-12)[:, None]
+        raw = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+        raw[0] = 0.0
+        norm = np.linalg.norm(raw, axis=1)
+        feat = raw / np.maximum(norm, 1e-12)[:, None]
         return pa.table({
             "doc_id": pa.array([str(offset + i) for i in range(n)]),
-            "feature": pa.array(feat.tolist(),
-                                type=pa.list_(pa.float64())),
+            "feature": pa.array(feat.tolist(), type=pa.list_(pa.float64())),
             "raw": pa.array(raw.tolist(), type=pa.list_(pa.float64())),
-            "norm": pa.array(np.linalg.norm(raw, axis=1)),
+            "norm": pa.array(norm),
         })
 
-    idx_t, cand_t = emb_table(n_idx, 0), emb_table(n_cand, 100000)
-    idx_ds = ray.data.from_arrow(idx_t).repartition(4)
-    cand_ds = ray.data.from_arrow(cand_t).repartition(3)
+    idx_t, cand_t = emb_table(257, 0), emb_table(40, 100000)
+    got = embedding_nn_auto(
+        ray.data.from_arrow(cand_t).repartition(3),
+        ray.data.from_arrow(idx_t).repartition(n_blocks),
+        nn_param=7, exact=exact).to_pandas() \
+        .sort_values(["cand_id", "rank"]).reset_index(drop=True)
 
-    def norm(df):
-        return df.sort_values(["cand_id", "rank"]).reset_index(drop=True)
+    def side(t):
+        return (np.array(t.column("raw" if exact else "feature").to_pylist()),
+                t.column("norm").to_numpy())
+    (cv, cn), (iv, inorm) = side(cand_t), side(idx_t)
+    sim = inner_products(cv, iv)
+    if exact:
+        sim = sim / (cn[:, None] * inorm[None, :])
+    top = lexsort_topk(-sim, np.arange(257), 7)
+    order = np.argsort(np.array(cand_t.column("doc_id").to_pylist()))
+    assert got.index_id.tolist() == [str(i) for i in top[order].ravel()]
+    want = np.take_along_axis(sim, top, axis=1)[order].ravel()
+    assert np.array_equal(got.score.to_numpy().view(np.uint64),
+                          want.view(np.uint64))
+    assert np.isnan(want).any() == exact
+    return got
 
+
+def test_embedding_nn_sharded_equals_broadcast(ray_session, monkeypatch):
+    """embedding_nn_auto's two placements, the whole index broadcast as one
+    shard and one object-store shard per block folded by each cand batch,
+    give bit-identical rows that match the lexsort oracle in both modes,
+    including the exact-cosine path with its NaN scores.  60 blocks make
+    shards smaller than k, so the fold also merges them until it holds k
+    (tests/test_gates.py forces the same gate over 4 blocks)."""
+    from engine import gates
     for exact in (False, True):
-        cols = ["doc_id", "raw", "norm"] if exact else ["doc_id", "feature"]
-        want = norm(embedding_nn_dataset(
-            cand_ds, idx_t.select(cols).to_pandas(), nn_param=7,
-            exact=exact).to_pandas())
-        got = norm(embedding_nn_sharded(
-            cand_ds, idx_ds, nn_param=7, shard_rows=48,
-            exact=exact).to_pandas())
-        pd.testing.assert_frame_equal(got, want)  # bit-identical
+        out = []
+        for budget in (np.inf, 0):
+            monkeypatch.setattr(gates, "MAX_BROADCAST_INDEX_ROWS", budget)
+            out.append(embedding_knn_case(exact, n_blocks=60))
+        pd.testing.assert_frame_equal(*out, check_exact=True)
 
 
 def test_dup_clusters_vectorized_uf_equals_serial_random(ray_session):

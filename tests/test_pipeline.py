@@ -390,8 +390,8 @@ def test_threshold_filter_monotonic(ray_session):
     feats = ["volume", "area", "height_diff"]
     cands = side_dataset(props, "cands", ["doc_id", *feats])
     index_df = side_frame(props, "index", ["doc_id", *feats])
-    nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, 3, concurrency=2)
-    nn = nn.materialize()
+    nn = blk.bkafi_nn_dataset(cands, index_df, feats, 3,
+                              concurrency=2).materialize()
     dists = nn.to_pandas()["dist"]
     qs = np.percentile(dists, [10, 50, 90])
     counts = [blk.threshold_filter(nn, float(q)).count() for q in qs]
@@ -540,7 +540,7 @@ def test_knn_output_does_not_depend_on_cluster_width(monkeypatch):
     for n in (1, 4, None):
         monkeypatch.setattr(storage, "cluster_cpus", lambda: n)
         cands = side_dataset(props, "cands", ["doc_id", *feats])
-        nn, _ = blk.bkafi_nn_dataset(cands, index_df, feats, 3, concurrency=8)
+        nn = blk.bkafi_nn_dataset(cands, index_df, feats, 3, concurrency=8)
         outs.append(nn.to_pandas().sort_values(["cand_id", "rank"])
                     .reset_index(drop=True))
     assert len(outs[0]) > 0

@@ -1,0 +1,125 @@
+"""The one exact top-k (engine/blocking.py: topk_by_key, topk_scan) against
+one np.lexsort oracle, on planted ties and NaNs, at the sites that rank
+through it (the f32 GEMM form: test_cell_blocking's
+test_topk_l2_f32_equals_bruteforce; the embedding placements:
+test_operators' test_embedding_nn_sharded_equals_broadcast).
+Integer-valued inputs keep every distance exact in any summation order, so
+the oracle computes its own distances and ties are real ties on both
+sides."""
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import ray.data
+
+from engine import blocking as blk
+
+
+def lexsort_topk(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
+    """The oracle: per row, the first k positions of np.lexsort((keys, d)),
+    which orders by (d, key) and puts NaN after every number."""
+    return np.stack([np.lexsort((keys, row))[:k] for row in d])
+
+
+def _grid(rng, n: int, dim: int, span: int = 3) -> np.ndarray:
+    return rng.integers(-span, span + 1, size=(n, dim)).astype(np.float64)
+
+
+def _exact_d2(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return ((X[:, None, :] - idx[None, :, :]) ** 2).sum(2)
+
+
+def test_topk_by_key_puts_nan_last_and_orders_nans_by_key():
+    d = np.array([[np.nan, np.nan, 1.0, np.nan]])
+    assert blk.topk_by_key(d, np.arange(4), 2).tolist() == [[2, 0]]
+    keys = np.array([9, 3, 7, 1])
+    assert blk.topk_by_key(d, keys, 3).tolist() == [[2, 3, 1]]
+    allnan = np.full((2, 5), np.nan)
+    assert blk.topk_by_key(allnan, np.array([4, 0, 3, 1, 2]), 3).tolist() \
+        == [[1, 3, 4]] * 2
+    assert blk.topk_by_key(d, np.arange(4), 0).shape == (1, 0)
+
+
+def test_topk_scan_equals_lexsort_over_any_block_split():
+    """Random distances with planted ties and NaNs (single entries and
+    whole rows), split into random blocks, some smaller than k: every
+    split gives the oracle's positions and distances."""
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n, m, k = rng.integers(1, 12), rng.integers(1, 80), rng.integers(1, 25)
+        d = rng.integers(0, 6, size=(n, m)).astype(np.float64)
+        d[rng.random((n, m)) < 0.2] = np.nan
+        if trial % 3 == 0:
+            d[rng.integers(n)] = np.nan
+        keys = rng.permutation(m).astype(np.int64) * 7
+        cuts = np.sort(rng.choice(np.arange(1, m + 1), rng.integers(1, 6)))
+        spans = list(zip(np.r_[0, cuts[:-1]], cuts))
+        spans.append((cuts[-1], m))   # empty when the last cut is m
+        pos, got = blk.topk_scan(((d[:, s:e], keys[s:e], np.arange(s, e))
+                                  for s, e in spans), k)
+        want = lexsort_topk(d, keys, k)
+        assert (pos == want).all(), trial
+        assert np.array_equal(got, np.take_along_axis(d, want, axis=1),
+                              equal_nan=True), trial
+
+
+def test_bkafi_exact_scan_crosses_a_chunk_boundary():
+    """BkafiKnn's exact-f64 mode over more than KNN_CHUNK index rows, with
+    a NaN feature row on both sides."""
+    rng = np.random.default_rng(3)
+    n_idx = blk.KNN_CHUNK + 300
+    X, idx = _grid(rng, 90, 3), _grid(rng, n_idx, 3)
+    X[5, 0] = idx[blk.KNN_CHUNK + 7, 1] = np.nan
+    idx_num = rng.permutation(n_idx).astype(np.int64)
+    side = (idx, idx_num.astype(str), idx_num, np.zeros(3), np.ones(3))
+    knn = blk.BkafiKnn(side, ["a", "b", "c"], np.ones(3), 21, exact=True)
+    top, dist = knn.search(X)
+    d2 = _exact_d2(X, idx)
+    want = lexsort_topk(d2, idx_num, 21)
+    assert (top == want).all()
+    assert np.array_equal(dist, np.sqrt(np.take_along_axis(d2, want, axis=1)),
+                          equal_nan=True)
+    assert [a.shape for a in knn.search(X[:0])] == [(0, 21)] * 2
+
+
+def test_centroid_nn_planted_ties_across_a_chunk_boundary():
+    rng = np.random.default_rng(4)
+    n_idx = blk.KNN_CHUNK + 500
+    ids = rng.permutation(n_idx)
+    ixy, cxy = _grid(rng, n_idx, 2, 20), _grid(rng, 60, 2, 20)
+    idx = pd.DataFrame({"doc_id": ids.astype(str),
+                        "cx": ixy[:, 0], "cy": ixy[:, 1]})
+    cand = pd.DataFrame({"doc_id": [str(10**6 + i) for i in range(60)],
+                         "cx": cxy[:, 0], "cy": cxy[:, 1]})
+    got = blk.centroid_nn_dataset(cand, idx, nn_param=21)
+    d2 = _exact_d2(cxy, ixy)
+    want = lexsort_topk(d2, ids, 21)
+    assert got.index_id.tolist() == ids[want].astype(str).ravel().tolist()
+    assert np.array_equal(got.dist2.to_numpy(),
+                          np.take_along_axis(d2, want, axis=1).ravel())
+    assert got["rank"].tolist() == list(range(1, 22)) * 60
+
+
+def test_brute_knn_local_topk_planted_ties(ray_session):
+    """brute_knn over vectors whose cosine to each axis-aligned query is
+    one exact vector component, so scores tie exactly; a zero vector's
+    NaN scores rank last, by id."""
+    from engine.similarity import brute_knn
+    rng = np.random.default_rng(9)
+    vecs = rng.integers(0, 3, size=(120, 4)).astype(np.float64)
+    vecs[:4] = 2.0 * np.eye(4)            # the queries, ids 0-3
+    vecs[50] = 0.0
+    ids = np.r_[np.arange(4), rng.permutation(np.arange(4, 120)) + 1000]
+    emb = ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(ids), "embedding": pa.array(vecs.tolist())}))
+    got = brute_knn(emb.repartition(3), list(range(4)), k=8)
+    with np.errstate(invalid="ignore"):
+        sim = (vecs / np.linalg.norm(vecs, axis=1, keepdims=True)).T
+    want = lexsort_topk(-sim, ids, 8)
+    assert got.sort_values(["qid", "rank"]).neighbor_id.tolist() == \
+        ids[want].ravel().tolist()
+    # k past the numbered rows reaches the NaN score of the zero vector
+    got = brute_knn(emb, [0], k=120).sort_values("rank")
+    assert got.neighbor_id.tolist() == ids[lexsort_topk(-sim[:1], ids,
+                                                        120)[0]].tolist()
+    assert np.isnan(sim[0, 50])
