@@ -30,7 +30,7 @@ import ray
 import ray.data
 
 from engine import gates, storage
-from engine.joins import list_column_matrix
+from engine.joins import list_column_matrix, shuffle_groups
 
 NN_PARAM = 21  # config.py:60-61: max cand pairs per item (20) + 1
 
@@ -193,7 +193,9 @@ def topk_scan(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spans(n: int, chunk: int):
-    return ((s, min(s + chunk, n)) for s in range(0, n, chunk))
+    """``chunk``-row spans of n rows; no rows is one empty span, so a scan
+    over an empty index still yields (n, 0) results."""
+    return ((s, min(s + chunk, n)) for s in range(0, max(n, 1), chunk))
 
 
 def _by_tile(X: np.ndarray, tile: int, topk):
@@ -454,10 +456,15 @@ def _embedding_nn(cand_emb: ray.data.Dataset, shards: list, nn_param: int,
         def neg_scores():
             for shard in shards:
                 iv, ids, num, inorm = shard()
+                if len(num) == 0:
+                    continue
                 sim = inner_products(cv, iv)
                 if exact:
                     sim = sim / (cnorm[:, None] * inorm[None, :])
                 yield -sim, num, ids
+            # a zero-width last block: an empty index ranks (n, 0)
+            yield np.empty((len(cv), 0)), np.empty(0, np.int64), \
+                np.empty(0, object)
 
         ids, neg = topk_scan(neg_scores(), nn_param)
         kk = ids.shape[1]
@@ -547,9 +554,10 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
     Replaces the global KDTree with a shuffle (SURVEY.md §2.5 J3(b)): every
     object maps to its centroid's cell; cands additionally replicate to the
     Chebyshev ring (so near-boundary matches are not lost); one
-    groupby(cell) co-partitions both sources; per cell, each cand takes its
-    top-`nn_param` nearest index objects locally; a final per-cand re-reduce
-    merges cell-local candidates (rank re-assigned globally).
+    ``shuffle_groups`` on the cell co-partitions both sources; per cell,
+    each cand takes its top-`nn_param` nearest index objects locally; a
+    final per-cand re-reduce merges cell-local candidates (rank re-assigned
+    globally).
 
     Skew handling: a hot cell (more rows than ``salt_threshold``) is split by
     a stable hash of the *index* id into sub-cells, and the cands of that
@@ -632,18 +640,7 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
         out = batch.take(pa.array(idx))
         return out.append_column("salted", pa.array(salted, type=pa.int64()))
 
-    # coarse shuffle buckets: one Ray group per ~64th of the key space, with
-    # C-speed pandas segmentation inside — per-KEY map_groups would pay
-    # ~1 ms of per-group overhead on tens of thousands of near-empty cells
-    NUM_BUCKETS = 64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        s = batch.column("salted").to_numpy()
-        return batch.append_column(
-            "__bucket", pa.array(((s ^ (s >> 17)) % NUM_BUCKETS).astype(np.int64)))
-
-    salted = assigned.map_batches(salt, batch_format="pyarrow") \
-        .map_batches(add_bucket, batch_format="pyarrow")
+    salted = assigned.map_batches(salt, batch_format="pyarrow")
 
     _EMPTY = {"cand_id": pd.Series([], dtype="object"),
               "index_id": pd.Series([], dtype="object"),
@@ -671,13 +668,7 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
         m = m[rk.to_numpy() < nn_param]
         return m[["cand_id", "index_id", "dist2"]].reset_index(drop=True)
 
-    local = salted.groupby("__bucket").map_groups(
-        local_pairs_bucket, batch_format="pandas")
-
-    def add_cand_bucket(batch: pa.Table) -> pa.Table:
-        num = pc.cast(batch.column("cand_id"), pa.int64()).to_numpy()
-        return batch.append_column(
-            "__cb", pa.array((num % NUM_BUCKETS).astype(np.int64)))
+    local = shuffle_groups([(salted, ["salted"])], local_pairs_bucket)
 
     def rerank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         """Fully vectorized per-cand top-k within the bucket: dedup, sort by
@@ -688,7 +679,6 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
         g["rank"] = (g.groupby("cand_id", sort=False).cumcount() + 1) \
             .astype(np.int32)
         g = g[g["rank"] <= nn_param]
-        return g.drop(columns=["_num", "__cb"]).reset_index(drop=True)
+        return g.drop(columns=["_num"]).reset_index(drop=True)
 
-    return local.map_batches(add_cand_bucket, batch_format="pyarrow") \
-        .groupby("__cb").map_groups(rerank_bucket, batch_format="pandas")
+    return shuffle_groups([(local, ["cand_id"])], rerank_bucket)

@@ -2,10 +2,11 @@
 embedding-cosine near-dup.
 
 Ray-native shapes (ray_guide.md "Aggregation at scale"): content hash in a
-vectorized map_batches -> groupby(hash) keep-first for exact; shingle ->
-minhash -> band explode -> groupby(band) -> verify for LSH.  A corpus with
-*planted* duplicates (every doc_id % 7 == 0 re-emitted under doc_id+100000)
-makes the checks non-trivial at any scale.
+vectorized map_batches -> digest shuffle keep-first for exact; shingle ->
+minhash -> band explode -> band shuffle -> verify for LSH (every shuffle is
+``joins.shuffle_groups``).  A corpus with *planted* duplicates (every
+doc_id % 7 == 0 re-emitted under doc_id+100000) makes the checks
+non-trivial at any scale.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from engine import gates, storage
-from engine.joins import list_column_matrix
+from engine.joins import list_column_matrix, shuffle_groups
 
 
 def planted_dup_corpus(docs: ray.data.Dataset) -> ray.data.Dataset:
@@ -42,17 +43,12 @@ def exact_dedup(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Keep min(doc_id) per identical text; emit (doc_id, dup_count).
 
     Shape: per-block PARTIAL aggregate on the content digest (combiner —
-    only (digest, min_id, count) rows ride the shuffle, never text), then a
-    coarse 64-bucket shuffle with ONE vectorized pandas aggregate per bucket.
-    A per-digest groupby would pay ~1 ms of per-group overhead on one
-    near-singleton Ray group per distinct document (the shape this repo
-    measured at 75 s / 400k groups and replaced everywhere else).
+    only (digest, min_id, count) rows ride the shuffle, never text), then
+    ``shuffle_groups`` on the digest with ONE vectorized pandas aggregate
+    per bucket.
     """
-    NUM_BUCKETS = 64
-
     def partial(batch: pa.Table) -> pa.Table:
-        # full 128-bit md5 as two int64 columns: no hex-string objects, no
-        # second hashing pass for the bucket (bucket = h1 % B directly)
+        # full 128-bit md5 as two int64 columns: no hex-string objects
         texts = batch.column("text").to_pylist()
         hs = np.empty((len(texts), 2), dtype=np.uint64)
         for i, t in enumerate(texts):
@@ -68,8 +64,6 @@ def exact_dedup(docs: ray.data.Dataset) -> ray.data.Dataset:
             "__h2": pa.array(r["__h2"].to_numpy()),
             "doc_id": pa.array(r["doc_id"].to_numpy(), type=pa.int64()),
             "n": pa.array(r["n"].to_numpy().astype(np.int64)),
-            "__b": pa.array((r["__h1"].to_numpy().view(np.uint64)
-                             % NUM_BUCKETS).astype(np.int64)),
         })
 
     def bucket_agg(g: pd.DataFrame) -> pd.DataFrame:
@@ -77,8 +71,9 @@ def exact_dedup(docs: ray.data.Dataset) -> ray.data.Dataset:
             doc_id=("doc_id", "min"), dup_count=("n", "sum"))
         return r[["doc_id", "dup_count"]]
 
-    return docs.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__b").map_groups(bucket_agg, batch_format="pandas")
+    return shuffle_groups(
+        [(docs.map_batches(partial, batch_format="pyarrow"),
+          ["__h1", "__h2"])], bucket_agg)
 
 
 def _shingles(text: str, n: int = 3, pad: bool = False) -> set[str]:
@@ -97,7 +92,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
     """All-pairs n-gram Jaccard >= threshold among docs sharing a shingle.
 
     Shape (fully streaming, no driver materialization anywhere): explode
-    (shingle, doc) -> groupby(shingle) pair generation -> distributed
+    (shingle, doc) -> shingle-shuffle pair generation -> distributed
     distinct -> bucketed-join exact verify.  Exact Jaccard values are ratios
     of ints (SQL-exact).  Emits (a_id, b_id, jaccard) with a_id < b_id.
 
@@ -120,9 +115,6 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
     kept), never the verified output.  Tie policy: rank by (df DESC,
     shingle ASC), deterministic at any parallelism.
     """
-    NUM_BUCKETS = 64
-    from engine.joins import fast_hash64
-
     def explode(batch: pa.Table) -> pa.Table:
         ids, shs = [], []
         for d, t in zip(batch.column("doc_id").to_pylist(),
@@ -134,16 +126,14 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
                          "shingle": pa.array(shs)})
 
     # global shingle document frequencies, BOUNDED: per-block partial counts
-    # (combiner) -> coarse-bucket shuffle -> per-bucket exact sum + top-K cut
+    # (combiner) -> shingle shuffle -> per-bucket exact sum + top-K cut
     # -> final driver cut to df_cap.  They define the canonical rare-first
     # order for PREFIX FILTERING; see the df_cap contract in the docstring.
     def block_df(batch: pa.Table) -> pa.Table:
         v, c = np.unique(batch.column("shingle").to_numpy(zero_copy_only=False),
                          return_counts=True)
         return pa.table({"shingle": pa.array(v),
-                         "n": pa.array(c.astype(np.int64)),
-                         "__b": pa.array(
-                             (fast_hash64(v) % NUM_BUCKETS).astype(np.int64))})
+                         "n": pa.array(c.astype(np.int64))})
 
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("shingle", as_index=False)["n"].sum()
@@ -152,10 +142,10 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
                           kind="mergesort").head(df_cap)
         return s[["shingle", "n"]]
 
-    dfp = docs.map_batches(explode, batch_format="pyarrow") \
-        .map_batches(block_df, batch_format="pyarrow") \
-        .groupby("__b").map_groups(topk_bucket, batch_format="pandas") \
-        .to_pandas()
+    dfp = shuffle_groups(
+        [(docs.map_batches(explode, batch_format="pyarrow")
+          .map_batches(block_df, batch_format="pyarrow"), ["shingle"])],
+        topk_bucket).to_pandas()
     dfp = dfp.sort_values(["n", "shingle"], ascending=[False, True],
                           kind="mergesort").head(df_cap)
     df_side = storage.broadcast(dict(zip(dfp.shingle, dfp.n)))
@@ -178,87 +168,67 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
             for s in ordered:
                 ids.append(d)
                 shs.append(s)
-        t_ = pa.table({"doc_id": pa.array(ids, type=pa.int64()),
-                       "shingle": pa.array(shs)})
-        # coarse shuffle bucket (all rows of one shingle share a bucket);
-        # per-SHINGLE map_groups would pay ~1 ms of per-group overhead on
-        # tens of thousands of near-singleton groups
-        return t_.append_column("__b", pa.array(
-            (fast_hash64(shs) % NUM_BUCKETS).astype(np.int64)))
+        return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
+                         "shingle": pa.array(shs)})
 
     exploded = docs.map_batches(prefix_explode, batch_format="pyarrow")
+    return _verify_pairs_join(
+        docs, _pairs_sharing_key(exploded, ["shingle"], max_df), n, threshold)
 
-    def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized pair generation for every shingle in the bucket: DF
-        filter (2..max_df) then one self-merge on the shingle key."""
-        df = g.groupby("shingle")["doc_id"].transform("size")
-        g = g[(df >= 2) & (df <= max_df)][["doc_id", "shingle"]]
+
+def _pairs_sharing_key(rows: ray.data.Dataset, keys: list[str],
+                       max_group: int) -> ray.data.Dataset:
+    """Distinct (a_id, b_id), a_id < b_id, of every two ``doc_id`` rows that
+    share ``keys``: one self-merge on the keys per shuffle bucket, skipping
+    key groups of one row or of more than ``max_group`` rows (whose
+    O(size^2) pairs would dominate), then the distributed distinct (a pair
+    sharing several keys is generated in several buckets)."""
+    def pairs(g: pd.DataFrame) -> pd.DataFrame:
+        size = g.groupby(keys)["doc_id"].transform("size")
+        g = g[(size >= 2) & (size <= max_group)][["doc_id", *keys]]
         if g.empty:
             return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
                                  "b_id": pd.Series([], dtype="int64")})
-        m = g.merge(g, on="shingle")
-        m = m[m.doc_id_x < m.doc_id_y]
-        m = m.drop_duplicates(["doc_id_x", "doc_id_y"])
+        m = g.merge(g, on=keys)
+        m = m[m.doc_id_x < m.doc_id_y].drop_duplicates(["doc_id_x", "doc_id_y"])
         return pd.DataFrame({"a_id": m.doc_id_x.to_numpy(),
                              "b_id": m.doc_id_y.to_numpy()})
 
-    cand = exploded.groupby("__b").map_groups(
-        pairs_in_bucket, batch_format="pandas")
-    return _verify_pairs_join(docs, _distinct_pairs(cand), n, threshold)
+    return _distinct_pairs(shuffle_groups([(rows, keys)], pairs))
 
 
 def _distinct_pairs(cand: ray.data.Dataset) -> ray.data.Dataset:
     """Distributed (a_id, b_id) distinct: per-block pre-dedup (combiner),
-    coarse hash-bucket shuffle, then ONE vectorized drop_duplicates per
-    bucket — a per-key groupby/aggregate would pay per-group overhead on
-    hundreds of thousands of near-singleton pair groups (measured 75s for
-    400k rows; this shape takes ~2s)."""
-    NUM_BUCKETS = 64
-
+    then ``shuffle_groups`` on the pair with ONE vectorized drop_duplicates
+    per bucket."""
     def block_dedup(b: pa.Table) -> pa.Table:
         df = pd.DataFrame({"a_id": b.column("a_id").to_numpy(),
                            "b_id": b.column("b_id").to_numpy()})
         df = df.drop_duplicates(["a_id", "b_id"])
-        a = df.a_id.to_numpy()
-        bb = df.b_id.to_numpy()
-        h = (a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) \
-            ^ bb.astype(np.uint64)
         return pa.table({
-            "a_id": pa.array(a, type=pa.int64()),
-            "b_id": pa.array(bb, type=pa.int64()),
-            "__pb": pa.array((h % NUM_BUCKETS).astype(np.int64)),
+            "a_id": pa.array(df.a_id.to_numpy(), type=pa.int64()),
+            "b_id": pa.array(df.b_id.to_numpy(), type=pa.int64()),
         })
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["a_id", "b_id"])[["a_id", "b_id"]]
 
-    return cand.map_batches(block_dedup, batch_format="pyarrow") \
-        .groupby("__pb").map_groups(dedup_bucket, batch_format="pandas")
+    return shuffle_groups(
+        [(cand.map_batches(block_dedup, batch_format="pyarrow"),
+          ["a_id", "b_id"])], dedup_bucket)
 
 
 def _dedup_keyed_rows(ds: ray.data.Dataset,
                       keys: list[str]) -> ray.data.Dataset:
     """Defensive exactly-once on a final pair table: drop any duplicated
     key rows (all columns kept; duplicates, when they occur, are identical
-    copies of the same verified pair).  Same coarse-bucket shape as
+    copies of the same verified pair).  Same shuffle as
     ``_distinct_pairs``.  Belt-and-braces: one sweep observed a transient
     duplicate-row anomaly at the end of a long multi-query session (7 dup
     rows out of 90, unreproducible across 10+ reruns); an independent final
     dedup pass squares the probability of any such anomaly surviving."""
-    NUM_BUCKETS = 64
-
-    def tag(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column("__db", pa.array([], type=pa.int64()))
-        h = np.zeros(b.num_rows, dtype=np.uint64)
-        for k in keys:  # fold every key column into the bucket hash
-            h = (h ^ b.column(k).to_numpy().astype(np.uint64)) \
-                * np.uint64(0x9E3779B97F4A7C15)
-        return b.append_column(
-            "__db", pa.array((h % NUM_BUCKETS).astype(np.int64)))
-
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.drop_duplicates(keys).drop(columns=["__db"])
+        out = g.drop_duplicates(keys)
         if len(out) != len(g):
             # observe recurrence instead of silently absorbing it (see the
             # anomaly note above): worker-side log with exact counts
@@ -269,8 +239,7 @@ def _dedup_keyed_rows(ds: ray.data.Dataset,
                 len(g) - len(out), len(g))
         return out
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__db").map_groups(dedup_bucket, batch_format="pandas")
+    return shuffle_groups([(ds, keys)], dedup_bucket)
 
 
 def _batch_shingle_hashes(texts: list[str], n: int, pad: bool):
@@ -468,7 +437,7 @@ def minhash_lsh_pairs(docs: ray.data.Dataset, num_perm: int = 64,
     """Banded LSH candidate pairs, verified with exact Jaccard.
 
     shingle -> minhash -> (band_id, band_hash, doc_id) explode ->
-    groupby(band) pairs -> distributed distinct -> bucketed-join verify
+    band-shuffle pairs -> distributed distinct -> bucketed-join verify
     (ray_guide.md near-dup recipe); no driver-side pair materialization.
 
     ``max_bucket`` caps LSH bucket size: a band bucket holding more than
@@ -480,8 +449,6 @@ def minhash_lsh_pairs(docs: ray.data.Dataset, num_perm: int = 64,
     rows_per_band = num_perm // bands
     sigs = minhash_signatures(docs, num_perm, n)
 
-    NUM_BUCKETS = 64
-
     def band_explode(batch: pa.Table) -> pa.Table:
         """Vectorized: band key = a 64-bit multiply-xor mix of the band's
         signature values (equality-equivalent to hashing the band tuple —
@@ -491,8 +458,7 @@ def minhash_lsh_pairs(docs: ray.data.Dataset, num_perm: int = 64,
         if n == 0:
             return pa.table({"doc_id": pa.array([], type=pa.int64()),
                              "band": pa.array([], type=pa.int32()),
-                             "bh": pa.array([], type=pa.int64()),
-                             "__b": pa.array([], type=pa.int64())})
+                             "bh": pa.array([], type=pa.int64())})
         M = list_column_matrix(batch.column("sig"), dtype=np.int64) \
             .view(np.uint64).reshape(n, bands, rows_per_band)
         mix = np.full((n, bands), 0xcbf29ce484222325, dtype=np.uint64)
@@ -501,33 +467,14 @@ def minhash_lsh_pairs(docs: ray.data.Dataset, num_perm: int = 64,
         ids = np.repeat(batch.column("doc_id").to_numpy(), bands)
         band_ids = np.tile(np.arange(bands, dtype=np.int32), n)
         bh = mix.reshape(-1).view(np.int64)
-        # coarse shuffle bucket (all rows of one LSH bucket co-locate)
         return pa.table({"doc_id": pa.array(ids, type=pa.int64()),
                          "band": pa.array(band_ids),
-                         "bh": pa.array(bh),
-                         "__b": pa.array(
-                             (mix.reshape(-1) % np.uint64(NUM_BUCKETS))
-                             .astype(np.int64))})
+                         "bh": pa.array(bh)})
 
-    def pairs_in_shuffle_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized pair generation for every (band, bh) bucket in the
-        shuffle group: stop-bucket removal then one self-merge."""
-        sz = g.groupby(["band", "bh"])["doc_id"].transform("size")
-        g = g[(sz >= 2) & (sz <= max_bucket)][["doc_id", "band", "bh"]]
-        if g.empty:
-            return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
-                                 "b_id": pd.Series([], dtype="int64")})
-        m = g.merge(g, on=["band", "bh"])
-        m = m[m.doc_id_x < m.doc_id_y]
-        m = m.drop_duplicates(["doc_id_x", "doc_id_y"])
-        return pd.DataFrame({"a_id": m.doc_id_x.to_numpy(),
-                             "b_id": m.doc_id_y.to_numpy()})
-
-    cand = sigs.map_batches(band_explode, batch_format="pyarrow") \
-        .groupby("__b").map_groups(pairs_in_shuffle_bucket,
-                                   batch_format="pandas")
-    return _verify_pairs_join(docs, _distinct_pairs(cand), n, threshold,
-                              pad=True)
+    bands_ds = sigs.map_batches(band_explode, batch_format="pyarrow")
+    return _verify_pairs_join(
+        docs, _pairs_sharing_key(bands_ds, ["band", "bh"], max_bucket), n,
+        threshold, pad=True)
 
 
 def simhash_signatures(docs: ray.data.Dataset) -> ray.data.Dataset:
@@ -581,39 +528,22 @@ def simhash_pairs(docs: ray.data.Dataset, max_hamming: int = 3,
     sigs = simhash_signatures(docs).materialize()
     width = 64 // bands
     mask = np.uint64((1 << width) - 1)
-    NUM_BUCKETS = 64
 
     def band_explode(b: pa.Table) -> pa.Table:
         h = b.column("simhash").to_numpy()
         ids = b.column("doc_id").to_numpy()
         shifts = (np.arange(bands, dtype=np.uint64) * np.uint64(width))
         vals = (h[:, None] >> shifts[None, :]) & mask
-        band_idx = np.tile(np.arange(bands, dtype=np.int32), len(ids))
-        t_ = pa.table({
+        return pa.table({
             "doc_id": pa.array(np.repeat(ids, bands), type=pa.int64()),
-            "band": pa.array(band_idx),
+            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32),
+                                     len(ids))),
             "bv": pa.array(vals.ravel().astype(np.int64)),
         })
-        key = band_idx.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) \
-            ^ vals.ravel()
-        return t_.append_column("__b", pa.array(
-            (key % NUM_BUCKETS).astype(np.int64)))
 
-    def pairs_in_shuffle_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        sz = g.groupby(["band", "bv"])["doc_id"].transform("size")
-        g = g[(sz >= 2) & (sz <= max_bucket)][["doc_id", "band", "bv"]]
-        if g.empty:
-            return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
-                                 "b_id": pd.Series([], dtype="int64")})
-        m = g.merge(g, on=["band", "bv"])
-        m = m[m.doc_id_x < m.doc_id_y].drop_duplicates(["doc_id_x", "doc_id_y"])
-        return pd.DataFrame({"a_id": m.doc_id_x.to_numpy(),
-                             "b_id": m.doc_id_y.to_numpy()})
-
-    cand = sigs.map_batches(band_explode, batch_format="pyarrow") \
-        .groupby("__b").map_groups(pairs_in_shuffle_bucket,
-                                   batch_format="pandas")
-    dd = _distinct_pairs(cand).materialize()
+    dd = _pairs_sharing_key(sigs.map_batches(band_explode,
+                                             batch_format="pyarrow"),
+                            ["band", "bv"], max_bucket).materialize()
 
     # banding caps bound the pair table, and a signature is ONE uint64 per
     # doc, so the driver route is the common case
@@ -695,7 +625,6 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((bands * bits_per_band, dim))
     planes_side = storage.broadcast(planes)
-    NUM_BUCKETS = 64
     pow2 = (1 << np.arange(bits_per_band)).astype(np.int64)
 
     emb = emb.materialize()  # feeds bucketing AND both verify-join sides
@@ -707,32 +636,16 @@ def embedding_near_dup(emb: ray.data.Dataset, threshold: float = 0.95,
         bits = ((vecs @ pl.T) > 0).astype(np.int64)
         # (n, bands) bucket keys: pack each band's bit slice
         bv = bits.reshape(len(ids), bands, bits_per_band) @ pow2
-        band_idx = np.tile(np.arange(bands, dtype=np.int32), len(ids))
-        bvr = bv.ravel()
-        key = band_idx.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) \
-            ^ bvr.astype(np.uint64)
         return pa.table({
             "doc_id": pa.array(np.repeat(ids, bands), type=pa.int64()),
-            "band": pa.array(band_idx),
-            "bv": pa.array(bvr),
-            "__b": pa.array((key % NUM_BUCKETS).astype(np.int64)),
+            "band": pa.array(np.tile(np.arange(bands, dtype=np.int32),
+                                     len(ids))),
+            "bv": pa.array(bv.ravel()),
         })
 
-    def pairs_in_shuffle_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        sz = g.groupby(["band", "bv"])["doc_id"].transform("size")
-        g = g[(sz >= 2) & (sz <= max_bucket)][["doc_id", "band", "bv"]]
-        if g.empty:
-            return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
-                                 "b_id": pd.Series([], dtype="int64")})
-        m = g.merge(g, on=["band", "bv"])
-        m = m[m.doc_id_x < m.doc_id_y].drop_duplicates(["doc_id_x", "doc_id_y"])
-        return pd.DataFrame({"a_id": m.doc_id_x.to_numpy(),
-                             "b_id": m.doc_id_y.to_numpy()})
-
-    cand = emb.map_batches(band_explode, batch_format="pyarrow") \
-        .groupby("__b").map_groups(pairs_in_shuffle_bucket,
-                                   batch_format="pandas")
-    dd = _distinct_pairs(cand).materialize()
+    dd = _pairs_sharing_key(emb.map_batches(band_explode,
+                                            batch_format="pyarrow"),
+                            ["band", "bv"], max_bucket).materialize()
     return _verify_pairs("embedding_near_dup", dd, emb, "vec_id", "embedding",
                          functools.partial(_cosine_score, threshold=threshold),
                          drop_missing=False)
@@ -946,7 +859,6 @@ def decontaminate(train: ray.data.Dataset, benchmark: ray.data.Dataset,
 
 
 def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
-                        num_buckets: int = 64,
                         hash_grams: bool = True) -> ray.data.Dataset:
     """Substring-level duplication profile (Lee et al. 2022, "Deduplicating
     Training Data Makes Language Models Better" — the ExactSubstr signal at
@@ -1143,8 +1055,7 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
 
         return docs.map_batches(profile, batch_format="pyarrow")
 
-    j = bucketed_hash_join(pg, dup_grams, "gram", "gram",
-                           num_buckets=num_buckets)
+    j = bucketed_hash_join(pg, dup_grams, "gram", "gram")
 
     def block_doc_sum(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
@@ -1166,8 +1077,7 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
         "dup_positions": pa.array([], type=pa.int64())})).union(dup)
 
     base_ds = docs.map_batches(base, batch_format="pyarrow")
-    out = bucketed_hash_join(base_ds, dup, "doc_id", "doc_id",
-                             num_buckets=num_buckets, how="left")
+    out = bucketed_hash_join(base_ds, dup, "doc_id", "doc_id", how="left")
 
     def finish(batch: pa.Table) -> pa.Table:
         n_pos = batch.column("n_positions").to_numpy()

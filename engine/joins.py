@@ -1,13 +1,16 @@
-"""Join strategies.
+"""Join strategies and the engine's one keyed shuffle.
 
 Two physical plans, chosen by side size (ray_guide.md patterns):
 
 * ``broadcast`` — the small side is shipped once (``storage.broadcast``)
   and looked up inside ``map_batches`` (no shuffle).  Replaces the
   reference's dict-of-dict lookups (reference process_pairs.py:62-66).
-* ``bucketed`` — both sides large: add ``bucket = stable_hash(key) % B`` to
-  both, union with a side tag, ``groupby(bucket).map_groups`` doing a local
-  hash join per bucket.  B and hot-key salting are explicit (SURVEY.md §7.3).
+* ``bucketed`` — both sides large: ``shuffle_groups`` co-partitions the
+  sides on the key into ``SHUFFLE_BUCKETS`` coarse buckets and each bucket
+  joins locally.  That primitive is the only keyed shuffle in the engine:
+  every operator that groups rows by a key (dedup pair generation, windows,
+  sessions, cell blocking, PIP and range joins) hands it its parts and a
+  per-bucket function.  Hot-key salting stays upstream (SURVEY.md §7.3).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from engine import storage
@@ -122,56 +126,135 @@ def broadcast_semi_join(ds: ray.data.Dataset, key: str, keep_keys,
     return ds.map_batches(filt, batch_format="pyarrow")
 
 
+# Every keyed shuffle in the engine goes through ``shuffle_groups``: one Ray
+# group per coarse bucket, with ONE vectorized pandas/Arrow pass per bucket
+# inside.  Grouping by the key itself pays ~1 ms of Ray per-group overhead
+# per distinct key (measured 75 s for 400k near-singleton groups, against
+# ~2 s in buckets).  Read when a plan is built, so a test's monkeypatch
+# reaches the workers through the tag closure.
+SHUFFLE_BUCKETS = 64
+SIDE = "__side"          # the part index column of a multi-part shuffle
+_BUCKET = "__bucket"
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _common_key_type(types: list) -> pa.DataType:
+    """The type every part's key column is cast to before hashing, so a key
+    hashes alike on every side (400 and 400.0 land in one bucket)."""
+    if all(t == types[0] for t in types):
+        return types[0]
+    if all(pa.types.is_integer(t) or pa.types.is_floating(t) for t in types):
+        return pa.float64()
+    return pa.string()
+
+
+def _key_words(col, ktype) -> np.ndarray:
+    """One uint64 per row of a key column, equal for equal keys."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if ktype is not None and col.type != ktype:
+        col = col.cast(ktype)
+    t = col.type
+    if pa.types.is_integer(t):
+        return pc.fill_null(col.cast(pa.int64(), safe=False), 0).to_numpy() \
+            .view(np.uint64)
+    if pa.types.is_floating(t):
+        v = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy() + 0.0
+        return np.where(np.isnan(v), np.nan, v).view(np.uint64)  # -0.0, NaN
+    return fast_hash64(col.cast(pa.string()).to_numpy(zero_copy_only=False))
+
+
+def _typed(ds: ray.data.Dataset):
+    """``ds`` and its schema, running ``ds`` at most once: a plan Ray cannot
+    type without running it (a map, a shuffle) is materialized, so the
+    schema and the shuffle read the same blocks instead of the upstream
+    running twice."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema()
+    return ds, schema
+
+
+def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
+                   batch_format: str = "pandas") -> ray.data.Dataset:
+    """Co-partition ``parts`` on their keys and run ``fn`` once per bucket.
+
+    ``parts`` is a list of ``(dataset, key columns)``; rows whose keys are
+    equal (after casting each key to one type across the parts) land in the
+    same call of ``fn``, which sees every row of its bucket, of every part,
+    as one ``batch_format`` frame.  With more than one part the frames are
+    aligned to one schema (each column takes its type from the first part
+    that has it; a part without a column gets nulls) and carry the part
+    index in the int8 column ``SIDE``.  The bucket is the high bits of a
+    64-bit multiply mix of the keys, so sequential keys spread evenly over
+    any ``SHUFFLE_BUCKETS``.  Salt a hot key upstream if one dominates."""
+    buckets = SHUFFLE_BUCKETS
+    combined = None
+    ktypes = [None] * len(parts[0][1])
+    if len(parts) > 1:
+        combined = {}
+        typed = []
+        for ds, keys in parts:
+            ds, schema = _typed(ds)
+            typed.append((ds, keys))
+            for name, typ in zip(schema.names, schema.types):
+                combined.setdefault(name, typ)
+        parts = typed
+        ktypes = [_common_key_type([combined[keys[i]] for _, keys in parts])
+                  for i in range(len(ktypes))]
+
+    def tag(side: int, keys: list[str]):
+        def add_tag(batch: pa.Table) -> pa.Table:
+            if combined is not None:
+                cols = {}
+                for name, typ in combined.items():
+                    if name in batch.column_names:
+                        col = batch.column(name)
+                        cols[name] = col.cast(typ) if col.type != typ else col
+                    else:
+                        cols[name] = pa.nulls(batch.num_rows, type=typ)
+                cols[SIDE] = pa.array(np.full(batch.num_rows, side, np.int8))
+                batch = pa.table(cols)
+            h = np.zeros(batch.num_rows, dtype=np.uint64)
+            for k, ktype in zip(keys, ktypes):
+                h = (h ^ _key_words(batch.column(k), ktype)) * _MIX
+            b = ((h >> np.uint64(32)) * np.uint64(buckets)) >> np.uint64(32)
+            return batch.append_column(_BUCKET, pa.array(b.astype(np.int64)))
+        return add_tag
+
+    tagged = [ds.map_batches(tag(i, keys), batch_format="pyarrow")
+              for i, (ds, keys) in enumerate(parts)]
+    union = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+
+    def run(g):
+        if batch_format == "pandas":
+            del g[_BUCKET]
+        else:
+            g = g.drop_columns([_BUCKET])
+        return fn(g)
+
+    return union.groupby(_BUCKET).map_groups(run, batch_format=batch_format)
+
+
 def bucketed_hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                       left_key: str, right_key: str, num_buckets: int = 64,
+                       left_key: str, right_key: str,
                        how: str = "inner") -> ray.data.Dataset:
-    """Partitioned hash join: explicit bucket column + one groupby shuffle.
+    """Partitioned hash join: the two sides co-partition on the key through
+    ``shuffle_groups`` and each bucket joins locally.
 
-    The scale path when neither side fits in memory.  Bucket count B bounds
-    per-group memory; salt hot keys upstream if a single key dominates.
+    The scale path when neither side fits in memory.  Output columns: the
+    left's, then the right's (a name the left already has gets ``__r``),
+    typed as ``shuffle_groups`` aligns them.
     """
-    lschema, rschema = left.schema(), right.schema()
-    combined = {}
-    for name, typ in zip(lschema.names, lschema.types):
-        combined[name] = typ
-    for name, typ in zip(rschema.names, rschema.types):
-        combined.setdefault(name, typ)
-    order = list(combined)
-
-    def tag(side: str, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            # align schema AND types: upstream pandas/sort stages can promote
-            # int64-with-nulls to double, and the bucket hash of str(400.0)
-            # differs from str(400) — keys must hash identically on both sides
-            cols = {}
-            for name in order:
-                if name in batch.column_names:
-                    col = batch.column(name)
-                    if col.type != combined[name]:
-                        col = col.cast(combined[name])
-                else:
-                    col = pa.nulls(batch.num_rows, type=combined[name])
-                cols[name] = col
-            out = pa.table(cols)
-            h = fast_hash64(out.column(key).to_pylist())
-            out = out.append_column(
-                "__bucket", pa.array((h % num_buckets).astype(np.int64)))
-            return out.append_column(
-                "__side", pa.array([side] * out.num_rows))
-        return fn
-
-    lt = left.map_batches(tag("l", left_key), batch_format="pyarrow")
-    rt = right.map_batches(tag("r", right_key), batch_format="pyarrow")
-
-    lcols = list(lschema.names)
-    rcols = list(rschema.names)
+    (left, lschema), (right, rschema) = _typed(left), _typed(right)
+    lcols, rcols = list(lschema.names), list(rschema.names)
 
     def join_group(g: pa.Table) -> pa.Table:
         """Arrow-native local hash join: pandas matches only the key/index
         pairs; payload columns (incl. list/binary types that pandas would
         mangle) move via zero-copy Table.take."""
-        import pyarrow.compute as pc
-        mask = pc.equal(g.column("__side"), pa.scalar("l"))
+        mask = pc.equal(g.column(SIDE), pa.scalar(0, pa.int8()))
         lg = g.filter(mask).select(lcols)
         rg = g.filter(pc.invert(mask)).select(rcols)
         m = pd.merge(
@@ -184,89 +267,57 @@ def bucketed_hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
         # emit null rows for them (the pandas float64 default has no kernel)
         lt_ = lg.take(pa.array(m["li"].astype("Int64"), from_pandas=True))
         rt_ = rg.take(pa.array(m["ri"].astype("Int64"), from_pandas=True))
-        cols = {}
-        for name in lt_.column_names:
-            col = lt_.column(name)
-            cols[name] = col.cast(combined[name]) \
-                if col.type != combined[name] else col
+        cols = {name: lt_.column(name) for name in lt_.column_names}
         for name in rt_.column_names:
-            col = rt_.column(name)
-            if col.type != combined[name]:
-                col = col.cast(combined[name])
-            cols[name if name not in cols else name + "__r"] = col
+            cols[name if name not in cols else name + "__r"] = \
+                rt_.column(name)
         return pa.table(cols)
 
-    return lt.union(rt).groupby("__bucket").map_groups(
-        join_group, batch_format="pyarrow")
+    return shuffle_groups([(left, [left_key]), (right, [right_key])],
+                          join_group, batch_format="pyarrow")
 
 
 def bucketed_anti_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                       left_key: str, right_key: str,
-                       num_buckets: int = 64) -> ray.data.Dataset:
+                       left_key: str, right_key: str) -> ray.data.Dataset:
     """Partitioned anti join: keeps left rows whose key has NO right match.
 
     The scale path when the exclusion set is too big to broadcast
     (broadcast_semi_join(anti=True) is the small-side shortcut): both sides
-    hash-bucket on the key and each bucket group filters locally with a
+    co-partition on the key and each bucket filters locally with a
     vectorized is_in — only the key column of the right side rides the
     shuffle."""
-    return _bucketed_filter_join(left, right, left_key, right_key,
-                                 num_buckets, anti=True)
+    return _bucketed_filter_join(left, right, left_key, right_key, anti=True)
 
 
 def bucketed_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
-                       left_key: str, right_key: str,
-                       num_buckets: int = 64) -> ray.data.Dataset:
+                       left_key: str, right_key: str) -> ray.data.Dataset:
     """Partitioned semi join: keeps left rows whose key HAS a right match
     (exactly once, regardless of right-side duplicates) — the
     membership-filter complement of ``bucketed_anti_join``."""
     return _bucketed_filter_join(left, right, left_key, right_key,
-                                 num_buckets, anti=False)
+                                 anti=False)
 
 
 def _bucketed_filter_join(left: ray.data.Dataset, right: ray.data.Dataset,
                           left_key: str, right_key: str,
-                          num_buckets: int, anti: bool) -> ray.data.Dataset:
-    import pyarrow.compute as pc
-    lschema = left.schema()
+                          anti: bool) -> ray.data.Dataset:
+    left, lschema = _typed(left)
     lcols = list(lschema.names)
-    ltypes = dict(zip(lschema.names, lschema.types))
-    ktype = ltypes[left_key]
-
-    def tag_l(batch: pa.Table) -> pa.Table:
-        h = fast_hash64(batch.column(left_key).to_pylist())
-        return batch.append_column(
-            "__bucket", pa.array((h % num_buckets).astype(np.int64))
-        ).append_column("__side", pa.array(["l"] * batch.num_rows))
-
-    def tag_r(batch: pa.Table) -> pa.Table:
-        key = batch.column(right_key)
-        if isinstance(key, pa.ChunkedArray):
-            key = key.combine_chunks()
-        if key.type != ktype:
-            key = key.cast(ktype)
-        cols = {name: (key if name == left_key
-                       else pa.nulls(len(key), type=ltypes[name]))
-                for name in lcols}
-        out = pa.table(cols)
-        h = fast_hash64(key.to_pylist())
-        return out.append_column(
-            "__bucket", pa.array((h % num_buckets).astype(np.int64))
-        ).append_column("__side", pa.array(["r"] * out.num_rows))
 
     def filt_group(g: pa.Table) -> pa.Table:
-        mask = pc.equal(g.column("__side"), pa.scalar("l"))
+        mask = pc.equal(g.column(SIDE), pa.scalar(0, pa.int8()))
         lg = g.filter(mask).select(lcols)
-        excl = g.filter(pc.invert(mask)).column(left_key).combine_chunks()
+        excl = g.filter(pc.invert(mask)).column(right_key).combine_chunks()
         if len(excl) == 0:
             return lg if anti else lg.slice(0, 0)
-        member = pc.is_in(lg.column(left_key), value_set=excl)
+        key = lg.column(left_key)
+        ktype = _common_key_type([key.type, excl.type])
+        member = pc.is_in(key.cast(ktype), value_set=excl.cast(ktype))
         return lg.filter(pc.invert(member) if anti else member)
 
-    lt = left.map_batches(tag_l, batch_format="pyarrow")
-    rt = right.map_batches(tag_r, batch_format="pyarrow")
-    return lt.union(rt).groupby("__bucket").map_groups(
-        filt_group, batch_format="pyarrow")
+    return shuffle_groups([(left, [left_key]),
+                           (right.select_columns([right_key]), [right_key])],
+                          filt_group, batch_format="pyarrow")
 
 
 def _bloom_positions(values, m_bits: int, j: int) -> np.ndarray:
@@ -312,7 +363,7 @@ def build_bloom(keys: ray.data.Dataset, key: str, m_bits: int = 1 << 17,
 
 def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
                     left_key: str, right_key: str, m_bits: int = 1 << 17,
-                    j: int = 4, num_buckets: int = 64) -> ray.data.Dataset:
+                    j: int = 4) -> ray.data.Dataset:
     """Exact semi join via a Bloom prefilter — the 100-TB join shape when
     the right key set is too big to broadcast but the match rate is low:
 
@@ -334,5 +385,4 @@ def bloom_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
         return batch.filter(pa.array(hit.all(axis=1)))
 
     survivors = left.map_batches(prefilter, batch_format="pyarrow")
-    return bucketed_semi_join(survivors, right, left_key, right_key,
-                              num_buckets)
+    return bucketed_semi_join(survivors, right, left_key, right_key)

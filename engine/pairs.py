@@ -84,8 +84,8 @@ def pair_features_dataset(pairs: ray.data.Dataset,
                              batch_size=16384, concurrency=concurrency)
 
 
-def pair_features_join(pairs: ray.data.Dataset, props: ray.data.Dataset,
-                       num_buckets: int = 32) -> ray.data.Dataset:
+def pair_features_join(pairs: ray.data.Dataset,
+                       props: ray.data.Dataset) -> ray.data.Dataset:
     """Dataset-native pair feature stage with a size gate.
 
     Broadcast plan (both property sides within twice
@@ -122,9 +122,9 @@ def pair_features_join(pairs: ray.data.Dataset, props: ray.data.Dataset,
         return props.map_batches(pick, batch_format="pyarrow")
 
     j = bucketed_hash_join(pairs, side("cands", "__c"),
-                           "cand_id", "doc_id", num_buckets).drop_columns(["doc_id"])
+                           "cand_id", "doc_id").drop_columns(["doc_id"])
     j = bucketed_hash_join(j, side("index", "__i"),
-                           "index_id", "doc_id", num_buckets).drop_columns(["doc_id"])
+                           "index_id", "doc_id").drop_columns(["doc_id"])
     tmp_cols = [p + s for p in PROPERTY_NAMES for s in ("__c", "__i")]
 
     def ratio(batch: pa.Table) -> pa.Table:

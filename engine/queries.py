@@ -290,9 +290,9 @@ def geo_cell_hierarchy(sf_dir: str):
 def geo_range_join(sf_dir: str):
     """Spatial range self-join (gap <= 2000 m — sized to the sparse test
     world's density; exact rectangle distance): expanded-bbox cell cover at
-    res 5 (4096 m cells >= d, the lossless grid bound) -> coarse-bucket
-    per-cell pair generation -> exact verify -> cross-cell distinct.
-    Oracle-exact."""
+    res 5 (4096 m cells >= d, the lossless grid bound) -> cell shuffle ->
+    per-cell pair generation, each pair kept only in its reference cell ->
+    exact verify.  Oracle-exact."""
     return spatial.range_join(side_dataset(_props(sf_dir), "cands"),
                               d=2000.0, res=5)
 
@@ -574,7 +574,7 @@ def q_events_running(sf_dir: str):
 @query(o.EVENTS_SESSIONS)
 def q_events_sessions(sf_dir: str):
     """Gap-based sessionization (30-min gap): per-event session id + size,
-    coarse user-bucket shuffle with one vectorized pass per bucket.
+    user shuffle with one vectorized pass per bucket.
     Oracle-exact (all-int output)."""
     return relational.events_sessions(sf_dir)
 
@@ -1032,7 +1032,7 @@ def curation_pipeline(sf_dir: str):
     """End-to-end training-data curation as ONE composed streaming flow —
     the 'a user of this engine curates a pre-training corpus' showcase:
     Gopher quality gate (passthrough) -> exact-dedup keep-first (digest
-    combiner + 64-bucket aggregate, then a bucketed semi join back to the
+    combiner + digest shuffle, then a bucketed semi join back to the
     kept stream) -> benchmark n-gram decontamination (broadcast
     membership) -> the surviving docs' (doc_id, n_grams).  Every stage is
     the engine's own operator; the oracle chains their SQL as CTEs.
@@ -1048,8 +1048,7 @@ def curation_pipeline(sf_dir: str):
     kept = text.quality_filter(docs, passthrough=True) \
         .map_batches(keepers, batch_format="pyarrow")
     firsts = dedup.exact_dedup(kept).select_columns(["doc_id"])
-    surv = joins.bucketed_semi_join(kept, firsts, "doc_id", "doc_id",
-                              num_buckets=16)
+    surv = joins.bucketed_semi_join(kept, firsts, "doc_id", "doc_id")
 
     def side(bench: bool):
         def f(b: pa.Table) -> pa.Table:
@@ -1200,7 +1199,7 @@ def corpus_stats(sf_dir: str):
 def text_tfidf(sf_dir: str):
     """Per-doc top-5 terms by rational tf-idf (tf * N / df — log-free so
     every score is one exact IEEE division): explode → combiner-pre-aggregated
-    df groupby → bucketed term join → coarse-bucket vectorized top-k.
+    df groupby → bucketed term join → doc-shuffle vectorized top-k.
     Oracle-exact (row_number over the identical total order)."""
     return text.tfidf_topk(_docs(sf_dir), k=5)
 

@@ -19,7 +19,8 @@ from engine.storage import read_parquet_clean
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from engine import gates, storage
-from engine.joins import broadcast_lookup, broadcast_semi_join
+from engine.joins import (SIDE, broadcast_lookup, broadcast_semi_join,
+                          shuffle_groups)
 
 
 def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
@@ -150,8 +151,7 @@ def customers_with_orders_bloom(sf_dir: str,
     keys = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"]) \
         .map_batches(high, batch_format="pyarrow")
     cust = _t(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
-    return bloom_semi_join(cust, keys, "c_custkey", "o_custkey",
-                           num_buckets=16)
+    return bloom_semi_join(cust, keys, "c_custkey", "o_custkey")
 
 
 def supplier_part_join(sf_dir: str) -> ray.data.Dataset:
@@ -160,8 +160,7 @@ def supplier_part_join(sf_dir: str) -> ray.data.Dataset:
     from engine.joins import bucketed_hash_join
     li = _t(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     part = _t(sf_dir, "part", ["p_partkey", "p_brand"])
-    joined = bucketed_hash_join(li, part, "l_partkey", "p_partkey",
-                                num_buckets=16)
+    joined = bucketed_hash_join(li, part, "l_partkey", "p_partkey")
     return joined.groupby("p_brand").aggregate(
         Count(alias_name="n"),
         Sum("l_quantity", alias_name="sum_qty"),
@@ -173,18 +172,11 @@ def events_running(sf_dir: str) -> ray.data.Dataset:
     running max(value).  Max/count only, so floats stay
     order-independent-exact.
 
-    Shape: users hash into 64 coarse shuffle buckets; inside each bucket ONE
-    sort by (user_id, ts, event_id) + vectorized groupby cumcount/cummax
-    covers every user — a per-user ``groupby.map_groups`` would pay ~1 ms of
-    Ray per-group overhead on one near-singleton group per user."""
+    Shape: ``shuffle_groups`` on user_id; inside each bucket ONE sort by
+    (user_id, ts, event_id) + vectorized groupby cumcount/cummax covers
+    every user."""
     import pandas as pd
     ds = _t(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-    NUM_BUCKETS = 64
-
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy()
-        return b.append_column(
-            "__b", pa.array((u % NUM_BUCKETS).astype(np.int64)))
 
     def window_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -196,8 +188,7 @@ def events_running(sf_dir: str) -> ray.data.Dataset:
             "run_max": grp["value"].cummax().to_numpy(),
         })
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__b").map_groups(window_bucket, batch_format="pandas")
+    return shuffle_groups([(ds, ["user_id"])], window_bucket)
 
 
 def events_asof_join(sf_dir: str) -> ray.data.Dataset:
@@ -205,43 +196,22 @@ def events_asof_join(sf_dir: str) -> ray.data.Dataset:
     customer with o_orderdate <= event ts (ties on date broken by max
     orderkey — fully deterministic).
 
-    Physical plan: both sides co-partitioned by hashed customer key (union
-    + ONE groupby shuffle — no broadcast of the orders table, no per-user
+    Physical plan: both sides co-partitioned by customer key (ONE
+    ``shuffle_groups`` — no broadcast of the orders table, no per-user
     rescan), then one vectorized ``pd.merge_asof(by=user)`` per bucket.
     Events with no prior order are dropped (inner as-of).
     """
     import pandas as pd
     events = _t(sf_dir, "events", ["event_id", "ts", "user_id"])
     orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-    B = 32
-    eschema, oschema = events.schema(), orders.schema()
-    combined = {**dict(zip(eschema.names, eschema.types)),
-                **dict(zip(oschema.names, oschema.types))}
-    order_cols = list(combined)
-
-    def tag(side: str, key: str):
-        def fn(b: pa.Table) -> pa.Table:
-            cols = {name: (b.column(name) if name in b.column_names
-                           else pa.nulls(b.num_rows, type=combined[name]))
-                    for name in order_cols}
-            out = pa.table(cols)
-            u = b.column(key).to_numpy()
-            out = out.append_column(
-                "__b", pa.array((u % B).astype(np.int64)))
-            return out.append_column(
-                "__side", pa.array([side] * b.num_rows))
-        return fn
-
-    ev = events.map_batches(tag("e", "user_id"), batch_format="pyarrow")
-    od = orders.map_batches(tag("o", "o_custkey"), batch_format="pyarrow")
 
     _EMPTY = {"event_id": pd.Series([], dtype="int64"),
               "user_id": pd.Series([], dtype="int64"),
               "last_orderkey": pd.Series([], dtype="int64")}
 
     def asof_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        e = g[g["__side"] == "e"]
-        o = g[g["__side"] == "o"]
+        e = g[g[SIDE] == 0]
+        o = g[g[SIDE] == 1]
         if e.empty or o.empty:
             return pd.DataFrame(_EMPTY)
         # ties on date -> max orderkey, reduced before the asof
@@ -259,8 +229,8 @@ def events_asof_join(sf_dir: str) -> ray.data.Dataset:
             "last_orderkey": m["o_orderkey"].astype("int64").to_numpy(),
         })
 
-    return ev.union(od).groupby("__b").map_groups(
-        asof_bucket, batch_format="pandas")
+    return shuffle_groups([(events, ["user_id"]), (orders, ["o_custkey"])],
+                          asof_bucket)
 
 
 def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
@@ -270,18 +240,12 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
     Emits (user_id, event_id, session_id, session_size) — all integers, so
     the table is SQL-exact (timestamps compare as exact microseconds).
 
-    Shape: users hash into 64 coarse shuffle buckets; ONE sort + vectorized
+    Shape: ``shuffle_groups`` on user_id; ONE sort + vectorized
     diff/cumsum/transform per bucket covers every user (the
-    ``events_running`` pattern — never one Ray group per user)."""
+    ``events_running`` pattern)."""
     import pandas as pd
     ds = _t(sf_dir, "events", ["event_id", "ts", "user_id"])
-    NUM_BUCKETS = 64
     gap = pd.Timedelta(minutes=gap_minutes)
-
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy()
-        return b.append_column(
-            "__b", pa.array((u % NUM_BUCKETS).astype(np.int64)))
 
     def sess_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -298,8 +262,7 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
             "event_id"].transform("size").astype(np.int64)
         return out
 
-    return ds.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__b").map_groups(sess_bucket, batch_format="pandas")
+    return shuffle_groups([(ds, ["user_id"])], sess_bucket)
 
 
 def shipping_priority(sf_dir: str, segment: str = "BUILDING",
@@ -311,7 +274,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
     Scale plan: the segment's custkey set is the dimension side —
     broadcast once (``broadcast_semi_join``), never shuffled; lineitem
-    revenue pre-aggregates per (block, orderkey) BEFORE its one groupby
+    revenue pre-aggregates per (block, orderkey) BEFORE its one shuffle
     (the combiner pattern — the shuffle carries one row per distinct
     orderkey per block, not per lineitem); orders ⋈ revenue is a
     bucketed hash join on the int64 orderkey; the final distributed sort
@@ -366,19 +329,13 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
         return pa.table({"l_orderkey": pa.array(u, type=pa.int64()),
                          "cents": pa.array(s)})
 
-    # per-(block, orderkey) partials -> coarse 64-bucket shuffle with ONE
-    # vectorized pandas sum per bucket (the exact_dedup shape) — a per-key
-    # sort-based aggregate pays per-group overhead on one near-singleton
-    # group per distinct order
-    NUM_BUCKETS = 64
-
+    # per-(block, orderkey) partials -> orderkey shuffle with ONE
+    # vectorized pandas sum per bucket (the exact_dedup shape)
     def bucket_sum(g: "pd.DataFrame") -> "pd.DataFrame":
         return g.groupby("l_orderkey", as_index=False)["cents"].sum()
 
-    def with_bucket(b: pa.Table) -> pa.Table:
-        key = b.column("l_orderkey").to_numpy()
-        return b.append_column(
-            "__b", pa.array((key % NUM_BUCKETS).astype(np.int64)))
+    def revenue(partials: ray.data.Dataset) -> ray.data.Dataset:
+        return shuffle_groups([(partials, ["l_orderkey"])], bucket_sum)
 
     # size gate: the filtered orders dimension usually collapses far below
     # the fact side — then broadcast it once (sorted-key lookup,
@@ -395,15 +352,13 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
 
         def member(b: pa.Table) -> pa.Table:
             # membership BEFORE the revenue shuffle: only the segment's
-            # orders ride the bucket groupby (the dimension filter is
-            # usually ~1/5 selective)
+            # orders ride it (the dimension filter is usually ~1/5
+            # selective)
             return b.filter(pa.array(gates.sorted_member(
                 side()[0], b.column("l_orderkey").to_numpy())))
 
-        rev = line.map_batches(rev_partial, batch_format="pyarrow") \
-            .map_batches(member, batch_format="pyarrow") \
-            .map_batches(with_bucket, batch_format="pyarrow") \
-            .groupby("__b").map_groups(bucket_sum, batch_format="pandas")
+        rev = revenue(line.map_batches(rev_partial, batch_format="pyarrow")
+                      .map_batches(member, batch_format="pyarrow"))
 
         def join_finish(b: pa.Table) -> pa.Table:
             # rows here already passed the `member` pre-shuffle filter, so
@@ -425,9 +380,7 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
             .sort(["revenue", "o_date_us", "l_orderkey"],
                   descending=[True, False, False]).limit(k)
 
-    rev = line.map_batches(rev_partial, batch_format="pyarrow") \
-        .map_batches(with_bucket, batch_format="pyarrow") \
-        .groupby("__b").map_groups(bucket_sum, batch_format="pandas")
+    rev = revenue(line.map_batches(rev_partial, batch_format="pyarrow"))
     joined = bucketed_hash_join(rev, orders, "l_orderkey", "o_orderkey")
 
     def finish(b: pa.Table) -> pa.Table:
@@ -546,8 +499,8 @@ def events_interval_join(sf_dir: str,
     primitive (co-visitation, burst detection, session pairing), distinct
     from the as-of join (which keeps only one latest match).
 
-    Physical plan: ONE hash-bucket co-partition by user (groupby shuffle),
-    then a fully vectorized per-bucket window match — rows sorted by
+    Physical plan: ONE co-partition by user (``shuffle_groups``), then a
+    fully vectorized per-bucket window match — rows sorted by
     (user, ts, event_id), timestamps rank-compressed (monotone, so
     per-user order survives), and each row's matching span found by ONE
     searchsorted on the composite key user*(L+1)+rank; pairs emitted by a
@@ -557,12 +510,7 @@ def events_interval_join(sf_dir: str,
     SQL-exact."""
     import pandas as pd
     events = _t(sf_dir, "events", ["event_id", "ts", "user_id"])
-    B = 32
     W = np.int64(window_minutes) * 60_000_000
-
-    def tag(b: pa.Table) -> pa.Table:
-        u = b.column("user_id").to_numpy()
-        return b.append_column("__b", pa.array((u % B).astype(np.int64)))
 
     _EMPTY = {"a_id": pd.Series([], dtype="int64"),
               "b_id": pd.Series([], dtype="int64"),
@@ -595,8 +543,7 @@ def events_interval_join(sf_dir: str,
             "gap_us": ets[b] - ets[a],
         })
 
-    return events.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__b").map_groups(band_bucket, batch_format="pandas")
+    return shuffle_groups([(events, ["user_id"])], band_bucket)
 
 
 def events_quantiles(sf_dir: str,

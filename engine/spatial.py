@@ -17,6 +17,7 @@ import ray.data
 
 from engine import cells, storage
 from engine.blocking import topk_by_key
+from engine.joins import SIDE, shuffle_groups
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,7 @@ def tiles_dataset(props: ray.data.Dataset, res: int = 11) -> ray.data.Dataset:
     """(doc_id, x0, y0, bounding_box_width/length) -> (doc_id, cell) rows.
 
     Fully vectorized bbox cover per batch: a flat_map expressed as one
-    map_batches (np.repeat expansion), then downstream groupby(cell) shuffles
+    map_batches (np.repeat expansion), then downstream cell shuffles
     co-partition by tile.  Output = the 'tile assignment table' of FIXTURES §5.
     """
     cs = cells.cell_size(res)
@@ -72,17 +73,16 @@ def tiles_dataset(props: ray.data.Dataset, res: int = 11) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
-             res: int = 11, num_buckets: int = 64) -> ray.data.Dataset:
+             res: int = 11) -> ray.data.Dataset:
     """Join (p_id, px, py) to (doc_id, poly:list<double> [x1,y1,x2,y2,...])
     where the point is strictly inside the polygon.
 
     Physical plan: polygons replicate to every covering cell (vectorized
-    bbox cover over the Arrow list offsets), points hash to their containing
-    cell, and BOTH sides coarsen the cell to one of ``num_buckets`` hash
-    buckets so the single groupby shuffle lands in a bounded number of
-    groups.  Grouping by raw cell was the r04 geo_pip regression: ~10^5
-    occupied cells meant ~10^5 per-group pandas invocations (23 s CPU for
-    ~1.4 s of useful PIP math).  Per bucket the exact ray-crossing
+    bbox cover over the Arrow list offsets), points map to their containing
+    cell, and the two sides co-partition on the cell (``shuffle_groups``).
+    Grouping by raw cell was the r04 geo_pip regression: ~10^5 occupied
+    cells meant ~10^5 per-group pandas invocations (23 s CPU for ~1.4 s of
+    useful PIP math).  Per bucket the exact ray-crossing
     refinement pairs each polygon replica with its cell's points via two
     searchsorted probes into the bucket's cell-sorted point arrays — a
     point lives in exactly one cell and a polygon covers each cell once,
@@ -92,11 +92,6 @@ def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
     from engine.geometry import points_in_polygon
 
     cs = cells.cell_size(res)
-
-    def _bucket(cell: np.ndarray) -> np.ndarray:
-        mixed = cell.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return ((mixed >> np.uint64(33)) % np.uint64(num_buckets)) \
-            .astype(np.int64)
 
     def poly_cells(batch: pa.Table) -> pa.Table:
         arr = batch.column("poly")
@@ -119,41 +114,27 @@ def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
         row_idx, ix, iy = _batch_cover(xmin, ymin, xmax, ymax, cs)
         cell = np.asarray(cells.encode(res, ix, iy), dtype=np.int64)
         take = pa.array(row_idx, type=pa.int64())
-        n = len(row_idx)
         return pa.table({
             "doc_id": pc.take(batch.column("doc_id"), take),
             "cell": pa.array(cell, type=pa.int64()),
-            "__b": pa.array(_bucket(cell)),
             "poly": arr.take(take),
-            "p_id": pa.nulls(n, type=pa.int64()),
-            "px": pa.nulls(n, type=pa.float64()),
-            "py": pa.nulls(n, type=pa.float64()),
-            "side": pa.array(np.ones(n, dtype=np.int8)),
         })
 
     def point_cells(batch: pa.Table) -> pa.Table:
         px = batch.column("px").to_numpy()
         py = batch.column("py").to_numpy()
         cell = np.asarray(cells.cell_of(px, py, res), dtype=np.int64)
-        n = len(px)
         return pa.table({
-            "doc_id": pa.nulls(n, type=pa.string()),
             "cell": pa.array(cell, type=pa.int64()),
-            "__b": pa.array(_bucket(cell)),
-            "poly": pa.nulls(n, type=pa.list_(pa.float64())),
             "p_id": batch.column("p_id"),
             "px": batch.column("px"),
             "py": batch.column("py"),
-            "side": pa.array(np.zeros(n, dtype=np.int8)),
         })
 
-    tagged = polygons.map_batches(poly_cells, batch_format="pyarrow").union(
-        points.map_batches(point_cells, batch_format="pyarrow"))
-
     def local_pip(g: pd.DataFrame) -> pd.DataFrame:
-        side = g["side"].to_numpy()
-        pts = g[side == 0]
-        pls = g[side == 1]
+        side = g[SIDE].to_numpy()
+        pls = g[side == 0]
+        pts = g[side == 1]
         if pts.empty or pls.empty:
             return pd.DataFrame({"p_id": pd.Series([], dtype="int64"),
                                  "doc_id": pd.Series([], dtype="object")})
@@ -180,7 +161,10 @@ def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
         return pd.DataFrame({"p_id": pd.Series(out_p, dtype="int64"),
                              "doc_id": pd.Series(out_d, dtype="object")})
 
-    return tagged.groupby("__b").map_groups(local_pip, batch_format="pandas")
+    return shuffle_groups(
+        [(polygons.map_batches(poly_cells, batch_format="pyarrow"), ["cell"]),
+         (points.map_batches(point_cells, batch_format="pyarrow"), ["cell"])],
+        local_pip)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +386,12 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
     Scale shape: every bbox EXPANDED by d/2 is covered with res-``res``
     cells (cell 64 m >= d, so two rects with gap <= d share a covered cell
     — lossless by the grid argument), pairs are generated locally per cell
-    after a groupby(cell) shuffle, verified with the closed-form
-    rectangle-distance (exact dyadic clamps, one sqrt), and de-duplicated
-    across cells with the coarse-bucket distinct.  No driver state; group
+    after a cell ``shuffle_groups``, and verified with the closed-form
+    rectangle-distance (exact dyadic clamps, one sqrt).  A pair is kept
+    only in its reference cell, (max of the two first cell columns, max of
+    the two first cell rows): that cell lies in both covers whenever they
+    share any cell, so each pair is emitted exactly once with no distinct
+    pass (integer arithmetic, no float hazard).  No driver state; group
     size is bounded by per-cell object density (sparse world) — salt hot
     cells upstream if a real corpus clusters."""
     cs = cells.cell_size(res)
@@ -421,11 +408,8 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
         cell = cells.encode(res, ix, iy)
         return pa.table({
             "cell": pa.array(cell, type=pa.int64()),
-            # coarse shuffle bucket: all rows of one cell co-locate, but one
-            # Ray group serves ~cells/64 cells (never one group per cell)
-            "__b": pa.array((cell.astype(np.uint64)
-                             * np.uint64(0x9E3779B97F4A7C15)
-                             % np.uint64(64)).astype(np.int64)),
+            "ix0": pa.array(np.floor((x0 - half) / cs).astype(np.int64)[row]),
+            "iy0": pa.array(np.floor((y0 - half) / cs).astype(np.int64)[row]),
             "k": pa.array([int(i) for i in ids[row]], type=pa.int64()),
             "x0": pa.array(x0[row], type=pa.float64()),
             "y0": pa.array(y0[row], type=pa.float64()),
@@ -435,7 +419,9 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
 
     def pairs_in_cell(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="cell")
-        m = m[m.k_x < m.k_y]
+        ref = cells.encode(res, np.maximum(m.ix0_x, m.ix0_y),
+                           np.maximum(m.iy0_x, m.iy0_y))
+        m = m[(m.k_x < m.k_y) & (m.cell == ref)]
         if m.empty:
             return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
                                  "b_id": pd.Series([], dtype="int64"),
@@ -452,11 +438,9 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
                              "b_id": m.k_y.to_numpy()[keep],
                              "dist": dist[keep]})
 
-    cand = props.map_batches(cover, batch_format="pyarrow") \
-        .groupby("__b").map_groups(pairs_in_cell, batch_format="pandas")
-
-    from engine.dedup import _dedup_keyed_rows
-    return _dedup_keyed_rows(cand, ["a_id", "b_id"])
+    return shuffle_groups(
+        [(props.map_batches(cover, batch_format="pyarrow"), ["cell"])],
+        pairs_in_cell)
 
 
 def cell_hierarchy(props: ray.data.Dataset, res: int = 11,

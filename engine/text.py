@@ -376,8 +376,7 @@ def corpus_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
-               num_buckets: int = 64) -> ray.data.Dataset:
+def tfidf_topk(docs: ray.data.Dataset, k: int = 5) -> ray.data.Dataset:
     """Per-document top-k terms by rational tf-idf — the term-weighting
     stage of a curation/search pipeline (Salton & Buckley 1988), with the
     classic log idf replaced by the pure rational ``tf * N / df`` so every
@@ -389,12 +388,11 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
     partial-count combiner then a tiny pre-aggregated groupby — the shuffle
     carries #blocks x block-vocab rows, never the corpus; (3) tf ⋈ df via
     the bucketed hash join (term-partitioned, no broadcast assumption on
-    vocabulary size); (4) per-doc top-k via a coarse 64-bucket doc-hash
-    shuffle with one vectorized sort + cumcount per bucket (never one Ray
-    group per doc).  Ranking order is (score DESC, term ASC) — terms are
+    vocabulary size); (4) per-doc top-k via a doc_id ``shuffle_groups``
+    with one vectorized sort + cumcount per bucket.  Ranking order is (score DESC, term ASC) — terms are
     unique within a doc, so the order is total and matches SQL row_number.
     """
-    from engine.joins import bucketed_hash_join, fast_hash64
+    from engine.joins import bucketed_hash_join, shuffle_groups
     from ray.data.aggregate import Sum
 
     n_docs = docs.count()
@@ -472,25 +470,23 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
 
         return docs.map_batches(topk_local, batch_format="pyarrow")
 
-    j = bucketed_hash_join(tf, df, "term", "term", num_buckets=num_buckets)
+    j = bucketed_hash_join(tf, df, "term", "term")
 
-    def score_bucket_tag(batch: pa.Table) -> pa.Table:
+    def score(batch: pa.Table) -> pa.Table:
         tfv = batch.column("tf").to_numpy()
         dfv = batch.column("df").to_numpy()
         # exact int64 product, exact f64 embed, ONE IEEE division — equals
         # SQL CAST(tf * N AS DOUBLE) / df
         s = (tfv * n_docs).astype(np.float64) / dfv.astype(np.float64)
-        h = fast_hash64(batch.column("doc_id").to_pylist())
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "term": batch.column("term"),
             "tf": batch.column("tf"),
             "df": batch.column("df"),
             "score": pa.array(s, type=pa.float64()),
-            "__b": pa.array((h % num_buckets).astype(np.int64)),
         })
 
-    scored = j.map_batches(score_bucket_tag, batch_format="pyarrow")
+    scored = j.map_batches(score, batch_format="pyarrow")
 
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "score", "term"],
@@ -499,8 +495,7 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5,
         g = g[g["rnk"] <= k]
         return g[["doc_id", "term", "tf", "df", "score", "rnk"]]
 
-    return scored.groupby("__b").map_groups(topk_bucket,
-                                            batch_format="pandas")
+    return shuffle_groups([(scored, ["doc_id"])], topk_bucket)
 
 
 def repetition_stats(docs: ray.data.Dataset,
@@ -551,19 +546,18 @@ def repetition_stats(docs: ray.data.Dataset,
     return docs.map_batches(rules, batch_format="pyarrow")
 
 
-def inverted_index(docs: ray.data.Dataset, max_postings: int = 32,
-                   num_buckets: int = 64) -> ray.data.Dataset:
+def inverted_index(docs: ray.data.Dataset,
+                   max_postings: int = 32) -> ray.data.Dataset:
     """Distributed inverted-index build: term -> document frequency + the
     first ``max_postings`` doc_ids ascending (capped so a stopword's row
     stays bounded; df is still the full count).  Postings are emitted as a
     comma-joined string — a stable cross-engine representation.
 
-    Scale shape: per-doc distinct explode (np.unique) -> coarse term-hash
-    bucket shuffle (the posting-list build IS the one unavoidable
-    all-to-all; the cap bounds row width, the bucket count bounds group
-    memory) -> one vectorized lexsort + segment slice per bucket, never one
-    Ray group per term."""
-    from engine.joins import fast_hash64
+    Scale shape: per-doc distinct explode (np.unique) -> term
+    ``shuffle_groups`` (the posting-list build IS the one unavoidable
+    all-to-all; the cap bounds row width) -> one vectorized lexsort +
+    segment slice per bucket."""
+    from engine.joins import shuffle_groups
 
     def explode(batch: pa.Table) -> pa.Table:
         ids, terms = [], []
@@ -572,11 +566,9 @@ def inverted_index(docs: ray.data.Dataset, max_postings: int = 32,
             toks = np.unique(t.split(" "))
             ids.extend([d] * len(toks))
             terms.extend(toks.tolist())
-        h = fast_hash64(terms)
         return pa.table({
             "doc_id": pa.array(ids, type=pa.int64()),
             "term": pa.array(terms, type=pa.string()),
-            "__b": pa.array((h % num_buckets).astype(np.int64)),
         })
 
     def build_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -594,8 +586,9 @@ def inverted_index(docs: ray.data.Dataset, max_postings: int = 32,
             "postings": posts,
         })
 
-    return docs.map_batches(explode, batch_format="pyarrow") \
-        .groupby("__b").map_groups(build_bucket, batch_format="pandas")
+    return shuffle_groups(
+        [(docs.map_batches(explode, batch_format="pyarrow"), ["term"])],
+        build_bucket)
 
 
 def pack_sequences(docs: ray.data.Dataset, window: int = 256,
@@ -901,8 +894,7 @@ def pii_scrub(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(scrub, batch_format="pyarrow")
 
 
-def merge_pair_counts(docs: ray.data.Dataset, k: int = 50,
-                      num_buckets: int = 64) -> pd.DataFrame:
+def merge_pair_counts(docs: ray.data.Dataset, k: int = 50) -> pd.DataFrame:
     """Tokenizer-training support: corpus-wide adjacent-token pair counts —
     one BPE merge-selection round (Sennrich et al. 2016: the merge is the
     most frequent symbol pair; a full trainer loops this with re-tokenize).
@@ -910,12 +902,12 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50,
     (count desc, left asc, right asc), so boundary ties are deterministic.
 
     Scale shape: per-batch np.unique partial counts (a batch contributes
-    one row per DISTINCT pair — the combiner) -> coarse pair-hash bucket
-    shuffle -> one vectorized pandas sum + per-bucket top-k per bucket ->
-    the driver merges 64 x k rows.  Each pair lives in exactly one bucket,
-    so per-bucket top-k before the driver merge is lossless for the global
-    top-k.  No vocabulary ever broadcasts; the driver sees <= 64*k rows."""
-    from engine.joins import fast_hash64
+    one row per DISTINCT pair — the combiner) -> pair ``shuffle_groups``
+    -> one vectorized pandas sum + top-k per bucket -> the driver merges
+    buckets x k rows.  Each pair lives in exactly one bucket, so per-bucket
+    top-k before the driver merge is lossless for the global top-k.  No
+    vocabulary ever broadcasts."""
+    from engine.joins import shuffle_groups
 
     def partial(batch: pa.Table) -> pa.Table:
         lefts, rights = [], []
@@ -925,8 +917,7 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50,
             rights.extend(toks[1:])
         if not lefts:
             return pa.table({"pair": pa.array([], type=pa.string()),
-                             "c": pa.array([], type=pa.int64()),
-                             "__b": pa.array([], type=pa.int64())})
+                             "c": pa.array([], type=pa.int64())})
         # " " as the pair separator is unambiguous (tokens come from a
         # space split so cannot contain one) and — unlike "\x00" — is not
         # numpy's U-dtype padding char (trailing NULs get stripped).
@@ -934,11 +925,9 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50,
             np.asarray(lefts, dtype="U"), " "), np.asarray(rights,
                                                            dtype="U"))
         u, c = np.unique(pair, return_counts=True)
-        h = fast_hash64(u.tolist())
         return pa.table({
             "pair": pa.array(u.tolist(), type=pa.string()),
             "c": pa.array(c.astype(np.int64)),
-            "__b": pa.array((h % num_buckets).astype(np.int64)),
         })
 
     def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -950,9 +939,9 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50,
                           kind="mergesort").head(k)
         return s[["left_tok", "right_tok", "c"]].rename(columns={"c": "cnt"})
 
-    per_bucket = docs.map_batches(partial, batch_format="pyarrow") \
-        .groupby("__b").map_groups(bucket_topk, batch_format="pandas") \
-        .to_pandas()
+    per_bucket = shuffle_groups(
+        [(docs.map_batches(partial, batch_format="pyarrow"), ["pair"])],
+        bucket_topk).to_pandas()
     out = per_bucket.sort_values(["cnt", "left_tok", "right_tok"],
                                  ascending=[False, True, True],
                                  kind="mergesort").head(k)

@@ -347,3 +347,43 @@ def test_dense_knn_ranks_only_through_the_one_selection():
             if line not in inside:
                 bad.append(f"{name}:{line}: {m.group(0)}")
     assert not bad, bad
+
+
+def test_keyed_shuffles_go_only_through_the_primitive():
+    """engine/*.py co-partitions on a key only through
+    joins.shuffle_groups: no ``.map_groups(``, no ``NUM_BUCKETS`` /
+    ``num_buckets`` and no ``% 64``-style bucket tag outside it (oracles.py
+    is SQL and not scanned), except
+    text.pack_sequences (its bucket is a doc-id range its offsets read),
+    text.reservoir_per_group (it groups by the key itself, over few groups)
+    and relational.heavy_hitters (its bucket -1 is the decrement ledger).
+
+    The 23 sites this replaced, each by its groupby: dedup.exact_dedup,
+    ngram_jaccard_pairs (2), _distinct_pairs, _dedup_keyed_rows,
+    minhash_lsh_pairs, simhash_pairs, embedding_near_dup;
+    joins.bucketed_hash_join, _bucketed_filter_join; relational.events_running,
+    events_asof_join, events_sessions, shipping_priority (2),
+    events_interval_join; text.tfidf_topk, inverted_index, merge_pair_counts;
+    spatial.pip_join, range_join; blocking.cell_blocking (2)."""
+    import ast
+    shuffle = re.compile(
+        r"\.map_groups\(|NUM_BUCKETS|num_buckets"
+        r"|%\s*(?:np\.uint64\()?\s*(?:16|32|64|B)\b")
+    allowed = {("joins.py", "shuffle_groups"), ("text.py", "pack_sequences"),
+               ("text.py", "reservoir_per_group"),
+               ("relational.py", "heavy_hitters")}
+    engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
+    bad = []
+    for f in sorted(engine.glob("*.py")):
+        if f.name == "oracles.py":   # the DuckDB SQL
+            continue
+        src = f.read_text()
+        inside = {line for node in ast.walk(ast.parse(src))
+                  if isinstance(node, ast.FunctionDef)
+                  and (f.name, node.name) in allowed
+                  for line in range(node.lineno, node.end_lineno + 1)}
+        for m in shuffle.finditer(src):
+            line = src.count("\n", 0, m.start()) + 1
+            if line not in inside:
+                bad.append(f"{f.name}:{line}: {m.group(0)}")
+    assert not bad, bad

@@ -504,7 +504,7 @@ def test_bucketed_hash_join_matches_pandas(ray_session):
     right = pd.DataFrame({"rk": np.arange(50), "y": rng.random(50)})
     got = bucketed_hash_join(ray.data.from_pandas(left),
                              ray.data.from_pandas(right),
-                             "k", "rk", num_buckets=8).to_pandas()
+                             "k", "rk").to_pandas()
     want = left.merge(right, left_on="k", right_on="rk")
     assert len(got) == len(want)
     g = got.sort_values(["k", "x"]).reset_index(drop=True)
@@ -1181,11 +1181,13 @@ def test_kmv_sketch_matches_serial_and_bounds_error(ray_session):
     assert o2.loc[0, "n_sketch"] == 3
 
 
-def test_bloom_semi_join_exact_despite_false_positives(ray_session):
+def test_bloom_semi_join_exact_despite_false_positives(ray_session,
+                                                       monkeypatch):
     """bloom_semi_join output == broadcast_semi_join output even with a
     deliberately tiny bitmap (high false-positive rate): the bucketed
     verify removes every FP.  Also: duplicate right keys emit each left
     row once, and the prefilter really drops non-members."""
+    from engine import joins
     from engine.joins import (bloom_semi_join, broadcast_semi_join,
                               build_bloom, _bloom_positions)
     left = ray.data.from_arrow(pa.table({
@@ -1195,8 +1197,9 @@ def test_bloom_semi_join_exact_despite_false_positives(ray_session):
     right = ray.data.from_arrow(pa.table({
         "rk": pa.array(rkeys, type=pa.int64())})).repartition(2)
     # tiny bitmap (64 bits, j=2) -> false positives are certain
-    got = bloom_semi_join(left, right, "k", "rk", m_bits=64, j=2,
-                          num_buckets=4).to_pandas().sort_values("k")
+    monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", 4)
+    got = bloom_semi_join(left, right, "k", "rk", m_bits=64, j=2) \
+        .to_pandas().sort_values("k")
     want = broadcast_semi_join(left, "k", set(rkeys)) \
         .to_pandas().sort_values("k")
     assert got.reset_index(drop=True).equals(want.reset_index(drop=True))
@@ -1329,17 +1332,18 @@ def test_pii_scrub_planted_counts(ray_session):
     assert (phone_rows.n_chars_redacted > 0).all()
 
 
-def test_merge_pair_counts_matches_serial(ray_session):
+def test_merge_pair_counts_matches_serial(ray_session, monkeypatch):
     """BPE merge-pair counting equals a serial Counter over the same corpus
     (values AND the deterministic tie order), across a bucket count chosen
     so several pairs share buckets."""
     from collections import Counter
+    from engine import joins
     from engine.text import merge_pair_counts
     from engine.storage import read_parquet_clean
     sf = "/root/testdata/sf0.001"
+    monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", 7)
     got = merge_pair_counts(read_parquet_clean(
-        f"{sf}/documents.parquet", columns=["doc_id", "text"]), k=30,
-        num_buckets=7)
+        f"{sf}/documents.parquet", columns=["doc_id", "text"]), k=30)
     import duckdb
     texts = duckdb.sql(
         f"SELECT text FROM read_parquet('{sf}/documents.parquet')"

@@ -123,3 +123,30 @@ def test_brute_knn_local_topk_planted_ties(ray_session):
     assert got.neighbor_id.tolist() == ids[lexsort_topk(-sim[:1], ids,
                                                         120)[0]].tolist()
     assert np.isnan(sim[0, 50])
+
+
+def test_empty_index_ranks_nothing(ray_session):
+    """An index side without rows gives every query row an empty ranking,
+    (n, 0), as topk_by_key does for k = 0: through the f32 GEMM scan, the
+    exact f64 scan and the embedding kernel (both score modes)."""
+    X = _grid(np.random.default_rng(2), 3, 6)
+    idx = np.empty((0, 6))
+    no_ids = np.empty(0, dtype=np.int64)
+    top, d = blk.topk_l2_f32(X.astype(np.float32), idx.astype(np.float32),
+                             np.empty(0, np.float32), no_ids, 5)
+    assert top.shape == d.shape == (3, 0)
+    top, d2 = blk.topk_l2_exact(X, idx, no_ids, 5)
+    assert top.shape == d2.shape == (3, 0)
+
+    def emb(ids):
+        vecs = _grid(np.random.default_rng(3), len(ids), 4)
+        return pa.table({
+            "doc_id": pa.array([str(i) for i in ids], type=pa.string()),
+            "feature": pa.array(vecs.tolist(), type=pa.list_(pa.float64())),
+            "raw": pa.array(vecs.tolist(), type=pa.list_(pa.float64())),
+            "norm": pa.array(np.linalg.norm(vecs, axis=1))})
+    for exact in (False, True):
+        shard = blk._embedding_shard(emb([]), exact)
+        got = blk._embedding_nn(ray.data.from_arrow(emb(range(5))),
+                                [lambda: shard], 3, exact)
+        assert got.count() == 0
