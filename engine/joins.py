@@ -143,6 +143,8 @@ def _common_key_type(types: list) -> pa.DataType:
     hashes alike on every side (400 and 400.0 land in one bucket)."""
     if all(t == types[0] for t in types):
         return types[0]
+    if all(pa.types.is_integer(t) for t in types):
+        return pa.int64()
     if all(pa.types.is_integer(t) or pa.types.is_floating(t) for t in types):
         return pa.float64()
     return pa.string()
@@ -153,7 +155,7 @@ def _key_words(col, ktype) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if ktype is not None and col.type != ktype:
-        col = col.cast(ktype)
+        col = col.cast(ktype, safe=False)   # equal keys stay equal
     t = col.type
     if pa.types.is_integer(t):
         return pc.fill_null(col.cast(pa.int64(), safe=False), 0).to_numpy() \
@@ -162,18 +164,6 @@ def _key_words(col, ktype) -> np.ndarray:
         v = pc.fill_null(col.cast(pa.float64()), 0.0).to_numpy() + 0.0
         return np.where(np.isnan(v), np.nan, v).view(np.uint64)  # -0.0, NaN
     return fast_hash64(col.cast(pa.string()).to_numpy(zero_copy_only=False))
-
-
-def _typed(ds: ray.data.Dataset):
-    """``ds`` and its schema, running ``ds`` at most once: a plan Ray cannot
-    type without running it (a map, a shuffle) is materialized, so the
-    schema and the shuffle read the same blocks instead of the upstream
-    running twice."""
-    schema = ds.schema(fetch_if_missing=False)
-    if schema is None:
-        ds = ds.materialize()
-        schema = ds.schema()
-    return ds, schema
 
 
 def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
@@ -186,7 +176,9 @@ def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
     as one ``batch_format`` frame.  With more than one part the frames are
     aligned to one schema (each column takes its type from the first part
     that has it; a part without a column gets nulls) and carry the part
-    index in the int8 column ``SIDE``.  The bucket is the high bits of a
+    index in the int8 column ``SIDE``; a part whose schema Ray cannot infer
+    from its plan runs up to its first block to type it
+    (``Dataset.schema()``).  The bucket is the high bits of a
     64-bit multiply mix of the keys, so sequential keys spread evenly over
     any ``SHUFFLE_BUCKETS``.  Salt a hot key upstream if one dominates."""
     buckets = SHUFFLE_BUCKETS
@@ -194,13 +186,10 @@ def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
     ktypes = [None] * len(parts[0][1])
     if len(parts) > 1:
         combined = {}
-        typed = []
-        for ds, keys in parts:
-            ds, schema = _typed(ds)
-            typed.append((ds, keys))
+        for ds, _ in parts:
+            schema = ds.schema()
             for name, typ in zip(schema.names, schema.types):
                 combined.setdefault(name, typ)
-        parts = typed
         ktypes = [_common_key_type([combined[keys[i]] for _, keys in parts])
                   for i in range(len(ktypes))]
 
@@ -247,8 +236,7 @@ def bucketed_hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
     left's, then the right's (a name the left already has gets ``__r``),
     typed as ``shuffle_groups`` aligns them.
     """
-    (left, lschema), (right, rschema) = _typed(left), _typed(right)
-    lcols, rcols = list(lschema.names), list(rschema.names)
+    lcols, rcols = list(left.schema().names), list(right.schema().names)
 
     def join_group(g: pa.Table) -> pa.Table:
         """Arrow-native local hash join: pandas matches only the key/index
@@ -301,8 +289,7 @@ def bucketed_semi_join(left: ray.data.Dataset, right: ray.data.Dataset,
 def _bucketed_filter_join(left: ray.data.Dataset, right: ray.data.Dataset,
                           left_key: str, right_key: str,
                           anti: bool) -> ray.data.Dataset:
-    left, lschema = _typed(left)
-    lcols = list(lschema.names)
+    lcols = list(left.schema().names)
 
     def filt_group(g: pa.Table) -> pa.Table:
         mask = pc.equal(g.column(SIDE), pa.scalar(0, pa.int8()))

@@ -391,7 +391,9 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
     only in its reference cell, (max of the two first cell columns, max of
     the two first cell rows): that cell lies in both covers whenever they
     share any cell, so each pair is emitted exactly once with no distinct
-    pass (integer arithmetic, no float hazard).  No driver state; group
+    pass (integer arithmetic, no float hazard).  Cells are keyed by their
+    (column, row) indices, not ``cells.encode``: a box expanded past the
+    world's edge covers row -1, whose encoded ids all collapse to -1.  No driver state; group
     size is bounded by per-cell object density (sparse world) — salt hot
     cells upstream if a real corpus clusters."""
     cs = cells.cell_size(res)
@@ -405,9 +407,9 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
         row, ix, iy = _batch_cover(x0 - half, y0 - half,
                                    x0 + w + half, y0 + l + half, cs)
         ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=object)
-        cell = cells.encode(res, ix, iy)
         return pa.table({
-            "cell": pa.array(cell, type=pa.int64()),
+            "ix": pa.array(ix, type=pa.int64()),
+            "iy": pa.array(iy, type=pa.int64()),
             "ix0": pa.array(np.floor((x0 - half) / cs).astype(np.int64)[row]),
             "iy0": pa.array(np.floor((y0 - half) / cs).astype(np.int64)[row]),
             "k": pa.array([int(i) for i in ids[row]], type=pa.int64()),
@@ -418,10 +420,9 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
         })
 
     def pairs_in_cell(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.merge(g, on="cell")
-        ref = cells.encode(res, np.maximum(m.ix0_x, m.ix0_y),
-                           np.maximum(m.iy0_x, m.iy0_y))
-        m = m[(m.k_x < m.k_y) & (m.cell == ref)]
+        m = g.merge(g, on=["ix", "iy"])
+        m = m[(m.k_x < m.k_y) & (m.ix == np.maximum(m.ix0_x, m.ix0_y))
+              & (m.iy == np.maximum(m.iy0_x, m.iy0_y))]
         if m.empty:
             return pd.DataFrame({"a_id": pd.Series([], dtype="int64"),
                                  "b_id": pd.Series([], dtype="int64"),
@@ -439,7 +440,7 @@ def range_join(props: ray.data.Dataset, d: float = 8.0,
                              "dist": dist[keep]})
 
     return shuffle_groups(
-        [(props.map_batches(cover, batch_format="pyarrow"), ["cell"])],
+        [(props.map_batches(cover, batch_format="pyarrow"), ["ix", "iy"])],
         pairs_in_cell)
 
 

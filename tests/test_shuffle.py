@@ -121,7 +121,9 @@ def test_output_is_independent_of_the_bucket_count(ray_session, monkeypatch,
 def test_two_sided_keys_of_different_numeric_types_meet(ray_session,
                                                         monkeypatch):
     """An int64 key and a float64 key of equal value (400 and 400.0) hash
-    to one bucket, so the join finds them at every bucket count."""
+    to one bucket, so the join finds them at every bucket count; an int64
+    key beyond 2**53 against an int32 key hashes as an integer (a float64
+    cast would refuse it)."""
     from engine.joins import bucketed_hash_join, bucketed_semi_join
     left = pd.DataFrame({"k": np.arange(0, 1000, 50, dtype=np.int64),
                          "x": np.arange(20, dtype=np.int64)})
@@ -139,6 +141,21 @@ def test_two_sided_keys_of_different_numeric_types_meet(ray_session,
         semi = bucketed_semi_join(ray.data.from_pandas(left),
                                   ray.data.from_pandas(right), "k", "rk")
         assert sorted(semi.to_pandas().k) == [400, 950]
+    big = pd.DataFrame({"k": np.array([2**53 + 1, 2**62 + 7, 400, 7],
+                                      dtype=np.int64),
+                        "x": np.arange(4, dtype=np.int64)})
+    small = pd.DataFrame({"rk": np.array([400, 7, 9], dtype=np.int32),
+                          "y": np.array([1, 2, 3], dtype=np.int64)})
+    for b in (7, 64):
+        monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", b)
+        got = bucketed_hash_join(ray.data.from_pandas(big),
+                                 ray.data.from_pandas(small), "k", "rk") \
+            .to_pandas().sort_values("k")
+        assert got[["k", "x", "y"]].values.tolist() == [[7, 3, 2],
+                                                        [400, 2, 1]]
+        semi = bucketed_semi_join(ray.data.from_pandas(big),
+                                  ray.data.from_pandas(small), "k", "rk")
+        assert sorted(semi.to_pandas().k) == [7, 400]
 
 
 def _range_oracle(ids, x0, y0, x1, y1, d) -> pd.DataFrame:
@@ -160,13 +177,17 @@ def test_range_join_emits_each_pair_once_from_its_reference_cell(
         ray_session):
     """Planted rectangles whose expanded boxes share 2 cells (both straddle
     the x = 128 line) and 4 cells (both straddle the corner (128, 128)),
-    plus a random layout over the cell lines of a 128 m grid: every pair
-    comes out exactly once and the table equals the all-pairs oracle."""
+    two pairs within d/2 of the world's edge whose expanded boxes reach
+    row -1 or column -1 and cross a cell line, plus a random layout over
+    the cell lines of a 128 m grid: every pair comes out exactly once and
+    the table equals the all-pairs oracle."""
     from engine.spatial import range_join
     rng = np.random.default_rng(3)
     planted = [(125.0, 10.0, 2.0, 2.0), (130.0, 12.0, 1.0, 1.0),
                (125.0, 125.0, 2.0, 2.0), (129.0, 129.0, 1.0, 1.0),
-               (300.0, 300.0, 1.0, 1.0)]
+               (300.0, 300.0, 1.0, 1.0),
+               (125.0, 1.0, 2.0, 2.0), (130.0, 2.0, 1.0, 1.0),
+               (1.0, 125.0, 2.0, 2.0), (2.0, 130.0, 1.0, 1.0)]
     n = 80
     rand = np.column_stack([rng.integers(100, 400, n) + 0.5,
                             rng.integers(100, 400, n) + 0.25,
@@ -186,6 +207,6 @@ def test_range_join_emits_each_pair_once_from_its_reference_cell(
     want = _range_oracle(ids, r[:, 0], r[:, 1], r[:, 0] + r[:, 2],
                          r[:, 1] + r[:, 3], d)
     pairs = set(map(tuple, got[["a_id", "b_id"]].to_numpy()))
-    assert {(0, 1), (2, 3)} <= pairs
+    assert {(0, 1), (2, 3), (5, 6), (7, 8)} <= pairs
     pd.testing.assert_frame_equal(_canon(got), _canon(want),
                                   check_exact=True)
