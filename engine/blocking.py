@@ -646,8 +646,8 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
               "index_id": pd.Series([], dtype="object"),
               "dist2": pd.Series([], dtype="float64")}
 
-    def local_pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized per-cell candidate generation for one shuffle bucket:
+    def local_pairs(g: pd.DataFrame) -> pd.DataFrame:
+        """Vectorized per-cell candidate generation for one shuffle call:
         ONE cands⋈index merge on the cell key replaces per-cell slicing
         (cell cross-products are bounded by the salting cap), then a
         cumcount top-k per (cell, cand)."""
@@ -668,10 +668,10 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
         m = m[rk.to_numpy() < nn_param]
         return m[["cand_id", "index_id", "dist2"]].reset_index(drop=True)
 
-    local = shuffle_groups([(salted, ["salted"])], local_pairs_bucket)
+    local = shuffle_groups([(salted, ["salted"])], local_pairs)
 
-    def rerank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        """Fully vectorized per-cand top-k within the bucket: dedup, sort by
+    def rerank(g: pd.DataFrame) -> pd.DataFrame:
+        """Fully vectorized per-cand top-k within the call: dedup, sort by
         (cand, dist2, numeric id), cumcount rank, cut at nn_param."""
         g = g.drop_duplicates(["cand_id", "index_id"]).copy()
         g["_num"] = g.index_id.astype(np.int64)
@@ -681,4 +681,4 @@ def cell_blocking(props: ray.data.Dataset, res: int = 9, ring: int = 1,
         g = g[g["rank"] <= nn_param]
         return g.drop(columns=["_num"]).reset_index(drop=True)
 
-    return shuffle_groups([(local, ["cand_id"])], rerank_bucket)
+    return shuffle_groups([(local, ["cand_id"])], rerank)

@@ -27,9 +27,12 @@ def cell_size(res: int) -> float:
 
 
 def encode(res: int, ix, iy):
-    """Pack (res, ix, iy) -> int64 cell id (vectorized)."""
-    return (np.int64(res) << _RES_SHIFT) | (np.asarray(ix, dtype=np.int64) << _IX_SHIFT) \
-        | np.asarray(iy, dtype=np.int64)
+    """Pack (res, ix, iy) -> int64 cell id (vectorized).  An index outside
+    [0, 2**res) would overwrite the other fields: ``ValueError``."""
+    ix, iy = np.asarray(ix, dtype=np.int64), np.asarray(iy, dtype=np.int64)
+    if ((ix < 0) | (iy < 0) | (ix >> res > 0) | (iy >> res > 0)).any():
+        raise ValueError(f"cell index outside [0, 2**{res}) at res {res}")
+    return (np.int64(res) << _RES_SHIFT) | (ix << _IX_SHIFT) | iy
 
 
 def decode(cell):

@@ -45,7 +45,7 @@ def exact_dedup(docs: ray.data.Dataset) -> ray.data.Dataset:
     Shape: per-block PARTIAL aggregate on the content digest (combiner —
     only (digest, min_id, count) rows ride the shuffle, never text), then
     ``shuffle_groups`` on the digest with ONE vectorized pandas aggregate
-    per bucket.
+    per call.
     """
     def partial(batch: pa.Table) -> pa.Table:
         # full 128-bit md5 as two int64 columns: no hex-string objects
@@ -66,14 +66,14 @@ def exact_dedup(docs: ray.data.Dataset) -> ray.data.Dataset:
             "n": pa.array(r["n"].to_numpy().astype(np.int64)),
         })
 
-    def bucket_agg(g: pd.DataFrame) -> pd.DataFrame:
+    def digest_groups(g: pd.DataFrame) -> pd.DataFrame:
         r = g.groupby(["__h1", "__h2"], as_index=False).agg(
             doc_id=("doc_id", "min"), dup_count=("n", "sum"))
         return r[["doc_id", "dup_count"]]
 
     return shuffle_groups(
         [(docs.map_batches(partial, batch_format="pyarrow"),
-          ["__h1", "__h2"])], bucket_agg)
+          ["__h1", "__h2"])], digest_groups)
 
 
 def _shingles(text: str, n: int = 3, pad: bool = False) -> set[str]:
@@ -106,7 +106,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
     ``df_cap``: the driver-side document-frequency table is a capped
     heavy-hitters table, NOT the full distinct-shingle map: only the top
     ``df_cap`` shingles by (df DESC, shingle ASC), among those with df >= 2,
-    are kept (per-bucket top-K then a final driver cut, so driver memory is
+    are kept (per-call top-K then a final driver cut, so driver memory is
     O(df_cap) at any corpus size).  Every shingle outside the table is
     treated as df = 1.  The AllPairs prefix filter is LOSSLESS under ANY
     globally-consistent shingle order, and (df_capped(s), s) is consistent
@@ -126,7 +126,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
                          "shingle": pa.array(shs)})
 
     # global shingle document frequencies, BOUNDED: per-block partial counts
-    # (combiner) -> shingle shuffle -> per-bucket exact sum + top-K cut
+    # (combiner) -> shingle shuffle -> per-call exact sum + top-K cut
     # -> final driver cut to df_cap.  They define the canonical rare-first
     # order for PREFIX FILTERING; see the df_cap contract in the docstring.
     def block_df(batch: pa.Table) -> pa.Table:
@@ -135,7 +135,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
         return pa.table({"shingle": pa.array(v),
                          "n": pa.array(c.astype(np.int64))})
 
-    def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def topk_df(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("shingle", as_index=False)["n"].sum()
         s = s[s.n >= 2]  # df=1 shingles pair with nothing
         s = s.sort_values(["n", "shingle"], ascending=[False, True],
@@ -145,7 +145,7 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
     dfp = shuffle_groups(
         [(docs.map_batches(explode, batch_format="pyarrow")
           .map_batches(block_df, batch_format="pyarrow"), ["shingle"])],
-        topk_bucket).to_pandas()
+        topk_df).to_pandas()
     dfp = dfp.sort_values(["n", "shingle"], ascending=[False, True],
                           kind="mergesort").head(df_cap)
     df_side = storage.broadcast(dict(zip(dfp.shingle, dfp.n)))
@@ -179,10 +179,10 @@ def ngram_jaccard_pairs(docs: ray.data.Dataset, threshold: float = 0.6,
 def _pairs_sharing_key(rows: ray.data.Dataset, keys: list[str],
                        max_group: int) -> ray.data.Dataset:
     """Distinct (a_id, b_id), a_id < b_id, of every two ``doc_id`` rows that
-    share ``keys``: one self-merge on the keys per shuffle bucket, skipping
+    share ``keys``: one self-merge on the keys per shuffle call, skipping
     key groups of one row or of more than ``max_group`` rows (whose
     O(size^2) pairs would dominate), then the distributed distinct (a pair
-    sharing several keys is generated in several buckets)."""
+    sharing several keys can be generated in several calls)."""
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         size = g.groupby(keys)["doc_id"].transform("size")
         g = g[(size >= 2) & (size <= max_group)][["doc_id", *keys]]
@@ -200,7 +200,7 @@ def _pairs_sharing_key(rows: ray.data.Dataset, keys: list[str],
 def _distinct_pairs(cand: ray.data.Dataset) -> ray.data.Dataset:
     """Distributed (a_id, b_id) distinct: per-block pre-dedup (combiner),
     then ``shuffle_groups`` on the pair with ONE vectorized drop_duplicates
-    per bucket."""
+    per call."""
     def block_dedup(b: pa.Table) -> pa.Table:
         df = pd.DataFrame({"a_id": b.column("a_id").to_numpy(),
                            "b_id": b.column("b_id").to_numpy()})
@@ -210,12 +210,12 @@ def _distinct_pairs(cand: ray.data.Dataset) -> ray.data.Dataset:
             "b_id": pa.array(df.b_id.to_numpy(), type=pa.int64()),
         })
 
-    def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def dedup_rows(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["a_id", "b_id"])[["a_id", "b_id"]]
 
     return shuffle_groups(
         [(cand.map_batches(block_dedup, batch_format="pyarrow"),
-          ["a_id", "b_id"])], dedup_bucket)
+          ["a_id", "b_id"])], dedup_rows)
 
 
 def _dedup_keyed_rows(ds: ray.data.Dataset,
@@ -227,7 +227,7 @@ def _dedup_keyed_rows(ds: ray.data.Dataset,
     duplicate-row anomaly at the end of a long multi-query session (7 dup
     rows out of 90, unreproducible across 10+ reruns); an independent final
     dedup pass squares the probability of any such anomaly surviving."""
-    def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def dedup_rows(g: pd.DataFrame) -> pd.DataFrame:
         out = g.drop_duplicates(keys)
         if len(out) != len(g):
             # observe recurrence instead of silently absorbing it (see the
@@ -235,11 +235,11 @@ def _dedup_keyed_rows(ds: ray.data.Dataset,
             import logging
             logging.getLogger("engine.dedup").warning(
                 "_dedup_keyed_rows dropped %d duplicate key rows "
-                "(bucket of %d) — exactly-once anomaly recurred",
+                "(call of %d rows) — exactly-once anomaly recurred",
                 len(g) - len(out), len(g))
         return out
 
-    return shuffle_groups([(ds, keys)], dedup_bucket)
+    return shuffle_groups([(ds, keys)], dedup_rows)
 
 
 def _batch_shingle_hashes(texts: list[str], n: int, pad: bool):

@@ -6,11 +6,12 @@ Two physical plans, chosen by side size (ray_guide.md patterns):
   and looked up inside ``map_batches`` (no shuffle).  Replaces the
   reference's dict-of-dict lookups (reference process_pairs.py:62-66).
 * ``bucketed`` — both sides large: ``shuffle_groups`` co-partitions the
-  sides on the key into ``SHUFFLE_BUCKETS`` coarse buckets and each bucket
-  joins locally.  That primitive is the only keyed shuffle in the engine:
-  every operator that groups rows by a key (dedup pair generation, windows,
-  sessions, cell blocking, PIP and range joins) hands it its parts and a
-  per-bucket function.  Hot-key salting stays upstream (SURVEY.md §7.3).
+  sides on the key and each reduce block joins locally.  That primitive is
+  the only keyed shuffle in the engine: every operator that groups rows by
+  a key (dedup pair generation, windows, sessions, cell blocking, PIP and
+  range joins, sketch merges, reservoirs, prefix sums) hands it its parts
+  and a function that is called once per reduce block and sees every row
+  of each key it gets.  Hot-key salting stays upstream (SURVEY.md §7.3).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def stable_hash64(values) -> np.ndarray:
 def fast_hash64(values) -> np.ndarray:
     """Vectorized FNV-1a-style 64-bit hash over UTF-32 codepoints.
 
-    Used where only the DISTRIBUTION matters (join bucketing, hot-cell
+    Used where only the DISTRIBUTION matters (join partitioning, hot-cell
     salting) — no per-value Python loop; `stable_hash64`'s md5 stays on the
     semantic paths (splits, sampling, contamination) whose values define
     reproducible experiment membership."""
@@ -57,7 +58,7 @@ def fast_hash64(values) -> np.ndarray:
     for j in range(w):
         c = codes[:, j]
         # skip NUL padding so the hash is independent of the batch-local
-        # fixed width (same key must land in the same bucket in every batch)
+        # fixed width (same key must hash alike in every batch)
         h = np.where(c != 0, (h ^ c) * prime, h)
     return h
 
@@ -126,21 +127,14 @@ def broadcast_semi_join(ds: ray.data.Dataset, key: str, keep_keys,
     return ds.map_batches(filt, batch_format="pyarrow")
 
 
-# Every keyed shuffle in the engine goes through ``shuffle_groups``: one Ray
-# group per coarse bucket, with ONE vectorized pandas/Arrow pass per bucket
-# inside.  Grouping by the key itself pays ~1 ms of Ray per-group overhead
-# per distinct key (measured 75 s for 400k near-singleton groups, against
-# ~2 s in buckets).  Read when a plan is built, so a test's monkeypatch
-# reaches the workers through the tag closure.
-SHUFFLE_BUCKETS = 64
 SIDE = "__side"          # the part index column of a multi-part shuffle
-_BUCKET = "__bucket"
+_KEY = "__key"           # the 64-bit key mix the shuffle sorts on
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _common_key_type(types: list) -> pa.DataType:
     """The type every part's key column is cast to before hashing, so a key
-    hashes alike on every side (400 and 400.0 land in one bucket)."""
+    hashes alike on every side (400 and 400.0 meet in one call)."""
     if all(t == types[0] for t in types):
         return types[0]
     if all(pa.types.is_integer(t) for t in types):
@@ -168,20 +162,25 @@ def _key_words(col, ktype) -> np.ndarray:
 
 def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
                    batch_format: str = "pandas") -> ray.data.Dataset:
-    """Co-partition ``parts`` on their keys and run ``fn`` once per bucket.
+    """Co-partition ``parts`` on their keys; call ``fn`` per reduce block.
 
     ``parts`` is a list of ``(dataset, key columns)``; rows whose keys are
     equal (after casting each key to one type across the parts) land in the
-    same call of ``fn``, which sees every row of its bucket, of every part,
-    as one ``batch_format`` frame.  With more than one part the frames are
-    aligned to one schema (each column takes its type from the first part
-    that has it; a part without a column gets nulls) and carry the part
-    index in the int8 column ``SIDE``; a part whose schema Ray cannot infer
-    from its plan runs up to its first block to type it
-    (``Dataset.schema()``).  The bucket is the high bits of a
-    64-bit multiply mix of the keys, so sequential keys spread evenly over
-    any ``SHUFFLE_BUCKETS``.  Salt a hot key upstream if one dominates."""
-    buckets = SHUFFLE_BUCKETS
+    same call of ``fn``: it sees every row of each key it gets, of every
+    part, as one ``batch_format`` frame, for any grouping of keys into
+    calls.  A call may hold many keys, rows of one part only, and rows in
+    no particular order.  With more than one part the frames are aligned
+    to one schema (each column takes its type from the first part that has
+    it; a part without a column gets nulls) and carry the part index in
+    the int8 column ``SIDE``; a part whose schema Ray cannot infer from
+    its plan runs up to its first block to type it (``Dataset.schema()``).
+
+    The union of the parts is sorted on a 64-bit multiply mix of the keys,
+    equal for equal keys, and ``fn`` runs on each nonempty block the sort
+    emits.  A key is never split across calls: one sort reducer emits one
+    block and ``batch_size=None`` hands it over whole, the guarantee Ray's
+    own ``map_groups`` rests on.  Salt a hot key upstream if one
+    dominates."""
     combined = None
     ktypes = [None] * len(parts[0][1])
     if len(parts) > 1:
@@ -208,8 +207,7 @@ def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
             h = np.zeros(batch.num_rows, dtype=np.uint64)
             for k, ktype in zip(keys, ktypes):
                 h = (h ^ _key_words(batch.column(k), ktype)) * _MIX
-            b = ((h >> np.uint64(32)) * np.uint64(buckets)) >> np.uint64(32)
-            return batch.append_column(_BUCKET, pa.array(b.astype(np.int64)))
+            return batch.append_column(_KEY, pa.array(h.view(np.int64)))
         return add_tag
 
     tagged = [ds.map_batches(tag(i, keys), batch_format="pyarrow")
@@ -218,19 +216,21 @@ def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
 
     def run(g):
         if batch_format == "pandas":
-            del g[_BUCKET]
+            del g[_KEY]
         else:
-            g = g.drop_columns([_BUCKET])
+            g = g.drop_columns([_KEY])
         return fn(g)
+    run.__name__ = fn.__name__   # Ray names the operator after the site
 
-    return union.groupby(_BUCKET).map_groups(run, batch_format=batch_format)
+    return union.sort(_KEY).map_batches(run, batch_size=None,
+                                        batch_format=batch_format)
 
 
 def bucketed_hash_join(left: ray.data.Dataset, right: ray.data.Dataset,
                        left_key: str, right_key: str,
                        how: str = "inner") -> ray.data.Dataset:
     """Partitioned hash join: the two sides co-partition on the key through
-    ``shuffle_groups`` and each bucket joins locally.
+    ``shuffle_groups`` and each reduce block joins locally.
 
     The scale path when neither side fits in memory.  Output columns: the
     left's, then the right's (a name the left already has gets ``__r``),
@@ -271,7 +271,7 @@ def bucketed_anti_join(left: ray.data.Dataset, right: ray.data.Dataset,
 
     The scale path when the exclusion set is too big to broadcast
     (broadcast_semi_join(anti=True) is the small-side shortcut): both sides
-    co-partition on the key and each bucket filters locally with a
+    co-partition on the key and each reduce block filters locally with a
     vectorized is_in — only the key column of the right side rides the
     shuffle."""
     return _bucketed_filter_join(left, right, left_key, right_key, anti=True)

@@ -574,7 +574,7 @@ def q_events_running(sf_dir: str):
 @query(o.EVENTS_SESSIONS)
 def q_events_sessions(sf_dir: str):
     """Gap-based sessionization (30-min gap): per-event session id + size,
-    user shuffle with one vectorized pass per bucket.
+    user shuffle with one vectorized pass per call.
     Oracle-exact (all-int output)."""
     return relational.events_sessions(sf_dir)
 
@@ -587,8 +587,8 @@ def q_events_asof(sf_dir: str):
 @query(o.EVENTS_INTERVAL)
 def q_events_interval(sf_dir: str):
     """Interval (band) self join: every unordered same-user event pair
-    within ±30 min — hash-bucket co-partition + one vectorized
-    rank-composite searchsorted window match per bucket (no per-row loop,
+    within ±30 min — user co-partition + one vectorized
+    rank-composite searchsorted window match per call (no per-row loop,
     no cross product).  All-integer gap, oracle-exact."""
     return relational.events_interval_join(sf_dir)
 
@@ -1217,8 +1217,8 @@ def vocab_merge_pairs(sf_dir: str):
     """One BPE merge-selection round (Sennrich et al. 2016): corpus-wide
     adjacent-token pair counts, global top-50 under the deterministic
     (count desc, left, right) total order.  Combiner partial counts ->
-    pair-hash bucket shuffle -> lossless per-bucket top-k -> <=64x50-row
-    driver merge.  Oracle-exact."""
+    pair shuffle -> lossless per-call top-k -> (calls x 50)-row driver
+    merge.  Oracle-exact."""
     return text.merge_pair_counts(_docs(sf_dir))
 
 
@@ -1236,16 +1236,16 @@ def text_pii_scrub(sf_dir: str):
 @query(o.INVERTED_INDEX)
 def inverted_index(sf_dir: str):
     """Distributed inverted-index build: term → df + first-32 ascending
-    posting list (comma-joined), per-doc distinct explode → term-hash bucket
-    shuffle → one vectorized segment slice per bucket.  Oracle-exact."""
+    posting list (comma-joined), per-doc distinct explode → term
+    shuffle → one vectorized segment slice per call.  Oracle-exact."""
     return text.inverted_index(_docs(sf_dir), max_postings=32)
 
 
 @query(o.PACK_SEQUENCES)
 def pack_sequences(sf_dir: str):
     """Sequence packing (contiguous GPT-style data-loader layout): global
-    token prefix sum in doc_id order via range buckets + a driver-side
-    O(#buckets) cumsum, window_id = start_offset // 256.  Oracle-exact
+    token prefix sum in doc_id order via 64 doc_id ranges + a driver-side
+    64-entry cumsum, window_id = start_offset // 256.  Oracle-exact
     (SQL window cumsum)."""
     return text.pack_sequences(_docs(sf_dir), window=256)
 

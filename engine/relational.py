@@ -172,13 +172,13 @@ def events_running(sf_dir: str) -> ray.data.Dataset:
     running max(value).  Max/count only, so floats stay
     order-independent-exact.
 
-    Shape: ``shuffle_groups`` on user_id; inside each bucket ONE sort by
+    Shape: ``shuffle_groups`` on user_id; inside each call ONE sort by
     (user_id, ts, event_id) + vectorized groupby cumcount/cummax covers
     every user."""
     import pandas as pd
     ds = _t(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
-    def window_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def running_window(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         grp = g.groupby("user_id", sort=False)
         return pd.DataFrame({
@@ -188,7 +188,7 @@ def events_running(sf_dir: str) -> ray.data.Dataset:
             "run_max": grp["value"].cummax().to_numpy(),
         })
 
-    return shuffle_groups([(ds, ["user_id"])], window_bucket)
+    return shuffle_groups([(ds, ["user_id"])], running_window)
 
 
 def events_asof_join(sf_dir: str) -> ray.data.Dataset:
@@ -198,7 +198,7 @@ def events_asof_join(sf_dir: str) -> ray.data.Dataset:
 
     Physical plan: both sides co-partitioned by customer key (ONE
     ``shuffle_groups`` — no broadcast of the orders table, no per-user
-    rescan), then one vectorized ``pd.merge_asof(by=user)`` per bucket.
+    rescan), then one vectorized ``pd.merge_asof(by=user)`` per call.
     Events with no prior order are dropped (inner as-of).
     """
     import pandas as pd
@@ -209,7 +209,7 @@ def events_asof_join(sf_dir: str) -> ray.data.Dataset:
               "user_id": pd.Series([], dtype="int64"),
               "last_orderkey": pd.Series([], dtype="int64")}
 
-    def asof_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def asof_match(g: pd.DataFrame) -> pd.DataFrame:
         e = g[g[SIDE] == 0]
         o = g[g[SIDE] == 1]
         if e.empty or o.empty:
@@ -230,7 +230,7 @@ def events_asof_join(sf_dir: str) -> ray.data.Dataset:
         })
 
     return shuffle_groups([(events, ["user_id"]), (orders, ["o_custkey"])],
-                          asof_bucket)
+                          asof_match)
 
 
 def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
@@ -241,13 +241,13 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
     the table is SQL-exact (timestamps compare as exact microseconds).
 
     Shape: ``shuffle_groups`` on user_id; ONE sort + vectorized
-    diff/cumsum/transform per bucket covers every user (the
+    diff/cumsum/transform per call covers every user (the
     ``events_running`` pattern)."""
     import pandas as pd
     ds = _t(sf_dir, "events", ["event_id", "ts", "user_id"])
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def sess_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def sessionize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         grp = g.groupby("user_id", sort=False)
         prev = grp["ts"].shift(1)
@@ -262,7 +262,7 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
             "event_id"].transform("size").astype(np.int64)
         return out
 
-    return shuffle_groups([(ds, ["user_id"])], sess_bucket)
+    return shuffle_groups([(ds, ["user_id"])], sessionize)
 
 
 def shipping_priority(sf_dir: str, segment: str = "BUILDING",
@@ -330,12 +330,12 @@ def shipping_priority(sf_dir: str, segment: str = "BUILDING",
                          "cents": pa.array(s)})
 
     # per-(block, orderkey) partials -> orderkey shuffle with ONE
-    # vectorized pandas sum per bucket (the exact_dedup shape)
-    def bucket_sum(g: "pd.DataFrame") -> "pd.DataFrame":
+    # vectorized pandas sum per call (the exact_dedup shape)
+    def revenue_sum(g: "pd.DataFrame") -> "pd.DataFrame":
         return g.groupby("l_orderkey", as_index=False)["cents"].sum()
 
     def revenue(partials: ray.data.Dataset) -> ray.data.Dataset:
-        return shuffle_groups([(partials, ["l_orderkey"])], bucket_sum)
+        return shuffle_groups([(partials, ["l_orderkey"])], revenue_sum)
 
     # size gate: the filtered orders dimension usually collapses far below
     # the fact side — then broadcast it once (sorted-key lookup,
@@ -410,21 +410,21 @@ def heavy_hitters(ds: ray.data.Dataset, col: str = "user_id",
     Shape: (1) per-block exact counts -> MG-compress to ``capacity``
     entries (decrement by the (capacity+1)-th largest, drop <=0; the
     per-compress decrement is emitted as a side row so total undercount
-    D is tracked, not assumed); (2) key-hash bucket groupby -> sum +
-    compress per bucket (sketch entries only ride this shuffle —
-    <= capacity rows per block); (3) driver: candidates = surviving keys
+    D is tracked, not assumed); (2) ``shuffle_groups`` on the key -> sum +
+    compress per call (sketch entries only ride this shuffle — <= capacity
+    rows per block; every ledger row carries the key ``__D__``, so the
+    ledger sums in one call); (3) driver: candidates = surviving keys
     with est + D >= threshold (MG superset guarantee; a fully-zeroed
     key has true count <= D).  Soundness is structural — two compress
-    levels give D <= 2n/(capacity+1), and capacity >= 8*denom makes
+    levels give D <= 2n/(capacity+1) however the keys are grouped into
+    calls (each call's keys are disjoint), and capacity >= 8*denom makes
     D < n/denom — and ALSO asserted at runtime, with a documented exact
     fallback; (4) broadcast the candidate set -> exact combiner count ->
     filter.  Output (value, c) is exact, so the oracle is plain
     GROUP BY/HAVING SQL."""
     from ray.data.aggregate import Count, Sum
-    from engine.joins import stable_hash64
     import pandas as pd
     assert capacity >= 8 * denom, "capacity >= 8*denom keeps D < n/denom"
-    B = 16
 
     def mg_compress(keys: np.ndarray, counts: np.ndarray):
         if len(keys) <= capacity:
@@ -439,33 +439,28 @@ def heavy_hitters(ds: ray.data.Dataset, col: str = "user_id",
                        dtype=object)
         keys, counts = np.unique(v, return_counts=True)
         keys, counts, d = mg_compress(keys, counts.astype(np.int64))
-        bucket = (stable_hash64(keys) % B).astype(np.int64)
         return pa.table({
             "key": pa.array(np.concatenate([keys, ["__D__"]]).tolist(),
                             type=pa.string()),
             "c": pa.array(np.concatenate([counts, [d]]), type=pa.int64()),
-            "b": pa.array(np.concatenate([bucket, [-1]]), type=pa.int64()),
             "n": pa.array([batch.num_rows] * (len(keys) + 1),
                           type=pa.int64()),
         })
 
-    def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if int(g["b"].iloc[0]) == -1:   # decrement ledger: just sum
-            return pd.DataFrame({"key": ["__D__"],
-                                 "c": [int(g["c"].sum())]})
+    def merge_sketch(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("key", sort=True)["c"].sum()
+        ledger = int(s.pop("__D__")) if "__D__" in s.index else 0
         keys, counts, d = mg_compress(
             s.index.to_numpy(dtype=object), s.to_numpy(np.int64))
         return pd.DataFrame({"key": np.concatenate([keys, ["__D__"]]),
-                             "c": np.concatenate([counts, [d]])})
+                             "c": np.concatenate([counts, [d + ledger]])})
 
     # materialize: the sketch feeds both the ledger sum and the merge —
     # without this the source would re-execute (the table is tiny:
     # <= capacity+1 rows per batch)
     sk = ds.map_batches(block_sketch, batch_format="pyarrow").materialize()
-    n_total = int(sk.filter(lambda r: r["b"] == -1).sum("n") or 0)
-    merged = sk.groupby("b").map_groups(merge_bucket,
-                                        batch_format="pandas").to_pandas()
+    n_total = int(sk.filter(lambda r: r["key"] == "__D__").sum("n") or 0)
+    merged = shuffle_groups([(sk, ["key"])], merge_sketch).to_pandas()
     D = int(merged.loc[merged.key == "__D__", "c"].sum())
     # all-integer threshold tests: report c*denom > n  <=>  c > n/denom
     if D * denom >= n_total > 0:   # sketch saturated (can't happen with
@@ -500,7 +495,7 @@ def events_interval_join(sf_dir: str,
     from the as-of join (which keeps only one latest match).
 
     Physical plan: ONE co-partition by user (``shuffle_groups``), then a
-    fully vectorized per-bucket window match — rows sorted by
+    fully vectorized per-call window match — rows sorted by
     (user, ts, event_id), timestamps rank-compressed (monotone, so
     per-user order survives), and each row's matching span found by ONE
     searchsorted on the composite key user*(L+1)+rank; pairs emitted by a
@@ -516,7 +511,7 @@ def events_interval_join(sf_dir: str,
               "b_id": pd.Series([], dtype="int64"),
               "gap_us": pd.Series([], dtype="int64")}
 
-    def band_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def band_match(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
         ukey = g["user_id"].to_numpy(np.int64)
         ets = g["ts"].to_numpy("datetime64[us]").view(np.int64)
@@ -543,7 +538,7 @@ def events_interval_join(sf_dir: str,
             "gap_us": ets[b] - ets[a],
         })
 
-    return shuffle_groups([(events, ["user_id"])], band_bucket)
+    return shuffle_groups([(events, ["user_id"])], band_match)
 
 
 def events_quantiles(sf_dir: str,

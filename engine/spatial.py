@@ -82,9 +82,9 @@ def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
     cell, and the two sides co-partition on the cell (``shuffle_groups``).
     Grouping by raw cell was the r04 geo_pip regression: ~10^5 occupied
     cells meant ~10^5 per-group pandas invocations (23 s CPU for ~1.4 s of
-    useful PIP math).  Per bucket the exact ray-crossing
+    useful PIP math).  Per call the exact ray-crossing
     refinement pairs each polygon replica with its cell's points via two
-    searchsorted probes into the bucket's cell-sorted point arrays — a
+    searchsorted probes into the call's cell-sorted point arrays — a
     point lives in exactly one cell and a polygon covers each cell once,
     so no pair is tested twice.  No global index.
     """

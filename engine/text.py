@@ -13,7 +13,7 @@ import pyarrow as pa
 import ray.data
 
 from engine import gates, storage
-from engine.joins import stable_hash64
+from engine.joins import bucketed_hash_join, shuffle_groups, stable_hash64
 
 STOPWORDS = {"the", "a", "and", "of", "to"}
 
@@ -225,8 +225,9 @@ def reservoir_per_group(docs: ray.data.Dataset, group_col: str = "lang",
     Physical form (the classic distributed-reservoir shape): a per-block
     per-group PARTIAL top-k combiner (bounded state — at most k rows per
     (block, group) survive, so the shuffle carries <= k * n_blocks rows
-    per group, never the corpus) -> one small groupby merge taking the
-    final top-k.  Output: (group, doc_id, rank 1..k by hash order)."""
+    per group, never the corpus) -> a ``shuffle_groups`` merge on the
+    group taking each group's final top-k.  Output: (group, doc_id,
+    rank 1..k by hash order)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -242,12 +243,14 @@ def reservoir_per_group(docs: ray.data.Dataset, group_col: str = "lang",
             .replace_schema_metadata(None)
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["h", "doc_id"], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+        g = g.sort_values([group_col, "h", "doc_id"], kind="mergesort") \
+             .groupby(group_col, sort=False).head(k)
+        g = g.assign(rank=g.groupby(group_col, sort=False).cumcount() + 1)
         return g[[group_col, "doc_id", "rank"]]
 
-    return docs.map_batches(partial, batch_format="pyarrow") \
-        .groupby(group_col).map_groups(final, batch_format="pandas")
+    return shuffle_groups(
+        [(docs.map_batches(partial, batch_format="pyarrow"), [group_col])],
+        final)
 
 
 def fingerprint(docs: ray.data.Dataset, window: int = 8) -> ray.data.Dataset:
@@ -389,10 +392,9 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5) -> ray.data.Dataset:
     carries #blocks x block-vocab rows, never the corpus; (3) tf ⋈ df via
     the bucketed hash join (term-partitioned, no broadcast assumption on
     vocabulary size); (4) per-doc top-k via a doc_id ``shuffle_groups``
-    with one vectorized sort + cumcount per bucket.  Ranking order is (score DESC, term ASC) — terms are
+    with one vectorized sort + cumcount per call.  Ranking order is (score DESC, term ASC) — terms are
     unique within a doc, so the order is total and matches SQL row_number.
     """
-    from engine.joins import bucketed_hash_join, shuffle_groups
     from ray.data.aggregate import Sum
 
     n_docs = docs.count()
@@ -488,14 +490,14 @@ def tfidf_topk(docs: ray.data.Dataset, k: int = 5) -> ray.data.Dataset:
 
     scored = j.map_batches(score, batch_format="pyarrow")
 
-    def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def topk_terms(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "score", "term"],
                           ascending=[True, False, True], kind="mergesort")
         g["rnk"] = g.groupby("doc_id").cumcount() + 1
         g = g[g["rnk"] <= k]
         return g[["doc_id", "term", "tf", "df", "score", "rnk"]]
 
-    return shuffle_groups([(scored, ["doc_id"])], topk_bucket)
+    return shuffle_groups([(scored, ["doc_id"])], topk_terms)
 
 
 def repetition_stats(docs: ray.data.Dataset,
@@ -556,8 +558,7 @@ def inverted_index(docs: ray.data.Dataset,
     Scale shape: per-doc distinct explode (np.unique) -> term
     ``shuffle_groups`` (the posting-list build IS the one unavoidable
     all-to-all; the cap bounds row width) -> one vectorized lexsort +
-    segment slice per bucket."""
-    from engine.joins import shuffle_groups
+    segment slice per call."""
 
     def explode(batch: pa.Table) -> pa.Table:
         ids, terms = [], []
@@ -571,7 +572,7 @@ def inverted_index(docs: ray.data.Dataset,
             "term": pa.array(terms, type=pa.string()),
         })
 
-    def build_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def build_postings(g: pd.DataFrame) -> pd.DataFrame:
         terms = g["term"].to_numpy(dtype="U")
         ids = g["doc_id"].to_numpy(dtype=np.int64)
         order = np.lexsort((ids, terms))
@@ -588,23 +589,24 @@ def inverted_index(docs: ray.data.Dataset,
 
     return shuffle_groups(
         [(docs.map_batches(explode, batch_format="pyarrow"), ["term"])],
-        build_bucket)
+        build_postings)
 
 
-def pack_sequences(docs: ray.data.Dataset, window: int = 256,
-                   num_buckets: int = 64) -> ray.data.Dataset:
+def pack_sequences(docs: ray.data.Dataset,
+                   window: int = 256) -> ray.data.Dataset:
     """Sequence packing for pre-training batches: concatenate the corpus in
     doc_id order and assign every document the fixed-size token window its
     first token lands in (the contiguous-packing layout of GPT-style data
     loaders).  Emits (doc_id, n_tokens, start_offset, window_id).
 
     This is a distributed prefix sum (scan): (1) per-doc token counts;
-    (2) range-bucket by doc_id so bucket order == doc_id order, per-bucket
+    (2) 64 doc_id ranges, so range order == doc_id order, per-range
     token totals via the partial-sum combiner + tiny groupby; (3) the
-    #buckets-long totals vector is cumsum'd on the driver (O(buckets)
-    memory, never the corpus) and broadcast; (4) one vectorized sort +
-    cumsum per bucket adds the bucket offset.  All arithmetic is int64, so
-    the table is SQL-exact against a window SUM OVER (ORDER BY doc_id)."""
+    64-long totals vector is cumsum'd on the driver (never the corpus)
+    and broadcast; (4) a ``shuffle_groups`` on the range, and per call
+    one vectorized sort + per-range cumsum adds each range's offset.  All
+    arithmetic is int64, so the table is SQL-exact against a window
+    SUM OVER (ORDER BY doc_id)."""
     from ray.data.aggregate import Max, Sum
 
     def counts(batch: pa.Table) -> pa.Table:
@@ -616,13 +618,14 @@ def pack_sequences(docs: ray.data.Dataset, window: int = 256,
 
     tok = docs.map_batches(counts, batch_format="pyarrow").materialize()
     max_id = int(tok.aggregate(Max("doc_id"))["max(doc_id)"])
+    ranges = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def add_range(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
-        b = ids * num_buckets // (max_id + 1)
+        b = ids * ranges // (max_id + 1)
         return batch.append_column("__b", pa.array(b.astype(np.int64)))
 
-    bucketed = tok.map_batches(add_bucket, batch_format="pyarrow")
+    ranged = tok.map_batches(add_range, batch_format="pyarrow")
 
     def block_sums(batch: pa.Table) -> pa.Table:
         b = batch.column("__b").to_numpy()
@@ -632,19 +635,20 @@ def pack_sequences(docs: ray.data.Dataset, window: int = 256,
         np.add.at(s, inv, n)
         return pa.table({"__b": pa.array(u), "n": pa.array(s)})
 
-    sums = bucketed.map_batches(block_sums, batch_format="pyarrow") \
+    sums = ranged.map_batches(block_sums, batch_format="pyarrow") \
         .groupby("__b").aggregate(Sum("n", alias_name="n")).to_pandas() \
         .sort_values("__b").reset_index(drop=True)
-    totals = np.zeros(num_buckets, dtype=np.int64)
+    totals = np.zeros(ranges, dtype=np.int64)
     totals[sums["__b"].to_numpy()] = sums["n"].to_numpy()
     offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
     offsets = storage.broadcast(offsets)
 
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def scan_ranges(g: pd.DataFrame) -> pd.DataFrame:
         off = offsets()
-        g = g.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
+        g = g.sort_values("doc_id", kind="mergesort")
         n = g["n_tokens"].to_numpy()
-        start = np.cumsum(n) - n + off[int(g["__b"].iloc[0])]
+        start = g.groupby("__b", sort=False)["n_tokens"].cumsum() \
+            .to_numpy() - n + off[g["__b"].to_numpy()]
         return pd.DataFrame({
             "doc_id": g["doc_id"].to_numpy(),
             "n_tokens": n,
@@ -652,8 +656,7 @@ def pack_sequences(docs: ray.data.Dataset, window: int = 256,
             "window_id": start // window,
         })
 
-    return bucketed.groupby("__b").map_groups(scan_bucket,
-                                              batch_format="pandas")
+    return shuffle_groups([(ranged, ["__b"])], scan_ranges)
 
 
 def mixture_sample(docs: ray.data.Dataset, seed: int = 1) -> ray.data.Dataset:
@@ -903,11 +906,10 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50) -> pd.DataFrame:
 
     Scale shape: per-batch np.unique partial counts (a batch contributes
     one row per DISTINCT pair — the combiner) -> pair ``shuffle_groups``
-    -> one vectorized pandas sum + top-k per bucket -> the driver merges
-    buckets x k rows.  Each pair lives in exactly one bucket, so per-bucket
+    -> one vectorized pandas sum + top-k per call -> the driver merges
+    calls x k rows.  Each pair lives in exactly one call, so per-call
     top-k before the driver merge is lossless for the global top-k.  No
     vocabulary ever broadcasts."""
-    from engine.joins import shuffle_groups
 
     def partial(batch: pa.Table) -> pa.Table:
         lefts, rights = [], []
@@ -930,7 +932,7 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50) -> pd.DataFrame:
             "c": pa.array(c.astype(np.int64)),
         })
 
-    def bucket_topk(g: pd.DataFrame) -> pd.DataFrame:
+    def pair_topk(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("pair", sort=False)["c"].sum().reset_index()
         lr = s["pair"].str.split(" ", n=1, expand=True)
         s["left_tok"], s["right_tok"] = lr[0], lr[1]
@@ -939,10 +941,10 @@ def merge_pair_counts(docs: ray.data.Dataset, k: int = 50) -> pd.DataFrame:
                           kind="mergesort").head(k)
         return s[["left_tok", "right_tok", "c"]].rename(columns={"c": "cnt"})
 
-    per_bucket = shuffle_groups(
+    per_call = shuffle_groups(
         [(docs.map_batches(partial, batch_format="pyarrow"), ["pair"])],
-        bucket_topk).to_pandas()
-    out = per_bucket.sort_values(["cnt", "left_tok", "right_tok"],
+        pair_topk).to_pandas()
+    out = per_call.sort_values(["cnt", "left_tok", "right_tok"],
                                  ascending=[False, True, True],
                                  kind="mergesort").head(k)
     out["cnt"] = out["cnt"].astype("int64")

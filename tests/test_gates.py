@@ -351,27 +351,26 @@ def test_dense_knn_ranks_only_through_the_one_selection():
 
 def test_keyed_shuffles_go_only_through_the_primitive():
     """engine/*.py co-partitions on a key only through
-    joins.shuffle_groups: no ``.map_groups(``, no ``NUM_BUCKETS`` /
-    ``num_buckets`` and no ``% 64``-style bucket tag outside it (oracles.py
-    is SQL and not scanned), except
-    text.pack_sequences (its bucket is a doc-id range its offsets read),
-    text.reservoir_per_group (it groups by the key itself, over few groups)
-    and relational.heavy_hitters (its bucket -1 is the decrement ledger).
+    joins.shuffle_groups: no ``.map_groups(``, no ``SHUFFLE_BUCKETS``, no
+    ``NUM_BUCKETS`` / ``num_buckets`` and no ``% 64``-style bucket tag
+    outside it (oracles.py is SQL and not scanned), with no exception.
 
-    The 23 sites this replaced, each by its groupby: dedup.exact_dedup,
+    The 26 sites this replaced, each by its groupby: dedup.exact_dedup,
     ngram_jaccard_pairs (2), _distinct_pairs, _dedup_keyed_rows,
     minhash_lsh_pairs, simhash_pairs, embedding_near_dup;
     joins.bucketed_hash_join, _bucketed_filter_join; relational.events_running,
     events_asof_join, events_sessions, shipping_priority (2),
     events_interval_join; text.tfidf_topk, inverted_index, merge_pair_counts;
-    spatial.pip_join, range_join; blocking.cell_blocking (2)."""
+    spatial.pip_join, range_join; blocking.cell_blocking (2); and, folded
+    last, relational.heavy_hitters (its bucket -1 was the decrement
+    ledger), text.reservoir_per_group (it grouped by the key itself) and
+    text.pack_sequences (its bucket was the doc-id range its offsets
+    read)."""
     import ast
     shuffle = re.compile(
-        r"\.map_groups\(|NUM_BUCKETS|num_buckets"
+        r"\.map_groups\(|SHUFFLE_BUCKETS|NUM_BUCKETS|num_buckets"
         r"|%\s*(?:np\.uint64\()?\s*(?:16|32|64|B)\b")
-    allowed = {("joins.py", "shuffle_groups"), ("text.py", "pack_sequences"),
-               ("text.py", "reservoir_per_group"),
-               ("relational.py", "heavy_hitters")}
+    allowed = {("joins.py", "shuffle_groups")}
     engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
     bad = []
     for f in sorted(engine.glob("*.py")):

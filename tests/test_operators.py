@@ -39,6 +39,20 @@ def test_cover_bbox():
     assert len(got) == 2  # crosses one x boundary
 
 
+def test_cell_index_outside_the_grid_raises():
+    """A column or row index outside [0, 2**res) would overwrite the id's
+    other fields (row -1 ORs to -1), so encoding one raises."""
+    with pytest.raises(ValueError):
+        cells.encode(11, 5, -1)
+    with pytest.raises(ValueError):
+        cells.encode(11, 2 ** 11, 5)
+    with pytest.raises(ValueError):   # a box past the world's edge
+        cells.cover_bbox(-10.0, 10.0, 50.0, 10.0, 11)
+    with pytest.raises(ValueError):
+        cells.cover_bbox(10.0, 10.0, 10.0, cells.WORLD_SIZE + 1.0, 11)
+    assert cells.decode(cells.encode(11, 2 ** 11 - 1, 0))[1] == 2 ** 11 - 1
+
+
 def test_cell_parent_children_roundtrip():
     c = cells.cell_of([1000.0, 65000.0], [2000.0, 131000.0], 11)
     p = cells.parent(c, 8)
@@ -892,17 +906,20 @@ def test_substring_dup_stats(ray_session):
     assert out.loc[3, "dup_frac"] == 1.0
 
 
-def test_pack_sequences_prefix_sum(ray_session):
-    """Global packing equals the serial prefix sum regardless of bucket
-    count / parallelism; windows cover offsets contiguously."""
+def test_pack_sequences_prefix_sum(ray_session, monkeypatch):
+    """Global packing equals the serial prefix sum over 7 reduce blocks,
+    each holding several doc_id ranges; windows cover offsets
+    contiguously."""
     from engine.text import pack_sequences
+    from test_shuffle import _reduce_blocks
+    _reduce_blocks(monkeypatch, 7)
     rng = list(range(100))
     texts = ["w " * (i % 17) + "end" for i in rng]   # 1..17 tokens
     docs = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(rng, type=pa.int64()),
         "text": pa.array(texts),
     }))
-    out = pack_sequences(docs, window=32, num_buckets=7).to_pandas() \
+    out = pack_sequences(docs, window=32).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     n = np.array([t.count(" ") + 1 for t in texts], dtype=np.int64)
     start = np.cumsum(n) - n
@@ -1187,7 +1204,6 @@ def test_bloom_semi_join_exact_despite_false_positives(ray_session,
     deliberately tiny bitmap (high false-positive rate): the bucketed
     verify removes every FP.  Also: duplicate right keys emit each left
     row once, and the prefilter really drops non-members."""
-    from engine import joins
     from engine.joins import (bloom_semi_join, broadcast_semi_join,
                               build_bloom, _bloom_positions)
     left = ray.data.from_arrow(pa.table({
@@ -1197,7 +1213,8 @@ def test_bloom_semi_join_exact_despite_false_positives(ray_session,
     right = ray.data.from_arrow(pa.table({
         "rk": pa.array(rkeys, type=pa.int64())})).repartition(2)
     # tiny bitmap (64 bits, j=2) -> false positives are certain
-    monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", 4)
+    from test_shuffle import _reduce_blocks
+    _reduce_blocks(monkeypatch, 4)
     got = bloom_semi_join(left, right, "k", "rk", m_bits=64, j=2) \
         .to_pandas().sort_values("k")
     want = broadcast_semi_join(left, "k", set(rkeys)) \
@@ -1334,14 +1351,14 @@ def test_pii_scrub_planted_counts(ray_session):
 
 def test_merge_pair_counts_matches_serial(ray_session, monkeypatch):
     """BPE merge-pair counting equals a serial Counter over the same corpus
-    (values AND the deterministic tie order), across a bucket count chosen
-    so several pairs share buckets."""
+    (values AND the deterministic tie order), over 7 reduce blocks, so
+    several pairs share a call."""
     from collections import Counter
-    from engine import joins
     from engine.text import merge_pair_counts
     from engine.storage import read_parquet_clean
+    from test_shuffle import _reduce_blocks
     sf = "/root/testdata/sf0.001"
-    monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", 7)
+    _reduce_blocks(monkeypatch, 7)
     got = merge_pair_counts(read_parquet_clean(
         f"{sf}/documents.parquet", columns=["doc_id", "text"]), k=30)
     import duckdb

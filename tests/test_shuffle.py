@@ -1,7 +1,9 @@
-"""The one keyed shuffle (engine/joins.py: shuffle_groups): every operator
-that co-partitions on a key gives exactly the same rows whatever the bucket
-count, two-sided keys of different numeric types still meet, and the range
-join emits each pair once through its reference-cell rule."""
+"""The one keyed shuffle (engine/joins.py: shuffle_groups): it calls its
+function once per reduce block with every row of each key it gets, every
+operator that co-partitions on a key gives exactly the same rows whatever
+the number of reduce blocks, two-sided keys of different numeric types
+still meet, and the range join emits each pair once through its
+reference-cell rule."""
 
 import numpy as np
 import pandas as pd
@@ -9,14 +11,26 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from engine import gates, joins
+from engine import gates
 from test_gates import (_docs, _embedding_near_dup, _jaccard,
                         _pair_features, _planted_docs, _simhash)
 from test_pipeline import SF
 
 
+_SORT = ray.data.Dataset.sort
+
+
+def _reduce_blocks(monkeypatch, p: int) -> None:
+    """Run every ``Dataset.sort`` over ``p`` input blocks, so the sort emits
+    ``p`` reduce blocks and a ``shuffle_groups`` function gets at most ``p``
+    calls: one call sees every key at p = 1."""
+    monkeypatch.setattr(ray.data.Dataset, "sort",
+                        lambda self, *a, **kw: _SORT(self.repartition(p),
+                                                     *a, **kw))
+
+
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    """Rows in one order, whatever order the buckets came back in."""
+    """Rows in one order, whatever order the calls came back in."""
     if not len(df):
         return df
     return df[sorted(df.columns)].sort_values(sorted(df.columns)) \
@@ -43,6 +57,24 @@ def _filter_joins():
     return [bucketed_anti_join(left, right, "k", "rk"),
             bucketed_semi_join(left, right, "k", "rk"),
             bloom_semi_join(left, right, "k", "rk", m_bits=64, j=2)]
+
+
+def _sampled_docs():
+    from engine.storage import read_parquet_clean
+    return read_parquet_clean(f"{SF}/documents.parquet",
+                              columns=["doc_id", "text", "lang"])
+
+
+def _heavy_keys():
+    """Four keys above n/8 among 1,400 singletons, over a sketch capacity
+    of 64: every block and every call compresses, so the decrement ledger
+    is nonzero."""
+    from engine.relational import heavy_hitters
+    rng = np.random.default_rng(5)
+    keys = np.concatenate([np.repeat(np.arange(4), [400, 390, 380, 376]),
+                           np.arange(100, 1500)])
+    ds = ray.data.from_pandas(pd.DataFrame({"user_id": rng.permutation(keys)}))
+    return heavy_hitters(ds.repartition(4), "user_id", denom=8, capacity=64)
 
 
 def _query(name):
@@ -90,6 +122,11 @@ CASES = {
     "pip_join": (_query("geo_pip"), {}),
     "range_join": (_query("geo_range_join"), {}),
     "cell_blocking": (_query("geo_block_cells"), {}),
+    "heavy_hitters": (_heavy_keys, {}),
+    "reservoir_per_group": (_op("text", "reservoir_per_group",
+                                _sampled_docs, k=7), {}),
+    "pack_sequences": (_op("text", "pack_sequences", _sampled_docs,
+                           window=64), {}),
 }
 
 
@@ -102,26 +139,49 @@ def _frames(out) -> list[pd.DataFrame]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_is_independent_of_the_bucket_count(ray_session, monkeypatch,
                                                    name):
-    """1, 7 and 64 buckets give exactly equal rows and dtypes: one bucket
-    holds every key, seven group the keys otherwise than 64 do, and no
-    bucket's rows, present or absent, change a column's dtype."""
+    """1, 7 and 64 reduce blocks give exactly equal rows and dtypes: one
+    call holds every key, seven group the keys otherwise than 64 do, and no
+    call's rows, present or absent, change a column's dtype.  (The name
+    dates from the hash buckets the shuffle used to call its function on;
+    it is kept so the test's ids stay stable.)"""
     run, budgets = CASES[name]
     for budget, value in budgets.items():
         monkeypatch.setattr(gates, budget, value)
     out = {}
-    for b in (1, 7, 64):
-        monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", b)
-        out[b] = _frames(run())
+    for p in (1, 7, 64):
+        _reduce_blocks(monkeypatch, p)
+        out[p] = _frames(run())
     assert sum(len(f) for f in out[64]) > 0
-    for b in (1, 7):
-        for want, got in zip(out[64], out[b]):
+    for p in (1, 7):
+        for want, got in zip(out[64], out[p]):
             pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_fn_runs_once_per_reduce_block(ray_session):
+    """200 distinct keys in 3 input blocks make at most 3 calls (one per
+    reduce block, not one per key or per hash bucket), and each key's rows,
+    spread over all 3 input blocks, arrive in one call."""
+    from engine.joins import shuffle_groups
+    keys = np.tile(np.arange(200, dtype=np.int64), 3)
+    ds = ray.data.from_pandas(pd.DataFrame({"k": keys})).repartition(3)
+
+    def summary(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"n": [len(g)],
+                             "keys": [sorted(set(g["k"].tolist()))]})
+
+    out = shuffle_groups([(ds, ["k"])], summary).to_pandas()
+    assert 1 <= len(out) <= 3
+    assert out["n"].sum() == 600
+    seen = [set(k) for k in out["keys"]]
+    assert sum(len(k) for k in seen) == 200          # no key in two calls
+    assert set().union(*seen) == set(range(200))
+    assert out["n"].tolist() == [3 * len(k) for k in seen]
 
 
 def test_two_sided_keys_of_different_numeric_types_meet(ray_session,
                                                         monkeypatch):
     """An int64 key and a float64 key of equal value (400 and 400.0) hash
-    to one bucket, so the join finds them at every bucket count; an int64
+    alike, so the join finds them at any number of reduce blocks; an int64
     key beyond 2**53 against an int32 key hashes as an integer (a float64
     cast would refuse it)."""
     from engine.joins import bucketed_hash_join, bucketed_semi_join
@@ -131,8 +191,8 @@ def test_two_sided_keys_of_different_numeric_types_meet(ray_session,
                           "y": np.array([1, 2, 3, 4], dtype=np.int64)})
     want = left.merge(right, left_on="k", right_on="rk") \
         .sort_values(["k", "y"]).reset_index(drop=True)
-    for b in (7, 64):
-        monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", b)
+    for p in (7, 64):
+        _reduce_blocks(monkeypatch, p)
         got = bucketed_hash_join(ray.data.from_pandas(left).repartition(3),
                                  ray.data.from_pandas(right), "k", "rk") \
             .to_pandas().sort_values(["k", "y"]).reset_index(drop=True)
@@ -146,8 +206,8 @@ def test_two_sided_keys_of_different_numeric_types_meet(ray_session,
                         "x": np.arange(4, dtype=np.int64)})
     small = pd.DataFrame({"rk": np.array([400, 7, 9], dtype=np.int32),
                           "y": np.array([1, 2, 3], dtype=np.int64)})
-    for b in (7, 64):
-        monkeypatch.setattr(joins, "SHUFFLE_BUCKETS", b)
+    for p in (7, 64):
+        _reduce_blocks(monkeypatch, p)
         got = bucketed_hash_join(ray.data.from_pandas(big),
                                  ray.data.from_pandas(small), "k", "rk") \
             .to_pandas().sort_values("k")
