@@ -63,6 +63,79 @@ def test_xgboost_and_mlp_separate_blobs():
         assert np.array_equal(m.predict_proba(X), m2.predict_proba(X))
 
 
+def _planted(n, seed):
+    """Features on a 0.5 grid (tied values everywhere), a copy of column 1
+    (exactly tied gains across features) and a constant column, with noisy
+    labels (nodes whose rows all share their values but not their label:
+    the no-cut leaf)."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(0, 1, (n, 5)) * 2) / 2
+    X = np.column_stack([X, X[:, 1], np.full(n, 3.0)])
+    y = (X[:, 0] + X[:, 1] - 0.5 * X[:, 2] + rng.normal(0, 0.7, n)) > 0
+    return X, y.astype(np.int8)
+
+
+def _node_tables(m):
+    """(feature, threshold, left, right, value) per tree of a tree family."""
+    out = []
+    for t in getattr(m, "trees_", getattr(m, "stumps_", ())):
+        if hasattr(t, "proba"):
+            out.append((t.feature, t.threshold, t.left, t.right, t.proba))
+        elif hasattr(t, "nodes"):
+            a = np.asarray(t.nodes, dtype=np.float64)
+            out.append((a[:, 0].astype(np.int64), a[:, 1],
+                        a[:, 2].astype(np.int64), a[:, 3].astype(np.int64),
+                        a[:, 4]))
+        else:
+            out.append((np.array([t.fi_, -1, -1], dtype=np.int64),
+                        np.array([t.thr_, 0.0, 0.0]),
+                        np.array([1, -1, -1], dtype=np.int64),
+                        np.array([2, -1, -1], dtype=np.int64),
+                        np.array([0.0, -t.pol_, t.pol_], dtype=np.float64)))
+    return out
+
+
+def _learner_digest(m, Xt) -> str:
+    import hashlib
+    h = hashlib.sha256()
+    arrays = [m.predict_proba(Xt), m.predict(Xt), m.feature_importances_]
+    for table in _node_tables(m):
+        arrays += table
+    for a in arrays:
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+LEARNER_DIGESTS = {
+    'AdaBoost': '184924e294f249299487d4d50e14c1b8f71fc62756b25e695da943b67b64b685',
+    'AdaBoost-constant': '16ea9d074627b47cf45f84df9dc1ca498b1d33ba633a97d8d52c2a7db9b3eb5a',
+    'Bagging': 'f67d6cce57066600f16dacff3ceb25b7cea5ad1faa0313070f17a8b83cf9784c',
+    'GradientBoosting': 'ab0c5f57ef7d4838a6929846eac090778a3409d2efa2e665ae03f0aeaa7a32a1',
+    'LogisticRegression': 'afb581f6a44ad97f335199002d7341593167ca140d69477e2862046cc3f4e5f2',
+    'MLP': 'bf85268c7ceb95a12ae8c0699e5e1ba448c053d72364fe990828e83dfe781102',
+    'RandomForest': '0cbafa28bd646bce4db1ce1aeab070a05a38ceac631e6a18c803d6b549c50ca3',
+    'XGBoost': '6fc851959ce577913cd1ef3d7263a45734b3d6bb208fc3d849d329042f077a26',
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNER_DIGESTS))
+def test_learners_are_pinned(name):
+    """Each family's default fit on a planted-tie matrix: held-out
+    predict_proba and predict, feature_importances_ and every tree's node
+    table are bit-identical to the recorded digests.  ``AdaBoost-constant``
+    fits on the constant column alone, where every stump is the
+    majority vote."""
+    from engine.matching import MODEL_REGISTRY
+    X, y = _planted(300, 11)
+    Xt, _ = _planted(200, 12)
+    family, _, cols = name.partition("-")
+    if cols:
+        X, Xt = X[:, -1:], Xt[:, -1:]
+    m = MODEL_REGISTRY[family](random_state=1).fit(X, y)
+    assert _learner_digest(m, Xt) == LEARNER_DIGESTS[name]
+
+
 def test_grid_search_distributed_matches_serial(ray_session):
     """The Ray fan-out over (combo x fold) CV fits must be bit-identical to
     the serial loop — same scores, same first-combo-wins tie policy."""
