@@ -1,17 +1,23 @@
 """Deterministic numpy classifiers (no sklearn in this environment).
 
-Replaces the reference's FlexibleClassifier model zoo
-(/root/reference/classifier.py:43-54) with seeded, exact-reproducible
-implementations whose results are independent of parallelism: training runs on
-the driver over a canonically-sorted train matrix (SURVEY.md §7.4.6), exactly
-as the reference fits on the driver (classifier.py:150-163).  Prediction is
-distributed via a task-pool map_batches (PredictActor).
+Replaces the reference's FlexibleClassifier model zoo (classifier.py:43-54)
+with seeded, exact-reproducible implementations whose results are
+independent of parallelism: training runs on the driver over a
+canonically-sorted train matrix (SURVEY.md §7.4.6), exactly as the reference
+fits on the driver (classifier.py:150-163).  Prediction is distributed via a
+task-pool map_batches (``predict_dataset``).
 
-Provided models: RandomForest (the reference's blocking model,
-config.py:78), GradientBoosting (stumps on logistic loss), and a model
-registry + grid-search CV mirroring classifier.py:106-163's surface.
-``feature_importances_`` are impurity-gain sums like sklearn's, consumed by
-the BKAFI blocker (classifier.py:191-207).
+The seven families of ``MODEL_REGISTRY``: RandomForest (the reference's
+blocking model, config.py:78) and Bagging average Gini trees grown on
+bootstrap samples; GradientBoosting (depth-3 squared-error trees) and
+XGBoost (depth-4 Newton trees) boost on the logistic loss; AdaBoost weighs
+decision stumps; LogisticRegression and MLP fill the linear and neural
+slots.  Every tree, stumps included, is one ``Tree``: a flat node table
+walked by one traversal, its splits found by the one scan ``_scan``, grown
+by ``_grow`` from a criterion that supplies what differs per family.  A
+model registry and grid-search CV mirror classifier.py:106-163's surface.
+``feature_importances_`` sum to 1 and feed the BKAFI blocker
+(classifier.py:191-207).
 """
 
 from __future__ import annotations
@@ -24,122 +30,205 @@ import ray.data
 from engine import storage
 
 
-# Set True inside grid-search CV workers so model fits stay single-process
-# there (the outer fan-out already owns the parallelism); the driver's direct
-# fits keep their internal Ray tree-level fan-out.
-_SERIAL_FIT = False
+class _Classifier:
+    """The label is 1 where ``predict_proba`` reaches 0.5."""
+
+    def predict(self, X):
+        return (self.predict_proba(X) >= 0.5).astype(np.int8)
 
 
-def _set_serial_fit(v: bool):
-    global _SERIAL_FIT
-    _SERIAL_FIT = v
+def _shares(imp: np.ndarray) -> np.ndarray:
+    """Importances scaled to sum to 1 (all zeros stay zeros)."""
+    s = imp.sum()
+    return imp / s if s > 0 else imp
 
 
-def _gini_best_split(x: np.ndarray, y: np.ndarray):
-    """Best threshold on one feature by Gini gain.  Returns
-    (gain, threshold) or None.  Vectorized prefix-sum scan."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    n = len(ys)
-    pos = np.cumsum(ys)
-    total_pos = pos[-1]
-    # split after position i (1..n-1), only where value changes
-    idx = np.nonzero(xs[1:] != xs[:-1])[0] + 1
-    if len(idx) == 0:
-        return None
-    nl = idx.astype(np.float64)
-    nr = n - nl
-    pl = pos[idx - 1]
-    pr = total_pos - pl
-    gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
-    gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
-    parent = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
-    gain = parent - (nl / n) * gini_l - (nr / n) * gini_r
-    best = int(np.argmax(gain))
-    if gain[best] <= 0:
-        return None
-    thr = (xs[idx[best] - 1] + xs[idx[best]]) / 2.0
-    return float(gain[best]), thr
+class Tree:
+    """A binary tree as one flat node table, an entry per node: ``feature``
+    (-1 at a leaf), ``threshold`` (rows with x <= threshold go left),
+    ``left``, ``right`` and the leaf ``value``."""
 
+    def __init__(self, feature, threshold, left, right, value,
+                 importances=None):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.importances_ = importances
 
-class DecisionTree:
-    def __init__(self, max_depth=10, min_samples_split=2, max_features=None):
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
-        # flat node arrays: feature(-1 = leaf), threshold, left, right, proba
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.proba = [], [], []
-        self.importances_ = None
-
-    def fit(self, X, y, rng):
-        n, f = X.shape
-        self.importances_ = np.zeros(f)
-        k = self.max_features or f
-        self._build(X, y, np.arange(n), 0, rng, k, n)
-        for name in ("feature", "threshold", "left", "right", "proba"):
-            setattr(self, name, np.asarray(getattr(self, name)))
-        return self
-
-    def _new_node(self):
-        for arr in (self.feature, self.threshold, self.left, self.right, self.proba):
-            # identity checks (is), not ==: empty lists compare equal, which
-            # would misroute left/right to the float branch on the root node
-            arr.append(0.0 if (arr is self.threshold or arr is self.proba)
-                       else -1)
-        return len(self.feature) - 1
-
-    def _build(self, X, y, idx, depth, rng, k, n_total):
-        node = self._new_node()
-        ys = y[idx]
-        self.proba[node] = float(ys.mean()) if len(ys) else 0.0
-        if depth >= self.max_depth or len(idx) < self.min_samples_split \
-                or ys.min() == ys.max():
-            return node
-        feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
-        best = None
-        for fi in feats:
-            res = _gini_best_split(X[idx, fi], ys)
-            if res and (best is None or res[0] > best[0] + 1e-15):
-                best = (res[0], fi, res[1])
-        if best is None:
-            return node
-        gain, fi, thr = best
-        mask = X[idx, fi] <= thr
-        self.importances_[fi] += gain * len(idx) / n_total
-        self.feature[node] = int(fi)
-        self.threshold[node] = thr
-        self.left[node] = self._build(X, y, idx[mask], depth + 1, rng, k, n_total)
-        self.right[node] = self._build(X, y, idx[~mask], depth + 1, rng, k, n_total)
-        return node
-
-    def predict_proba(self, X):
-        """Vectorized level-synchronous tree traversal (no per-row loop)."""
-        n = len(X)
-        cur = np.zeros(n, dtype=np.int64)
+    def predict(self, X):
+        """Vectorized level-synchronous traversal (no per-row loop)."""
+        cur = np.zeros(len(X), dtype=np.int64)
         rows = np.nonzero(self.feature[cur] >= 0)[0]
         while len(rows):
             node = cur[rows]
-            f = self.feature[node]
-            go_left = X[rows, f] <= self.threshold[node]
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
             nxt = np.where(go_left, self.left[node], self.right[node])
             cur[rows] = nxt
             rows = rows[self.feature[nxt] >= 0]
-        return self.proba[cur]
+        return self.value[cur]
 
 
-def _fit_forest_tree(X, y, params: dict, t: int):
+def _scan(X, idx, features, stats):
+    """The split scan.  For each of ``features`` that varies over rows
+    ``idx``: stable-sort those rows by it and yield the feature, its sorted
+    values ``xs``, the positions ``cut`` where the value changes and the
+    prefix sums, in that order, of each per-row statistic in ``stats``.
+    Cut ``c`` sends the first ``c`` sorted rows left, at the threshold
+    ``(xs[c - 1] + xs[c]) / 2``."""
+    for fi in features:
+        x = X[idx, fi]
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        cut = np.nonzero(xs[1:] != xs[:-1])[0] + 1
+        if len(cut):
+            yield fi, xs, cut, [np.cumsum(s[order]) for s in stats]
+
+
+def _grow(X, crit, max_depth: int) -> Tree:
+    """Grow one tree depth first, left before right.  ``crit.node(rows)``
+    gives a node's leaf value, its per-row statistics (None: it stays a
+    leaf) and its totals; a node splits below ``max_depth``, from
+    ``crit.min_rows`` rows, at the cut of largest ``crit.gain`` above
+    ``crit.min_gain`` among ``crit.features(f)`` (a later feature must win
+    by more than 1e-15)."""
+    n, f = X.shape
+    imp = np.zeros(f)
+    table = []   # [feature, threshold, left, right, value] per node
+
+    def grow(idx, depth):
+        node = len(table)
+        value, stats, totals = crit.node(idx)
+        table.append([-1, 0.0, -1, -1, value])
+        if depth >= max_depth or len(idx) < crit.min_rows or stats is None:
+            return node
+        best = None
+        for fi, xs, cut, sums in _scan(X, idx, crit.features(f), stats):
+            gain = crit.gain(sums, cut, len(idx), totals)
+            b = int(np.argmax(gain))
+            if gain[b] > crit.min_gain and (
+                    best is None or gain[b] > best[0] + 1e-15):
+                thr = (xs[cut[b] - 1] + xs[cut[b]]) / 2.0
+                best = (float(gain[b]), fi, thr)
+        if best is None:
+            return node
+        gain, fi, thr = best
+        imp[fi] += crit.importance(gain, len(idx), n)
+        mask = X[idx, fi] <= thr
+        table[node][:2] = fi, thr
+        table[node][2] = grow(idx[mask], depth + 1)
+        table[node][3] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(n), 0)
+    return Tree(*zip(*table), importances=imp)
+
+
+class _Gini:
+    """Gini impurity of 0/1 labels (RandomForest, Bagging).  Each node
+    draws ``k`` features from the tree's ``rng``; a pure node stays a leaf
+    without drawing.  A split's importance is its gain times its node's
+    share of the rows."""
+
+    min_gain = 0.0
+
+    def __init__(self, y, rng, k: int, min_rows: int):
+        self.y, self.rng, self.k, self.min_rows = y, rng, k, min_rows
+
+    def node(self, idx):
+        ys = self.y[idx]
+        return float(ys.mean()), None if ys.min() == ys.max() else (ys,), None
+
+    def features(self, f):
+        return np.sort(self.rng.choice(f, size=self.k, replace=False))
+
+    @staticmethod
+    def gain(sums, cut, n, _):
+        pos, = sums
+        total_pos = pos[-1]
+        nl = cut.astype(np.float64)
+        nr = n - nl
+        pl = pos[cut - 1]
+        pr = total_pos - pl
+        gini_l = 1.0 - (pl / nl) ** 2 - ((nl - pl) / nl) ** 2
+        gini_r = 1.0 - (pr / nr) ** 2 - ((nr - pr) / nr) ** 2
+        parent = 1.0 - (total_pos / n) ** 2 - ((n - total_pos) / n) ** 2
+        return parent - (nl / n) * gini_l - (nr / n) * gini_r
+
+    @staticmethod
+    def importance(gain, n, n_total):
+        return gain * n / n_total
+
+
+class _SquaredError:
+    """Squared error of the residuals ``r`` (GradientBoosting): the leaf is
+    their mean, every feature is scanned."""
+
+    min_rows, min_gain = 4, 1e-12
+    features = staticmethod(range)
+
+    def __init__(self, r):
+        self.r = r
+
+    def node(self, idx):
+        rs = self.r[idx]
+        return float(rs.mean()), (rs,), None
+
+    @staticmethod
+    def gain(sums, cut, n, _):
+        csum, = sums
+        tot = csum[-1]
+        nl = cut.astype(np.float64)
+        sl = csum[cut - 1]
+        sr = tot - sl
+        return sl * sl / nl + sr * sr / (n - nl) - tot * tot / n
+
+    @staticmethod
+    def importance(gain, n, n_total):
+        return gain / n_total
+
+
+class _Newton:
+    """XGBoost's second-order criterion on gradients ``g`` and hessians
+    ``h``: leaf weight -G/(H+λ), split gain ½[G_L²/(H_L+λ) + G_R²/(H_R+λ)
+    − G²/(H+λ)] − γ, with the node totals G and H summed pairwise; every
+    feature is scanned."""
+
+    min_rows, min_gain = 2, 1e-12
+    features = staticmethod(range)
+
+    def __init__(self, g, h, lam: float, gamma: float):
+        self.g, self.h, self.lam, self.gamma = g, h, lam, gamma
+
+    def node(self, idx):
+        gs, hs = self.g[idx], self.h[idx]
+        G, H = float(gs.sum()), float(hs.sum())
+        return -G / (H + self.lam), (gs, hs), (G, H)
+
+    def gain(self, sums, cut, n, totals):
+        (gc, hc), (G, H) = sums, totals
+        GL, HL = gc[cut - 1], hc[cut - 1]
+        GR, HR = G - GL, H - HL
+        return 0.5 * (GL * GL / (HL + self.lam) + GR * GR / (HR + self.lam)
+                      - G * G / (H + self.lam)) - self.gamma
+
+    @staticmethod
+    def importance(gain, n, n_total):
+        return gain
+
+
+def _fit_forest_tree(X, y, params: dict, t: int) -> Tree:
     """One seeded bootstrap tree — pure function so trees can fit in parallel
     Ray tasks with results identical to the serial order."""
     rng = np.random.default_rng(params["random_state"] * 100003 + t)
     boot = rng.integers(0, len(X), len(X))
-    tree = DecisionTree(params["max_depth"], params["min_samples_split"],
-                        params["k"])
-    tree.fit(X[boot], y[boot], rng)
-    return tree
+    return _grow(X[boot], _Gini(y[boot], rng, params["k"],
+                                params["min_samples_split"]),
+                 params["max_depth"])
 
 
-class RandomForest:
+class RandomForest(_Classifier):
     """Seeded bagged trees; deterministic regardless of num_cpus (per-tree
     seeds fix the result whether trees fit serially or as parallel Ray
     tasks — the reference fits on the driver, classifier.py:150-163; we fan
@@ -153,11 +242,6 @@ class RandomForest:
         self.max_features = max_features
         self.random_state = random_state
 
-    def get_params(self):
-        return dict(n_estimators=self.n_estimators, max_depth=self.max_depth,
-                    min_samples_split=self.min_samples_split,
-                    max_features=self.max_features, random_state=self.random_state)
-
     def fit(self, X, y):
         X = np.ascontiguousarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int8)
@@ -165,7 +249,10 @@ class RandomForest:
         k = max(1, int(np.sqrt(f))) if self.max_features == "sqrt" else f
         params = dict(random_state=self.random_state, max_depth=self.max_depth,
                       min_samples_split=self.min_samples_split, k=k)
-        if ray.is_initialized() and not _SERIAL_FIT and len(X) * f >= 100_000:
+        # only the driver fans trees out: inside a task (a grid-search CV
+        # fit) the outer fan-out already owns the cluster
+        if (ray.is_initialized() and len(X) * f >= 100_000
+                and ray.get_runtime_context().worker.mode != ray.WORKER_MODE):
             fit_remote = ray.remote(num_cpus=1)(_fit_forest_tree)
             Xr, yr = ray.put(X), ray.put(y)
             # remote fit results, gathered on the driver (no map UDF)
@@ -174,126 +261,13 @@ class RandomForest:
         else:
             self.trees_ = [_fit_forest_tree(X, y, params, t)
                            for t in range(self.n_estimators)]
-        imp = np.sum([t.importances_ for t in self.trees_], axis=0)
-        s = imp.sum()
-        self.feature_importances_ = imp / s if s > 0 else imp
+        self.feature_importances_ = _shares(
+            np.sum([t.importances_ for t in self.trees_], axis=0))
         return self
 
     def predict_proba(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)
-        return np.mean([t.predict_proba(X) for t in self.trees_], axis=0)
-
-    def predict(self, X):
-        return (self.predict_proba(X) >= 0.5).astype(np.int8)
-
-
-class GradientBoosting:
-    """Depth-limited regression trees on logistic-loss gradients."""
-
-    def __init__(self, n_estimators=60, learning_rate=0.2, max_depth=3,
-                 random_state=1):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.random_state = random_state
-
-    def get_params(self):
-        return dict(n_estimators=self.n_estimators, learning_rate=self.learning_rate,
-                    max_depth=self.max_depth, random_state=self.random_state)
-
-    def fit(self, X, y):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        self.f0_ = 0.0
-        pred = np.zeros(len(y))
-        self.trees_ = []
-        f = X.shape[1]
-        imp = np.zeros(f)
-        for t in range(self.n_estimators):
-            p = 1.0 / (1.0 + np.exp(-pred))
-            resid = y - p
-            rng = np.random.default_rng(self.random_state * 100003 + t)
-            tree = _RegressionTree(self.max_depth)
-            tree.fit(X, resid, rng)
-            step = tree.predict(X)
-            pred += self.learning_rate * step
-            imp += tree.importances_
-            self.trees_.append(tree)
-        s = imp.sum()
-        self.feature_importances_ = imp / s if s > 0 else imp
-        return self
-
-    def predict_proba(self, X):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        pred = np.zeros(len(X))
-        for tree in self.trees_:
-            pred += self.learning_rate * tree.predict(X)
-        return 1.0 / (1.0 + np.exp(-pred))
-
-    def predict(self, X):
-        return (self.predict_proba(X) >= 0.5).astype(np.int8)
-
-
-class _RegressionTree:
-    def __init__(self, max_depth):
-        self.max_depth = max_depth
-        self.nodes = []
-        self.importances_ = None
-
-    def fit(self, X, r, rng):
-        self.importances_ = np.zeros(X.shape[1])
-        self._n_total = len(r)
-        self._build(X, r, np.arange(len(r)), 0)
-        return self
-
-    def _build(self, X, r, idx, depth):
-        node = len(self.nodes)
-        self.nodes.append([-1, 0.0, -1, -1, float(r[idx].mean()) if len(idx) else 0.0])
-        if depth >= self.max_depth or len(idx) < 4:
-            return node
-        best = None
-        for fi in range(X.shape[1]):
-            x = X[idx, fi]
-            order = np.argsort(x, kind="stable")
-            xs, rs = x[order], r[idx][order]
-            cut = np.nonzero(xs[1:] != xs[:-1])[0] + 1
-            if not len(cut):
-                continue
-            csum = np.cumsum(rs)
-            tot = csum[-1]
-            nl = cut.astype(np.float64)
-            nr = len(rs) - nl
-            sl = csum[cut - 1]
-            sr = tot - sl
-            gain = sl * sl / nl + sr * sr / nr - tot * tot / len(rs)
-            b = int(np.argmax(gain))
-            if gain[b] > 1e-12 and (best is None or gain[b] > best[0] + 1e-15):
-                best = (float(gain[b]), fi, (xs[cut[b] - 1] + xs[cut[b]]) / 2.0)
-        if best is None:
-            return node
-        gain, fi, thr = best
-        self.importances_[fi] += gain / self._n_total
-        mask = X[idx, fi] <= thr
-        self.nodes[node][0] = fi
-        self.nodes[node][1] = thr
-        self.nodes[node][2] = self._build(X, r, idx[mask], depth + 1)
-        self.nodes[node][3] = self._build(X, r, idx[~mask], depth + 1)
-        return node
-
-    def predict(self, X):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        feat = nodes[:, 0].astype(np.int64)
-        thr, left = nodes[:, 1], nodes[:, 2].astype(np.int64)
-        right, val = nodes[:, 3].astype(np.int64), nodes[:, 4]
-        cur = np.zeros(len(X), dtype=np.int64)
-        rows = np.nonzero(feat[cur] >= 0)[0]
-        while len(rows):
-            node = cur[rows]
-            go_left = X[rows, feat[node]] <= thr[node]
-            nxt = np.where(go_left, left[node], right[node])
-            cur[rows] = nxt
-            rows = rows[feat[nxt] >= 0]
-        return val[cur]
+        return np.mean([t.predict(X) for t in self.trees_], axis=0)
 
 
 class Bagging(RandomForest):
@@ -309,48 +283,95 @@ class Bagging(RandomForest):
                          min_samples_split=min_samples_split,
                          max_features=None, random_state=random_state)
 
-    def get_params(self):
-        return dict(n_estimators=self.n_estimators, max_depth=self.max_depth,
-                    min_samples_split=self.min_samples_split,
-                    random_state=self.random_state)
 
+class _LogisticBoosting(_Classifier):
+    """Boosting on the logistic loss (GradientBoosting, XGBoost): each
+    round grows one tree from the family's ``_criterion(y, p)`` at the
+    current probabilities ``p`` and adds ``learning_rate`` times its
+    prediction to the margin."""
 
-class _WeightedStump:
-    """Depth-1 weighted decision stump: best (feature, threshold, polarity)
-    by weighted 0-1 error; fully deterministic (ties -> lowest feature index,
-    then lowest threshold)."""
-
-    def fit(self, X, y, w):
-        # y in {-1, +1}; w normalized
-        best = None  # (err, fi, thr, polarity)
-        for fi in range(X.shape[1]):
-            x = X[:, fi]
-            order = np.argsort(x, kind="stable")
-            xs, ys, ws = x[order], y[order], w[order]
-            cut = np.nonzero(xs[1:] != xs[:-1])[0] + 1
-            if not len(cut):
-                continue
-            cpos = np.cumsum(ws * (ys > 0))
-            cneg = np.cumsum(ws * (ys < 0))
-            tot_pos, tot_neg = cpos[-1], cneg[-1]
-            # polarity +1: predict -1 left of thr, +1 right
-            err_plus = cpos[cut - 1] + (tot_neg - cneg[cut - 1])
-            err_minus = (tot_pos + tot_neg) - err_plus
-            for errs, pol in ((err_plus, 1), (err_minus, -1)):
-                b = int(np.argmin(errs))
-                if best is None or errs[b] < best[0] - 1e-15:
-                    thr = (xs[cut[b] - 1] + xs[cut[b]]) / 2.0
-                    best = (float(errs[b]), fi, thr, pol)
-        if best is None:  # constant features: majority vote
-            maj = 1 if float((w * (y > 0)).sum()) >= float((w * (y < 0)).sum()) else -1
-            self.err_, self.fi_, self.thr_, self.pol_ = 0.5, 0, -np.inf, maj
-        else:
-            self.err_, self.fi_, self.thr_, self.pol_ = best
+    def fit(self, X, y):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        pred = np.zeros(len(y))
+        self.trees_ = []
+        imp = np.zeros(X.shape[1])
+        for _ in range(self.n_estimators):
+            p = 1.0 / (1.0 + np.exp(-pred))
+            tree = _grow(X, self._criterion(y, p), self.max_depth)
+            pred += self.learning_rate * tree.predict(X)
+            imp += tree.importances_
+            self.trees_.append(tree)
+        self.feature_importances_ = _shares(imp)
         return self
 
-    def predict(self, X):
-        side = np.where(X[:, self.fi_] <= self.thr_, -1, 1)
-        return side * self.pol_
+    def predict_proba(self, X):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        pred = np.zeros(len(X))
+        for tree in self.trees_:
+            pred += self.learning_rate * tree.predict(X)
+        return 1.0 / (1.0 + np.exp(-pred))
+
+
+class GradientBoosting(_LogisticBoosting):
+    """Depth-limited regression trees on logistic-loss gradients."""
+
+    def __init__(self, n_estimators=60, learning_rate=0.2, max_depth=3,
+                 random_state=1):
+        self.n_estimators = n_estimators
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.random_state = random_state  # unused (deterministic); API compat
+
+    def _criterion(self, y, p):
+        return _SquaredError(y - p)
+
+
+class XGBoost(_LogisticBoosting):
+    """Deterministic second-order boosted trees — the reference's
+    XGBClassifier slot (classifier.py model zoo / config.py:75-76,121-127):
+    logistic loss, per-round gradients g = p − y and hessians h = p(1−p),
+    L2 leaf regularization ``lam`` and min split gain ``gamma`` exactly as
+    the XGBoost objective defines them.  No RNG anywhere."""
+
+    def __init__(self, n_estimators=60, learning_rate=0.3, max_depth=4,
+                 lam=1.0, gamma=0.0, random_state=1):
+        self.n_estimators = n_estimators
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.lam = lam
+        self.gamma = gamma
+        self.random_state = random_state  # unused (deterministic); API compat
+
+    def _criterion(self, y, p):
+        return _Newton(p - y, np.maximum(p * (1.0 - p), 1e-10),
+                       self.lam, self.gamma)
+
+
+def _stump(X, y, w) -> Tree:
+    """Depth-1 tree of least weighted 0-1 error over (feature, threshold,
+    polarity), y in {-1, +1}: ties go to the lowest feature, then polarity
+    +1, then the lowest threshold; with every feature constant, the
+    weighted majority vote."""
+    pos, neg = w * (y > 0), w * (y < 0)
+    best = None  # (err, fi, thr, polarity)
+    for fi, xs, cut, (cpos, cneg) in _scan(X, np.arange(len(X)),
+                                            range(X.shape[1]), (pos, neg)):
+        tot_pos, tot_neg = cpos[-1], cneg[-1]
+        # polarity +1: predict -1 left of thr, +1 right
+        err_plus = cpos[cut - 1] + (tot_neg - cneg[cut - 1])
+        err_minus = (tot_pos + tot_neg) - err_plus
+        for errs, pol in ((err_plus, 1), (err_minus, -1)):
+            b = int(np.argmin(errs))
+            if best is None or errs[b] < best[0] - 1e-15:
+                thr = (xs[cut[b] - 1] + xs[cut[b]]) / 2.0
+                best = (float(errs[b]), fi, thr, pol)
+    if best is None:
+        best = (0.5, 0, -np.inf,
+                1 if float(pos.sum()) >= float(neg.sum()) else -1)
+    _, fi, thr, pol = best
+    return Tree([fi, -1, -1], [thr, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                [0.0, -pol, pol])
 
 
 class AdaBoost:
@@ -364,41 +385,35 @@ class AdaBoost:
         self.learning_rate = learning_rate  # shrinks each stump's alpha
         self.random_state = random_state  # unused (deterministic); API compat
 
-    def get_params(self):
-        return dict(n_estimators=self.n_estimators,
-                    learning_rate=self.learning_rate,
-                    random_state=self.random_state)
-
     def fit(self, X, y):
         X = np.ascontiguousarray(X, dtype=np.float64)
         yy = np.where(np.asarray(y) > 0, 1.0, -1.0)
         n, f = X.shape
         w = np.full(n, 1.0 / n)
-        self.stumps_, self.alphas_ = [], []
+        self.trees_, self.alphas_ = [], []
         imp = np.zeros(f)
         for _ in range(self.n_estimators):
-            stump = _WeightedStump().fit(X, yy, w)
+            stump = _stump(X, yy, w)
             pred = stump.predict(X)
             err = float(w[pred != yy].sum())
             if err >= 0.5:
                 break
             err = max(err, 1e-10)
             alpha = self.learning_rate * 0.5 * np.log((1.0 - err) / err)
-            self.stumps_.append(stump)
+            self.trees_.append(stump)
             self.alphas_.append(alpha)
-            imp[stump.fi_] += alpha
+            imp[stump.feature[0]] += alpha
             w = w * np.exp(-alpha * yy * pred)
             w /= w.sum()
             if err <= 1e-10:
                 break
-        s = imp.sum()
-        self.feature_importances_ = imp / s if s > 0 else imp
+        self.feature_importances_ = _shares(imp)
         return self
 
     def _margin(self, X):
         X = np.ascontiguousarray(X, dtype=np.float64)
         m = np.zeros(len(X))
-        for stump, alpha in zip(self.stumps_, self.alphas_):
+        for stump, alpha in zip(self.trees_, self.alphas_):
             m += alpha * stump.predict(X)
         return m
 
@@ -409,7 +424,7 @@ class AdaBoost:
         return (self._margin(X) > 0).astype(np.int8)
 
 
-class LogisticRegression:
+class LogisticRegression(_Classifier):
     """Deterministic L2-regularized logistic regression (full-batch Newton
     steps — no RNG, identical at any parallelism).  Fills the reference's
     linear-model slot in the registry (classifier.py:47); its
@@ -419,9 +434,6 @@ class LogisticRegression:
         self.l2 = l2
         self.n_iter = n_iter
         self.random_state = random_state
-
-    def get_params(self):
-        return dict(l2=self.l2, n_iter=self.n_iter, random_state=self.random_state)
 
     def fit(self, X, y):
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -439,9 +451,7 @@ class LogisticRegression:
             H = (Z * W[:, None]).T @ Z + self.l2 * np.eye(Z.shape[1])
             w = w - np.linalg.solve(H, g)
         self.w_ = w
-        imp = np.abs(w[:-1])
-        s = imp.sum()
-        self.feature_importances_ = imp / s if s > 0 else imp
+        self.feature_importances_ = _shares(np.abs(w[:-1]))
         return self
 
     def predict_proba(self, X):
@@ -449,118 +459,8 @@ class LogisticRegression:
         Z = np.hstack([Z, np.ones((len(Z), 1))])
         return 1.0 / (1.0 + np.exp(-(Z @ self.w_)))
 
-    def predict(self, X):
-        return (self.predict_proba(X) >= 0.5).astype(np.int8)
 
-
-class _XGBTree:
-    """Second-order (Newton) regression tree on (gradient, hessian) pairs:
-    leaf weight -G/(H+λ), split gain ½[G_L²/(H_L+λ) + G_R²/(H_R+λ) −
-    G²/(H+λ)] − γ — the XGBoost tree booster recipe, deterministic
-    (exhaustive feature scan, ties → lowest feature index then lowest cut)."""
-
-    def __init__(self, max_depth, lam, gamma):
-        self.max_depth = max_depth
-        self.lam = lam
-        self.gamma = gamma
-        self.nodes = []
-        self.importances_ = None
-
-    def fit(self, X, g, h):
-        self.importances_ = np.zeros(X.shape[1])
-        self._build(X, g, h, np.arange(len(g)), 0)
-        return self
-
-    def _build(self, X, g, h, idx, depth):
-        node = len(self.nodes)
-        G, H = float(g[idx].sum()), float(h[idx].sum())
-        self.nodes.append([-1, 0.0, -1, -1, -G / (H + self.lam)])
-        if depth >= self.max_depth or len(idx) < 2:
-            return node
-        parent = G * G / (H + self.lam)
-        best = None
-        for fi in range(X.shape[1]):
-            x = X[idx, fi]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            cut = np.nonzero(xs[1:] != xs[:-1])[0] + 1
-            if not len(cut):
-                continue
-            gc = np.cumsum(g[idx][order])
-            hc = np.cumsum(h[idx][order])
-            GL, HL = gc[cut - 1], hc[cut - 1]
-            GR, HR = G - GL, H - HL
-            gain = 0.5 * (GL * GL / (HL + self.lam)
-                          + GR * GR / (HR + self.lam) - parent) - self.gamma
-            b = int(np.argmax(gain))
-            if gain[b] > 1e-12 and (best is None or gain[b] > best[0] + 1e-15):
-                best = (float(gain[b]), fi, (xs[cut[b] - 1] + xs[cut[b]]) / 2.0)
-        if best is None:
-            return node
-        gain, fi, thr = best
-        self.importances_[fi] += gain
-        mask = X[idx, fi] <= thr
-        self.nodes[node][0] = fi
-        self.nodes[node][1] = thr
-        self.nodes[node][2] = self._build(X, g, h, idx[mask], depth + 1)
-        self.nodes[node][3] = self._build(X, g, h, idx[~mask], depth + 1)
-        return node
-
-    predict = _RegressionTree.predict  # same flat-node vectorized traversal
-
-
-class XGBoost:
-    """Deterministic second-order boosted trees — the reference's
-    XGBClassifier slot (classifier.py model zoo / config.py:75-76,121-127):
-    logistic loss, per-round gradients g = p − y and hessians h = p(1−p),
-    L2 leaf regularization ``lam`` and min split gain ``gamma`` exactly as
-    the XGBoost objective defines them.  No RNG anywhere."""
-
-    def __init__(self, n_estimators=60, learning_rate=0.3, max_depth=4,
-                 lam=1.0, gamma=0.0, random_state=1):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.lam = lam
-        self.gamma = gamma
-        self.random_state = random_state  # unused (deterministic); API compat
-
-    def get_params(self):
-        return dict(n_estimators=self.n_estimators,
-                    learning_rate=self.learning_rate,
-                    max_depth=self.max_depth, lam=self.lam, gamma=self.gamma,
-                    random_state=self.random_state)
-
-    def fit(self, X, y):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        pred = np.zeros(len(y))
-        self.trees_ = []
-        imp = np.zeros(X.shape[1])
-        for _ in range(self.n_estimators):
-            p = 1.0 / (1.0 + np.exp(-pred))
-            g = p - y
-            h = np.maximum(p * (1.0 - p), 1e-10)
-            tree = _XGBTree(self.max_depth, self.lam, self.gamma).fit(X, g, h)
-            pred += self.learning_rate * tree.predict(X)
-            imp += tree.importances_
-            self.trees_.append(tree)
-        s = imp.sum()
-        self.feature_importances_ = imp / s if s > 0 else imp
-        return self
-
-    def predict_proba(self, X):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        pred = np.zeros(len(X))
-        for tree in self.trees_:
-            pred += self.learning_rate * tree.predict(X)
-        return 1.0 / (1.0 + np.exp(-pred))
-
-    def predict(self, X):
-        return (self.predict_proba(X) >= 0.5).astype(np.int8)
-
-
-class MLP:
+class MLP(_Classifier):
     """Seeded two-hidden-layer perceptron — the reference's MLPClassifier
     slot (config.py:96-101: hidden (64,32), relu, adam).  Deterministic:
     seeded init, FULL-batch Adam for a fixed epoch count (no minibatch
@@ -574,10 +474,6 @@ class MLP:
         self.lr = lr
         self.l2 = l2
         self.random_state = random_state
-
-    def get_params(self):
-        return dict(hidden=self.hidden, epochs=self.epochs, lr=self.lr,
-                    l2=self.l2, random_state=self.random_state)
 
     def fit(self, X, y):
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -617,9 +513,7 @@ class MLP:
                 W[li] -= self.lr * (mW[li] / c1) / (np.sqrt(vW[li] / c2) + eps)
                 B[li] -= self.lr * (mB[li] / c1) / (np.sqrt(vB[li] / c2) + eps)
         self.W_, self.B_ = W, B
-        imp = np.abs(W[0]).sum(axis=1)
-        s = imp.sum()
-        self.feature_importances_ = imp / s if s > 0 else imp
+        self.feature_importances_ = _shares(np.abs(W[0]).sum(axis=1))
         return self
 
     def predict_proba(self, X):
@@ -628,9 +522,6 @@ class MLP:
             Z = np.maximum(Z @ self.W_[li] + self.B_[li], 0.0)
         logits = (Z @ self.W_[-1] + self.B_[-1]).ravel()
         return 1.0 / (1.0 + np.exp(-logits))
-
-    def predict(self, X):
-        return (self.predict_proba(X) >= 0.5).astype(np.int8)
 
 
 MODEL_REGISTRY = {
@@ -693,16 +584,12 @@ def f1_binary(y_true, y_pred):
 
 def _cv_fit_score(X, y, fold, model_name: str, params: dict, f: int, seed: int):
     """One (param-combo, fold) CV fit+score.  Runs as a Ray task inside
-    grid_search_fit's fan-out; _SERIAL_FIT keeps the model's own tree-level
-    parallelism off there (the fan-out already owns the cluster)."""
-    _set_serial_fit(True)
-    try:
-        tr, te = fold != f, fold == f
-        m = MODEL_REGISTRY[model_name](random_state=seed, **params).fit(
-            X[tr], y[tr])
-        return f1_binary(y[te], m.predict(X[te]))[0]
-    finally:
-        _set_serial_fit(False)
+    grid_search_fit's fan-out, where RandomForest fits its trees serially
+    (the fan-out already owns the cluster)."""
+    tr, te = fold != f, fold == f
+    m = MODEL_REGISTRY[model_name](random_state=seed, **params).fit(
+        X[tr], y[tr])
+    return f1_binary(y[te], m.predict(X[te]))[0]
 
 
 def grid_search_fit(model_name: str, grid: dict, X, y, cv: int = 3, seed: int = 1):

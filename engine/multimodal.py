@@ -75,25 +75,31 @@ class MediaFeatureActor:
         })
 
 
-# Stage instances ship through ``storage.broadcast`` (their kwargs, or None,
-# as the value and the class as the build): their state is a few KB (a
-# seeded projection matrix, sizes, an md5 stub), built once per worker
-# process and reused across its batches and tasks, which pays no cold
-# per-actor process spawn.  A REAL heavyweight encoder (multi-GB weights)
-# should run as an actor pool instead: pass the actor class to map_batches
-# with concurrency=(1, N) — the classes below keep that __init__ slot intact.
-def media_features(docs: ray.data.Dataset, concurrency: int | None = None,
-                   batch_size: int = 256) -> ray.data.Dataset:
-    """Media spans -> deterministic feature vectors (task pool, state
-    built once per worker process).  Small batch_size on purpose: real
-    binary payloads are heap-heavy per row."""
-    actor = storage.broadcast(None, build=lambda _: MediaFeatureActor())
+def _map_stage(docs: ray.data.Dataset, cls, kw: dict, batch_size: int,
+               concurrency: int | None) -> ray.data.Dataset:
+    """Map ``docs`` through the stage ``cls(**kw)`` as a task pool.  The
+    instance ships through ``storage.broadcast`` (``kw`` as the value, the
+    class as the build): its state is a few KB (a seeded projection matrix,
+    sizes, an md5 stub), built once per worker process and reused across
+    its batches and tasks, which pays no cold per-actor process spawn.  A
+    REAL heavyweight encoder (multi-GB weights) should run as an actor pool
+    instead: pass the actor class to map_batches with concurrency=(1, N) —
+    the stage classes keep that __init__ slot intact."""
+    actor = storage.broadcast(kw, build=lambda kw: cls(**kw))
 
     def stage(batch: pa.Table) -> pa.Table:
         return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
                             batch_size=batch_size,
                             concurrency=pool_width(concurrency))
+
+
+def media_features(docs: ray.data.Dataset, concurrency: int | None = None,
+                   batch_size: int = 256) -> ray.data.Dataset:
+    """Media spans -> deterministic feature vectors (task pool, state
+    built once per worker process).  Small batch_size on purpose: real
+    binary payloads are heap-heavy per row."""
+    return _map_stage(docs, MediaFeatureActor, {}, batch_size, concurrency)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +214,8 @@ def patch_embeddings(docs: ray.data.Dataset, concurrency: int | None = None,
     real-bytes patch-embedding stage (task pool, projection memoized per
     worker).  Small batches: each row renders and decodes a canvas
     (heap-heavy, like any real media decode)."""
-    actor = storage.broadcast(actor_kw,
-                              build=lambda kw: PatchEmbedActor(**kw))
-
-    def stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
-    return docs.map_batches(stage, batch_format="pyarrow",
-                            batch_size=batch_size,
-                            concurrency=pool_width(concurrency))
+    return _map_stage(docs, PatchEmbedActor, actor_kw, batch_size,
+                      concurrency)
 
 
 def resize_png_gray(png: bytes, out_size: int) -> bytes:
@@ -273,14 +273,8 @@ def media_resize(docs: ray.data.Dataset, out_size: int = 16,
                  concurrency: int | None = None,
                  batch_size: int = 128) -> ray.data.Dataset:
     """docs (doc_id, spans) -> resized-media metadata (task pool)."""
-    actor = storage.broadcast({"out_size": out_size},
-                              build=lambda kw: MediaResizeActor(**kw))
-
-    def stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
-    return docs.map_batches(stage, batch_format="pyarrow",
-                            batch_size=batch_size,
-                            concurrency=pool_width(concurrency))
+    return _map_stage(docs, MediaResizeActor, {"out_size": out_size},
+                      batch_size, concurrency)
 
 
 def frame_sample(docs: ray.data.Dataset, stride: int = 2) -> ray.data.Dataset:
@@ -365,13 +359,7 @@ def audio_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> audio DSP features (task pool; stub decode
     declared, DSP real)."""
-    actor = storage.broadcast(None, build=lambda _: AudioFeatureActor())
-
-    def stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
-    return docs.map_batches(stage, batch_format="pyarrow",
-                            batch_size=batch_size,
-                            concurrency=pool_width(concurrency))
+    return _map_stage(docs, AudioFeatureActor, {}, batch_size, concurrency)
 
 
 def _synth_video_stub(media_ref: str, n_frames: int = 8,
@@ -442,10 +430,4 @@ def video_features(docs: ray.data.Dataset, concurrency: int | None = None,
                    batch_size: int = 256) -> ray.data.Dataset:
     """Media spans -> per-frame video features (task pool; stub decode
     declared, frame ops real)."""
-    actor = storage.broadcast(None, build=lambda _: VideoFeatureActor())
-
-    def stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
-    return docs.map_batches(stage, batch_format="pyarrow",
-                            batch_size=batch_size,
-                            concurrency=pool_width(concurrency))
+    return _map_stage(docs, VideoFeatureActor, {}, batch_size, concurrency)

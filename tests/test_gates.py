@@ -386,3 +386,27 @@ def test_keyed_shuffles_go_only_through_the_primitive():
             if line not in inside:
                 bad.append(f"{f.name}:{line}: {m.group(0)}")
     assert not bad, bad
+
+
+def test_trees_grow_only_through_the_one_learner():
+    """engine/matching.py stable-sorts a feature in one place, the split
+    scan ``_scan`` that every tree grows through (AdaBoost's stumps
+    included), and the hand-rolled searches, node stores and serial-fit
+    flag it replaced stay gone: ``_gini_best_split``, ``DecisionTree``,
+    ``_RegressionTree``, ``_XGBTree``, ``_WeightedStump``, ``_SERIAL_FIT``
+    (with ``_set_serial_fit``) and the seven unused ``get_params``."""
+    import ast
+    src = (pathlib.Path(__file__).resolve().parents[1] / "engine"
+           / "matching.py").read_text()
+    scan = [node for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.FunctionDef) and node.name == "_scan"]
+    assert len(scan) == 1
+    inside = range(scan[0].lineno, scan[0].end_lineno + 1)
+    sorts = [src.count("\n", 0, m.start()) + 1
+             for m in re.finditer(r"argsort\(", src)]
+    assert len(sorts) == 1 and sorts[0] in inside, sorts
+    assert re.search(r"argsort\([^()]*kind=\"stable\"\)", src)
+    gone = re.findall(r"_gini_best_split|DecisionTree|_RegressionTree"
+                      r"|_XGBTree|_WeightedStump|_SERIAL_FIT|_set_serial_fit"
+                      r"|get_params", src)
+    assert not gone, gone

@@ -77,22 +77,8 @@ def _planted(n, seed):
 
 def _node_tables(m):
     """(feature, threshold, left, right, value) per tree of a tree family."""
-    out = []
-    for t in getattr(m, "trees_", getattr(m, "stumps_", ())):
-        if hasattr(t, "proba"):
-            out.append((t.feature, t.threshold, t.left, t.right, t.proba))
-        elif hasattr(t, "nodes"):
-            a = np.asarray(t.nodes, dtype=np.float64)
-            out.append((a[:, 0].astype(np.int64), a[:, 1],
-                        a[:, 2].astype(np.int64), a[:, 3].astype(np.int64),
-                        a[:, 4]))
-        else:
-            out.append((np.array([t.fi_, -1, -1], dtype=np.int64),
-                        np.array([t.thr_, 0.0, 0.0]),
-                        np.array([1, -1, -1], dtype=np.int64),
-                        np.array([2, -1, -1], dtype=np.int64),
-                        np.array([0.0, -t.pol_, t.pol_], dtype=np.float64)))
-    return out
+    return [(t.feature, t.threshold, t.left, t.right, t.value)
+            for t in getattr(m, "trees_", ())]
 
 
 def _learner_digest(m, Xt) -> str:
@@ -112,10 +98,12 @@ LEARNER_DIGESTS = {
     'AdaBoost-constant': '16ea9d074627b47cf45f84df9dc1ca498b1d33ba633a97d8d52c2a7db9b3eb5a',
     'Bagging': 'f67d6cce57066600f16dacff3ceb25b7cea5ad1faa0313070f17a8b83cf9784c',
     'GradientBoosting': 'ab0c5f57ef7d4838a6929846eac090778a3409d2efa2e665ae03f0aeaa7a32a1',
+    'GradientBoosting-separable': '93c3b3487d564b8ad218b052a548002ef1fe8a7241cc77324451dab208971441',
     'LogisticRegression': 'afb581f6a44ad97f335199002d7341593167ca140d69477e2862046cc3f4e5f2',
     'MLP': 'bf85268c7ceb95a12ae8c0699e5e1ba448c053d72364fe990828e83dfe781102',
     'RandomForest': '0cbafa28bd646bce4db1ce1aeab070a05a38ceac631e6a18c803d6b549c50ca3',
     'XGBoost': '6fc851959ce577913cd1ef3d7263a45734b3d6bb208fc3d849d329042f077a26',
+    'XGBoost-separable': '6f55b0ded26eb60b398065922c8e7ba1153018a98512bba8a28a9b95e3508bc9',
 }
 
 
@@ -123,15 +111,18 @@ LEARNER_DIGESTS = {
 def test_learners_are_pinned(name):
     """Each family's default fit on a planted-tie matrix: held-out
     predict_proba and predict, feature_importances_ and every tree's node
-    table are bit-identical to the recorded digests.  ``AdaBoost-constant``
-    fits on the constant column alone, where every stump is the
-    majority vote."""
+    table are bit-identical to the recorded digests.  ``-constant`` fits
+    on the constant column alone, ``-separable`` on noise-free labels, so
+    the boosted trees reach pure nodes and their minimum split gain
+    decides."""
     from engine.matching import MODEL_REGISTRY
     X, y = _planted(300, 11)
     Xt, _ = _planted(200, 12)
-    family, _, cols = name.partition("-")
-    if cols:
+    family, _, variant = name.partition("-")
+    if variant == "constant":     # no cut anywhere: majority-vote stumps
         X, Xt = X[:, -1:], Xt[:, -1:]
+    elif variant == "separable":  # pure nodes, where every cut gains ~0
+        y = (X[:, 0] > 0).astype(np.int8)
     m = MODEL_REGISTRY[family](random_state=1).fit(X, y)
     assert _learner_digest(m, Xt) == LEARNER_DIGESTS[name]
 

@@ -39,7 +39,7 @@ def digest(value) -> str:
         elif hasattr(v, "trees_"):
             feed(v.feature_importances_)
             for t in v.trees_:
-                for a in ("feature", "threshold", "left", "right", "proba",
+                for a in ("feature", "threshold", "left", "right", "value",
                           "importances_"):
                     feed(getattr(t, a))
         elif isinstance(v, (str, int, float, bool, np.generic)) or v is None:
