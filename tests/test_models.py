@@ -75,18 +75,14 @@ def _planted(n, seed):
     return X, y.astype(np.int8)
 
 
-def _node_tables(m):
-    """(feature, threshold, left, right, value) per tree of a tree family."""
-    return [(t.feature, t.threshold, t.left, t.right, t.value)
-            for t in getattr(m, "trees_", ())]
-
-
 def _learner_digest(m, Xt) -> str:
+    """sha256 over held-out predict_proba and predict, the
+    feature_importances_ and every tree's node table."""
     import hashlib
     h = hashlib.sha256()
     arrays = [m.predict_proba(Xt), m.predict(Xt), m.feature_importances_]
-    for table in _node_tables(m):
-        arrays += table
+    for t in getattr(m, "trees_", ()):
+        arrays += [t.feature, t.threshold, t.left, t.right, t.value]
     for a in arrays:
         h.update(f"{a.dtype}{a.shape}".encode())
         h.update(np.ascontiguousarray(a).tobytes())
