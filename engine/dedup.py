@@ -12,7 +12,6 @@ non-trivial at any scale.
 from __future__ import annotations
 
 import functools
-import hashlib
 
 import numpy as np
 import pandas as pd
@@ -21,7 +20,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from engine import gates, storage
-from engine.joins import list_column_matrix, shuffle_groups
+from engine.joins import (list_column_matrix, md5_digests, shuffle_groups,
+                          stable_hash64)
 
 
 def planted_dup_corpus(docs: ray.data.Dataset) -> ray.data.Dataset:
@@ -49,12 +49,7 @@ def exact_dedup(docs: ray.data.Dataset) -> ray.data.Dataset:
     """
     def partial(batch: pa.Table) -> pa.Table:
         # full 128-bit md5 as two int64 columns: no hex-string objects
-        texts = batch.column("text").to_pylist()
-        hs = np.empty((len(texts), 2), dtype=np.uint64)
-        for i, t in enumerate(texts):
-            hs[i] = np.frombuffer(hashlib.md5(t.encode()).digest(),
-                                  dtype=np.uint64)
-        h = hs.view(np.int64)
+        h = md5_digests(batch.column("text").to_pylist()).view("<i8")
         df = pd.DataFrame({"__h1": h[:, 0], "__h2": h[:, 1],
                            "doc_id": batch.column("doc_id").to_numpy()})
         r = df.groupby(["__h1", "__h2"], as_index=False).agg(
@@ -243,20 +238,12 @@ def _dedup_keyed_rows(ds: ray.data.Dataset,
 
 
 def _batch_shingle_hashes(texts: list[str], n: int, pad: bool):
-    """Per-batch shingle hashing with md5 computed once per UNIQUE shingle:
-    returns (counts per doc, uint64 hash stream in doc order).  The
-    per-shingle interpreter loop runs over the (much smaller) unique set."""
+    """Per-batch shingle hashing (``stable_hash64``, one md5 per distinct
+    shingle): returns (counts per doc, uint64 hash stream in doc order)."""
     sh_lists = [sorted(_shingles(t, n, pad=pad)) for t in texts]
     counts = np.fromiter((len(s) for s in sh_lists), dtype=np.int64,
                          count=len(sh_lists))
-    flat = [s for sl in sh_lists for s in sl]
-    if not flat:
-        return counts, np.empty(0, dtype=np.uint64)
-    uniq, inv = np.unique(np.asarray(flat, dtype=object), return_inverse=True)
-    hs = np.empty(len(uniq), dtype=np.uint64)
-    for i, s in enumerate(uniq):
-        hs[i] = int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
-    return counts, hs[inv]
+    return counts, stable_hash64([s for sl in sh_lists for s in sl])
 
 
 def _shingle_signatures(docs: ray.data.Dataset, n: int,
@@ -480,12 +467,11 @@ def minhash_lsh_pairs(docs: ray.data.Dataset, num_perm: int = 64,
 def simhash_signatures(docs: ray.data.Dataset) -> ray.data.Dataset:
     """64-bit SimHash over tokens: per-bit sign sum of token hashes.
 
-    Vectorized: md5 is computed once per UNIQUE token in the batch (the
-    earlier per-row×per-token interpreter loop dominated the hot text path);
-    per-doc bit sums come from one ``np.add.reduceat`` over the token
-    stream.  Token repeats still count (sum over occurrences, acc > 0
-    strictly) — bit-identical to the scalar definition, which the DuckDB
-    oracle replicates."""
+    Vectorized: token hashes are ``stable_hash64`` over the batch's token
+    stream (one md5 per distinct token); per-doc bit sums come from one
+    ``np.add.reduceat`` over that stream.  Token repeats still count (sum
+    over occurrences, acc > 0 strictly) — bit-identical to the scalar
+    definition, which the DuckDB oracle replicates."""
     def sim(batch: pa.Table) -> pa.Table:
         shifts = np.arange(64, dtype=np.uint64)
         texts = batch.column("text").to_pylist()
@@ -495,16 +481,11 @@ def simhash_signatures(docs: ray.data.Dataset) -> ray.data.Dataset:
         tok_lists = [t.split(" ") for t in texts]
         counts = np.fromiter((len(ws) for ws in tok_lists),
                              dtype=np.int64, count=len(tok_lists))
-        flat = np.asarray([w for ws in tok_lists for w in ws], dtype=object)
-        uniq, inv = np.unique(flat, return_inverse=True)
-        hs = np.empty(len(uniq), dtype=np.uint64)
-        for i, w in enumerate(uniq):
-            hs[i] = int.from_bytes(hashlib.md5(w.encode()).digest()[:8],
-                                   "little")
+        hs = stable_hash64([w for ws in tok_lists for w in ws])
         bits = ((hs[:, None] >> shifts[None, :]) & np.uint64(1)) \
-            .astype(np.int64)                      # (U, 64)
+            .astype(np.int64)                      # (tokens, 64)
         starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        S = np.add.reduceat(bits[inv], starts, axis=0)  # per-doc bit sums
+        S = np.add.reduceat(bits, starts, axis=0)  # per-doc bit sums
         acc = 2 * S - counts[:, None]              # sum of ±1 per bit
         out = np.bitwise_or.reduce(
             (acc > 0).astype(np.uint64) << shifts[None, :], axis=1)
@@ -570,10 +551,10 @@ def planted_neardup_embeddings(emb: ray.data.Dataset) -> ray.data.Dataset:
 
     The jitter is md5-derived, not RNG-derived, so the whole planting is
     bit-replicable in the DuckDB oracle: jit[d] = float32(v[d] + 0.02*u -
-    0.01) with u = md5_u64_le(f"{vid}:{d}") / 2^64 — DuckDB's
-    ``md5_number_upper`` is the same first-8-digest-bytes little-endian
-    integer, and its DOUBLE→REAL cast is the same round-to-nearest as
-    numpy's astype(float32) (both verified; see oracles.DEDUP_EMBEDDING)."""
+    0.01) with u = stable_hash64(f"{vid}:{d}") / 2^64 — DuckDB's
+    ``md5_number_upper`` is the same integer, and its DOUBLE→REAL cast is
+    the same round-to-nearest as numpy's astype(float32) (both verified;
+    see oracles.DEDUP_EMBEDDING)."""
 
     def dup(batch: pa.Table) -> pa.Table:
         ids = batch.column("vec_id").to_numpy()
@@ -582,10 +563,8 @@ def planted_neardup_embeddings(emb: ray.data.Dataset) -> ray.data.Dataset:
         vecs = list_column_matrix(keep.column("embedding"))  # f64 of f32 values
         kept_ids = keep.column("vec_id").to_numpy()
         n, dim = vecs.shape if vecs.size else (0, 0)
-        strs = [f"{int(v)}:{d}" for v in kept_ids for d in range(dim)]
-        raw = np.fromiter(
-            (int.from_bytes(hashlib.md5(s.encode()).digest()[:8], "little")
-             for s in strs), dtype=np.uint64, count=len(strs))
+        raw = stable_hash64([f"{int(v)}:{d}" for v in kept_ids
+                             for d in range(dim)])
         u = raw.astype(np.float64).reshape(n, dim) * 2.0 ** -64
         jit = (vecs + (0.02 * u - 0.01)).astype(np.float32)
         extra = pa.table({
@@ -881,10 +860,10 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
     gram, per-doc sum combiner + groupby, LEFT join against the per-doc
     position base.
 
-    By default (``hash_grams=True``) only 8-byte md5-low-8 gram HASHES ride
-    the two shuffles — ~10x fewer shuffle bytes than w-token strings at
-    corpus scale.  The oracle stays bit-exact: DuckDB's md5_number_upper(s)
-    equals int.from_bytes(md5(s).digest()[:8], 'little'), so both sides
+    By default (``hash_grams=True``) only 8-byte gram HASHES ride the two
+    shuffles — ~10x fewer shuffle bytes than w-token strings at corpus
+    scale.  Token hashes are ``joins.stable_hash64`` (DuckDB's
+    ``md5_number_upper``), so the oracle stays bit-exact: both sides
     group/join on the same u64 (a collision, were one ever to occur, is
     replicated identically on both sides).  ``hash_grams=False`` keeps the
     string path for A/B equality testing.
@@ -907,11 +886,11 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
         return pa.table({"doc_id": batch.column("doc_id"),
                          "n_positions": pa.array(n_pos)})
 
-    # rolling-polynomial gram hash over 32-bit token hashes: one md5 per
-    # UNIQUE token (batch cache), then 8 vectorized uint64 ops per doc —
-    # no per-gram string joins or md5 calls.  uint64 wraparound per term
-    # is congruent mod 2^64 to the oracle's full-precision HUGEINT sum,
-    # so both sides group on the same value (collisions, astronomically
+    # rolling-polynomial gram hash over 48-bit token hashes (the low word
+    # of one ``stable_hash64`` call per batch), then w vectorized uint64 ops
+    # per doc — no per-gram string joins or md5 calls.  uint64 wraparound
+    # per term is congruent mod 2^64 to the oracle's full-precision HUGEINT
+    # sum, so both sides group on the same value (collisions, astronomically
     # rare, replicate identically).  Shipped as the int64 two's-complement
     # view (bijective; Ray's groupby keeps int64 native where uint64 falls
     # back to pickled objects).
@@ -922,36 +901,39 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
         for j in range(w - 2, -1, -1):
             POWS[j] = POWS[j + 1] * B      # B^(w-1-j) mod 2^64
 
-    def explode(batch: pa.Table) -> pa.Table:
-        ids, grams, cnts = [], [], []
-        tok_lists = [t.split(" ") for t in batch.column("text").to_pylist()]
+    def doc_grams(tok_lists: list[list[str]]):
+        """(row, grams) per doc with at least one w-token window: the
+        windows' uint64 rolling hashes, or their strings without
+        ``hash_grams``."""
         if hash_grams:
-            cache: dict[str, int] = {}
-            for tl in tok_lists:
-                for tok in tl:
-                    if tok not in cache:
-                        cache[tok] = int.from_bytes(
-                            hashlib.md5(tok.encode()).digest()[:8],
-                            "little") & 0xFFFFFFFFFFFF
-        hs_out = []
-        for d, toks in zip(batch.column("doc_id").to_pylist(), tok_lists):
+            th = stable_hash64([t for tl in tok_lists for t in tl]) \
+                & np.uint64(0xFFFFFFFFFFFF)
+            ends = np.cumsum([len(tl) for tl in tok_lists])
+        for i, toks in enumerate(tok_lists):
             n_pos = len(toks) - w + 1
             if n_pos <= 0:
                 continue
             if hash_grams:
-                th = np.fromiter((cache[t] for t in toks), dtype=np.uint64,
-                                 count=len(toks))
+                t = th[ends[i] - len(toks):ends[i]]
                 acc = np.zeros(n_pos, dtype=np.uint64)
                 for j in range(w):
-                    acc += th[j:j + n_pos] * POWS[j]
-                u, c = np.unique(acc, return_counts=True)
+                    acc += t[j:j + n_pos] * POWS[j]
+                yield i, acc
+            else:
+                yield i, [" ".join(toks[k:k + w]) for k in range(n_pos)]
+
+    def explode(batch: pa.Table) -> pa.Table:
+        ids, grams, cnts = [], [], []
+        doc_ids = batch.column("doc_id").to_pylist()
+        hs_out = []
+        for i, g in doc_grams([t.split(" ") for t in
+                               batch.column("text").to_pylist()]):
+            u, c = np.unique(g, return_counts=True)
+            if hash_grams:
                 hs_out.append(u)
             else:
-                u, c = np.unique(
-                    [" ".join(toks[i:i + w]) for i in range(n_pos)],
-                    return_counts=True)
                 grams.extend(u.tolist())
-            ids.extend([d] * len(u))
+            ids.extend([doc_ids[i]] * len(u))
             cnts.extend(c.tolist())
         if hash_grams:
             hs = np.concatenate(hs_out) if hs_out \
@@ -1012,35 +994,14 @@ def substring_dup_stats(docs: ray.data.Dataset, w: int = 8,
             arr = dups()
             tok_lists = [t.split(" ")
                          for t in batch.column("text").to_pylist()]
-            if hash_grams:
-                cache = {}
-                for tl in tok_lists:
-                    for tok in tl:
-                        if tok not in cache:
-                            cache[tok] = int.from_bytes(
-                                hashlib.md5(tok.encode()).digest()[:8],
-                                "little") & 0xFFFFFFFFFFFF
-            n_pos_out = np.empty(len(tok_lists), dtype=np.int64)
+            n_pos_out = np.asarray([max(len(tl) - w + 1, 0)
+                                    for tl in tok_lists], dtype=np.int64)
             dp_out = np.zeros(len(tok_lists), dtype=np.int64)
-            for i, toks in enumerate(tok_lists):
-                n_pos = len(toks) - w + 1
-                n_pos_out[i] = max(n_pos, 0)
-                if n_pos <= 0 or len(arr) == 0:
-                    continue
-                if hash_grams:
-                    th = np.fromiter((cache[t] for t in toks),
-                                     dtype=np.uint64, count=len(toks))
-                    acc = np.zeros(n_pos, dtype=np.uint64)
-                    with np.errstate(over="ignore"):
-                        for jj in range(w):
-                            acc += th[jj:jj + n_pos] * POWS[jj]
-                    u, c = np.unique(acc.view(np.int64),
+            if len(arr):
+                for i, g in doc_grams(tok_lists):
+                    u, c = np.unique(g.view(np.int64) if hash_grams else g,
                                      return_counts=True)
-                else:
-                    u, c = np.unique(
-                        [" ".join(toks[k:k + w]) for k in range(n_pos)],
-                        return_counts=True)
-                dp_out[i] = int(c[gates.sorted_member(arr, u)].sum())
+                    dp_out[i] = int(c[gates.sorted_member(arr, u)].sum())
             with np.errstate(invalid="ignore"):
                 frac = np.where(n_pos_out > 0,
                                 dp_out / np.maximum(n_pos_out, 1), 0.0)

@@ -27,25 +27,38 @@ import ray.data
 from engine import storage
 
 
+def md5_digests(values) -> np.ndarray:
+    """(n, 16) uint8: the md5 digest of each value's ``str`` as UTF-8.
+
+    The engine's one content hash; each distinct value is hashed once.  Its
+    first 8 bytes read little-endian (``stable_hash64``) equal DuckDB's
+    ``md5_number_upper``, which is how the oracles replicate every hashed
+    output (splits, samples, shingle and gram hashes, jitter, media stubs).
+    Callers take views: ``.view('<u8')`` for 64-bit words, ``.view('<i8')``
+    for the 128-bit pair, ``.view('<u4')`` for 32-bit words."""
+    memo: dict[str, int] = {}
+    rows = np.fromiter((memo.setdefault(str(v), len(memo)) for v in values),
+                       dtype=np.intp)
+    flat = b"".join(hashlib.md5(s.encode()).digest() for s in memo)
+    return np.frombuffer(flat, dtype=np.uint8).reshape(-1, 16)[rows]
+
+
 def stable_hash64(values) -> np.ndarray:
-    """Deterministic (process-independent) 64-bit hash of strings.
+    """Deterministic (process-independent) 64-bit hash: the low word of
+    ``md5_digests``.
 
     Replaces the reference's salted builtin ``hash`` in its seeded negative
     sampler (/root/reference/data_partition.py:55-60) with a stable digest so
     results are reproducible across runs and cluster sizes.
     """
-    out = np.empty(len(values), dtype=np.uint64)
-    for i, v in enumerate(values):
-        d = hashlib.md5(str(v).encode()).digest()
-        out[i] = np.frombuffer(d[:8], dtype=np.uint64)[0]
-    return out
+    return md5_digests(values).view("<u8")[:, 0].copy()
 
 
 def fast_hash64(values) -> np.ndarray:
     """Vectorized FNV-1a-style 64-bit hash over UTF-32 codepoints.
 
     Used where only the DISTRIBUTION matters (join partitioning, hot-cell
-    salting) — no per-value Python loop; `stable_hash64`'s md5 stays on the
+    salting) — no per-value Python loop; ``md5_digests`` stays on the
     semantic paths (splits, sampling, contamination) whose values define
     reproducible experiment membership."""
     arr = np.asarray(values, dtype="U")
@@ -207,7 +220,10 @@ def shuffle_groups(parts: list[tuple[ray.data.Dataset, list[str]]], fn,
             h = np.zeros(batch.num_rows, dtype=np.uint64)
             for k, ktype in zip(keys, ktypes):
                 h = (h ^ _key_words(batch.column(k), ktype)) * _MIX
-            return batch.append_column(_KEY, pa.array(h.view(np.int64)))
+            # a schema with metadata (a pandas fn's b'pandas' entry) is
+            # unhashable, and Ray's sort reducers hash schemas to dedup them
+            return batch.append_column(_KEY, pa.array(h.view(np.int64))) \
+                .replace_schema_metadata(None)
         return add_tag
 
     tagged = [ds.map_batches(tag(i, keys), batch_format="pyarrow")
@@ -308,13 +324,9 @@ def _bucketed_filter_join(left: ray.data.Dataset, right: ray.data.Dataset,
 
 
 def _bloom_positions(values, m_bits: int, j: int) -> np.ndarray:
-    """j deterministic bit positions per value: the md5 digest's first j
-    uint32 words mod m_bits (j <= 4)."""
-    pos = np.empty((len(values), j), dtype=np.int64)
-    for i, v in enumerate(values):
-        d = hashlib.md5(str(v).encode()).digest()
-        pos[i] = np.frombuffer(d, dtype=np.uint32)[:j] % m_bits
-    return pos
+    """j deterministic bit positions per value: the first j uint32 words of
+    ``md5_digests`` mod m_bits (j <= 4)."""
+    return md5_digests(values).view("<u4")[:, :j].astype(np.int64) % m_bits
 
 
 def build_bloom(keys: ray.data.Dataset, key: str, m_bits: int = 1 << 17,

@@ -10,13 +10,12 @@ would slot into MediaFeatureActor.__init__/__call__ unchanged.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
 import ray.data
 
 from engine import storage
+from engine.joins import md5_digests, stable_hash64
 from engine.render import encode_png_gray, pool_width, render_doc_pngs
 
 FEATURE_DIM = 8
@@ -29,8 +28,7 @@ def _decode_image_stub(media_ref: str) -> tuple[np.ndarray, np.ndarray, float]:
     Returns (normalized feature, raw integer-valued bytes, norm) — the raw
     bytes + norm let downstream cosine scoring use exact-integer dot products
     (order-independent, hence SQL-replicable bit-for-bit)."""
-    h = hashlib.md5(media_ref.encode()).digest()
-    v = np.frombuffer(h[:FEATURE_DIM], dtype=np.uint8).astype(np.float64)
+    v = md5_digests([media_ref])[0, :FEATURE_DIM].astype(np.float64)
     n = float(np.sqrt(float((v * v).sum())))
     return (v / n if n else v), v, n
 
@@ -309,7 +307,7 @@ def _synth_audio_stub(media_ref: str, n: int = 256) -> np.ndarray:
     implementation would fetch + decode PCM here): a deterministic
     square wave whose period derives from md5(media_ref), int16 samples.
     Integer-valued by construction so every downstream feature is exact."""
-    h = int.from_bytes(hashlib.md5(media_ref.encode()).digest()[:8], "little")
+    h = int(stable_hash64([media_ref])[0])
     p = 2 + h % 31
     i = np.arange(n)
     return np.where((i // p) % 2 == 0, 8, -8).astype(np.int16)
@@ -370,7 +368,7 @@ def _synth_video_stub(media_ref: str, n_frames: int = 8,
     int image split at column c_t = (c0 + t*v) % size into a hi plateau
     (left) and lo plateau (right).  Integer-valued by construction so
     every downstream feature is exact (SQL-replicable in closed form)."""
-    h = int.from_bytes(hashlib.md5(media_ref.encode()).digest()[:8], "little")
+    h = int(stable_hash64([media_ref])[0])
     c0 = h % size
     v = 1 + (h // 16) % 7
     hi = 4 + (h // 512) % 8

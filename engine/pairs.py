@@ -55,30 +55,24 @@ def pair_features_dataset(pairs: ray.data.Dataset,
     c_ids, c_mat = props_matrix(cand_props)
     i_ids, i_mat = props_matrix(index_props)
 
-    class RatioActor:
-        def __init__(self, sides):
-            self.c_ids, self.c_mat, self.i_ids, self.i_mat = sides
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cand = batch.column("cand_id").to_pylist()
-            index = batch.column("index_id").to_pylist()
-            ci = np.fromiter((self.c_ids[c] for c in cand), dtype=np.int64,
-                             count=len(cand))
-            ii = np.fromiter((self.i_ids[i] for i in index), dtype=np.int64,
-                             count=len(index))
-            feats = ratio_features(self.c_mat[ci], self.i_mat[ii])
-            for j, name in enumerate(RATIO_FEATURE_NAMES):
-                batch = batch.append_column(
-                    name, pa.array(feats[:, j], type=pa.float64()))
-            return batch
-
     # stateless TASK pool, the side matrices fetched once per worker — no
     # actor ramp, no ray#53727 surface, fully elastic across whatever cores
     # the executor has free
-    ratio = storage.broadcast((c_ids, c_mat, i_ids, i_mat), build=RatioActor)
+    sides = storage.broadcast((c_ids, c_mat, i_ids, i_mat))
 
     def ratio_fn(batch: pa.Table) -> pa.Table:
-        return ratio()(batch)
+        c_ids, c_mat, i_ids, i_mat = sides()
+        cand = batch.column("cand_id").to_pylist()
+        index = batch.column("index_id").to_pylist()
+        ci = np.fromiter((c_ids[c] for c in cand), dtype=np.int64,
+                         count=len(cand))
+        ii = np.fromiter((i_ids[i] for i in index), dtype=np.int64,
+                         count=len(index))
+        feats = ratio_features(c_mat[ci], i_mat[ii])
+        for j, name in enumerate(RATIO_FEATURE_NAMES):
+            batch = batch.append_column(
+                name, pa.array(feats[:, j], type=pa.float64()))
+        return batch
 
     return pairs.map_batches(ratio_fn, batch_format="pyarrow",
                              batch_size=16384, concurrency=concurrency)

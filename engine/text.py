@@ -7,6 +7,8 @@ reference (which has no text stage); all vectorized map_batches over Arrow.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -14,6 +16,7 @@ import ray.data
 
 from engine import gates, storage
 from engine.joins import bucketed_hash_join, shuffle_groups, stable_hash64
+from engine.render import pool_width
 
 STOPWORDS = {"the", "a", "and", "of", "to"}
 
@@ -52,33 +55,26 @@ def text_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
     return docs.map_batches(stats, batch_format="pyarrow")
 
 
+def _lang(tokset: set[str]) -> str:
+    """Heuristic language ID of a doc's distinct tokens: argmax of profile
+    overlap / profile size, a tie going to the first language by name."""
+    best, best_s = "en", -1.0
+    for lang, prof in sorted(LANG_PROFILES.items()):
+        s = len(tokset & prof) / len(prof)
+        if s > best_s:
+            best, best_s = lang, s
+    return best
+
+
 def lang_id(docs: ray.data.Dataset) -> ray.data.Dataset:
-    """Heuristic language ID: argmax profile-overlap score (stateful profile
-    table compiled once per actor)."""
-    class LangActor:
-        def __init__(self):
-            self.profiles = {k: frozenset(v) for k, v in LANG_PROFILES.items()}
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            preds = []
-            for t in batch.column("text").to_pylist():
-                toks = set(t.split(" "))
-                best, best_s = "en", -1.0
-                for lang, prof in sorted(self.profiles.items()):
-                    s = len(toks & prof) / len(prof)
-                    if s > best_s:
-                        best, best_s = lang, s
-                preds.append(best)
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "pred_lang": pa.array(preds, type=pa.string()),
-            })
-
-    from engine.render import pool_width
-    actor = storage.broadcast(None, build=lambda _: LangActor())
-
+    """Heuristic language ID per doc (``_lang``)."""
     def stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
+        preds = [_lang(set(t.split(" ")))
+                 for t in batch.column("text").to_pylist()]
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
+            "pred_lang": pa.array(preds, type=pa.string()),
+        })
 
     return docs.map_batches(stage, batch_format="pyarrow",
                             concurrency=pool_width(None))
@@ -88,39 +84,24 @@ def lang_id(docs: ray.data.Dataset) -> ray.data.Dataset:
 # (no lookahead) so the DuckDB oracle's regexp_extract_all agrees with
 # Python's re: contractions | space?-letters | space?-digits |
 # space?-punctuation-run | whitespace-run.
-BPE_PATTERN = r"'(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s]+|\s+"
+BPE_PATTERN = re.compile(
+    r"'(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s]+|\s+")
 
 
 def token_counts(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Token counting: whitespace tokens + BPE-ish subword pretokens +
-    chars — the training-data-pipeline budget columns.  The regex compiles
-    ONCE per actor (stateful stage); all outputs are ints, so SQL-exact."""
-    class TokenActor:
-        def __init__(self):
-            import re
-            self.rx = re.compile(BPE_PATTERN)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            texts = batch.column("text").to_pylist()
-            n_ws = np.empty(len(texts), dtype=np.int64)
-            n_sub = np.empty(len(texts), dtype=np.int64)
-            n_ch = np.empty(len(texts), dtype=np.int64)
-            for i, t in enumerate(texts):
-                n_ws[i] = t.count(" ") + 1
-                n_sub[i] = len(self.rx.findall(t))
-                n_ch[i] = len(t)
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "n_ws_tokens": pa.array(n_ws),
-                "n_subtokens": pa.array(n_sub),
-                "n_chars": pa.array(n_ch),
-            })
-
-    from engine.render import pool_width
-    actor = storage.broadcast(None, build=lambda _: TokenActor())
-
+    chars — the training-data-pipeline budget columns.  All outputs are
+    ints, so SQL-exact."""
     def stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
+        texts = batch.column("text").to_pylist()
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
+            "n_ws_tokens": pa.array([t.count(" ") + 1 for t in texts],
+                                    type=pa.int64()),
+            "n_subtokens": pa.array([len(BPE_PATTERN.findall(t))
+                                     for t in texts], type=pa.int64()),
+            "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
+        })
 
     return docs.map_batches(stage, batch_format="pyarrow",
                             concurrency=pool_width(None))
@@ -197,8 +178,9 @@ def stratified_sample(docs: ray.data.Dataset, rates: dict[str, float],
     ``stable_hash64("sample|seed|doc_id") % 1e6 < rate(lang) * 1e6`` — a
     pure per-row decision, so the sample is identical at any parallelism
     and cluster size, and re-running on a grown corpus keeps exactly the
-    docs it kept before (reservoirless, coordination-free).  md5-based, so
-    the whole rule replicates in SQL (``md5_number_upper``)."""
+    docs it kept before (reservoirless, coordination-free).
+    ``joins.stable_hash64`` equals DuckDB's ``md5_number_upper``, so the
+    whole rule replicates in SQL."""
     cuts = {k: int(r * 1_000_000) for k, r in rates.items()}
     dcut = int(default_rate * 1_000_000)
 
@@ -260,17 +242,15 @@ def fingerprint(docs: ray.data.Dataset, window: int = 8) -> ray.data.Dataset:
     BASE = 1000003
 
     def fp(batch: pa.Table) -> pa.Table:
-        import hashlib
         texts = batch.column("text").to_pylist()
-        # md5 once per UNIQUE token in the batch (the rolling recurrence
-        # below stays per-doc exact-int arithmetic)
+        # token hashes as Python ints: the rolling recurrence below is
+        # per-doc exact-int arithmetic
         tok_lists = [t.split(" ") for t in texts]
-        uniq = sorted({w for ws in tok_lists for w in ws})
-        hmap = {w: int.from_bytes(hashlib.md5(w.encode()).digest()[:8],
-                                  "little") for w in uniq}
-        mins, fulls = [], []
-        for t, toks in zip(texts, tok_lists):
-            hs = [hmap[w] for w in toks]
+        flat = stable_hash64([w for ws in tok_lists for w in ws]).tolist()
+        ends = np.cumsum([len(ws) for ws in tok_lists]).tolist()
+        mins = []
+        for toks, end in zip(tok_lists, ends):
+            hs = flat[end - len(toks):end]
             if len(hs) < window:
                 mins.append(min(hs) if hs else 0)
             else:
@@ -284,11 +264,10 @@ def fingerprint(docs: ray.data.Dataset, window: int = 8) -> ray.data.Dataset:
                     if i >= window - 1:
                         vals.append(roll)
                 mins.append(min(vals))
-            fulls.append(int.from_bytes(hashlib.md5(t.encode()).digest()[:8], "little"))
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "min_hash": pa.array(np.asarray(mins, dtype=np.uint64)),
-            "text_hash": pa.array(np.asarray(fulls, dtype=np.uint64)),
+            "text_hash": pa.array(stable_hash64(texts)),
         })
 
     return docs.map_batches(fp, batch_format="pyarrow")
@@ -305,53 +284,34 @@ def corpus_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
     language, so the groupby shuffles #blocks x #langs tiny rows, never the
     corpus.  All sums are ints; the two ratio columns are single exact
     int/int divisions, so the whole table is SQL-exact."""
-    import re
-
     from ray.data.aggregate import Sum
 
-    class PartialActor:
-        def __init__(self):
-            self.profiles = sorted(
-                (k, frozenset(v)) for k, v in LANG_PROFILES.items())
-            self.rx = re.compile(BPE_PATTERN)
+    def partial_sums(batch: pa.Table) -> pa.Table:
+        agg: dict[str, list[int]] = {}
+        for t in batch.column("text").to_pylist():
+            toks = t.split(" ")
+            tokset = set(toks)
+            a = agg.setdefault(_lang(tokset), [0, 0, 0, 0, 0, 0])
+            a[0] += 1
+            a[1] += len(toks)
+            a[2] += len(BPE_PATTERN.findall(t))
+            a[3] += len(t)
+            a[4] += sum(1 for w in toks if w == "the")
+            a[5] += len(tokset)
+        langs = sorted(agg)
+        m = np.array([agg[l] for l in langs], dtype=np.int64).reshape(
+            len(langs), 6)
+        return pa.table({
+            "language": pa.array(langs, type=pa.string()),
+            "n_docs": pa.array(m[:, 0]),
+            "ws_tokens": pa.array(m[:, 1]),
+            "subtokens": pa.array(m[:, 2]),
+            "chars": pa.array(m[:, 3]),
+            "stops": pa.array(m[:, 4]),
+            "distincts": pa.array(m[:, 5]),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            agg: dict[str, list[int]] = {}
-            for t in batch.column("text").to_pylist():
-                toks = t.split(" ")
-                tokset = set(toks)
-                best, best_s = "en", -1.0
-                for lang, prof in self.profiles:
-                    s = len(tokset & prof) / len(prof)
-                    if s > best_s:
-                        best, best_s = lang, s
-                a = agg.setdefault(best, [0, 0, 0, 0, 0, 0])
-                a[0] += 1
-                a[1] += len(toks)
-                a[2] += len(self.rx.findall(t))
-                a[3] += len(t)
-                a[4] += sum(1 for w in toks if w == "the")
-                a[5] += len(tokset)
-            langs = sorted(agg)
-            m = np.array([agg[l] for l in langs], dtype=np.int64).reshape(
-                len(langs), 6)
-            return pa.table({
-                "language": pa.array(langs, type=pa.string()),
-                "n_docs": pa.array(m[:, 0]),
-                "ws_tokens": pa.array(m[:, 1]),
-                "subtokens": pa.array(m[:, 2]),
-                "chars": pa.array(m[:, 3]),
-                "stops": pa.array(m[:, 4]),
-                "distincts": pa.array(m[:, 5]),
-            })
-
-    from engine.render import pool_width
-    actor = storage.broadcast(None, build=lambda _: PartialActor())
-
-    def _stage(batch: pa.Table) -> pa.Table:
-        return actor()(batch)
-
-    partial = docs.map_batches(_stage, batch_format="pyarrow",
+    partial = docs.map_batches(partial_sums, batch_format="pyarrow",
                                concurrency=pool_width(None))
     out = partial.groupby("language").aggregate(
         Sum("n_docs", alias_name="n_docs"),
@@ -775,24 +735,19 @@ def approx_distinct_kmv(docs: ray.data.Dataset, k: int = 256,
 
     Estimator: with hashes uniform on [0, 2^64), est = (k-1) * 2^64 / h_(k)
     where h_(k) is the k-th smallest distinct hash; exact count when the
-    vocabulary is smaller than k.  Hashing is the house md5-low-8
-    little-endian convention (== DuckDB md5_number_upper), and the estimate
-    is ONE uint64->double rounding plus ONE IEEE division, so the whole row
-    is bit-replicable in SQL.
+    vocabulary is smaller than k.  Hashing is ``joins.stable_hash64``
+    (== DuckDB md5_number_upper), and the estimate is ONE uint64->double
+    rounding plus ONE IEEE division, so the whole row is bit-replicable in
+    SQL.
     """
-    import hashlib
-
     # bound OUTSIDE the UDFs: a lazy import inside the shipped closure would
     # bypass the by-value module registration and fail on foreign workers
     from engine.dedup import _shingles
 
     def kmin(col: pa.ChunkedArray | pa.Array, texts: bool) -> np.ndarray:
         if texts:
-            uniq = {s for t in col.to_pylist() for s in _shingles(t, n)}
-            hs = np.fromiter(
-                (int.from_bytes(hashlib.md5(w.encode()).digest()[:8],
-                                "little") for w in uniq),
-                dtype=np.uint64, count=len(uniq))
+            hs = stable_hash64({s for t in col.to_pylist()
+                                for s in _shingles(t, n)})
         else:
             hs = np.unique(col.to_numpy(zero_copy_only=False))
         if len(hs) > k:

@@ -410,3 +410,29 @@ def test_trees_grow_only_through_the_one_learner():
                       r"|_XGBTree|_WeightedStump|_SERIAL_FIT|_set_serial_fit"
                       r"|get_params", src)
     assert not gone, gone
+
+
+def test_md5_is_computed_only_in_the_one_digest():
+    """engine/*.py calls ``hashlib.md5`` only inside joins.md5_digests, the
+    one digest every hashed output takes a view of (nor ``hashlib.new``,
+    nor a name imported from hashlib).  The 14 hand-rolled md5
+    sites it replaced: joins.stable_hash64, _bloom_positions;
+    dedup.exact_dedup, _batch_shingle_hashes, simhash_signatures,
+    planted_neardup_embeddings, substring_dup_stats (2);
+    text.fingerprint (2), approx_distinct_kmv; multimodal's image, audio
+    and video stubs."""
+    import ast
+    md5 = re.compile(r"hashlib\.(?:md5|new)\b|from hashlib import")
+    engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
+    bad = []
+    for f in sorted(engine.glob("*.py")):
+        src = f.read_text()
+        inside = {line for node in ast.walk(ast.parse(src))
+                  if isinstance(node, ast.FunctionDef)
+                  and (f.name, node.name) == ("joins.py", "md5_digests")
+                  for line in range(node.lineno, node.end_lineno + 1)}
+        for m in md5.finditer(src):
+            line = src.count("\n", 0, m.start()) + 1
+            if line not in inside:
+                bad.append(f"{f.name}:{line}: {m.group(0)}")
+    assert not bad, bad

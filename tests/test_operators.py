@@ -1,6 +1,8 @@
 """Operator-level tests: cells, spans invariant, splits, dedup, matching,
 similarity (SURVEY.md §5 items (c)-(d))."""
 
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -112,6 +114,38 @@ def test_stable_hash_deterministic():
     b = stable_hash64(["x", "y", "z"])
     assert (a == b).all()
     assert len(set(a.tolist())) == 3
+
+
+def test_md5_digests_views_match_hashlib(monkeypatch):
+    """md5_digests hashes ``str(v)`` as UTF-8, one md5 call per distinct
+    string, and each view a caller takes is the matching hashlib digest
+    slice: stable_hash64 (low word, little-endian: DuckDB's
+    md5_number_upper), exact_dedup's 128-bit int64 pair, the Bloom
+    filter's 32-bit words and the substring operator's 48-bit token hash."""
+    from engine.joins import _bloom_positions, md5_digests
+    vals = ["x", "", "é✓ 中", 7, "7", "x", 7, -3]
+    want = [hashlib.md5(str(v).encode()).digest() for v in vals]
+    real, calls = hashlib.md5, []
+    monkeypatch.setattr(hashlib, "md5", lambda b: calls.append(b) or real(b))
+    d = md5_digests(vals)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted({str(v).encode() for v in vals})
+    assert d.shape == (8, 16) and d.dtype == np.uint8
+    assert [bytes(r) for r in d] == want
+
+    def word(w, a, b, signed=False):
+        return int.from_bytes(w[a:b], "little", signed=signed)
+
+    assert stable_hash64(vals).tolist() == [word(w, 0, 8) for w in want]
+    assert d.view("<i8").tolist() == [
+        [word(w, 0, 8, True), word(w, 8, 16, True)] for w in want]
+    assert _bloom_positions(vals, 1 << 17, 3).tolist() == [
+        [word(w, 4 * i, 4 * i + 4) % (1 << 17) for i in range(3)]
+        for w in want]
+    assert (stable_hash64(vals) & np.uint64(2**48 - 1)).tolist() == [
+        word(w, 0, 6) for w in want]
+    assert md5_digests([]).shape == (0, 16)
+    assert stable_hash64([]).dtype == np.uint64 and not len(stable_hash64([]))
 
 
 def test_split_and_negative_sampling_deterministic():

@@ -178,6 +178,27 @@ def test_fn_runs_once_per_reduce_block(ray_session):
     assert out["n"].tolist() == [3 * len(k) for k in seen]
 
 
+def test_blocks_reach_the_sort_without_schema_metadata(ray_session):
+    """A pandas function's output comes back as Arrow with b'pandas' schema
+    metadata; fed to a second shuffle, its blocks reach the sort with that
+    metadata dropped, since Ray's sort reducers hash each block's schema to
+    dedup them and a schema with metadata is unhashable (cell_blocking
+    chains two shuffles this way)."""
+    from engine.joins import shuffle_groups
+    ds = ray.data.from_pandas(pd.DataFrame(
+        {"k": np.arange(40, dtype=np.int64) % 7,
+         "v": np.arange(40, dtype=np.int64)})).repartition(3)
+    first = shuffle_groups([(ds, ["k"])],
+                           lambda g: g.assign(w=g["v"] * 2))
+
+    def schema_hash(g: pa.Table) -> pa.Table:
+        return pa.table({"n": [g.num_rows], "h": [hash(g.schema)]})
+
+    out = shuffle_groups([(first, ["k"])], schema_hash,
+                         batch_format="pyarrow").to_pandas()
+    assert out["n"].sum() == 40
+
+
 def test_two_sided_keys_of_different_numeric_types_meet(ray_session,
                                                         monkeypatch):
     """An int64 key and a float64 key of equal value (400 and 400.0) hash
