@@ -93,8 +93,9 @@ def size_aware_blocks(path: str, requested: int, min_blocks: int = 8,
     tables carry text/geometry whose per-row downstream work dwarfs their
     compressed size.
 
-    Never more than twice the cluster's CPUs (``storage.cluster_cap``):
-    each block is one task of every fused map downstream."""
+    Never more than the cluster's CPUs (``storage.cluster_cap``): each
+    block is one task of every fused map downstream, and a read that is
+    not split fuses with the map after it."""
     if os.path.isdir(path):
         files = sorted(e.path for e in os.scandir(path)
                        if e.is_file() and e.name.endswith(".parquet"))

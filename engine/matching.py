@@ -58,16 +58,38 @@ class Tree:
         self.importances_ = importances
 
     def predict(self, X):
-        """Vectorized level-synchronous traversal (no per-row loop)."""
-        cur = np.zeros(len(X), dtype=np.int64)
-        rows = np.nonzero(self.feature[cur] >= 0)[0]
-        while len(rows):
-            node = cur[rows]
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            cur[rows] = nxt
-            rows = rows[self.feature[nxt] >= 0]
+        return self.walk(np.zeros(1, dtype=np.int64), X)
+
+    def walk(self, roots, X):
+        """The one traversal: every row of ``X`` from each of ``roots``
+        down the table, level-synchronously and with no per-row loop (NaN
+        is never <= a threshold: it goes right).  Returns the leaf values,
+        root by root: (len(roots) * len(X),)."""
+        n, f = X.shape
+        flat = X.ravel()
+        cur = np.repeat(roots, n)
+        row = np.tile(np.arange(0, n * f, f), len(roots))   # row offsets
+        live = np.nonzero(self.feature[cur] >= 0)[0]
+        while len(live):
+            node = cur[live]
+            x = flat[row[live] + self.feature[node]]
+            nxt = np.where(x <= self.threshold[node],
+                           self.left[node], self.right[node])
+            cur[live] = nxt
+            live = live[self.feature[nxt] >= 0]
         return self.value[cur]
+
+
+def _stack(trees) -> tuple[Tree, np.ndarray]:
+    """The node tables of ``trees`` end to end as one ``Tree``, child
+    indices offset by each tree's start (a leaf's -1 children are never
+    read), and each tree's root in it."""
+    roots = np.cumsum([0, *(len(t.feature) for t in trees[:-1])])
+    return Tree(np.concatenate([t.feature for t in trees]),
+                np.concatenate([t.threshold for t in trees]),
+                np.concatenate([t.left + r for t, r in zip(trees, roots)]),
+                np.concatenate([t.right + r for t, r in zip(trees, roots)]),
+                np.concatenate([t.value for t in trees])), roots
 
 
 def _scan(X, idx, features, stats):
@@ -266,8 +288,11 @@ class RandomForest(_Classifier):
         return self
 
     def predict_proba(self, X):
+        """The mean leaf value over the trees, all walked at once."""
         X = np.ascontiguousarray(X, dtype=np.float64)
-        return np.mean([t.predict(X) for t in self.trees_], axis=0)
+        table, roots = _stack(self.trees_)
+        values = table.walk(roots, X)
+        return np.mean(values.reshape(len(self.trees_), len(X)), axis=0)
 
 
 class Bagging(RandomForest):

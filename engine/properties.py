@@ -31,9 +31,12 @@ from engine.geometry import (PROPERTY_NAMES, batch_properties,
 # Geom payload bytes per kernel call (~75 dense meshes of ~20 kB or ~1700
 # box buildings), so the kernel's temporaries stay bounded however large the
 # batch (about 6 bytes per payload byte: 9 MB peak on a 170-doc dense batch).
-# A fused apply batch on dense meshes holds up to ~1.3 MB of cand payload and
-# runs as one call: each call pays one quickhull round per hull vertex of its
-# largest mesh, so splitting a batch in two nearly doubles the rounds.
+# The fused apply pass hands the kernel a whole read block (at most one per
+# CPU), so on one CPU this cut alone splits a pass: the benchmark's dense
+# block (~2.5 MB of cand payload) runs as two calls, its box-building block
+# (~0.5 MB) as one.  Each call pays one quickhull round per hull vertex of
+# its largest mesh, so a batch under the bound is never split: halving one
+# nearly doubles the rounds.
 KERNEL_CHUNK_BYTES = 3 << 19
 
 

@@ -62,13 +62,17 @@ def cluster_cpus() -> int | None:
 
 
 def cluster_cap(n: int) -> int:
-    """``n``, but at most twice the cluster's CPUs: Ray Data's own read
-    parallelism rule.  For a block count feeding a map stage: each block
-    is one task, and a task no CPU runs alongside the others only adds its
-    launch, deserialization and per-batch fixed cost (~30 ms each on one
-    CPU for the fused apply pass)."""
+    """``n``, but at most the cluster's CPUs.  For a block count feeding a
+    map stage: each block is one task, and a task no CPU runs alongside
+    the others only adds its launch, deserialization and per-batch fixed
+    cost.  It also keeps a one-file read fused with the map after it: Ray
+    Data never fuses a read whose output it splits into more blocks than
+    files, so on one CPU a one-file corpus read as 2 blocks runs
+    ``ReadParquet->SplitBlocks(2)`` and then 2 map tasks, and read as 1
+    block runs one ``ReadParquet->MapBatches`` task (a read plus an empty
+    map: 44 ms against 24 ms on one CPU)."""
     cpus = cluster_cpus()
-    return min(n, 2 * cpus) if cpus else n
+    return min(n, cpus) if cpus else n
 
 
 # The most built broadcast values one worker process keeps.  One pipeline

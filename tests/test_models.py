@@ -123,6 +123,25 @@ def test_learners_are_pinned(name):
     assert _learner_digest(m, Xt) == LEARNER_DIGESTS[name]
 
 
+@pytest.mark.parametrize("family", ["RandomForest", "Bagging"])
+def test_forest_walk_equals_the_per_tree_mean(family):
+    """A forest walks all its trees at once; its predict_proba is, bit for
+    bit, the mean of its trees' own predictions, also on rows holding NaN
+    (never <= a threshold: right at every split) and infinities."""
+    from engine.matching import MODEL_REGISTRY
+    X, y = _planted(300, 11)
+    Xt, _ = _planted(200, 12)
+    odd = Xt[:6].copy()
+    odd[0, 0] = odd[1, :] = np.nan
+    odd[2, 1], odd[3, :] = np.inf, -np.inf
+    odd[4, 0], odd[5, 2] = -np.inf, np.inf
+    Xt = np.vstack([Xt, odd])
+    m = MODEL_REGISTRY[family](random_state=1).fit(X, y)
+    want = np.mean([t.predict(Xt) for t in m.trees_], axis=0)
+    got = m.predict_proba(Xt)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_grid_search_distributed_matches_serial(ray_session):
     """The Ray fan-out over (combo x fold) CV fits must be bit-identical to
     the serial loop — same scores, same first-combo-wins tie policy."""

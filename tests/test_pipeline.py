@@ -472,7 +472,7 @@ def test_flagship_fully_deterministic(ray_session):
 
 def test_size_aware_blocks_bounds(monkeypatch):
     """Block sizing: floors at min(min_blocks, requested), caps at
-    requested and at twice the cluster's CPUs, scales with row count, and
+    requested and at the cluster's CPUs, scales with row count, and
     probes at most a bounded number of parquet footers (extrapolation for
     many-file corpora)."""
     import pyarrow as pa
@@ -489,14 +489,17 @@ def test_size_aware_blocks_bounds(monkeypatch):
         for i in range(40):  # 4000 rows over 40 files
             pq.write_table(t, os.path.join(d, f"p{i:03d}.parquet"))
         one = os.path.join(d, "p000.parquet")
-        cpus(8)   # 16 blocks fit under 2 x 8 CPUs
+        cpus(16)  # 16 blocks fit under 16 CPUs
         n = size_aware_blocks(d, requested=64, rows_per_block=256)
         assert n == 16, n  # ceil(4000/256)
         assert size_aware_blocks(d, requested=8) == 8      # cap
         assert size_aware_blocks(one, requested=64) == 8   # floor
+        assert size_aware_blocks(d, requested=64, rows_per_block=1000) == 8
+        cpus(8)   # 16 blocks capped at 8 CPUs
+        assert size_aware_blocks(d, requested=64, rows_per_block=256) == 8
         cpus(1)
-        assert size_aware_blocks(d, requested=64) == 2
-        assert size_aware_blocks(one, requested=64) == 2
+        assert size_aware_blocks(d, requested=64) == 1
+        assert size_aware_blocks(one, requested=64) == 1
         for path in (d, one):
             for requested in (1, 4, 8, 64):
                 cpus(None)   # no cluster: the rule without the CPU cap
@@ -504,7 +507,7 @@ def test_size_aware_blocks_bounds(monkeypatch):
                 for n in (1, 2, 4, 8, 32):
                     cpus(n)
                     got = size_aware_blocks(path, requested)
-                    assert 1 <= got <= min(uncapped, 2 * n), (path, n)
+                    assert got == min(uncapped, n), (path, n)
 
 
 def test_fused_pairs_do_not_depend_on_block_count(fused_state):
@@ -527,8 +530,54 @@ def test_fused_pairs_do_not_depend_on_block_count(fused_state):
         pd.testing.assert_frame_equal(outs[0], out, check_exact=True)
 
 
+def test_fused_pass_is_one_task_on_one_cpu(fused_state, monkeypatch):
+    """On one CPU the corpus is read as one block, so Ray fuses the read
+    with the fused kernel: the whole pass is one task of one
+    ``ReadParquet->MapBatches(fused)`` operator."""
+    import re
+    from engine import storage
+    from engine.corpus import corpus_dataset
+    from engine.pipeline import matching_inference_pipeline
+    monkeypatch.setattr(storage, "cluster_cpus", lambda: 1)
+    out = matching_inference_pipeline(corpus_dataset(SF),
+                                      fused_state).materialize()
+    ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed",
+                     out.stats(), re.M)
+    assert ops == [("ReadParquet->MapBatches(fused)", "1")], ops
+    assert out.count() > 0
+
+
+def test_fused_state_is_put_once_per_state(fused_state, monkeypatch):
+    """Passes over the same state object put it in the object store once
+    and return the same pairs; another state object gets its own put."""
+    import pandas as pd
+    import ray
+    from engine.corpus import corpus_dataset
+    from engine.pipeline import matching_inference_pipeline
+    put, puts = ray.put, []
+
+    def counted(value, **kw):
+        puts.append(value)
+        return put(value, **kw)
+
+    monkeypatch.setattr(ray, "put", counted)
+
+    def run(state):
+        out = matching_inference_pipeline(corpus_dataset(SF), state)
+        return out.to_pandas().sort_values(["cand_id", "rank"]) \
+            .reset_index(drop=True)
+
+    first, second = dict(fused_state), dict(fused_state)
+    a, b = run(first), run(first)
+    assert sum(v is first for v in puts) == 1
+    pd.testing.assert_frame_equal(a, b, check_exact=True)
+    c = run(second)
+    assert sum(v is second for v in puts) == 1
+    pd.testing.assert_frame_equal(a, c, check_exact=True)
+
+
 def test_knn_output_does_not_depend_on_cluster_width(monkeypatch):
-    """bkafi_nn_dataset splits its cands into at most two blocks per
+    """bkafi_nn_dataset splits its cands into at most one block per
     cluster CPU; the per-row kNN output is the same at any width."""
     from engine import blocking as blk
     from engine import storage
@@ -549,7 +598,7 @@ def test_knn_output_does_not_depend_on_cluster_width(monkeypatch):
 
 
 def test_negative_sampler_does_not_depend_on_cluster_width(monkeypatch):
-    """negative_sample_pairs splits its cands into at most two blocks per
+    """negative_sample_pairs splits its cands into at most one block per
     cluster CPU; each cand's negatives are seeded by its own id, so the
     sorted sampler output is the same at any width."""
     import pandas as pd
