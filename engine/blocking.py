@@ -138,24 +138,44 @@ def _within(d: np.ndarray, thr: np.ndarray) -> np.ndarray:
     return (d <= thr) | np.isnan(thr)
 
 
+# A row wider than BOUND_COLS * k entries is first cut by a bound on its
+# kth smallest value: the kth smallest of its BOUND_COLS-column block minima.
+BOUND_COLS = 32
+
+
+def _row_heads(order: np.ndarray, row: np.ndarray, n: int,
+               k: int) -> np.ndarray:
+    """The first k positions of each of the n rows in ``order``, an
+    ordering of flat entries whose first key is their ``row``: one bincount
+    of the rows gives each row's start.  Every row must hold at least k
+    entries.  Returns (n, k)."""
+    counts = np.bincount(row, minlength=n)
+    return order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+
+
 def topk_by_key(d: np.ndarray, keys: np.ndarray, k: int) -> np.ndarray:
     """Column positions of the ``k`` smallest entries of each row of the 2D
     ``d``, ordered by (d, key) with NaN after every number and NaNs by key,
     the order np.lexsort gives; ``keys`` holds one key per column or one
-    per entry.  Tie-complete: the kth smallest value is found by a
-    partition, every entry at or before it is kept, and a (d, key) lexsort
+    per entry.  Tie-complete: each row keeps every entry at or below a
+    bound on its kth smallest value, and one lexsort of all rows' survivors
     cuts them to k, so ties at the kth value go to the smallest keys, never
-    to an arbitrary subset of them."""
+    to an arbitrary subset of them.  The bound is the kth smallest value
+    itself (a partition) for a row of at most BOUND_COLS * k entries, and
+    above that the kth smallest of its BOUND_COLS-column block minima
+    (NaN-ignoring), never below the kth value since k distinct entries are
+    at or below it; a NaN bound keeps the whole row."""
     kk = min(k, d.shape[1])
     if kk == 0:
         return np.empty((len(d), 0), dtype=np.int64)
-    keys = np.broadcast_to(keys, d.shape)
-    keep = _within(d, np.partition(d, kk - 1, axis=1)[:, kk - 1:kk])
-    top = np.empty((len(d), kk), dtype=np.int64)
-    for r, (dr, kr, kp) in enumerate(zip(d, keys, keep)):
-        cols = np.flatnonzero(kp)   # row views: a 2D fancy index costs ~1.5x
-        top[r] = cols[np.lexsort((kr[cols], dr[cols]))[:kk]]
-    return top
+    lows = d
+    if d.shape[1] > BOUND_COLS * kk:
+        lows = np.fmin.reduceat(d, np.arange(0, d.shape[1], BOUND_COLS),
+                                axis=1)
+    r, c = np.nonzero(_within(d, np.partition(lows, kk - 1, axis=1)
+                              [:, kk - 1:kk]))
+    kc = np.broadcast_to(keys, d.shape)[r, c]
+    return c[_row_heads(np.lexsort((kc, d[r, c], r)), r, len(d), kk)]
 
 
 def topk_scan(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +187,8 @@ def topk_scan(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     numeric ids and ``vals`` (m,) what to return for each (positions, ids).
     Blocks are selected whole until k entries are held.  Each later block
     keeps only the entries at or before the running kth-best (a filter, one
-    SIMD compare) and merges those rare survivors per row by (d, key).
+    SIMD compare, tie-complete like topk_by_key's bound) and ranks those
+    rare survivors together with the held k of every row by one lexsort.
     Returns (vals, d), each (n, min(k, entries seen)), rows ranked."""
     best = None
     for d, keys, vals in blocks:
@@ -180,15 +201,15 @@ def topk_scan(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
             best = [np.take_along_axis(a, top, axis=1)
                     for a in (d, keys, vals)]
             continue
-        best_d, best_k, best_v = best
-        hit_r, hit_c = np.nonzero(_within(d, best_d[:, -1:]))
-        rows, starts = np.unique(hit_r, return_index=True)
-        for r, cols in zip(rows, np.split(hit_c, starts[1:])):
-            dall = np.concatenate([best_d[r], d[r, cols]])
-            kall = np.concatenate([best_k[r], keys[r, cols]])
-            vall = np.concatenate([best_v[r], vals[r, cols]])
-            o = np.lexsort((kall, dall))[:k]
-            best_d[r], best_k[r], best_v[r] = dall[o], kall[o], vall[o]
+        hit_r, hit_c = np.nonzero(_within(d, best[0][:, -1:]))
+        if not len(hit_r):
+            continue
+        n = len(d)
+        row = np.concatenate([np.repeat(np.arange(n), k), hit_r])
+        flat = [np.concatenate([b.ravel(), a[hit_r, hit_c]])
+                for b, a in zip(best, (d, keys, vals))]
+        top = _row_heads(np.lexsort((flat[1], flat[0], row)), row, n, k)
+        best = [a[top] for a in flat]
     return best[2], best[0]
 
 
@@ -364,14 +385,6 @@ def pairs_from_nn(nn: ray.data.Dataset, k: int) -> ray.data.Dataset:
         return batch.append_column("label", lbl)
 
     return nn.map_batches(cut, batch_format="pyarrow")
-
-
-def threshold_filter(nn: ray.data.Dataset, threshold: float) -> ray.data.Dataset:
-    """Keep neighbors with dist <= threshold (bkafi_with_threshold.py:232-255)."""
-    import pyarrow.compute as pc
-    return nn.map_batches(
-        lambda b: b.filter(pc.less_equal(b.column("dist"), pa.scalar(threshold))),
-        batch_format="pyarrow")
 
 
 def centroid_nn_dataset(cand_df: pd.DataFrame, index_df: pd.DataFrame,

@@ -260,8 +260,9 @@ def blocking_train_pairs(prep: dict, features: list[str], bkafi_dim: int,
         .replace_schema_metadata(None))
     nn = blk.bkafi_nn_dataset(cands, index_feat, features, bkafi_dim,
                               concurrency=concurrency, stats=stats)
-    nn = nn.select_columns(["cand_id", "index_id", "rank"]).to_pandas()
-    nn = nn[nn["rank"] <= k]
+    nn = nn.select_columns(["cand_id", "index_id", "rank"]).map_batches(
+        lambda b: b.filter(pc.less_equal(b.column("rank"), k)),
+        batch_format="pyarrow").to_pandas()
     order, index_sorted = _id_order(index_df["doc_id"])
     return _pair_frame(
         train, index_df,

@@ -3,10 +3,16 @@
 The north rule names Lance tables; this container has no pylance, so parquet
 is the physical format behind the same call sites.  Swapping is this module
 only — read/write signatures are identical.
+
+Every parquet read in the engine goes through read_parquet_clean, one
+``ray.data.Datasource`` planned from the files' footers: no sampling task
+before the read, a declared schema and row count, and blocks without
+schema metadata.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import os
 import sys
@@ -14,9 +20,12 @@ import threading
 import types
 from collections import OrderedDict
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockMetadata
+from ray.data.datasource import ReadTask
 
 try:  # pragma: no cover - lance absent in this environment
     import lance  # noqa: F401
@@ -25,31 +34,81 @@ except Exception:
     HAVE_LANCE = False
 
 
-def read_parquet_clean(path, columns=None, **kw) -> ray.data.Dataset:
-    """`ray.data.read_parquet` with the file's schema metadata stripped.
+def read_parquet_clean(path, columns=None,
+                       override_num_blocks=None) -> ray.data.Dataset:
+    """Read parquet files (a file, a directory or a list of them; a
+    directory's ``*.parquet`` files sorted, recursively) into a Dataset
+    whose blocks carry no schema metadata, planned from the footers alone.
 
     Pandas-written parquet carries a ``b'pandas'`` schema-metadata dict;
     a pyarrow Schema holding a metadata dict is UNHASHABLE here, which
     defeats Ray Data's schema dedup (`unify_schemas` early-exit) — every
     block merge logs "Failed to hash the schemas" and pays the expensive
-    unify path.  Stripping costs one footer read per file on the driver
-    and makes every downstream block schema hashable.  When the files'
-    stripped schemas differ (say an all-null column typed null in one of
-    them), no one schema fits them all: plain ``read_parquet`` unifies."""
+    unify path.  Each file's footer is read once on the driver; it gives
+    the schema, the rows and the uncompressed bytes the plan declares, so
+    no sampling task runs before the read (``ray.data.read_parquet``
+    starts one per read) and ``Dataset.schema()`` runs no task.  Without
+    ``override_num_blocks`` Ray sizes the read from the footers'
+    uncompressed bytes.  When the files' stripped schemas differ (say an
+    all-null column typed null in one of them), no one schema fits them
+    all: each file is read with its own types and Ray unifies them."""
     files = []
     for p in path if isinstance(path, (list, tuple)) else [path]:
         files += sorted(glob.glob(os.path.join(p, "**", "*.parquet"),
                                   recursive=True)) if os.path.isdir(p) \
             else [p]
-    if not files:  # empty dir: let read_parquet raise its own error
-        return ray.data.read_parquet(path, columns=columns, **kw)
-    sch = pq.read_schema(files[0]).remove_metadata()
-    if any(not pq.read_schema(f).remove_metadata().equals(sch)
-           for f in files[1:]):
-        return ray.data.read_parquet(path, columns=columns, **kw)
-    if columns:
-        sch = pa.schema([sch.field(c) for c in columns])
-    return ray.data.read_parquet(path, columns=columns, schema=sch, **kw)
+    return ray.data.read_datasource(_ParquetFiles(files, columns),
+                                    override_num_blocks=override_num_blocks)
+
+
+class _ParquetFiles(ray.data.Datasource):
+    """The files of one read_parquet_clean call, planned from their
+    footers: one read task per contiguous group of files."""
+
+    def __init__(self, files: list[str], columns: list[str] | None):
+        metas = [pq.read_metadata(f) for f in files]
+        schemas = [m.schema.to_arrow_schema().remove_metadata()
+                   for m in metas]
+        sch = schemas[0] if schemas and all(
+            s.equals(schemas[0]) for s in schemas[1:]) else None
+        if sch is not None and columns:
+            sch = pa.schema([sch.field(c) for c in columns])
+        self._files, self._columns, self._schema = files, columns, sch
+        self._rows = [m.num_rows for m in metas]
+        self._bytes = [sum(m.row_group(i).total_byte_size
+                           for i in range(m.num_row_groups)) for m in metas]
+
+    def get_name(self) -> str:
+        return "Parquet"   # operators keep the name ReadParquet
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(self._bytes)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        tasks = []
+        for part in np.array_split(np.arange(len(self._files)), parallelism):
+            if not len(part):
+                continue
+            files = [self._files[i] for i in part]
+            meta = BlockMetadata(
+                num_rows=sum(self._rows[i] for i in part),
+                size_bytes=sum(self._bytes[i] for i in part),
+                input_files=files, exec_stats=None)
+            tasks.append(ReadTask(
+                functools.partial(_read_files, files, self._columns), meta,
+                schema=self._schema))
+        return tasks
+
+
+def _read_files(files: list[str], columns: list[str] | None):
+    """The row groups of ``files`` in order, as tables without schema
+    metadata."""
+    for f in files:
+        pf = pq.ParquetFile(f)
+        for i in range(pf.num_row_groups):
+            t = pf.read_row_group(i, columns=columns)
+            if t.num_rows:
+                yield t.replace_schema_metadata(None)
 
 
 def cluster_cpus() -> int | None:

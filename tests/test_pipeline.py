@@ -382,21 +382,18 @@ def test_partitioned_resume_skips_finished(ray_session, tmp_path):
 
 
 def test_threshold_filter_monotonic(ray_session):
-    """bkafi_with_threshold semantics: shrinking threshold shrinks the nn
-    table monotonically (M13/T12)."""
-    from engine import blocking as blk
-    from engine.pipeline import property_table, side_dataset, side_frame
-    props = property_table(SF)
-    feats = ["volume", "area", "height_diff"]
-    cands = side_dataset(props, "cands", ["doc_id", *feats])
-    index_df = side_frame(props, "index", ["doc_id", *feats])
-    nn = blk.bkafi_nn_dataset(cands, index_df, feats, 3,
-                              concurrency=2).materialize()
-    dists = nn.to_pandas()["dist"]
-    qs = np.percentile(dists, [10, 50, 90])
-    counts = [blk.threshold_filter(nn, float(q)).count() for q in qs]
-    assert counts[0] <= counts[1] <= counts[2]
-    assert counts[2] <= nn.count()
+    """bkafi_with_threshold semantics on geo_threshold_sweep: a smaller
+    threshold keeps fewer nn pairs (M13/T12), and each count is the direct
+    ``dist <= threshold`` count over the query's nn table."""
+    from engine import queries as Q
+    sweep = Q.geo_threshold_sweep(SF).sort_values("threshold")
+    kept = sweep["cand_pairs"].to_numpy()
+    assert (np.diff(kept) >= 0).all()
+    dist = Q._exact_nn(*Q._flat_blocker(SF)).to_pandas()["dist"].to_numpy()
+    for i in (0, len(sweep) // 2, len(sweep) - 1):
+        row = sweep.iloc[i]
+        assert row["cand_pairs"] == (dist <= row["threshold"]).sum()
+    assert 0 < kept[0] < kept[-1] <= len(dist)
 
 
 def test_dirty_split_semantics(ray_session):
@@ -705,7 +702,8 @@ def test_read_parquet_clean_falls_back_when_file_schemas_differ(
         ray_session, tmp_path):
     """Sibling files whose metadata-free schemas differ are not read under
     the first file's schema (which fails, or silently casts, on the other
-    files): plain read_parquet reads each file with its own types."""
+    files): there is no fallback reader now, the one read reads each file
+    with its own types and declares no schema."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     from engine.storage import read_parquet_clean

@@ -63,6 +63,47 @@ def test_topk_scan_equals_lexsort_over_any_block_split():
                               equal_nan=True), trial
 
 
+def test_topk_bound_on_non_integer_distances():
+    """Non-integer f32 and f64 distances at widths on both sides of
+    ``BOUND_COLS * k`` (above it, rows are first cut by the block-minima
+    bound), with planted ties, duplicate keys, NaN entries, all-NaN rows
+    and rows whose numbers fall in fewer than k column blocks: topk_by_key,
+    and topk_scan over random block splits, give the oracle's positions
+    and distances."""
+    rng = np.random.default_rng(11)
+    w = blk.BOUND_COLS
+    for trial in range(400):
+        dtype = (np.float32, np.float64)[trial % 2]
+        k = int(rng.integers(1, 9))
+        m = int(w * k + rng.integers(-3, 4)) if trial % 3 \
+            else int(rng.integers(w * k + 1, 3 * w * k))
+        n = int(rng.integers(1, 10))
+        d = (rng.random((n, m)) * 10).astype(dtype)
+        tie = rng.random((n, m)) < 0.3
+        d[tie] = rng.choice((rng.random(4) * 3).astype(dtype), tie.sum())
+        d[rng.random((n, m)) < 0.1] = np.nan
+        if trial % 4 == 0:
+            d[rng.integers(n)] = np.nan
+        elif trial % 4 == 1:   # numbers in fewer than k blocks of w columns
+            r, row = rng.integers(n), np.full(m, np.nan, dtype=dtype)
+            for b in rng.choice(-(-m // w), rng.integers(0, k), replace=False):
+                cols = np.arange(b * w, min(b * w + w, m))
+                pick = rng.choice(cols, rng.integers(1, len(cols) + 1))
+                row[pick] = rng.random(len(pick)) * 5
+            d[r] = row
+        keys = rng.permutation(m) * 3 if trial % 5 \
+            else rng.integers(0, m // 2 + 1, m)
+        want = lexsort_topk(d, keys, k)
+        assert (blk.topk_by_key(d, keys, k) == want).all(), trial
+        cuts = np.sort(rng.choice(np.arange(1, m + 1), rng.integers(1, 6)))
+        spans = list(zip(np.r_[0, cuts[:-1]], cuts)) + [(cuts[-1], m)]
+        pos, got = blk.topk_scan(((d[:, s:e], keys[s:e], np.arange(s, e))
+                                  for s, e in spans), k)
+        assert (pos == want).all(), trial
+        assert np.array_equal(got, np.take_along_axis(d, want, axis=1),
+                              equal_nan=True), trial
+
+
 def test_bkafi_exact_scan_crosses_a_chunk_boundary():
     """BkafiKnn's exact-f64 mode over more than KNN_CHUNK index rows, with
     a NaN feature row on both sides."""
