@@ -5,9 +5,7 @@ is the physical format behind the same call sites.  Swapping is this module
 only — read/write signatures are identical.
 
 Every parquet read in the engine goes through read_parquet_clean, one
-``ray.data.Datasource`` planned from the files' footers: no sampling task
-before the read, a declared schema and row count, and blocks without
-schema metadata.
+``ray.data.Datasource`` planned from the files' footers.
 """
 
 from __future__ import annotations
@@ -36,22 +34,21 @@ except Exception:
 
 def read_parquet_clean(path, columns=None,
                        override_num_blocks=None) -> ray.data.Dataset:
-    """Read parquet files (a file, a directory or a list of them; a
-    directory's ``*.parquet`` files sorted, recursively) into a Dataset
-    whose blocks carry no schema metadata, planned from the footers alone.
+    """Read parquet files (a file, a directory's ``*.parquet`` files,
+    sorted, recursively, or a list of both) into a Dataset whose blocks
+    carry no schema metadata.
 
     Pandas-written parquet carries a ``b'pandas'`` schema-metadata dict;
     a pyarrow Schema holding a metadata dict is UNHASHABLE here, which
     defeats Ray Data's schema dedup (`unify_schemas` early-exit) — every
     block merge logs "Failed to hash the schemas" and pays the expensive
-    unify path.  Each file's footer is read once on the driver; it gives
-    the schema, the rows and the uncompressed bytes the plan declares, so
-    no sampling task runs before the read (``ray.data.read_parquet``
-    starts one per read) and ``Dataset.schema()`` runs no task.  Without
-    ``override_num_blocks`` Ray sizes the read from the footers'
-    uncompressed bytes.  When the files' stripped schemas differ (say an
-    all-null column typed null in one of them), no one schema fits them
-    all: each file is read with its own types and Ray unifies them."""
+    unify path.  Each file's footer is read once on the driver and gives
+    the schema, rows and uncompressed bytes the plan declares: no sampling
+    task runs before the read (``ray.data.read_parquet`` starts one),
+    ``Dataset.schema()`` runs no task, and without ``override_num_blocks``
+    Ray sizes the read from the footer bytes.  Files whose stripped
+    schemas differ (say an all-null column typed null in one of them) are
+    each read with their own types, and Ray unifies them."""
     files = []
     for p in path if isinstance(path, (list, tuple)) else [path]:
         files += sorted(glob.glob(os.path.join(p, "**", "*.parquet"),
@@ -104,11 +101,11 @@ def _read_files(files: list[str], columns: list[str] | None):
     """The row groups of ``files`` in order, as tables without schema
     metadata."""
     for f in files:
-        pf = pq.ParquetFile(f)
-        for i in range(pf.num_row_groups):
-            t = pf.read_row_group(i, columns=columns)
-            if t.num_rows:
-                yield t.replace_schema_metadata(None)
+        with pq.ParquetFile(f) as pf:
+            for i in range(pf.num_row_groups):
+                t = pf.read_row_group(i, columns=columns)
+                if t.num_rows:
+                    yield t.replace_schema_metadata(None)
 
 
 def cluster_cpus() -> int | None:

@@ -40,6 +40,22 @@ def test_topk_by_key_puts_nan_last_and_orders_nans_by_key():
     assert blk.topk_by_key(d, np.arange(4), 0).shape == (1, 0)
 
 
+def _check_selection(rng, d: np.ndarray, keys: np.ndarray, k: int, trial):
+    """topk_by_key, and topk_scan over a random split of the columns into
+    blocks (some smaller than k, the last one empty when the last cut is
+    m), give the oracle's positions and distances."""
+    m = d.shape[1]
+    want = lexsort_topk(d, keys, k)
+    assert (blk.topk_by_key(d, keys, k) == want).all(), trial
+    cuts = np.sort(rng.choice(np.arange(1, m + 1), rng.integers(1, 6)))
+    spans = list(zip(np.r_[0, cuts[:-1]], cuts)) + [(cuts[-1], m)]
+    pos, got = blk.topk_scan(((d[:, s:e], keys[s:e], np.arange(s, e))
+                              for s, e in spans), k)
+    assert (pos == want).all(), trial
+    assert np.array_equal(got, np.take_along_axis(d, want, axis=1),
+                          equal_nan=True), trial
+
+
 def test_topk_scan_equals_lexsort_over_any_block_split():
     """Random distances with planted ties and NaNs (single entries and
     whole rows), split into random blocks, some smaller than k: every
@@ -52,24 +68,14 @@ def test_topk_scan_equals_lexsort_over_any_block_split():
         if trial % 3 == 0:
             d[rng.integers(n)] = np.nan
         keys = rng.permutation(m).astype(np.int64) * 7
-        cuts = np.sort(rng.choice(np.arange(1, m + 1), rng.integers(1, 6)))
-        spans = list(zip(np.r_[0, cuts[:-1]], cuts))
-        spans.append((cuts[-1], m))   # empty when the last cut is m
-        pos, got = blk.topk_scan(((d[:, s:e], keys[s:e], np.arange(s, e))
-                                  for s, e in spans), k)
-        want = lexsort_topk(d, keys, k)
-        assert (pos == want).all(), trial
-        assert np.array_equal(got, np.take_along_axis(d, want, axis=1),
-                              equal_nan=True), trial
+        _check_selection(rng, d, keys, k, trial)
 
 
 def test_topk_bound_on_non_integer_distances():
     """Non-integer f32 and f64 distances at widths on both sides of
     ``BOUND_COLS * k`` (above it, rows are first cut by the block-minima
     bound), with planted ties, duplicate keys, NaN entries, all-NaN rows
-    and rows whose numbers fall in fewer than k column blocks: topk_by_key,
-    and topk_scan over random block splits, give the oracle's positions
-    and distances."""
+    and rows whose numbers fall in fewer than k column blocks."""
     rng = np.random.default_rng(11)
     w = blk.BOUND_COLS
     for trial in range(400):
@@ -93,15 +99,7 @@ def test_topk_bound_on_non_integer_distances():
             d[r] = row
         keys = rng.permutation(m) * 3 if trial % 5 \
             else rng.integers(0, m // 2 + 1, m)
-        want = lexsort_topk(d, keys, k)
-        assert (blk.topk_by_key(d, keys, k) == want).all(), trial
-        cuts = np.sort(rng.choice(np.arange(1, m + 1), rng.integers(1, 6)))
-        spans = list(zip(np.r_[0, cuts[:-1]], cuts)) + [(cuts[-1], m)]
-        pos, got = blk.topk_scan(((d[:, s:e], keys[s:e], np.arange(s, e))
-                                  for s, e in spans), k)
-        assert (pos == want).all(), trial
-        assert np.array_equal(got, np.take_along_axis(d, want, axis=1),
-                              equal_nan=True), trial
+        _check_selection(rng, d, keys, k, trial)
 
 
 def test_bkafi_exact_scan_crosses_a_chunk_boundary():
