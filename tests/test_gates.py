@@ -412,6 +412,22 @@ def test_trees_grow_only_through_the_one_learner():
     assert not gone, gone
 
 
+def test_parquet_is_read_only_through_the_one_datasource():
+    """engine/*.py reads parquet into a Dataset only through
+    storage.read_parquet_clean, which plans a read from the files' footers:
+    no ``read_parquet(`` call of Ray's (it starts a sampling task per
+    read) or of pandas'.  The parent's read_parquet_clean called
+    ray.data.read_parquet at three places."""
+    call = re.compile(r"\bread_parquet\(")
+    engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
+    bad = []
+    for f in sorted(engine.glob("*.py")):
+        src = f.read_text()
+        bad += [f"{f.name}:{src.count(chr(10), 0, m.start()) + 1}"
+                for m in call.finditer(src)]
+    assert not bad, bad
+
+
 def test_md5_is_computed_only_in_the_one_digest():
     """engine/*.py calls ``hashlib.md5`` only inside joins.md5_digests, the
     one digest every hashed output takes a view of (nor ``hashlib.new``,
