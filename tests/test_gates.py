@@ -416,8 +416,8 @@ def test_parquet_is_read_only_through_the_one_datasource():
     """engine/*.py reads parquet into a Dataset only through
     storage.read_parquet_clean, which plans a read from the files' footers:
     no ``read_parquet(`` call of Ray's (it starts a sampling task per
-    read) or of pandas'.  The parent's read_parquet_clean called
-    ray.data.read_parquet at three places."""
+    read) or of pandas'.  The datasource replaced the three
+    ray.data.read_parquet calls read_parquet_clean made."""
     call = re.compile(r"\bread_parquet\(")
     engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
     bad = []

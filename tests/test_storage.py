@@ -10,8 +10,9 @@ import ray
 import ray.data
 
 from engine.storage import read_parquet_clean
+from tests.test_pipeline import SF
 
-DOCS = "/root/testdata/sf0.001/documents.parquet"
+DOCS = f"{SF}/documents.parquet"
 
 
 @pytest.fixture
