@@ -18,8 +18,12 @@ one object at a time: the batch's geom payloads are read by one pyarrow.json
 call (``parse_geom_payloads``), and ``Meshes`` holds every surface vertex of
 the batch in one flat float64 table with surface and object offsets, taken
 from the list offsets and values of that read.  Vertex dedup is one
-lexsort over (object, x, y, z), and every property is a vectorized pass over
-the flat tables — segment reductions, one flat triangle-fan table, stacked
+lexsort over (object, x, y, z).  Two stable 3-key lexsorts of the unique
+table give its (object, y, z, x) and (object, z, x, y) orders, and every
+per-axis pass (distinct values, axis-parallel runs, the 2D hull's distinct
+xy) reads one of these three orders through head masks, with no sort of its
+own.  Every property is a vectorized pass over the flat tables — segment
+reductions, one flat triangle-fan table, stacked
 ``np.cov``/``np.linalg.eigh``, one lockstep quickhull for the 3D hulls of
 the whole batch and a batched monotone chain for the 2D hulls, over the
 points the 3D hulls leave as 2D candidates.  The quickhull adds one hull
@@ -318,16 +322,33 @@ def _first_true(mask: np.ndarray, seg: np.ndarray, nseg: int) -> np.ndarray:
     return out
 
 
+def _heads(*cols: np.ndarray) -> np.ndarray:
+    """Mask of the rows of sorted columns that differ from the row before in
+    some column: the first row of each run of equal rows."""
+    new = np.ones(len(cols[0]), dtype=bool)
+    np.not_equal(cols[0][1:], cols[0][:-1], out=new[1:])
+    for c in cols[1:]:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
 def _distinct(obj: np.ndarray, *cols: np.ndarray):
     """Rows of (obj, *cols) sorted by obj then cols, duplicates removed."""
     order = np.lexsort(cols[::-1] + (obj,))
     obj = obj[order]
     cols = tuple(c[order] for c in cols)
-    new = np.ones(len(obj), dtype=bool)
-    new[1:] = obj[1:] != obj[:-1]
-    for c in cols:
-        new[1:] |= c[1:] != c[:-1]
+    new = _heads(obj, *cols)
     return (obj[new], *(c[new] for c in cols))
+
+
+def _vertex_orders(obj: np.ndarray, U: np.ndarray):
+    """The three orders of a unique vertex table (rows of U sorted by
+    (obj, x, y, z), no two equal): order k sorts the rows by obj, then
+    coordinate k, k + 1 and k + 2 (mod 3).  Order 0 is U's own; lexsort is
+    stable, so sorting U by (obj, y, z) leaves ties in x order, and by
+    (obj, z, x) in y order."""
+    return (np.arange(len(obj)), np.lexsort((U[:, 2], U[:, 1], obj)),
+            np.lexsort((U[:, 0], U[:, 2], obj)))
 
 
 def _groups(counts: np.ndarray):
@@ -432,8 +453,10 @@ def _chains(px: np.ndarray, py: np.ndarray, c: np.ndarray):
 def _hull_perimeters(obj: np.ndarray, x: np.ndarray, y: np.ndarray,
                      n: int) -> np.ndarray:
     """Perimeter of each object's 2D convex hull — scipy's 2D ``.area``
-    quirk — over the object-ordered points (obj, x, y)."""
-    obj, x, y = _distinct(obj, x, y)
+    quirk — over points sorted by (obj, x, y), such as rows of a unique
+    vertex table; repeated points are dropped here, with no sort."""
+    new = _heads(obj, x, y)
+    obj, x, y = obj[new], x[new], y[new]
     c, (px, py) = _padded(obj, (x, y), n)
     r = np.arange(n)[:, None]
     edges = [np.zeros((n, 1))]
@@ -458,8 +481,10 @@ def convex_hull_2d(points: np.ndarray) -> np.ndarray:
 
 def hull_perimeter_2d(points: np.ndarray) -> float:
     """Perimeter of the 2D convex hull — scipy's 2D ``.area`` quirk."""
+    x, y = points[:, 0], points[:, 1]
+    order = np.lexsort((y, x))
     return float(_hull_perimeters(np.zeros(len(points), dtype=np.int64),
-                                  points[:, 0], points[:, 1], 1)[0])
+                                  x[order], y[order], 1)[0])
 
 
 def hull_area_2d(points: np.ndarray) -> float:
@@ -482,14 +507,8 @@ def convex_hull_3d_volume(points: np.ndarray) -> float:
     0.0."""
     pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 3),
                     axis=0)
-    return float(_hull_volumes(pts, np.array([len(pts)]))[0][0])
-
-
-def _heads(v: np.ndarray) -> np.ndarray:
-    """Positions where a sorted array's value changes, and 0."""
-    new = np.ones(len(v), dtype=bool)
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    return new.nonzero()[0]
+    orders = _vertex_orders(np.zeros(len(pts), dtype=np.int64), pts)
+    return float(_hull_volumes(pts, np.array([len(pts)]), orders)[0][0])
 
 
 def _quickhulls(P: np.ndarray, cnt: np.ndarray):
@@ -626,7 +645,7 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
         key = np.minimum(e0, e1) * (k * m) + np.maximum(e0, e1)
         order = key.argsort()
         key = key[order]
-        heads = _heads(key)
+        heads = _heads(key).nonzero()[0]
         net = np.add.reduceat((e0 < e1)[order] * 2 - 1, heads)
         lo, hi = np.divmod(key[heads], k * m)
         rep = np.abs(net)
@@ -667,7 +686,7 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
     order = order[~bad[fs[order]]]
     near = ~ok[:, None].repeat(m, axis=1)
     if len(order):
-        heads = _heads(fs[order])
+        heads = _heads(fs[order]).nonzero()[0]
         near[fs[order][heads]] = np.logical_or.reduceat(
             np.concatenate([d for _, _, d in closed])[order], heads, axis=0)
     count = np.bincount(fo, minlength=k)
@@ -679,35 +698,37 @@ def _quickhulls(P: np.ndarray, cnt: np.ndarray):
     return volume, near, count
 
 
-def _axis_run_ends(obj: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _axis_run_ends(obj: np.ndarray, X: np.ndarray, orders) -> np.ndarray:
     """Mask of the points that are not strictly between two other points of
     their object on an axis-parallel line (wall-split and panel-split
     vertices of building meshes).  Such points are never hull vertices, so
-    the hulls may drop them."""
+    the hulls may drop them.  X is a unique vertex table and ``orders`` its
+    ``_vertex_orders``: the line along axis a holds a run of order a + 1,
+    whose rows share obj and the other two coordinates and ascend in a."""
     keep = np.ones(len(obj), dtype=bool)
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
-        order = np.lexsort((X[:, a], X[:, c], X[:, b], obj))
-        o, pb, pc = obj[order], X[order, b], X[order, c]
-        same = (o[1:] == o[:-1]) & (pb[1:] == pb[:-1]) & (pc[1:] == pc[:-1])
+        order = orders[b]
+        same = ~_heads(obj[order], X[order, b], X[order, c])[1:]
         inner = np.zeros(len(obj), dtype=bool)
         inner[1:-1] = same[:-1] & same[1:]
         keep[order[inner]] = False
     return keep
 
 
-def _hull_volumes(U: np.ndarray, nv: np.ndarray):
-    """3D hull volume of each object's unique vertices (object-ordered
-    rows of U, nv per object), and the mask of the rows that can be 2D hull
-    vertices of their object's xy.  Points inside an axis-parallel run are
-    dropped first (their xy lies exactly between, or on, two other points'
-    xy); objects with at least 4 points left go through the lockstep
-    quickhull, which also drops the points strictly inside every
-    non-horizontal face.  Objects with fewer points, or a degenerate hull,
-    have volume 0.0 and keep all their run ends."""
+def _hull_volumes(U: np.ndarray, nv: np.ndarray, orders):
+    """3D hull volume of each object's unique vertices (rows of U sorted by
+    (object, x, y, z), nv per object, ``orders`` their ``_vertex_orders``),
+    and the mask of the rows that can be 2D hull vertices of their object's
+    xy.  Points inside an axis-parallel run are dropped first (their xy lies
+    exactly between, or on, two other points' xy); objects with at least 4
+    points left go through the lockstep quickhull, which also drops the
+    points strictly inside every non-horizontal face.  Objects with fewer
+    points, or a degenerate hull, have volume 0.0 and keep all their run
+    ends."""
     n = len(nv)
     obj = np.repeat(np.arange(n), nv)
-    rows = np.flatnonzero(_axis_run_ends(obj, U))     # object-ordered
+    rows = np.flatnonzero(_axis_run_ends(obj, U, orders))   # object-ordered
     cand = np.zeros(len(U), dtype=bool)
     cand[rows] = True
     vol = np.zeros(n)
@@ -747,10 +768,16 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.nd
 # The 25-property kernel
 # ---------------------------------------------------------------------------
 
-def _axis_stats(obj: np.ndarray, v: np.ndarray, n: int):
+def _axis_stats(obj: np.ndarray, v: np.ndarray, order: np.ndarray, n: int):
     """Distinct values of one coordinate per object -> (min, max, count,
-    np.std)."""
-    obj, v = _distinct(obj, v)
+    np.std).  ``order`` sorts the rows by (obj, v), as a ``_vertex_orders``
+    order does for its leading coordinate; each run of equal (obj, v) gives
+    its first row's value, so the values reach ``np.std`` ascending.  A run
+    holding both -0.0 and 0.0 may give either; the std, the extent and the
+    equality tests downstream do not tell them apart."""
+    obj, v = obj[order], v[order]
+    new = _heads(obj, v)
+    obj, v = obj[new], v[new]
     cnt = np.bincount(obj, minlength=n)
     start = _starts(cnt)
     last = np.maximum(start + cnt - 1, 0)
@@ -807,13 +834,14 @@ def batch_properties(meshes: Meshes, log_transform: bool = False):
     uo, ux, uy, uz = _distinct(meshes.row_obj, meshes.x, meshes.y, meshes.z)
     U = np.column_stack([ux, uy, uz])
     nv = np.bincount(uo, minlength=n)
+    orders = _vertex_orders(uo, U)
     (xlo, xhi, _, xsd), (ylo, yhi, _, ysd), (zlo, zhi, nz, zsd) = (
-        _axis_stats(uo, v, n) for v in (ux, uy, uz))
+        _axis_stats(uo, v, order, n) for v, order in zip((ux, uy, uz), orders))
 
     area, volume = _fan(meshes)
     area = np.maximum(area, 1.0)
     perimeter = _perimeters(meshes, zlo, zhi)
-    ch_vol, cand = _hull_volumes(U, nv)
+    ch_vol, cand = _hull_volumes(U, nv, orders)
     ch_per = _hull_perimeters(uo[cand], ux[cand], uy[cand], n)
     centroid, acd, elongation, aligned = _vertex_stats(U, nv)
 

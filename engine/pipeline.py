@@ -533,7 +533,10 @@ def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
     (``batch_size=None``; ``_props_batch`` still cuts a block's payload at
     ``KERNEL_CHUNK_BYTES``).  Read the docs with
     ``corpus.size_aware_blocks`` so that is at most one block per CPU: on
-    one CPU a one-file corpus is then read inside the kernel's own task.
+    one CPU a one-file corpus is then read inside the kernel's own task, and
+    ``storage.read_parquet_clean`` hands that task its row groups as one
+    block, cut only at Ray's target block size, so the kernel runs once per
+    read task.
     Measured 35% faster than the equivalent actor pool on this host — task
     pools have no ramp and stay fully elastic; actor pools remain the right
     shape when per-actor setup is expensive (model load), which a plasma get

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import glob
+import math
 import os
 import sys
 import threading
@@ -46,9 +47,14 @@ def read_parquet_clean(path, columns=None,
     the schema, rows and uncompressed bytes the plan declares: no sampling
     task runs before the read (``ray.data.read_parquet`` starts one),
     ``Dataset.schema()`` runs no task, and without ``override_num_blocks``
-    Ray sizes the read from the footer bytes.  Files whose stripped
-    schemas differ (say an all-null column typed null in one of them) are
-    each read with their own types, and Ray unifies them."""
+    Ray sizes the read from the footer bytes.  A read task emits its row
+    groups concatenated into blocks of at most Ray's
+    ``DataContext.target_max_block_size`` uncompressed footer bytes (a
+    larger row group is a block of its own), so a map with
+    ``batch_size=None`` after it runs once per task, not once per row
+    group.  Files whose stripped schemas differ (say an all-null column
+    typed null in one of them) are each read with their own types, in
+    blocks of their own, and Ray unifies them."""
     files = []
     for p in path if isinstance(path, (list, tuple)) else [path]:
         files += sorted(glob.glob(os.path.join(p, "**", "*.parquet"),
@@ -71,9 +77,13 @@ class _ParquetFiles(ray.data.Datasource):
         if sch is not None and columns:
             sch = pa.schema([sch.field(c) for c in columns])
         self._files, self._columns, self._schema = files, columns, sch
+        self._schemas = schemas
         self._rows = [m.num_rows for m in metas]
-        self._bytes = [sum(m.row_group(i).total_byte_size
-                           for i in range(m.num_row_groups)) for m in metas]
+        # (rows, uncompressed bytes) of each file's row groups
+        self._groups = [[(m.row_group(i).num_rows,
+                          m.row_group(i).total_byte_size)
+                         for i in range(m.num_row_groups)] for m in metas]
+        self._bytes = [sum(b for _, b in g) for g in self._groups]
 
     def get_name(self) -> str:
         return "Parquet"   # operators keep the name ReadParquet
@@ -82,6 +92,8 @@ class _ParquetFiles(ray.data.Datasource):
         return sum(self._bytes)
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        target = ray.data.DataContext.get_current().target_max_block_size \
+            or math.inf
         tasks = []
         for part in np.array_split(np.arange(len(self._files)), parallelism):
             if not len(part):
@@ -92,20 +104,43 @@ class _ParquetFiles(ray.data.Datasource):
                 size_bytes=sum(self._bytes[i] for i in part),
                 input_files=files, exec_stats=None)
             tasks.append(ReadTask(
-                functools.partial(_read_files, files, self._columns), meta,
+                functools.partial(_read_files, self._blocks(part, target),
+                                  self._columns), meta,
                 schema=self._schema))
         return tasks
 
+    def _blocks(self, part: np.ndarray, target: float) -> list:
+        """The blocks of one read task: runs of its files' nonempty row
+        groups, in order, each a list of (file, [row group]) holding at
+        most ``target`` footer bytes unless one row group alone is larger.
+        A block never spans two files whose stripped schemas differ."""
+        blocks, size, prev = [], 0, None
+        for i in part.tolist():
+            for g, (rows, nbytes) in enumerate(self._groups[i]):
+                if not rows:
+                    continue
+                if not blocks or size + nbytes > target or \
+                        not self._schemas[i].equals(self._schemas[prev]):
+                    blocks.append([])
+                    size = 0
+                if not blocks[-1] or blocks[-1][-1][0] != self._files[i]:
+                    blocks[-1].append((self._files[i], []))
+                blocks[-1][-1][1].append(g)
+                size += nbytes
+                prev = i
+        return blocks
 
-def _read_files(files: list[str], columns: list[str] | None):
-    """The row groups of ``files`` in order, as tables without schema
-    metadata."""
-    for f in files:
-        with pq.ParquetFile(f) as pf:
-            for i in range(pf.num_row_groups):
-                t = pf.read_row_group(i, columns=columns)
-                if t.num_rows:
-                    yield t.replace_schema_metadata(None)
+
+def _read_files(blocks: list, columns: list[str] | None):
+    """One table without schema metadata per block of ``_blocks``: its row
+    groups read and concatenated in order."""
+    for block in blocks:
+        tables = []
+        for f, groups in block:
+            with pq.ParquetFile(f) as pf:
+                tables.append(pf.read_row_groups(groups, columns=columns)
+                              .replace_schema_metadata(None))
+        yield pa.concat_tables(tables)
 
 
 def cluster_cpus() -> int | None:

@@ -9,7 +9,8 @@ import pytest
 from datagen.buildings import (build_mesh, building_params, doc_spans,
                                expected_volume)
 from engine.geometry import (Meshes, _hull_volumes, _quickhulls,
-                             batch_properties, compute_properties,
+                             _vertex_orders, batch_properties,
+                             compute_properties,
                              convex_hull_3d_volume, hull_area_2d,
                              hull_perimeter_2d, mesh_area, mesh_perimeter,
                              mesh_volume, parse_geom_payload,
@@ -182,6 +183,15 @@ def test_near_coplanar_cloud_takes_the_exact_rerun(cloud, volume,
     assert reruns == [False, True]
 
 
+def _batch_hull_volumes(objs):
+    """_hull_volumes over a batch of objects, each given as its unique
+    vertices sorted by (x, y, z)."""
+    U = np.concatenate(objs)
+    nv = np.array([len(o) for o in objs])
+    return _hull_volumes(U, nv,
+                         _vertex_orders(np.repeat(np.arange(len(nv)), nv), U))
+
+
 def test_quickhull_raises_past_its_round_bound():
     """A hull still open after cnt - 4 rounds, one per candidate, is rerun
     exactly, and the exact run raises naming the object instead of
@@ -201,8 +211,7 @@ def test_exact_rerun_leaves_the_rest_of_the_batch():
     objs = [unique_vertices(_mesh(4.0, 6.0, 3.0)),
             np.unique(np.array(cloud), axis=0),
             unique_vertices(_mesh(7.5, 5.25, 4.125, 2))]
-    got, _ = _hull_volumes(np.concatenate(objs),
-                           np.array([len(o) for o in objs]))
+    got, _ = _batch_hull_volumes(objs)
     assert got.tolist() == [72.0, volume, convex_hull_3d_volume(objs[2])]
 
 
@@ -255,8 +264,7 @@ def test_degenerate_hulls_in_a_mixed_batch():
     degenerate = [tri, [1.0, 2.0, 3.0] + t * [0.5, 0.25, 2.0], plane, tri * 8]
     objs = [np.unique(np.asarray(o, dtype=float), axis=0)
             for pair in zip(normal, degenerate) for o in pair]
-    got, _ = _hull_volumes(np.concatenate(objs),
-                           np.array([len(o) for o in objs]))
+    got, _ = _batch_hull_volumes(objs)
     assert got[1::2].tolist() == [0.0] * 4
     assert got[::2].tolist() == [convex_hull_3d_volume(o) for o in normal]
     assert got[0] == got[6] == 8.0 and got[2] == 72.0

@@ -544,6 +544,53 @@ def test_fused_pass_is_one_task_on_one_cpu(fused_state, monkeypatch):
     assert out.count() > 0
 
 
+def test_two_row_group_corpus_runs_the_kernel_once_per_pass(
+        fused_state, monkeypatch, tmp_path):
+    """A corpus file of two row groups read on one CPU is one block: the
+    pass stays one ``ReadParquet->MapBatches(fused)`` task, and that task
+    runs ``batch_properties`` once, over every cand."""
+    import re
+    import pyarrow.parquet as pq
+    from engine import corpus, pipeline, storage
+    t = pq.read_table(corpus.ensure_corpus(SF))
+    path = tmp_path / "corpus"
+    path.mkdir()
+    pq.write_table(t, path / "part.parquet",
+                   row_group_size=(t.num_rows + 1) // 2)
+    assert pq.read_metadata(path / "part.parquet").num_row_groups == 2
+    monkeypatch.setattr(storage, "cluster_cpus", lambda: 1)
+    monkeypatch.setattr(corpus, "ensure_corpus", lambda *a: str(path))
+    log = str(tmp_path / "kernel_calls")
+    fused_apply_batch = pipeline.fused_apply_batch
+
+    def counted(*args):
+        # runs in the worker: count the kernel calls of this batch there
+        import engine.properties as props
+        kernel = props.batch_properties
+
+        def spy(meshes, log_transform):
+            with open(log, "a") as f:
+                f.write(f"{meshes.n}\n")
+            return kernel(meshes, log_transform)
+        props.batch_properties = spy
+        try:
+            return fused_apply_batch(*args)
+        finally:
+            props.batch_properties = kernel
+
+    monkeypatch.setattr(pipeline, "fused_apply_batch", counted)
+    out = pipeline.matching_inference_pipeline(
+        corpus.corpus_dataset(SF), fused_state).materialize()
+    ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed",
+                     out.stats(), re.M)
+    assert ops == [("ReadParquet->MapBatches(fused)", "1")], ops
+    cands = (t.column("source").to_numpy(zero_copy_only=False)
+             == "cands").sum()
+    with open(log) as f:
+        assert [int(n) for n in f.read().split()] == [cands]
+    assert out.count() == cands * fused_state["k"]
+
+
 def test_fused_state_is_put_once_per_state(fused_state, monkeypatch):
     """Passes over the same state object put it in the object store once
     and return the same pairs; another state object gets its own put."""

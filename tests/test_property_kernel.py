@@ -265,8 +265,9 @@ def test_hull_perimeter_same_on_2d_candidates(corpora, name):
     uo, ux, uy, uz = geo._distinct(meshes.row_obj, meshes.x, meshes.y,
                                    meshes.z)
     n = meshes.n
-    _, cand = geo._hull_volumes(np.column_stack([ux, uy, uz]),
-                                np.bincount(uo, minlength=n))
+    U = np.column_stack([ux, uy, uz])
+    _, cand = geo._hull_volumes(U, np.bincount(uo, minlength=n),
+                                geo._vertex_orders(uo, U))
     assert not cand.all()
     assert np.array_equal(geo._hull_perimeters(uo, ux, uy, n),
                           geo._hull_perimeters(uo[cand], ux[cand], uy[cand],
@@ -337,3 +338,158 @@ def test_fused_batch_runs_one_kernel_call(corpora, monkeypatch):
     out = fused_apply_batch(batch, state, np.zeros(3, dtype=np.float32),
                             False)
     assert calls == [cands.num_rows] and out.num_rows == cands.num_rows
+
+
+# The sort-per-use helpers the shared vertex orders replaced: each sorts its
+# own input.  They take the new signatures and ignore the orders.
+def _sorted_distinct(obj, *cols):
+    order = np.lexsort(cols[::-1] + (obj,))
+    obj = obj[order]
+    cols = tuple(c[order] for c in cols)
+    new = np.ones(len(obj), dtype=bool)
+    new[1:] = obj[1:] != obj[:-1]
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return (obj[new], *(c[new] for c in cols))
+
+
+def _sorting_axis_stats(obj, v, order, n):
+    obj, v = _sorted_distinct(obj, v)
+    cnt = np.bincount(obj, minlength=n)
+    start = geo._starts(cnt)
+    last = np.maximum(start + cnt - 1, 0)
+    std = np.zeros(n)
+    for _, objs, rows in geo._groups(cnt):
+        std[objs] = np.std(v[rows], axis=1)
+    return v[np.minimum(start, last)], v[last], cnt, std
+
+
+def _sorting_axis_run_ends(obj, X, orders):
+    keep = np.ones(len(obj), dtype=bool)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        order = np.lexsort((X[:, a], X[:, c], X[:, b], obj))
+        o, pb, pc = obj[order], X[order, b], X[order, c]
+        same = (o[1:] == o[:-1]) & (pb[1:] == pb[:-1]) & (pc[1:] == pc[:-1])
+        inner = np.zeros(len(obj), dtype=bool)
+        inner[1:-1] = same[:-1] & same[1:]
+        keep[order[inner]] = False
+    return keep
+
+
+def _sorting_hull_perimeters(obj, x, y, n):
+    obj, x, y = _sorted_distinct(obj, x, y)
+    c, (px, py) = geo._padded(obj, (x, y), n)
+    r = np.arange(n)[:, None]
+    edges = [np.zeros((n, 1))]
+    for h, top in geo._chains(px, py, c):
+        a, b = h[:, :-1], h[:, 1:]
+        dx, dy = px[r, a] - px[r, b], py[r, a] - py[r, b]
+        live = np.arange(a.shape[1]) < (top - 1)[:, None]
+        edges.append(np.where(live, np.sqrt(dx * dx + dy * dy), 0.0))
+    return np.cumsum(np.concatenate(edges, axis=1), axis=1)[:, -1]
+
+
+def _planted_clouds() -> list:
+    """Objects built to stress the shared orders: quarter-grid clouds full
+    of axis-parallel runs along x, y and z, whose surfaces repeat vertices
+    and whose zeros are -0.0 or 0.0 at random; lines along each axis (2 run
+    ends); flat objects (one constant coordinate, signed zeros included);
+    objects of 1-3 vertices; and a box whose edges carry split points."""
+    rng = np.random.default_rng(11)
+
+    def signed_zeros(p):
+        p = p.copy()
+        zero = p == 0
+        p[zero] = rng.choice([-0.0, 0.0], zero.sum())
+        return p
+
+    def surfaces(p, k):
+        """k surfaces of 3-6 vertices drawn from p, so vertices repeat."""
+        return [p[rng.integers(0, len(p), rng.integers(3, 7))]
+                for _ in range(k)]
+
+    objs = []
+    for key in range(30):
+        p = signed_zeros(rng.integers(-2, 3, (rng.integers(4, 40), 3)) * 0.25)
+        objs.append(surfaces(p, 12))
+    for axis in range(3):
+        line = np.zeros((6, 3))
+        line[:, axis] = np.arange(6) - 2.0
+        objs.append(surfaces(signed_zeros(line), 10))
+        flat = rng.integers(-2, 3, (16, 3)) * 0.5
+        flat[:, axis] = 0.0
+        objs.append(surfaces(signed_zeros(flat), 10))
+    for m in (1, 2, 3):
+        p = signed_zeros(rng.integers(-1, 2, (m, 3)) * 1.0)
+        objs.append([p[[i % m for i in range(3)]] for _ in range(10)])
+    box = np.array([[x, y, z] for x in (0.0, 1.0, 2.0) for y in (0.0, 2.0)
+                    for z in (0.0, 0.5, 1.0)])
+    objs.append(surfaces(signed_zeros(box), 20))
+    return objs
+
+
+def _bits(props: dict, centroid: np.ndarray) -> dict:
+    out = {k: np.ascontiguousarray(v).view(np.int64)
+           for k, v in props.items()}
+    out["centroid"] = np.ascontiguousarray(centroid).view(np.int64)
+    return out
+
+
+@pytest.mark.parametrize("name", ["planted", "ulps", "sf0.001", "dense-s1"])
+def test_shared_orders_match_sorting_per_use(corpora, monkeypatch, name):
+    """batch_properties over the three shared vertex orders gives the bits
+    of the kernel whose per-axis passes each sorted their own input: all 25
+    columns and the centroid, with and without log_transform."""
+    if name in ("planted", "ulps"):
+        meshes = geo.Meshes.from_surfaces(
+            _planted_clouds() if name == "planted" else _ulps_clouds())
+    else:
+        meshes = geo.parse_geom_payloads(_geom_texts(corpora[name]))[2]
+    for log_transform in (False, True):
+        shared = _bits(*geo.batch_properties(meshes, log_transform))
+        with monkeypatch.context() as m:
+            m.setattr(geo, "_axis_stats", _sorting_axis_stats)
+            m.setattr(geo, "_axis_run_ends", _sorting_axis_run_ends)
+            m.setattr(geo, "_hull_perimeters", _sorting_hull_perimeters)
+            sorting = _bits(*geo.batch_properties(meshes, log_transform))
+        for k, v in sorting.items():
+            assert np.array_equal(shared[k], v), (name, log_transform, k)
+
+
+def test_shared_orders_give_the_same_runs_and_stats():
+    """On the planted clouds, the run ends and the hull perimeters are the
+    sorting helpers' exactly, and the per-axis stats equal theirs (as
+    numbers: a run of -0.0 and 0.0 may give either)."""
+    meshes = geo.Meshes.from_surfaces(_planted_clouds())
+    uo, ux, uy, uz = geo._distinct(meshes.row_obj, meshes.x, meshes.y,
+                                   meshes.z)
+    U = np.column_stack([ux, uy, uz])
+    n = meshes.n
+    orders = geo._vertex_orders(uo, U)
+    keep = geo._axis_run_ends(uo, U, orders)
+    assert np.array_equal(keep, _sorting_axis_run_ends(uo, U, None))
+    assert not keep.all()
+    assert (np.bincount(uo[keep], minlength=n) < 4).any()
+    for v, order in zip((ux, uy, uz), orders):
+        got = geo._axis_stats(uo, v, order, n)
+        for a, b in zip(got, _sorting_axis_stats(uo, v, None, n)):
+            assert np.array_equal(a, b)
+    for sub in (np.ones(len(uo), dtype=bool), keep):
+        assert np.array_equal(
+            geo._hull_perimeters(uo[sub], ux[sub], uy[sub], n),
+            _sorting_hull_perimeters(uo[sub], ux[sub], uy[sub], n))
+    zero = U == 0
+    assert (zero & np.signbit(U)).any() and (zero & ~np.signbit(U)).any()
+
+
+def test_kernel_sorts_three_times(corpora, monkeypatch):
+    """One batch_properties call runs np.lexsort exactly 3 times: the
+    vertex dedup and the two other vertex orders."""
+    meshes = geo.parse_geom_payloads(_geom_texts(corpora["sf0.001"]))[2]
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys, *a, **k: (calls.append(1),
+                                               lexsort(keys, *a, **k))[1])
+    geo.batch_properties(meshes)
+    assert len(calls) == 3

@@ -75,6 +75,63 @@ def test_read_plans_from_footers_without_sampling(
                 assert got.equals(exp), (path, cols, n)
 
 
+def _block_rows(path, n: int) -> list[int]:
+    """Rows of each block the read emits, in order: a map with
+    ``batch_size=None`` fused after an unsplit read gets each block whole."""
+    return [r["rows"] for r in read_parquet_clean(
+        path, override_num_blocks=n).map_batches(
+            lambda b: pa.table({"rows": [b.num_rows]}), batch_size=None,
+            batch_format="pyarrow").take_all()]
+
+
+def _greedy_blocks(groups: list, target: int) -> list[int]:
+    """Rows of each block of consecutive (rows, bytes) row groups, a new
+    block started wherever adding a group would pass ``target`` bytes."""
+    out, size = [], 0
+    for i, (rows, nbytes) in enumerate(groups):
+        if i == 0 or size + nbytes > target:
+            out.append(0)
+            size = 0
+        out[-1] += rows
+        size += nbytes
+    return out
+
+
+def test_read_task_emits_row_groups_in_target_sized_blocks(
+        ray_session, tmp_path, ordered, monkeypatch):
+    """A read task concatenates its row groups into one block under Ray's
+    default target block size.  Under a small target, its blocks are cut
+    at row-group boundaries: greedy runs of at most the target's footer
+    bytes, a larger row group alone.  Files whose schemas differ are never
+    one block."""
+    paths = _files(tmp_path)
+    groups = [[(m.row_group(i).num_rows, m.row_group(i).total_byte_size)
+               for i in range(m.num_row_groups)]
+              for m in map(pq.read_metadata, paths)]
+    assert min(len(g) for g in groups) >= 3
+    rows = [sum(r for r, _ in g) for g in groups]
+    assert _block_rows(paths, 1) == [sum(rows)]
+    assert _block_rows(paths, 3) == rows
+
+    ctx = ray.data.DataContext.get_current()
+    largest = max(b for g in groups for _, b in g)
+    with monkeypatch.context() as m:
+        for target in (1, 2 * largest):
+            m.setattr(ctx, "target_max_block_size", target)
+            for n, parts in ((1, [sum(groups, [])]), (3, groups)):
+                want = sum((_greedy_blocks(p, target) for p in parts), [])
+                assert _block_rows(paths, n) == want, (target, n)
+            if target == 1:
+                assert want == [r for g in groups for r, _ in g]
+            else:
+                assert len(want) < sum(map(len, groups))
+
+    (tmp_path / "mixed").mkdir()
+    pq.write_table(pa.table({"a": [1, 2]}), tmp_path / "mixed" / "0.parquet")
+    pq.write_table(pa.table({"a": ["x"]}), tmp_path / "mixed" / "1.parquet")
+    assert _block_rows(str(tmp_path / "mixed"), 1) == [2, 1]
+
+
 def test_read_schema_runs_no_task(ray_session, monkeypatch, no_sampling):
     """The read declares its projected schema and row count: schema() and
     count() start no execution."""
