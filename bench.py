@@ -66,7 +66,6 @@ def run_bench() -> dict:
     # prepare (train) phase — reported, not the headline
     t0 = time.time()
     state = prepare_state(sf_dir, n_cands, seed=1, bkafi_dim=6, k=5,
-                          concurrency=max(4, num_cpus - 4),
                           cache=os.environ.get("BENCH_CACHE_STATE") == "1")
     timings["prepare_sec"] = round(time.time() - t0, 3)
 
@@ -74,10 +73,9 @@ def run_bench() -> dict:
     # Min of N trials: this host has +-20% scheduling jitter and the
     # first execution pays worker-process warmup (3 trials in scaling mode,
     # where the jitter directly moves the efficiency ratio).
-    docs = corpus_dataset(sf_dir, n_cands, num_blocks=192)
+    docs = corpus_dataset(sf_dir, n_cands)
     n_trials = int(os.environ.get(
         "BENCH_TRIALS", "3" if os.environ.get("BENCH_FAST") == "1" else "2"))
-    task_cpus = float(os.environ.get("GEO_PIPE_TASK_CPUS", "0")) or None
     if os.environ.get("BENCH_WARMUP") == "1":
         # One untimed execution per side (symmetric): Ray worker-process
         # spawn + module import + first-touch page faults happen here, so
@@ -85,13 +83,11 @@ def run_bench() -> dict:
         # multi-hour 100 TB job actually runs in.  The 32-cpu side spawns
         # 4x the workers of the 8-cpu side, so WITHOUT this the warmup tax
         # lands asymmetrically on the wide side of a scaling pair.
-        matching_inference_pipeline(
-            docs, state, num_cpus_per_task=task_cpus).count()
+        matching_inference_pipeline(docs, state).count()
     trials = []
     for _ in range(n_trials):
         t0 = time.time()
-        n_pairs = matching_inference_pipeline(
-            docs, state, num_cpus_per_task=task_cpus).count()
+        n_pairs = matching_inference_pipeline(docs, state).count()
         trials.append(time.time() - t0)
     headline = min(trials)
     timings["pipeline_sec"] = round(headline, 3)

@@ -23,6 +23,8 @@ Reference: /root/reference/blocking.py.  Mapping:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -327,7 +329,6 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
                      features: list[str], bkafi_dim: int,
                      sdr_factors: np.ndarray | None = None,
                      nn_param: int = NN_PARAM,
-                     concurrency: int = 4,
                      stats: tuple | None = None,
                      exact: bool = False) -> ray.data.Dataset:
     """kNN of every cand against the index in the selected feature space.
@@ -363,13 +364,10 @@ def bkafi_nn_dataset(cand_props: ray.data.Dataset, index_df: pd.DataFrame,
     def knn_fn(batch: pa.Table) -> pa.Table:
         return knn()(batch, bkafi_dim)
 
-    # four blocks per pool slot, within the cluster cap: every block is one
-    # task
+    # one block per cluster CPU: every block is one task
     cands = cand_props.select_columns(["doc_id", *features]) \
-        .repartition(storage.cluster_cap(concurrency * 4))
-    nn = cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024,
-                           concurrency=concurrency)
-    return nn
+        .repartition(storage.cluster_cpus() or os.cpu_count() or 1)
+    return cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024)
 
 
 def pairs_from_nn(nn: ray.data.Dataset, k: int) -> ray.data.Dataset:

@@ -113,15 +113,14 @@ def size_aware_blocks(path: str, requested: int, min_blocks: int = 8,
         int(max(min(min_blocks, requested), min(requested, need))))
 
 
-def corpus_dataset(sf_dir: str, n_cands: int | None = None,
-                   num_blocks: int = 64) -> ray.data.Dataset:
+def corpus_dataset(sf_dir: str, n_cands: int | None = None) -> ray.data.Dataset:
     """Read the corpus with enough blocks that downstream map_batches stages
     parallelize across the whole CPU budget (a handful of parquet files would
     otherwise mean a handful of tasks); block count is size-aware so small
     corpora don't pay 64 task launches."""
     path = ensure_corpus(sf_dir, n_cands)
     return read_parquet_clean(
-        path, override_num_blocks=size_aware_blocks(path, num_blocks))
+        path, override_num_blocks=size_aware_blocks(path, 64))
 
 
 def corpus_table(sf_dir: str, n_cands: int | None = None) -> pa.Table:

@@ -652,8 +652,8 @@ def grid_search_fit(model_name: str, grid: dict, X, y, cv: int = 3, seed: int = 
     return model, best[1], best[0]
 
 
-def predict_dataset(ds: ray.data.Dataset, model, feature_cols: list[str],
-                    concurrency: int = 4) -> ray.data.Dataset:
+def predict_dataset(ds: ray.data.Dataset, model,
+                    feature_cols: list[str]) -> ray.data.Dataset:
     """Distributed inference: model broadcast once, task pool per batch
     (the reference's classifier.predict loop — classifier.py:132-135 — as a
     map_batches stage)."""
@@ -665,5 +665,4 @@ def predict_dataset(ds: ray.data.Dataset, model, feature_cols: list[str],
         pred = shared_model().predict(X).astype(np.int8)
         return batch.append_column("pred", pa.array(pred, type=pa.int8()))
 
-    return ds.map_batches(predict_fn, batch_format="pyarrow",
-                          batch_size=8192, concurrency=concurrency)
+    return ds.map_batches(predict_fn, batch_format="pyarrow", batch_size=8192)

@@ -16,7 +16,7 @@ import ray.data
 
 from engine import storage
 from engine.joins import md5_digests, stable_hash64
-from engine.render import encode_png_gray, pool_width, render_doc_pngs
+from engine.render import encode_png_gray, render_doc_pngs
 
 FEATURE_DIM = 8
 
@@ -73,31 +73,26 @@ class MediaFeatureActor:
         })
 
 
-def _map_stage(docs: ray.data.Dataset, cls, kw: dict, batch_size: int,
-               concurrency: int | None) -> ray.data.Dataset:
+def _map_stage(docs: ray.data.Dataset, cls, kw: dict,
+               batch_size: int) -> ray.data.Dataset:
     """Map ``docs`` through the stage ``cls(**kw)`` as a task pool.  The
     instance ships through ``storage.broadcast`` (``kw`` as the value, the
     class as the build): its state is a few KB (a seeded projection matrix,
     sizes, an md5 stub), built once per worker process and reused across
-    its batches and tasks, which pays no cold per-actor process spawn.  A
-    REAL heavyweight encoder (multi-GB weights) should run as an actor pool
-    instead: pass the actor class to map_batches with concurrency=(1, N) —
-    the stage classes keep that __init__ slot intact."""
+    its batches and tasks, which pays no cold per-actor process spawn."""
     actor = storage.broadcast(kw, build=lambda kw: cls(**kw))
 
     def stage(batch: pa.Table) -> pa.Table:
         return actor()(batch)
     return docs.map_batches(stage, batch_format="pyarrow",
-                            batch_size=batch_size,
-                            concurrency=pool_width(concurrency))
+                            batch_size=batch_size)
 
 
-def media_features(docs: ray.data.Dataset, concurrency: int | None = None,
-                   batch_size: int = 256) -> ray.data.Dataset:
+def media_features(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Media spans -> deterministic feature vectors (task pool, state
-    built once per worker process).  Small batch_size on purpose: real
+    built once per worker process).  Small batches on purpose: real
     binary payloads are heap-heavy per row."""
-    return _map_stage(docs, MediaFeatureActor, {}, batch_size, concurrency)
+    return _map_stage(docs, MediaFeatureActor, {}, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +201,12 @@ class PatchEmbedActor:
         })
 
 
-def patch_embeddings(docs: ray.data.Dataset, concurrency: int | None = None,
-                     batch_size: int = 128, **actor_kw) -> ray.data.Dataset:
+def patch_embeddings(docs: ray.data.Dataset) -> ray.data.Dataset:
     """docs (doc_id[, source], spans) -> (doc_id, source, feature) via the
     real-bytes patch-embedding stage (task pool, projection memoized per
     worker).  Small batches: each row renders and decodes a canvas
     (heap-heavy, like any real media decode)."""
-    return _map_stage(docs, PatchEmbedActor, actor_kw, batch_size,
-                      concurrency)
+    return _map_stage(docs, PatchEmbedActor, {}, 128)
 
 
 def resize_png_gray(png: bytes, out_size: int) -> bytes:
@@ -267,12 +260,10 @@ class MediaResizeActor:
         })
 
 
-def media_resize(docs: ray.data.Dataset, out_size: int = 16,
-                 concurrency: int | None = None,
-                 batch_size: int = 128) -> ray.data.Dataset:
+def media_resize(docs: ray.data.Dataset,
+                 out_size: int = 16) -> ray.data.Dataset:
     """docs (doc_id, spans) -> resized-media metadata (task pool)."""
-    return _map_stage(docs, MediaResizeActor, {"out_size": out_size},
-                      batch_size, concurrency)
+    return _map_stage(docs, MediaResizeActor, {"out_size": out_size}, 128)
 
 
 def frame_sample(docs: ray.data.Dataset, stride: int = 2) -> ray.data.Dataset:
@@ -353,11 +344,10 @@ class AudioFeatureActor:
         })
 
 
-def audio_features(docs: ray.data.Dataset, concurrency: int | None = None,
-                   batch_size: int = 256) -> ray.data.Dataset:
+def audio_features(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Media spans -> audio DSP features (task pool; stub decode
     declared, DSP real)."""
-    return _map_stage(docs, AudioFeatureActor, {}, batch_size, concurrency)
+    return _map_stage(docs, AudioFeatureActor, {}, 256)
 
 
 def _synth_video_stub(media_ref: str, n_frames: int = 8,
@@ -424,8 +414,7 @@ class VideoFeatureActor:
         })
 
 
-def video_features(docs: ray.data.Dataset, concurrency: int | None = None,
-                   batch_size: int = 256) -> ray.data.Dataset:
+def video_features(docs: ray.data.Dataset) -> ray.data.Dataset:
     """Media spans -> per-frame video features (task pool; stub decode
     declared, frame ops real)."""
-    return _map_stage(docs, VideoFeatureActor, {}, batch_size, concurrency)
+    return _map_stage(docs, VideoFeatureActor, {}, 256)

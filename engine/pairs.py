@@ -5,11 +5,12 @@ Reference semantics (/root/reference/process_pairs.py:42-66): for each of the
 (division by zero) -> 0.0.  Feature order = property order
 (utils.get_feature_name_list / config.py:44-49).
 
-Physical plan: property tables are broadcast as {doc_id -> float64[25]}
-matrices (broadcast once, read per worker — the reference re-ships its whole
-dict per Pool task, object_properties.py:43-48, which we avoid) and the ratio
-kernel is fully vectorized per batch.  For index sides too large to
-broadcast, use joins.bucketed_hash_join twice instead (documented scale path).
+Physical plan: property tables are broadcast as sorted doc ids plus their
+float64[25] rows (broadcast once, read zero-copy per worker — the reference
+re-ships its whole dict per Pool task, object_properties.py:43-48, which we
+avoid) and the ratio kernel is fully vectorized per batch.  For index sides
+too large to broadcast, use joins.bucketed_hash_join twice instead
+(documented scale path).
 """
 
 from __future__ import annotations
@@ -26,11 +27,20 @@ RATIO_CAP = 1000.0  # reference config.py:23 (MAX_RATIO_VAL)
 RATIO_FEATURE_NAMES = [f"{p}_ratio" for p in PROPERTY_NAMES]
 
 
-def props_matrix(props_df: pd.DataFrame) -> tuple[dict, np.ndarray]:
-    """{doc_id -> row index} + float64 (n, 25) matrix from a property table."""
-    ids = {d: i for i, d in enumerate(props_df["doc_id"].tolist())}
-    mat = props_df[PROPERTY_NAMES].to_numpy(dtype=np.float64)
-    return ids, mat
+def props_matrix(props_df: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted doc ids (as strings: this path accepts non-numeric ids) + the
+    float64 (n, 25) property matrix in that order, from a property table."""
+    ids = props_df["doc_id"].to_numpy().astype(str)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], props_df[PROPERTY_NAMES].to_numpy(
+        dtype=np.float64)[order]
+
+
+def _rows(batch: pa.Table, col: str, ids: np.ndarray, gate: str) -> np.ndarray:
+    """Rows of ``batch[col]``'s ids in the sorted ``ids``; raises a
+    RuntimeError naming ``gate`` on an id that is not there."""
+    probe = batch.column(col).to_numpy(zero_copy_only=False).astype(str)
+    return gates.sorted_positions(ids, probe, gate)
 
 
 def ratio_features(cand_vals: np.ndarray, index_vals: np.ndarray) -> np.ndarray:
@@ -49,8 +59,7 @@ def ratio_features(cand_vals: np.ndarray, index_vals: np.ndarray) -> np.ndarray:
 
 def pair_features_dataset(pairs: ray.data.Dataset,
                           cand_props: pd.DataFrame,
-                          index_props: pd.DataFrame,
-                          concurrency: int = 4) -> ray.data.Dataset:
+                          index_props: pd.DataFrame) -> ray.data.Dataset:
     """pairs (cand_id, index_id, ...) -> + 25 `<prop>_ratio` columns."""
     c_ids, c_mat = props_matrix(cand_props)
     i_ids, i_mat = props_matrix(index_props)
@@ -62,20 +71,16 @@ def pair_features_dataset(pairs: ray.data.Dataset,
 
     def ratio_fn(batch: pa.Table) -> pa.Table:
         c_ids, c_mat, i_ids, i_mat = sides()
-        cand = batch.column("cand_id").to_pylist()
-        index = batch.column("index_id").to_pylist()
-        ci = np.fromiter((c_ids[c] for c in cand), dtype=np.int64,
-                         count=len(cand))
-        ii = np.fromiter((i_ids[i] for i in index), dtype=np.int64,
-                         count=len(index))
-        feats = ratio_features(c_mat[ci], i_mat[ii])
+        feats = ratio_features(
+            c_mat[_rows(batch, "cand_id", c_ids, "pair_features")],
+            i_mat[_rows(batch, "index_id", i_ids, "pair_features")])
         for j, name in enumerate(RATIO_FEATURE_NAMES):
             batch = batch.append_column(
                 name, pa.array(feats[:, j], type=pa.float64()))
         return batch
 
     return pairs.map_batches(ratio_fn, batch_format="pyarrow",
-                             batch_size=16384, concurrency=concurrency)
+                             batch_size=16384)
 
 
 def pair_features_join(pairs: ray.data.Dataset,
@@ -147,10 +152,8 @@ def concatenation_features_dataset(pairs: ray.data.Dataset,
 
     def attach(batch: pa.Table) -> pa.Table:
         c_ids_, c_mat_, i_ids_, i_mat_ = sides()
-        cand = batch.column("cand_id").to_pylist()
-        index = batch.column("index_id").to_pylist()
-        ci = np.fromiter((c_ids_[c] for c in cand), dtype=np.int64, count=len(cand))
-        ii = np.fromiter((i_ids_[i] for i in index), dtype=np.int64, count=len(index))
+        ci = _rows(batch, "cand_id", c_ids_, "concatenation_features")
+        ii = _rows(batch, "index_id", i_ids_, "concatenation_features")
         for j, p in enumerate(PROPERTY_NAMES):
             batch = batch.append_column(f"{p}_cand",
                                         pa.array(c_mat_[ci, j], type=pa.float64()))

@@ -235,7 +235,7 @@ def prep_train(props: ray.data.Dataset, seed: int = 1,
 
 
 def blocking_train_pairs(prep: dict, features: list[str], bkafi_dim: int,
-                         k: int, concurrency: int = 4) -> pd.DataFrame:
+                         k: int) -> pd.DataFrame:
     """The blocking-based train matrix (the reference's
     matching_cands_generation='blocking-based', pipelines.py:426-432): the
     bkafi kNN of the train cands against the index, scaled by the train
@@ -259,7 +259,7 @@ def blocking_train_pairs(prep: dict, features: list[str], bkafi_dim: int,
         train[["doc_id", *features]], preserve_index=False)
         .replace_schema_metadata(None))
     nn = blk.bkafi_nn_dataset(cands, index_feat, features, bkafi_dim,
-                              concurrency=concurrency, stats=stats)
+                              stats=stats)
     nn = nn.select_columns(["cand_id", "index_id", "rank"]).map_batches(
         lambda b: b.filter(pc.less_equal(b.column("rank"), k)),
         batch_format="pyarrow").to_pandas()
@@ -276,7 +276,7 @@ def blocking_train_pairs(prep: dict, features: list[str], bkafi_dim: int,
 
 def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
                  bkafi_dim: int = 6, k: int = 10, neg_num: int = 2,
-                 concurrency: int = 4, train_mode: str = "blocking-based",
+                 train_mode: str = "blocking-based",
                  log_transform: bool = False,
                  model_name: str = "RandomForest", grid: bool = False,
                  props: ray.data.Dataset | None = None,
@@ -306,7 +306,7 @@ def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
 
     matcher = prep["model"]
     if train_mode == "blocking-based":
-        tdf = blocking_train_pairs(prep, features, bkafi_dim, k, concurrency)
+        tdf = blocking_train_pairs(prep, features, bkafi_dim, k)
         matcher = matching.MODEL_REGISTRY[model_name](random_state=seed).fit(
             tdf[RATIO_FEATURE_NAMES].to_numpy(dtype=np.float64),
             tdf["label"].to_numpy(dtype=np.int8))
@@ -316,13 +316,11 @@ def run_flagship(sf_dir: str, n_cands: int | None = None, seed: int = 1,
     test_cands = split_cands_dataset(cands_all, prep["split_ref"],
                                      prep["seed"], train=False)
     nn = blk.bkafi_nn_dataset(
-        test_cands, index_feat_df, features, bkafi_dim,
-        concurrency=concurrency).materialize()
+        test_cands, index_feat_df, features, bkafi_dim).materialize()
 
     pair_ds = blk.pairs_from_nn(nn, k)
     feat_ds = pairs.pair_features_join(pair_ds, props)
-    scored = matching.predict_dataset(
-        feat_ds, matcher, RATIO_FEATURE_NAMES, concurrency=concurrency)
+    scored = matching.predict_dataset(feat_ds, matcher, RATIO_FEATURE_NAMES)
     scored = scored.materialize()
 
     # every test cand is in the index by construction (test ⊆ cands ∩ index),
@@ -366,7 +364,7 @@ def state_cache_path(sf_dir: str, n_cands, seed, bkafi_dim, k, neg_num,
 
 def prepare_state(sf_dir: str, n_cands: int | None = None, seed: int = 1,
                   bkafi_dim: int = 6, k: int = 5, neg_num: int = 2,
-                  concurrency: int = 8, cache: bool = False,
+                  cache: bool = False,
                   log_transform: bool = False,
                   props: ray.data.Dataset | None = None,
                   prep: dict | None = None) -> dict:
@@ -394,7 +392,7 @@ def prepare_state(sf_dir: str, n_cands: int | None = None, seed: int = 1,
         prep = prep_train(props, seed=seed, neg_num=neg_num)
     features = blk.select_blocking_features(
         prep["importances"], prep["ratios"], bkafi_dim)
-    tdf = blocking_train_pairs(prep, features, bkafi_dim, k, concurrency)
+    tdf = blocking_train_pairs(prep, features, bkafi_dim, k)
     matcher = matching.RandomForest(random_state=seed).fit(
         tdf[RATIO_FEATURE_NAMES].to_numpy(dtype=np.float64),
         tdf["label"].to_numpy(dtype=np.int8))
@@ -512,9 +510,8 @@ def _ship_state(state: dict):
     return shipped
 
 
-def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
-                                num_cpus_per_task: float | None = None
-                                ) -> ray.data.Dataset:
+def matching_inference_pipeline(docs: ray.data.Dataset,
+                                state: dict) -> ray.data.Dataset:
     """The fused apply path: interleaved docs -> parse + 25 properties ->
     kNN blocking -> ratio features -> match classification, in ONE streaming
     execution.  Output: (cand_id, index_id, rank, dist, label, pred) pairs.
@@ -551,17 +548,11 @@ def matching_inference_pipeline(docs: ray.data.Dataset, state: dict,
         s, idx_sq = shipped()
         return fused_apply_batch(batch, s, idx_sq, log_transform)
 
-    kwargs = {}
-    if num_cpus_per_task:
-        # >1.0 leaves breathing room for the object store / raylet at full
-        # width (host-steal mitigation measured on this box)
-        kwargs["num_cpus"] = num_cpus_per_task
-    return docs.map_batches(fused, batch_format="pyarrow", batch_size=None,
-                            **kwargs)
+    return docs.map_batches(fused, batch_format="pyarrow", batch_size=None)
 
 
 def train_test_features(sf_dir: str, seed: int = 1, bkafi_dim: int = 6,
-                        k: int = 5, neg_num: int = 2, concurrency: int = 4,
+                        k: int = 5, neg_num: int = 2,
                         log_transform: bool = False,
                         props: ray.data.Dataset | None = None,
                         prep: dict | None = None):
@@ -581,18 +572,17 @@ def train_test_features(sf_dir: str, seed: int = 1, bkafi_dim: int = 6,
         prep["split_ref"], prep["seed"], train=False)
     nn = blk.bkafi_nn_dataset(test_cands,
                               prep["index_df"][["doc_id", *features]],
-                              features, bkafi_dim, concurrency=concurrency)
+                              features, bkafi_dim)
     test = pairs.pair_features_join(
         blk.pairs_from_nn(nn, k).select_columns(
             ["cand_id", "index_id", "label"]), props).to_pandas() \
         .sort_values(["cand_id", "index_id"]).reset_index(drop=True)
-    return (blocking_train_pairs(prep, features, bkafi_dim, k, concurrency),
+    return (blocking_train_pairs(prep, features, bkafi_dim, k),
             test, prep)
 
 
 def seed_averaged_eval(sf_dir: str, seeds=(1, 2, 3), n_cands: int | None = None,
                        bkafi_dim: int = 6, k: int = 5,
-                       concurrency: int = 4,
                        normalizations=(False, True)) -> pd.DataFrame:
     """Multi-seed evaluation averaged like the reference (main.py:32-36,
     utils.py:280-346): per seed and normalization mode (raw vs the reference
@@ -604,7 +594,6 @@ def seed_averaged_eval(sf_dir: str, seeds=(1, 2, 3), n_cands: int | None = None,
         for seed in seeds:
             res = run_flagship(sf_dir, n_cands=n_cands, seed=seed,
                                bkafi_dim=bkafi_dim, k=k,
-                               concurrency=concurrency,
                                log_transform=log_transform)
             rec = res["blocking_recall"]
             m = res["matching"]

@@ -117,7 +117,7 @@ def _state(sf_dir: str) -> dict:
     pickled prepare_state cache, whose key holds the sf dir's basename and
     not the inputs."""
     props, prep = _prep(sf_dir)
-    return prepare_state(sf_dir, concurrency=4, props=props, prep=prep)
+    return prepare_state(sf_dir, props=props, prep=prep)
 
 
 @_Memo

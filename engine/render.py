@@ -8,8 +8,7 @@ numpy line sampling, encoded as a minimal 8-bit grayscale PNG using only
 stdlib zlib/struct (IHDR/IDAT/IEND, filter 0).  Deterministic byte-for-byte,
 so renders are cacheable/checkpointable like any other derived column.
 
-Ray shape: an actor-pool `map_batches` stage (render state — projection,
-canvas template — built once per actor), emitting a binary `png` column next
+Ray shape: a task-pool `map_batches` stage, emitting a binary `png` column next
 to `doc_id`; media_ref spans then point at real bytes instead of symbolic
 refs.
 """
@@ -23,7 +22,6 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from engine import storage
 from engine.geometry import parse_geom_payloads, unique_vertices
 
 
@@ -126,33 +124,12 @@ class RenderActor:
         return pa.table(out)
 
 
-def pool_width(concurrency: int | None) -> int:
-    """Default actor-pool width for the media stages: size to the cluster
-    (CPUs - 2, floor 4) when the caller doesn't pin one.  The media actors
-    are pure-CPU codecs — a fixed small cap serializes the stage on wide
-    nodes (a 4-actor pool leaves 28 of 32 cores idle)."""
-    if concurrency is not None:
-        return concurrency
-    cpus = storage.cluster_cpus()
-    return max(4, cpus - 2) if cpus else 4
-
-
-def render_dataset(docs: ray.data.Dataset, size: int = 64,
-                   concurrency: int | None = None,
-                   batch_size: int = 128) -> ray.data.Dataset:
-    """docs (doc_id, spans) -> (doc_id, png bytes).  Small batches on
-    purpose: rendered canvases are heap-heavy rows (K5's media analogue).
-
-    Runs as a stateless TASK pool, not an actor pool: the render stage has
-    no model/weights to load (its only state is an int canvas size), and a
-    task pool reuses Ray's existing worker processes where an actor pool
-    pays cold per-actor process spawn before the first batch — measurable
-    seconds on a 30-wide pool for a seconds-long stage.  Actor pools stay
-    where __init__ holds real state (PatchEmbedActor's projection)."""
-    width = pool_width(concurrency)
-
+def render_dataset(docs: ray.data.Dataset, size: int = 64) -> ray.data.Dataset:
+    """docs (doc_id, spans) -> (doc_id, png bytes) as a task pool.  Small
+    batches on purpose: rendered canvases are heap-heavy rows (K5's media
+    analogue).  The stage's only state is its canvas size, so each batch
+    builds its renderer."""
     def render(batch: pa.Table) -> pa.Table:
         return RenderActor(size)(batch)
 
-    return docs.map_batches(render, batch_format="pyarrow",
-                            batch_size=batch_size, concurrency=width)
+    return docs.map_batches(render, batch_format="pyarrow", batch_size=128)

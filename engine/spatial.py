@@ -15,7 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from engine import cells, storage
+from engine import cells, gates, storage
 from engine.blocking import topk_by_key
 from engine.joins import SIDE, shuffle_groups
 
@@ -202,7 +202,7 @@ class _CellIndex:
 
 
 def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
-             res: int = 8, concurrency: int = 4) -> ray.data.Dataset:
+             res: int = 8) -> ray.data.Dataset:
     """Exact 2D kNN join: for each cand centroid, the k nearest index
     centroids by squared euclidean distance, ties broken by numeric doc id.
 
@@ -241,7 +241,7 @@ def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
                         # guarantee: everything outside disk r is farther than
                         # (r * cs) from the cell of (x, y) in the worst case
                         guard = (r * self.cs) ** 2
-                        if d2[top[-1]] <= guard or len(rows) == n_idx:
+                        if len(rows) == n_idx or d2[top[-1]] <= guard:
                             for rank, j in enumerate(top, start=1):
                                 out_c.append(ci)
                                 out_i.append(self.idx.ids[rows[j]])
@@ -262,8 +262,7 @@ def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
     def knn_fn(batch: pa.Table) -> pa.Table:
         return knn()(batch)
 
-    return cands.map_batches(knn_fn, batch_format="pyarrow",
-                             batch_size=1024, concurrency=concurrency)
+    return cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024)
 
 
 def geom_pair_features(cands: ray.data.Dataset,
@@ -284,18 +283,17 @@ def geom_pair_features(cands: ray.data.Dataset,
     stream; no shuffle."""
     cols = ["x0", "y0", "bounding_box_width", "bounding_box_length",
             "cx", "cy"]
-    lookup = {d: i for i, d in enumerate(index_df["doc_id"].tolist())}
-    mat = index_df[cols].to_numpy(dtype=np.float64)
-    side = storage.broadcast((lookup, mat))
+    ids = index_df["doc_id"].to_numpy().astype(str)
+    order = np.argsort(ids, kind="stable")
+    side = storage.broadcast(
+        (ids[order], index_df[cols].to_numpy(dtype=np.float64)[order]))
 
     def feats(batch: pa.Table) -> pa.Table:
         look, m = side()
-        ids = batch.column("doc_id").to_pylist()
-        rows = np.fromiter((look.get(d, -1) for d in ids), dtype=np.int64,
-                           count=len(ids))
-        keep = rows >= 0
-        rows = rows[keep]
-        ids = [d for d, k in zip(ids, keep) if k]
+        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(str)
+        keep = gates.sorted_member(look, ids)
+        ids = ids[keep]
+        rows = gates.sorted_positions(look, ids, "geom_pair_features")
         A = np.column_stack([batch.column(c).to_numpy()[keep] for c in cols])
         B = m[rows]
         ax0, ay0, aw, al, acx, acy = A.T

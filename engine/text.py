@@ -16,7 +16,6 @@ import ray.data
 
 from engine import gates, storage
 from engine.joins import bucketed_hash_join, shuffle_groups, stable_hash64
-from engine.render import pool_width
 
 STOPWORDS = {"the", "a", "and", "of", "to"}
 
@@ -76,8 +75,7 @@ def lang_id(docs: ray.data.Dataset) -> ray.data.Dataset:
             "pred_lang": pa.array(preds, type=pa.string()),
         })
 
-    return docs.map_batches(stage, batch_format="pyarrow",
-                            concurrency=pool_width(None))
+    return docs.map_batches(stage, batch_format="pyarrow")
 
 
 # GPT-2-style pretokenizer pattern, simplified to the RE2-compatible subset
@@ -103,8 +101,7 @@ def token_counts(docs: ray.data.Dataset) -> ray.data.Dataset:
             "n_chars": pa.array([len(t) for t in texts], type=pa.int64()),
         })
 
-    return docs.map_batches(stage, batch_format="pyarrow",
-                            concurrency=pool_width(None))
+    return docs.map_batches(stage, batch_format="pyarrow")
 
 
 def quality_filter(docs: ray.data.Dataset,
@@ -311,8 +308,7 @@ def corpus_stats(docs: ray.data.Dataset) -> ray.data.Dataset:
             "distincts": pa.array(m[:, 5]),
         })
 
-    partial = docs.map_batches(partial_sums, batch_format="pyarrow",
-                               concurrency=pool_width(None))
+    partial = docs.map_batches(partial_sums, batch_format="pyarrow")
     out = partial.groupby("language").aggregate(
         Sum("n_docs", alias_name="n_docs"),
         Sum("ws_tokens", alias_name="ws_tokens"),

@@ -89,9 +89,9 @@ def main() -> None:
     from engine.pipeline import prepare_state
     ensure_corpus(args.sf_dir, args.n_cands)
     state = prepare_state(args.sf_dir, args.n_cands, seed=1, bkafi_dim=6,
-                          k=5, concurrency=28, cache=True)
+                          k=5, cache=True)
     # the same 1024-row pyarrow batches map_batches feeds the fused fn
-    batches = list(corpus_dataset(args.sf_dir, args.n_cands, num_blocks=192)
+    batches = list(corpus_dataset(args.sf_dir, args.n_cands)
                    .iter_batches(batch_size=1024, batch_format="pyarrow"))
     n_docs = sum(b.num_rows for b in batches)
     ray.shutdown()

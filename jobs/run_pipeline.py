@@ -51,7 +51,7 @@ def main():
 
     ev = seed_averaged_eval(args.sf_dir, seeds=args.seeds,
                             n_cands=args.n_cands, bkafi_dim=args.bkafi_dim,
-                            k=args.k, concurrency=max(2, args.num_cpus - 2))
+                            k=args.k)
     ev.to_csv(os.path.join(args.out, "metrics_seed_avg.csv"), index=False)
     means = ev[ev.seed == -1].set_index("normalization")
     summary = {

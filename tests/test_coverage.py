@@ -125,6 +125,27 @@ def test_concatenation_features(ray_session):
     assert len(out.columns) == 2 + 50
 
 
+@pytest.mark.parametrize("stage", ["ratio", "concatenation"])
+def test_pair_features_raise_on_an_absent_id(ray_session, stage):
+    """A pair whose cand_id has no property row raises a RuntimeError that
+    names the stage, instead of a bare KeyError or a neighbouring row."""
+    import pyarrow as pa
+    import pandas as pd
+    from engine.geometry import PROPERTY_NAMES
+    from engine import pairs
+    props = pd.DataFrame({"doc_id": ["1", "2"],
+                          **{p: [1.0, 2.0] for p in PROPERTY_NAMES}})
+    pairs_ds = ray.data.from_arrow(pa.table({
+        "cand_id": ["1", "3"], "index_id": ["2", "2"]}))
+    fn, name = {"ratio": (pairs.pair_features_dataset, "pair_features"),
+                "concatenation": (pairs.concatenation_features_dataset,
+                                  "concatenation_features")}[stage]
+    # the task's error arrives wrapped, its traceback in the message
+    with pytest.raises(ray.exceptions.RayTaskError,
+                       match=f"RuntimeError: {name}: key missing"):
+        fn(pairs_ds, props, props).to_pandas()
+
+
 def test_log_transform():
     from datagen.buildings import build_mesh
     from engine.geometry import compute_properties
@@ -180,11 +201,10 @@ def test_sdr_factor_scales_cands(ray_session):
                              "f2": rng.normal(5, 1, 50)})
     cand_df = pd.DataFrame({"doc_id": ["100"], "f1": [10.0], "f2": [5.0]})
     cands = ray.data.from_pandas(cand_df)
-    nn1 = blk.bkafi_nn_dataset(cands, index_df, feats, 2, nn_param=5,
-                               concurrency=1)
+    nn1 = blk.bkafi_nn_dataset(cands, index_df, feats, 2, nn_param=5)
     nn2 = blk.bkafi_nn_dataset(ray.data.from_pandas(cand_df), index_df,
                                feats, 2, sdr_factors=np.array([2.0, 0.5]),
-                               nn_param=5, concurrency=1)
+                               nn_param=5)
     a = nn1.to_pandas().sort_values("rank").index_id.tolist()
     b = nn2.to_pandas().sort_values("rank").index_id.tolist()
     assert a != b  # the factor genuinely alters the query point

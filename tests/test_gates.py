@@ -428,6 +428,22 @@ def test_parquet_is_read_only_through_the_one_datasource():
     assert not bad, bad
 
 
+def test_map_stages_take_no_width_option():
+    """engine/*.py sets no stage width: Ray Data schedules every task-pool
+    map against the cluster's CPUs.  A ``concurrency`` on a map cuts it out
+    of the read->map chain before it (Ray fuses two task-pool maps only
+    when their concurrency is equal), and no caller set one that was not
+    derived from the cluster."""
+    word = re.compile(r"\b(?:concurrency|num_cpus_per_task|pool_width)\b")
+    engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
+    bad = []
+    for f in sorted(engine.glob("*.py")):
+        src = f.read_text()
+        bad += [f"{f.name}:{src.count(chr(10), 0, m.start()) + 1}"
+                for m in word.finditer(src)]
+    assert not bad, bad
+
+
 def test_md5_is_computed_only_in_the_one_digest():
     """engine/*.py calls ``hashlib.md5`` only inside joins.md5_digests, the
     one digest every hashed output takes a view of (nor ``hashlib.new``,

@@ -435,6 +435,20 @@ def test_spatial_knn_matches_bruteforce(ray_session):
         assert have == want
 
 
+def test_spatial_knn_on_empty_index_returns_no_rows(ray_session):
+    """An index without rows gives every cand no neighbours, as the
+    centroid blocker does on the same input."""
+    from engine.blocking import centroid_nn_dataset
+    from engine.spatial import knn_join
+    idx = pd.DataFrame({"doc_id": pd.Series([], dtype=str),
+                        "cx": pd.Series([], dtype=float),
+                        "cy": pd.Series([], dtype=float)})
+    cand = pd.DataFrame({"doc_id": ["1", "2"], "cx": [0.0, 9.0],
+                         "cy": [0.0, 3.0]})
+    assert len(centroid_nn_dataset(cand, idx, nn_param=5)) == 0
+    assert knn_join(ray.data.from_pandas(cand), idx, k=5).count() == 0
+
+
 def test_kabsch_alignment_recovers_transform():
     from engine.blocking import kabsch_transform
     rng = np.random.default_rng(1)

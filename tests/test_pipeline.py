@@ -35,7 +35,7 @@ def test_pairs_have_reference_label_semantics(flagship):
 @pytest.fixture(scope="module")
 def fused_state(ray_session):
     from engine.pipeline import prepare_state
-    return prepare_state(SF, seed=1, bkafi_dim=6, k=5, concurrency=2)
+    return prepare_state(SF, seed=1, bkafi_dim=6, k=5)
 
 
 def test_fused_pipeline_matches_quality(fused_state):
@@ -217,7 +217,7 @@ DataContext.get_current().enable_progress_bars = False
 from ray import cloudpickle
 from engine.corpus import corpus_dataset
 from engine.pipeline import matching_inference_pipeline, prepare_state
-state = prepare_state(sf, seed=1, bkafi_dim=6, k=5, concurrency=2)
+state = prepare_state(sf, seed=1, bkafi_dim=6, k=5)
 pairs = matching_inference_pipeline(corpus_dataset(sf), state)
 pairs.to_pandas().to_parquet(out)
 from engine.pipeline import property_table, side_frame
@@ -544,6 +544,20 @@ def test_fused_pass_is_one_task_on_one_cpu(fused_state, monkeypatch):
     assert out.count() > 0
 
 
+def test_text_stage_fuses_with_its_read_on_one_cpu(monkeypatch):
+    """A text map stage sets no width, so on one CPU Ray fuses it with the
+    documents read before it (one block: ``queries._docs`` sizes the read
+    to the cluster): one ``ReadParquet->MapBatches(stage)`` operator."""
+    import re
+    from engine import queries, storage, text
+    monkeypatch.setattr(storage, "cluster_cpus", lambda: 1)
+    out = text.lang_id(queries._docs(SF)).materialize()
+    ops = re.findall(r"^Operator \d+ (\S+): \d+ tasks executed",
+                     out.stats(), re.M)
+    assert ops == ["ReadParquet->MapBatches(stage)"], ops
+    assert out.count() > 0
+
+
 def test_two_row_group_corpus_runs_the_kernel_once_per_pass(
         fused_state, monkeypatch, tmp_path):
     """A corpus file of two row groups read on one CPU is one block: the
@@ -633,7 +647,7 @@ def test_knn_output_does_not_depend_on_cluster_width(monkeypatch):
     for n in (1, 4, None):
         monkeypatch.setattr(storage, "cluster_cpus", lambda: n)
         cands = side_dataset(props, "cands", ["doc_id", *feats])
-        nn = blk.bkafi_nn_dataset(cands, index_df, feats, 3, concurrency=8)
+        nn = blk.bkafi_nn_dataset(cands, index_df, feats, 3)
         outs.append(nn.to_pandas().sort_values(["cand_id", "rank"])
                     .reset_index(drop=True))
     assert len(outs[0]) > 0

@@ -64,8 +64,8 @@ def prepared() -> tuple[dict, dict]:
     from engine.pipeline import prep_train, prepare_state, property_table
     props = property_table(SF)
     prep = prep_train(props, seed=1)
-    state = prepare_state(SF, seed=1, bkafi_dim=6, k=5, concurrency=2,
-                          props=props, prep=prep)
+    state = prepare_state(SF, seed=1, bkafi_dim=6, k=5, props=props,
+                          prep=prep)
     return prep, state
 
 
@@ -211,8 +211,7 @@ def test_prepare_runs_three_executions(ray_session, monkeypatch):
     props = property_table(SF)
 
     def prepare():
-        prepare_state(SF, seed=1, bkafi_dim=6, k=5, concurrency=2,
-                      props=props)
+        prepare_state(SF, seed=1, bkafi_dim=6, k=5, props=props)
 
     assert executions(monkeypatch, prepare) == 3
     monkeypatch.setattr(gates, "MAX_DRIVER_KNN_CELLS", 0)
