@@ -113,15 +113,22 @@ def collect_under_budget(ds: ray.data.Dataset, gate: str,
 
 def sorted_positions(keys: np.ndarray, probe: np.ndarray,
                      gate: str) -> np.ndarray:
-    """Positions of the ``probe`` values in the sorted array ``keys``.  The
-    keys come from a second execution of the pipeline that produced the
-    probe, so a missing key means that pipeline is nondeterministic: raise
-    rather than read a neighbouring row."""
+    """Positions of the ``probe`` values in the sorted array ``keys``.  A
+    missing key raises, naming the first absent value and how many are
+    absent, rather than reading a neighbouring row.  It has two causes: an
+    id absent from the frame the caller passed, or keys that come from a
+    second execution of the pipeline that produced the probe, which is
+    then nondeterministic."""
     pos = np.minimum(np.searchsorted(keys, probe), max(len(keys) - 1, 0))
-    if len(probe) and (len(keys) == 0 or not (keys[pos] == probe).all()):
+    miss = keys[pos] != probe if len(keys) else \
+        np.ones(len(probe), dtype=bool)
+    if miss.any():
         raise RuntimeError(
-            f"{gate}: key missing from the collected side — upstream "
-            "pipeline is nondeterministic between the two scans")
+            f"{gate}: key missing from the collected side "
+            f"({int(miss.sum())} of {len(probe)} probe values absent, the "
+            f"first {probe[miss][:1].tolist()[0]!r}) — an id absent from "
+            "the caller's frame, or an upstream pipeline that is "
+            "nondeterministic between the two scans")
     return pos
 
 

@@ -55,10 +55,15 @@ the bits of the former one-object-at-a-time kernel:
   the bits then depend on where malloc put that output;
 * a hull volume is a sum of exact dyadic determinants, so any triangulation
   of the hull's facets gives the same double;
-* the 2D chain skips only points strictly inside every non-horizontal face
-  of the 3D hull (beyond HULL_TOL) or strictly inside an axis-parallel run:
-  their xy cannot be strict-turn hull vertices, so the chain's vertex
-  sequence, and the order of its perimeter sum, do not change.
+* the 3D hull skips only points strictly inside an axis-parallel run and
+  points strictly inside the hull of the other points of their (object, z)
+  slice (beyond HULL_TOL of the slice's scale x extent).  Neither is a hull
+  vertex, nor an object's first or last point (the tetrahedra's apex and
+  the padding), so the hull and the sum of its determinants do not change;
+* the 2D chain skips only those points and the points strictly inside
+  every non-horizontal face of the 3D hull (beyond HULL_TOL): their xy
+  cannot be strict-turn hull vertices, so the chain's vertex sequence, and
+  the order of its perimeter sum, do not change.
 """
 
 from __future__ import annotations
@@ -716,19 +721,74 @@ def _axis_run_ends(obj: np.ndarray, X: np.ndarray, orders) -> np.ndarray:
     return keep
 
 
+# 16 integer directions in counterclockwise order.  a x + b y is exact on
+# the 1/64 grid, so there the extreme points come in the hull's angular
+# order; elsewhere they are still points of the slice, which is all the
+# filter below needs.
+_SLICE_DIRS = np.array([(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2),
+                        (-1, 1), (-2, 1), (-1, 0), (-2, -1), (-1, -1),
+                        (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1)],
+                       dtype=np.float64).T
+
+
+def _slice_interior(obj: np.ndarray, x: np.ndarray, y: np.ndarray,
+                    z: np.ndarray) -> np.ndarray:
+    """Mask of the points, sorted by (obj, z, x, y) with no two equal, that
+    lie strictly inside the hull of the other points of their (obj, z)
+    slice (the Akl-Toussaint filter).  Each slice of at least 5 points
+    takes its first extreme point in each of the 16 directions, and a
+    point is inside when it is strictly left of every edge of that closed
+    chain that joins two different points, by more than HULL_TOL of the
+    slice's coordinate scale x extent (several times the rounding of the
+    edge test).  Such a point winds the chain at least once, so it lies in
+    the interior of the hull of other points of its slice: it is no 3D
+    hull vertex, and its xy is strictly inside its object's 2D hull."""
+    size = np.diff(np.flatnonzero(_heads(obj, z)), append=len(obj))
+    big = size >= 5
+    inside = np.zeros(len(obj), dtype=bool)
+    if not big.any():
+        return inside
+    rows = np.flatnonzero(np.repeat(big, size))
+    size = size[big]
+    x, y = x[rows], y[rows]
+    start = _starts(size)
+    seg = np.repeat(np.arange(len(size)), size)
+    v = x[:, None] * _SLICE_DIRS[0] + y[:, None] * _SLICE_DIRS[1]
+    top = np.maximum.reduceat(v, start, axis=0)
+    ext = np.minimum.reduceat(
+        np.where(v == top[seg], np.arange(len(rows))[:, None], len(rows)),
+        start, axis=0)
+    nxt = np.roll(ext, -1, axis=1)
+    ex, ey = x[ext], y[ext]
+    dx, dy = x[nxt] - ex, y[nxt] - ey
+    # max |coordinate| and extent from the axis directions 0, 4, 8 and 12
+    scale = top[:, ::4].max(axis=1)
+    extent = np.maximum(top[:, 0] + top[:, 8], top[:, 4] + top[:, 12])
+    tol = (HULL_TOL * scale * extent)[seg, None]
+    left = (dx[seg] * (y[:, None] - ey[seg])
+            - dy[seg] * (x[:, None] - ex[seg]) > tol)
+    left |= (ext == nxt)[seg]
+    inside[rows[left.all(axis=1)]] = True
+    return inside
+
+
 def _hull_volumes(U: np.ndarray, nv: np.ndarray, orders):
     """3D hull volume of each object's unique vertices (rows of U sorted by
     (object, x, y, z), nv per object, ``orders`` their ``_vertex_orders``),
     and the mask of the rows that can be 2D hull vertices of their object's
     xy.  Points inside an axis-parallel run are dropped first (their xy lies
-    exactly between, or on, two other points' xy); objects with at least 4
-    points left go through the lockstep quickhull, which also drops the
-    points strictly inside every non-horizontal face.  Objects with fewer
-    points, or a degenerate hull, have volume 0.0 and keep all their run
-    ends."""
+    exactly between, or on, two other points' xy), then the points strictly
+    inside their (object, z) slice (``_slice_interior``, read in order 2);
+    objects with at least 4 points left go through the lockstep quickhull,
+    which also drops the points strictly inside every non-horizontal face.
+    Objects with fewer points, or a degenerate hull, have volume 0.0 and
+    keep all their points left."""
     n = len(nv)
     obj = np.repeat(np.arange(n), nv)
-    rows = np.flatnonzero(_axis_run_ends(obj, U, orders))   # object-ordered
+    keep = _axis_run_ends(obj, U, orders)
+    o2 = orders[2][keep[orders[2]]]
+    keep[o2[_slice_interior(obj[o2], *U[o2].T)]] = False
+    rows = np.flatnonzero(keep)   # object-ordered
     cand = np.zeros(len(U), dtype=bool)
     cand[rows] = True
     vol = np.zeros(n)

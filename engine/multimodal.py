@@ -2,7 +2,7 @@
 
 The image/audio libraries are not in this container, so the decode kernel is a
 STUB (deterministic fake features keyed by media_ref, clearly marked); the Ray
-plumbing — actor-pool stage, schema, batch sizing, output layout — is real and
+plumbing — task-pool stage, schema, batch sizing, output layout — is real and
 tested.  Mirrors the reference's ViT/CLIP embedding path
 (/root/reference/utils.py:45-67: model load once, then batch encode), which
 would slot into MediaFeatureActor.__init__/__call__ unchanged.
@@ -34,14 +34,15 @@ def _decode_image_stub(media_ref: str) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 class MediaFeatureActor:
-    """Actor-pool stage: 'model' initialised once per actor, features per batch.
+    """Task-pool stage: 'model' initialised once per worker process
+    (``_map_stage``), features per batch.
 
     Input: documents with spans; output: one row per media span
     (doc_id, media_ref, offset, feature: list<double>[8]).
     """
 
     def __init__(self):
-        # real impl: load vision model weights here (once per actor)
+        # real impl: load vision model weights here (once per worker)
         self.decode = _decode_image_stub
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -137,7 +138,7 @@ class PatchEmbedActor:
     64x64 canvas into 8x8 patches and project each through a fixed
     seeded random matrix — mean-pooled and L2-normalized, a deterministic
     numpy stand-in for a patch-embedding vision transformer.  The
-    projection matrix is built ONCE per actor in __init__, exactly where a
+    projection matrix is built ONCE per worker in __init__, exactly where a
     real encoder would load weights."""
 
     def __init__(self, seed: int = 7, patch: int = 8, dim: int = 8,
@@ -221,7 +222,7 @@ def resize_png_gray(png: bytes, out_size: int) -> bytes:
 
 
 class MediaResizeActor:
-    """Actor-pool resize stage over real PNG bytes: render -> decode ->
+    """Task-pool resize stage over real PNG bytes: render -> decode ->
     nearest-neighbor resize -> re-encode.  Emits per-doc byte sizes and a
     CRC so determinism is checkable without shipping payloads to the
     driver (the resized bytes themselves stay in the pipeline)."""
@@ -305,7 +306,7 @@ def _synth_audio_stub(media_ref: str, n: int = 256) -> np.ndarray:
 
 
 class AudioFeatureActor:
-    """Actor-pool audio feature stage: 'codec' bound once per actor
+    """Task-pool audio feature stage: 'codec' bound once per worker
     (__init__ is the decoder/model-load slot), per batch the REAL
     vectorized DSP runs on the decoded waveform — energy (sum of squares),
     zero-crossing count (sign-change scan), exact periodicity detection
@@ -372,8 +373,8 @@ def _synth_video_stub(media_ref: str, n_frames: int = 8,
 
 
 class VideoFeatureActor:
-    """Actor-pool video feature stage (the frame-level sibling of
-    ``AudioFeatureActor``): 'codec' bound once per actor, per batch the
+    """Task-pool video feature stage (the frame-level sibling of
+    ``AudioFeatureActor``): 'codec' bound once per worker, per batch the
     REAL vectorized frame ops run on the decoded clip — per-frame sum,
     edge-column detection (count of hi-plateau columns in the actual
     pixel array), and temporal motion energy (L1 of consecutive frame

@@ -28,16 +28,17 @@ from engine.geometry import (PROPERTY_NAMES, batch_properties,
                              parse_geom_payloads)
 
 
-# Geom payload bytes per kernel call (~75 dense meshes of ~20 kB or ~1700
+# Geom payload bytes per kernel call (~200 dense meshes of ~20 kB or ~4800
 # box buildings), so the kernel's temporaries stay bounded however large the
-# batch (about 6 bytes per payload byte: 9 MB peak on a 170-doc dense batch).
-# The fused apply pass hands the kernel a whole read block (at most one per
-# CPU), so on one CPU this cut alone splits a pass: the benchmark's dense
-# block (~2.5 MB of cand payload) runs as two calls, its box-building block
-# (~0.5 MB) as one.  Each call pays one quickhull round per hull vertex of
-# its largest mesh, so a batch under the bound is never split: halving one
-# nearly doubles the rounds.
-KERNEL_CHUNK_BYTES = 3 << 19
+# batch (numpy peak about 7 bytes per payload byte).  The fused apply pass
+# hands the kernel a whole read block (at most one per CPU), so on one CPU
+# this cut alone could split a pass: the benchmark's dense block
+# (2.20-2.46 MiB of cand payload over seeds 0, 1, 7, 24, 43, 44 and 99) and
+# its box-building block (~0.5 MB) each run as one call.  Each call pays
+# one quickhull round per hull candidate of its largest mesh and every
+# per-call loop, so a batch under the bound is never split: two calls cost
+# about 10% more than one on the dense block.
+KERNEL_CHUNK_BYTES = 1 << 22
 
 
 def _props_batch(batch: pa.Table, log_transform: bool) -> pa.Table:

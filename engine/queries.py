@@ -29,7 +29,7 @@ from engine import (contrastive, dedup, gates, joins, matching, metrics,
                     splits, storage, text)
 from engine import oracles as o
 from engine.contamination import contaminate
-from engine.corpus import corpus_dataset, size_aware_blocks
+from engine.corpus import corpus_dataset, read_size_aware
 from engine.geometry import PROPERTY_NAMES
 from engine.pairs import RATIO_FEATURE_NAMES
 from engine.pipeline import (matching_inference_pipeline, prep_train,
@@ -150,8 +150,7 @@ def _emb(sf_dir: str) -> ray.data.Dataset:
     # single parquet file -> size-aware SplitBlocks so vectorized embedding
     # stages parallelize without tiny-input task overhead (same as _docs)
     p = os.path.join(sf_dir, "embeddings.parquet")
-    return read_parquet_clean(p, columns=["vec_id", "embedding"],
-                              override_num_blocks=size_aware_blocks(p, 32))
+    return read_size_aware(p, 32, columns=["vec_id", "embedding"])
 
 
 def _docs(sf_dir: str) -> ray.data.Dataset:
@@ -160,8 +159,7 @@ def _docs(sf_dir: str) -> ray.data.Dataset:
     # (measured 6x on the minhash chain — a single-block source serializes
     # the whole stage) without over-tasking tiny sf inputs
     p = os.path.join(sf_dir, "documents.parquet")
-    return read_parquet_clean(p, columns=["doc_id", "text"],
-                              override_num_blocks=size_aware_blocks(p, 32))
+    return read_size_aware(p, 32, columns=["doc_id", "text"])
 
 
 EXACT_PROP_COLS = [
@@ -708,7 +706,7 @@ def multimodal_real(sf_dir: str):
     """Real-bytes media blocking — T7 end to end (reference ViT path,
     utils.py:45-67,100-163): wireframe render -> REAL PNG bytes -> stdlib
     decode -> numpy patch-embedding encoder (seeded projection loaded once
-    per actor) -> cosine top-5 against the broadcast index embedding
+    per worker) -> cosine top-5 against the broadcast index embedding
     matrix.  Rows-only: PNG rasterization + zlib round-trip + random
     projection are not SQL-expressible; pinned by the planted-recall and
     codec round-trip tests."""
@@ -724,7 +722,7 @@ def multimodal_real(sf_dir: str):
 def media_resize(sf_dir: str):
     """Media resize stage (the decode -> resize half of a media pipeline):
     render -> real PNG bytes -> stdlib decode -> nearest-neighbor 64->16
-    downsample -> re-encode, actor pool; emits per-doc in/out byte sizes +
+    downsample -> re-encode, task pool; emits per-doc in/out byte sizes +
     CRC (payloads stay in the pipeline).  Rows-only (zlib bytes).  Consumes
     the shared render memo (_render)."""
     return multimodal.media_resize(_render(sf_dir), out_size=16)
@@ -966,7 +964,7 @@ def geo_blocking_dirty(sf_dir: str):
 def geo_render(sf_dir: str):
     """PNG mesh renders (the reference's K5 figure stage, utils.py:134-163 /
     generate_png_figs.py): per-doc deterministic wireframe PNG via the
-    actor-pool render stage; emits (doc_id, source, png_size, png_crc) —
+    task-pool render stage; emits (doc_id, source, png_size, png_crc) —
     the binary payload itself stays in the pipeline.  Rows-only.  Consumes
     the shared render memo (_render)."""
     import zlib as _z
@@ -1001,7 +999,7 @@ def text_fingerprint(sf_dir: str):
 
 @query(o.TEXT_TOKENS)
 def text_tokens(sf_dir: str):
-    """Whitespace + BPE-ish-regex token counting (compiled-regex actor
+    """Whitespace + BPE-ish-regex token counting (compiled-regex task
     stage); int columns, oracle-exact."""
     return text.token_counts(_docs(sf_dir))
 
@@ -1095,9 +1093,8 @@ def mixture_sample(sf_dir: str):
     keep rate sqrt(n_lang/n_max) with md5 membership; bounded #langs driver
     collect.  Oracle-exact."""
     p = os.path.join(sf_dir, "documents.parquet")
-    docs = read_parquet_clean(
-        p, columns=["doc_id", "lang", "source", "n_chars"],
-        override_num_blocks=size_aware_blocks(p, 32))
+    docs = read_size_aware(p, 32,
+                           columns=["doc_id", "lang", "source", "n_chars"])
     return text.mixture_sample(docs, seed=1)
 
 

@@ -98,8 +98,9 @@ def render_doc_pngs(docs_spans: list, size: int = 64, ids=None) -> list:
 
 
 class RenderActor:
-    """Actor-pool stage: canvas parameters fixed per actor, one PNG per doc
-    (the reference's per-object savefig loop, generate_png_figs.py:18-51)."""
+    """Task-pool stage: canvas parameters fixed per instance (one per batch
+    in ``render_dataset``), one PNG per doc (the reference's per-object
+    savefig loop, generate_png_figs.py:18-51)."""
 
     def __init__(self, size: int = 64):
         self.size = size

@@ -172,8 +172,8 @@ def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
 # ---------------------------------------------------------------------------
 
 class _CellIndex:
-    """Index-side centroids bucketed by cell — built once, broadcast to the
-    actor pool.  The 10^12-scale variant co-partitions by cell with a shuffle
+    """Index-side centroids bucketed by cell — put once, built once per
+    worker of the task pool (``storage.broadcast``).  The 10^12-scale variant co-partitions by cell with a shuffle
     instead (see blocking.cell_candidates); this is the small-index path the
     reference's KDTree corresponds to."""
 

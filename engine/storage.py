@@ -4,8 +4,10 @@ The north rule names Lance tables; this container has no pylance, so parquet
 is the physical format behind the same call sites.  Swapping is this module
 only — read/write signatures are identical.
 
-Every parquet read in the engine goes through read_parquet_clean, one
-``ray.data.Datasource`` planned from the files' footers.
+Every parquet read in the engine goes through one ``ray.data.Datasource``
+planned from the files' footers (``parquet_source``), read by
+read_parquet_clean or, sized from those footers, by
+``corpus.read_size_aware``.
 """
 
 from __future__ import annotations
@@ -55,13 +57,20 @@ def read_parquet_clean(path, columns=None,
     group.  Files whose stripped schemas differ (say an all-null column
     typed null in one of them) are each read with their own types, in
     blocks of their own, and Ray unifies them."""
+    return ray.data.read_datasource(parquet_source(path, columns),
+                                    override_num_blocks=override_num_blocks)
+
+
+def parquet_source(path, columns=None) -> "_ParquetFiles":
+    """The datasource ``read_parquet_clean(path, columns)`` reads, each
+    file's footer read once, here; its ``num_rows`` lets a caller size the
+    read from those same footers."""
     files = []
     for p in path if isinstance(path, (list, tuple)) else [path]:
         files += sorted(glob.glob(os.path.join(p, "**", "*.parquet"),
                                   recursive=True)) if os.path.isdir(p) \
             else [p]
-    return ray.data.read_datasource(_ParquetFiles(files, columns),
-                                    override_num_blocks=override_num_blocks)
+    return _ParquetFiles(files, columns)
 
 
 class _ParquetFiles(ray.data.Datasource):
@@ -79,6 +88,7 @@ class _ParquetFiles(ray.data.Datasource):
         self._files, self._columns, self._schema = files, columns, sch
         self._schemas = schemas
         self._rows = [m.num_rows for m in metas]
+        self.num_rows = sum(self._rows)
         # (rows, uncompressed bytes) of each file's row groups
         self._groups = [[(m.row_group(i).num_rows,
                           m.row_group(i).total_byte_size)

@@ -128,7 +128,8 @@ def test_concatenation_features(ray_session):
 @pytest.mark.parametrize("stage", ["ratio", "concatenation"])
 def test_pair_features_raise_on_an_absent_id(ray_session, stage):
     """A pair whose cand_id has no property row raises a RuntimeError that
-    names the stage, instead of a bare KeyError or a neighbouring row."""
+    names the stage and the absent id, instead of a bare KeyError or a
+    neighbouring row."""
     import pyarrow as pa
     import pandas as pd
     from engine.geometry import PROPERTY_NAMES
@@ -142,7 +143,8 @@ def test_pair_features_raise_on_an_absent_id(ray_session, stage):
                                   "concatenation_features")}[stage]
     # the task's error arrives wrapped, its traceback in the message
     with pytest.raises(ray.exceptions.RayTaskError,
-                       match=f"RuntimeError: {name}: key missing"):
+                       match=f"RuntimeError: {name}: key missing"
+                       r" .*\(1 of 2 probe values absent, the first '3'\)"):
         fn(pairs_ds, props, props).to_pandas()
 
 

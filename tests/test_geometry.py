@@ -287,26 +287,52 @@ def test_fractality_of_a_sub_unit_mesh_is_zero():
 
 
 def _dense_289():
-    """A 96-corner dense mesh: 289 unique vertices, 193 hull candidates."""
+    """A 96-corner dense mesh: 289 unique vertices, 193 run ends (its two
+    rings and the apex), 63 of them on the hulls of their rings."""
     key = next(k for k in range(1000)
                if len(dense.building(0, k)["corners"]) == 96)
     b = dense.building(0, key)
     return dense.build_mesh(b["corners"], b["centre"], b["h"], b["rise"])
 
 
-def test_hull_independent_of_a_large_neighbour():
+def _hull_widths(monkeypatch) -> list:
+    """Spy: the padded point width of every _quickhulls call."""
+    import engine.geometry as geo
+    widths = []
+    lockstep = geo._quickhulls
+    monkeypatch.setattr(geo, "_quickhulls", lambda P, cnt: (
+        widths.append(P.shape[1]), lockstep(P, cnt))[1])
+    return widths
+
+
+def test_dense_mesh_reaches_the_hull_with_its_ring_hulls(monkeypatch):
+    """The recessed corners of a dense mesh's rings lie inside their ring's
+    hull, so the quickhull never sees them: the 289-vertex mesh reaches it
+    with fewer than 97 points (193 with its run ends only)."""
+    widths = _hull_widths(monkeypatch)
+    batch_properties(Meshes.from_surfaces([_dense_289()]))
+    assert len(widths) == 1 and widths[0] < 97
+
+
+def test_hull_independent_of_a_large_neighbour(monkeypatch):
     """A rotated (non-dyadic) building's hull volume and 2D hull perimeter
-    are the same bits alone and next to a 289-vertex dense mesh, which
-    widens the padded point table and lengthens the rounds."""
+    are the same bits alone and next to a 289-vertex dense mesh and a
+    200-point cloud with one point per z (no slice to thin), which widens
+    the padded point table and lengthens the rounds."""
     c, s = math.cos(0.65), math.sin(0.65)
     rotated = [np.asarray([[c * x - s * y, s * x + c * y, z] for x, y, z in f])
                for f in _mesh(7.5, 5.25, 4.125, 3, 2.375)]
     big = _dense_289()
     assert len(unique_vertices([np.asarray(f) for f in big])) == 289
+    rng = np.random.default_rng(5)
+    cloud = [np.column_stack([rng.uniform(-30, 30, (200, 2)),
+                              rng.permutation(200) * 0.125])]
     alone = compute_properties(rotated)
-    both = batch_properties(Meshes.from_surfaces([big, rotated]))[0]
+    widths = _hull_widths(monkeypatch)
+    both = batch_properties(Meshes.from_surfaces([big, cloud, rotated]))[0]
+    assert widths[0] == 200
     for name in ("convex_hull_volume", "convex_hull_area"):
-        assert both[name][1] == alone[name]
+        assert both[name][2] == alone[name]
 
 
 @pytest.mark.parametrize("angle", [0.15, 0.65])

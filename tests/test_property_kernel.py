@@ -6,6 +6,7 @@ empty-output cases."""
 
 import hashlib
 import itertools
+import math
 import json
 
 import numpy as np
@@ -493,3 +494,137 @@ def test_kernel_sorts_three_times(corpora, monkeypatch):
                                                lexsort(keys, *a, **k))[1])
     geo.batch_properties(meshes)
     assert len(calls) == 3
+
+
+def _run_end_hull_volumes(U, nv, orders):
+    """_hull_volumes before the slice filter: the hull candidates are the
+    run ends of every object, all of them."""
+    n = len(nv)
+    obj = np.repeat(np.arange(n), nv)
+    rows = np.flatnonzero(geo._axis_run_ends(obj, U, orders))
+    cand = np.zeros(len(U), dtype=bool)
+    cand[rows] = True
+    vol = np.zeros(n)
+    c = np.bincount(obj[rows], minlength=n)
+    objs = np.flatnonzero(c >= 4)
+    if len(objs):
+        cnt = c[objs]
+        pad = rows[geo._starts(c)[objs][:, None]
+                   + np.minimum(np.arange(cnt.max()), cnt[:, None] - 1)]
+        vol[objs], near, _ = geo._quickhulls(U[pad], cnt)
+        cand[pad[~near]] = False
+    return vol, cand
+
+
+def _slice_clouds(rotate: float = 0.0) -> list:
+    """Clouds whose z slices the slice filter thins, one "surface" each:
+    star rings with recessed corners at 2-4 heights, each with points
+    inside it; convex rings with points on their edges and 1/64 inside
+    them; interior points whose xy are corners of the ring above; slices
+    of 1-5 points; diamonds around the origin whose zeros are -0.0 or 0.0
+    at random.  On the 1/64 grid, or rotated off it by ``rotate``."""
+    rng = np.random.default_rng(19)
+
+    def grid(p):
+        return np.round(np.asarray(p) * 64) / 64
+
+    def star(n, r):
+        ang = 2 * np.pi * (np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n
+        rad = r * np.where(np.arange(n) % 2 == 0, 1.0,
+                           rng.uniform(0.5, 0.8, n))
+        return grid(rng.uniform(-50, 50, 2)
+                    + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]))
+
+    def inside(ring, k):
+        return grid(rng.dirichlet(np.ones(len(ring)), k) @ ring)
+
+    def cloud(levels):
+        return [np.vstack([np.column_stack([xy, np.full(len(xy), z)])
+                           for xy, z in levels])]
+
+    heights = np.arange(0.0, 20.0, 0.25)
+    objs = []
+    for _ in range(12):
+        levels = []
+        for z in np.sort(rng.choice(heights, rng.integers(2, 5),
+                                    replace=False)):
+            ring = star(int(rng.integers(5, 40)), rng.uniform(3.0, 15.0))
+            levels.append((np.vstack([ring, inside(ring, 6)]), z))
+        objs.append(cloud(levels))
+    for n in (4, 5, 8):
+        ang = 2 * np.pi * np.arange(n) / n
+        ring = grid(8 * np.column_stack([np.cos(ang), np.sin(ang)]))
+        nxt = np.roll(ring, -1, axis=0)
+        on = np.vstack([ring + t * (nxt - ring) for t in (0.25, 0.5, 0.75)])
+        mid = (ring + nxt) / 2
+        near = grid(mid - np.sign(mid) / 64)
+        top = inside(ring, 5)
+        objs.append(cloud([(np.vstack([ring, on, near, top]), 0.0),
+                           (top, 3.0), (ring, 6.0)]))
+    for _ in range(6):
+        objs.append(cloud([(grid(rng.uniform(-9, 9, (k, 2))), 0.5 * k)
+                           for k in (1, 2, 3, 4, 5, 5, 4)]))
+    for _ in range(4):
+        r = 4.0
+        ring = np.array([[0.0, r], [r, 0.0], [0.0, -r], [-r, 0.0],
+                         [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
+        zero = ring == 0.0
+        ring[zero] = rng.choice([-0.0, 0.0], zero.sum())
+        levels = [(ring, z) for z in rng.choice([-0.0, 0.0, 2.0, 5.0], 3)]
+        objs.append(cloud(levels))
+    if rotate:
+        c, s = math.cos(rotate), math.sin(rotate)
+        objs = [[np.column_stack([c * p[:, 0] - s * p[:, 1],
+                                  s * p[:, 0] + c * p[:, 1], p[:, 2]])]
+                for [p] in objs]
+    return objs
+
+
+@pytest.mark.parametrize("name", ["grid", "rotated", "ulps"])
+def test_slice_filter_keeps_hull_bits(monkeypatch, name):
+    """Dropping the points strictly inside their z slice before the hulls
+    keeps every hull volume and 2D hull perimeter bit for bit against the
+    run-end candidates it thins, and the quickhull gets fewer points on the
+    planted clouds."""
+    clouds = {"grid": _slice_clouds, "rotated": lambda: _slice_clouds(0.65),
+              "ulps": _ulps_clouds}[name]()
+    meshes = geo.Meshes.from_surfaces(clouds)
+    uo, ux, uy, uz = geo._distinct(meshes.row_obj, meshes.x, meshes.y,
+                                   meshes.z)
+    n = meshes.n
+    U = np.column_stack([ux, uy, uz])
+    nv = np.bincount(uo, minlength=n)
+    orders = geo._vertex_orders(uo, U)
+    points = []
+    lockstep = geo._quickhulls
+    monkeypatch.setattr(geo, "_quickhulls", lambda P, cnt: (
+        points.append(int(cnt.sum())), lockstep(P, cnt))[1])
+    vol, cand = geo._hull_volumes(U, nv, orders)
+    hulled = points[0]
+    points.clear()
+    was, was_cand = _run_end_hull_volumes(U, nv, orders)
+    assert np.array_equal(vol.view(np.int64), was.view(np.int64))
+    assert not (cand & ~was_cand).any()
+    assert hulled < points[0] if name != "ulps" else hulled == points[0]
+    per = geo._hull_perimeters(uo[cand], ux[cand], uy[cand], n)
+    per_was = geo._hull_perimeters(uo[was_cand], ux[was_cand],
+                                   uy[was_cand], n)
+    assert np.array_equal(per.view(np.int64), per_was.view(np.int64))
+    assert (vol > 0).sum() > n // 2
+
+
+@pytest.mark.parametrize("name", ["dense-s0", "dense-s1"])
+def test_dense_bench_block_runs_one_kernel_call(corpora, monkeypatch, name):
+    """The cands of a whole apply_dense corpus (120 meshes, over 2 MiB of
+    geom payload: the block a one-CPU fused pass reads) go through the
+    property kernel in one call."""
+    import engine.properties as props
+    docs = corpora[name]
+    cands = docs.filter(pc.equal(docs.column("source"), "cands"))
+    assert sum(len(t) for t in _geom_texts(cands)) > 2 << 20
+    calls = []
+    kernel = props.batch_properties
+    monkeypatch.setattr(props, "batch_properties",
+                        lambda m, log: (calls.append(m.n), kernel(m, log))[1])
+    out = _props_batch(cands, False)
+    assert calls == [cands.num_rows] == [out.num_rows]

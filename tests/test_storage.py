@@ -147,6 +147,45 @@ def test_read_schema_runs_no_task(ray_session, monkeypatch, no_sampling):
     assert ds.count() == pq.read_metadata(DOCS).num_rows
 
 
+def test_corpus_read_opens_each_footer_once(tmp_path, monkeypatch):
+    """Planning corpus_dataset opens each file's footer once (it opened
+    each twice when size_aware_blocks probed the footers the datasource
+    then read again), and sizes the read as size_aware_blocks does."""
+    import collections
+
+    import engine.corpus as corpus
+    import engine.storage as storage
+    monkeypatch.setattr(storage, "cluster_cpus", lambda: None)   # no cap
+    monkeypatch.setattr(corpus, "CORPUS_ROOT", str(tmp_path / "root"))
+    out = tmp_path / "root" / "sfx"
+    out.mkdir(parents=True)
+    (out / "_SUCCESS").write_text("ok")
+    files = [str(out / f"{i}.parquet") for i in range(3)]
+    for i, p in enumerate(files):
+        pq.write_table(pa.table({"doc_id": np.arange(1000 * (i + 1))}), p)
+    want = corpus.size_aware_blocks(str(out), 64)
+    assert want == 24   # 6000 rows / 256
+    # a footer is read by pq.read_metadata (which opens a ParquetFile on
+    # a file handle) or by a ParquetFile opened on the path
+    opened, planned = [], []
+    init, metadata = pq.ParquetFile.__init__, pq.read_metadata
+
+    def open_file(self, source, *a, **kw):
+        if isinstance(source, str):
+            opened.append(source)
+        init(self, source, *a, **kw)
+    monkeypatch.setattr(pq.ParquetFile, "__init__", open_file)
+    monkeypatch.setattr(pq, "read_metadata", lambda where, *a, **kw: (
+        opened.append(str(where)), metadata(where, *a, **kw))[1])
+    read = ray.data.read_datasource
+    monkeypatch.setattr(ray.data, "read_datasource", lambda src, **kw: (
+        planned.append(kw["override_num_blocks"]), read(src, **kw))[1])
+    ds = corpus.corpus_dataset(str(tmp_path / "sfx"))
+    assert collections.Counter(opened) == dict.fromkeys(files, 1)
+    assert planned == [want]
+    assert ds.schema().names == ["doc_id"]
+
+
 def test_empty_directory_reads_as_ray_reads_it(ray_session, tmp_path):
     """An empty directory raises nothing: like ray.data.read_parquet, it
     is a Dataset of no rows and no schema."""
