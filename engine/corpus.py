@@ -91,31 +91,21 @@ def size_aware_blocks(path: str, requested: int, min_blocks: int = 8,
     task launches (measured +25-35% on sub-2.5 s queries), a large one still
     splits wide enough to fill the CPU budget.  Rows, not bytes: these
     tables carry text/geometry whose per-row downstream work dwarfs their
-    compressed size.
+    compressed size.  The rows are those of every file
+    ``read_parquet_clean(path)`` reads.
 
     Never more than the cluster's CPUs (``storage.cluster_cap``): each
     block is one task of every fused map downstream, and a read that is
     not split fuses with the map after it.  To read the files too, use
     ``read_size_aware``, which counts the rows from the footers its read
     is planned from."""
-    if os.path.isdir(path):
-        files = sorted(e.path for e in os.scandir(path)
-                       if e.is_file() and e.name.endswith(".parquet"))
-    else:
-        files = [path]
-    if not files:
-        return _block_count(0, requested, min_blocks, rows_per_block)
-    # probe at most 16 footers and extrapolate — a 100 TB corpus with
-    # thousands of files must not pay a footer read per file on the driver
-    probe = files[:: max(1, len(files) // 16)][:16]
-    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in probe)
-    return _block_count(rows * len(files) // len(probe), requested,
+    return _block_count(storage.parquet_source(path), requested,
                         min_blocks, rows_per_block)
 
 
-def _block_count(rows: int, requested: int, min_blocks: int = 8,
-                 rows_per_block: int = 256) -> int:
-    need = max(1, (rows + rows_per_block - 1) // rows_per_block)
+def _block_count(source: storage._ParquetFiles, requested: int,
+                 min_blocks: int = 8, rows_per_block: int = 256) -> int:
+    need = max(1, (source.num_rows() + rows_per_block - 1) // rows_per_block)
     return storage.cluster_cap(
         int(max(min(min_blocks, requested), min(requested, need))))
 
@@ -124,11 +114,10 @@ def read_size_aware(path: str, requested: int,
                     columns: list[str] | None = None) -> ray.data.Dataset:
     """``read_parquet_clean(path, columns)`` in ``size_aware_blocks(path,
     requested)`` blocks, the rows counted from the footers the read is
-    planned from: each footer is read once.  (On more than 16 files this
-    counts every file's rows where size_aware_blocks extrapolates.)"""
+    planned from: each footer is read once."""
     source = storage.parquet_source(path, columns)
     return ray.data.read_datasource(
-        source, override_num_blocks=_block_count(source.num_rows, requested))
+        source, override_num_blocks=_block_count(source, requested))
 
 
 def corpus_dataset(sf_dir: str, n_cands: int | None = None) -> ray.data.Dataset:

@@ -30,9 +30,11 @@ from engine.geometry import (PROPERTY_NAMES, batch_properties,
 
 # Geom payload bytes per kernel call (~200 dense meshes of ~20 kB or ~4800
 # box buildings), so the kernel's temporaries stay bounded however large the
-# batch (numpy peak about 7 bytes per payload byte).  The fused apply pass
-# hands the kernel a whole read block (at most one per CPU), so on one CPU
-# this cut alone could split a pass: the benchmark's dense block
+# batch (numpy peak about 7 bytes per payload byte, so about 28 MB per call
+# at the cap, and per worker at once on a many-CPU cluster; one dense bench
+# call measured 20.3 MB under tracemalloc).  The fused apply pass hands
+# the kernel a whole read block (at most one per CPU), so on one CPU this
+# cut alone could split a pass: the benchmark's dense block
 # (2.20-2.46 MiB of cand payload over seeds 0, 1, 7, 24, 43, 44 and 99) and
 # its box-building block (~0.5 MB) each run as one call.  Each call pays
 # one quickhull round per hull candidate of its largest mesh and every

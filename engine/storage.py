@@ -63,8 +63,8 @@ def read_parquet_clean(path, columns=None,
 
 def parquet_source(path, columns=None) -> "_ParquetFiles":
     """The datasource ``read_parquet_clean(path, columns)`` reads, each
-    file's footer read once, here; its ``num_rows`` lets a caller size the
-    read from those same footers."""
+    file's footer read once, here; its ``num_rows()`` lets a caller size
+    the read from those same footers."""
     files = []
     for p in path if isinstance(path, (list, tuple)) else [path]:
         files += sorted(glob.glob(os.path.join(p, "**", "*.parquet"),
@@ -88,12 +88,14 @@ class _ParquetFiles(ray.data.Datasource):
         self._files, self._columns, self._schema = files, columns, sch
         self._schemas = schemas
         self._rows = [m.num_rows for m in metas]
-        self.num_rows = sum(self._rows)
         # (rows, uncompressed bytes) of each file's row groups
         self._groups = [[(m.row_group(i).num_rows,
                           m.row_group(i).total_byte_size)
                          for i in range(m.num_row_groups)] for m in metas]
         self._bytes = [sum(b for _, b in g) for g in self._groups]
+
+    def num_rows(self) -> int:
+        return sum(self._rows)
 
     def get_name(self) -> str:
         return "Parquet"   # operators keep the name ReadParquet

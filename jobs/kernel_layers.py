@@ -1,6 +1,7 @@
 """In-process layer times of the fused apply kernel.
 
-    python jobs/kernel_layers.py --seed 43 [--trials 15] [--workload apply_dense]
+    python jobs/kernel_layers.py --seed 43 [--trials 15] \\
+        [--workload apply_dense]
 
 Run from the repository root.  For each workload (default: apply and
 apply_dense), the benchmark's own inputs and prepared state are built
@@ -10,7 +11,9 @@ it (its read blocks) and ``pipeline.fused_apply_batch`` runs over those
 blocks in this process.  Printed, in ms: the whole call over all blocks
 (min over --trials plain runs) and each layer's summed time over the blocks
 (min over --trials runs with the layers wrapped).  The layers nest: the
-parse and geometry layers are parts of ``_props_batch``.
+parse and geometry layers are parts of ``_props_batch``.  A layer the pass
+never calls through its module attribute prints ``not called`` and the
+script exits 1, so a renamed or inlined layer does not read as 0 ms.
 
 The traced perfbench run reads its kernel layers from wrappers of the former
 one-object-at-a-time calls, which the batch kernel no longer makes, so it
@@ -103,7 +106,7 @@ def measure(wl, trials: int) -> dict:
         int((b.column("source").to_numpy(zero_copy_only=False)
              == "cands").sum()) for b in blocks)}
     for k in ["fused_apply_batch", *(label for _, _, label in layers)]:
-        out[k] = round(1e3 * best.get(k, 0.0), 2)
+        out[k] = round(1e3 * best[k], 2) if k in best else None
     return out
 
 
@@ -123,6 +126,7 @@ def main(argv=None) -> int:
     os.makedirs(work, exist_ok=True)
     engine.corpus.CORPUS_ROOT = os.path.join(work, "corpus")
     _start_ray(work, NUM_CPUS)
+    missed = []
     try:
         for name in args.workload:
             wl = workloads.WORKLOADS[name](work, args.seed, False)
@@ -133,10 +137,15 @@ def main(argv=None) -> int:
                   f"block(s), {res.pop('cands')} cands; min of "
                   f"{args.trials}, ms")
             for k, v in res.items():
-                print(f"  {k:28s} {v:9.2f}")
+                print(f"  {k:28s} " + ("not called" if v is None
+                                       else f"{v:9.2f}"))
+            missed += [k for k, v in res.items() if v is None]
     finally:
         ray.shutdown()
-    return 0
+    if missed:
+        print(f"not called through their module attribute: {missed}",
+              file=sys.stderr)
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":

@@ -469,9 +469,8 @@ def test_flagship_fully_deterministic(ray_session):
 
 def test_size_aware_blocks_bounds(monkeypatch):
     """Block sizing: floors at min(min_blocks, requested), caps at
-    requested and at the cluster's CPUs, scales with row count, and
-    probes at most a bounded number of parquet footers (extrapolation for
-    many-file corpora)."""
+    requested and at the cluster's CPUs, and scales with the row count
+    of every file read."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import tempfile, os
@@ -505,6 +504,22 @@ def test_size_aware_blocks_bounds(monkeypatch):
                     cpus(n)
                     got = size_aware_blocks(path, requested)
                     assert got == min(uncapped, n), (path, n)
+
+
+def test_size_aware_blocks_count_nested_files(tmp_path, monkeypatch):
+    """The block count covers every file the read reads, nested ones too:
+    3,000 rows in the directory and 3,000 in a subdirectory size 24 blocks
+    of 256 rows (the top-level file alone would size 12)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from engine import storage
+    from engine.corpus import size_aware_blocks
+    monkeypatch.setattr(storage, "cluster_cpus", lambda: None)
+    t = pa.table({"x": pa.array(range(3000), type=pa.int64())})
+    (tmp_path / "sub").mkdir()
+    pq.write_table(t, str(tmp_path / "0.parquet"))
+    pq.write_table(t, str(tmp_path / "sub" / "1.parquet"))
+    assert size_aware_blocks(str(tmp_path), 64) == 24
 
 
 def test_fused_pairs_do_not_depend_on_block_count(fused_state):
