@@ -17,13 +17,13 @@ Batch kernel.  Properties are computed for a batch of objects at once, never
 one object at a time: the batch's geom payloads are read by one pyarrow.json
 call (``parse_geom_payloads``), and ``Meshes`` holds every surface vertex of
 the batch in one flat float64 table with surface and object offsets, taken
-from the list offsets and values of that read.  Vertex dedup is one
-lexsort over (object, x, y, z).  Two stable 3-key lexsorts of the unique
-table give its (object, y, z, x) and (object, z, x, y) orders, and every
-per-axis pass (distinct values, axis-parallel runs, the 2D hull's distinct
-xy) reads one of these three orders through head masks, with no sort of its
-own.  Every property is a vectorized pass over the flat tables — segment
-reductions, one flat triangle-fan table, stacked
+from the list offsets and values of that read.  Vertex dedup is one radix
+sort (``_radix_lexsort``) over (object, x, y, z).  Two stable 3-key radix
+sorts of the unique table give its (object, y, z, x) and (object, z, x, y)
+orders, and every per-axis pass (distinct values, axis-parallel runs, the
+2D hull's distinct xy) reads one of these three orders through head masks,
+with no sort of its own.  Every property is a vectorized pass over the flat
+tables — segment reductions, one flat triangle-fan table, stacked
 ``np.cov``/``np.linalg.eigh``, one lockstep quickhull for the 3D hulls of
 the whole batch and a batched monotone chain for the 2D hulls, over the
 points the 3D hulls leave as 2D candidates.  The quickhull adds one hull
@@ -337,9 +337,54 @@ def _heads(*cols: np.ndarray) -> np.ndarray:
     return new
 
 
+def _sort_image(key: np.ndarray) -> np.ndarray:
+    """uint64 images of ``key`` in its order: a float's bits with the sign
+    bit set when non-negative and all bits flipped when negative, after
+    ``+ 0.0`` so that -0.0 and 0.0 are one image, and every NaN the
+    largest image; a non-negative integer as itself."""
+    if key.dtype.kind == "f":
+        img = np.add(key, 0.0, dtype=np.float64).view(np.uint64)
+        flip = (img.view(np.int64) >> 63).view(np.uint64)
+        flip |= np.uint64(1 << 63)
+        img ^= flip
+        nan = np.isnan(key)
+        if nan.any():
+            img[nan] = np.iinfo(np.uint64).max
+        return img
+    if len(key) and key.min() < 0:
+        raise ValueError("radix sort keys must be floats or non-negative "
+                         "integers")
+    return key.astype(np.uint64)
+
+
+def _radix_lexsort(keys) -> np.ndarray:
+    """``np.lexsort(keys)``, the same permutation (the last key primary,
+    ties kept in input order; -0.0 ties 0.0 and NaN sorts last, as there),
+    by a least-significant-digit radix sort.  Each pass is one stable
+    ``argsort`` of a 16-bit digit of a key's ``_sort_image``, the last
+    key's top digit last.  The digits start at the lowest bit that differs
+    between the rows, and a digit with no such bit is skipped.  numpy sorts
+    16-bit integers stably by a radix sort, so a pass costs linear time
+    where ``np.lexsort`` compares whole keys.  The kernel's coordinates are
+    finite (the payload parse rejects NaN and infinities); a NaN key would
+    still sort as ``np.lexsort`` sorts it."""
+    n = len(keys[0])
+    perm = np.arange(n)
+    for key in keys:
+        img = _sort_image(key)
+        varies = int(np.bitwise_or.reduce(img)
+                     ^ np.bitwise_and.reduce(img)) if n else 0
+        low = max((varies & -varies).bit_length() - 1, 0)
+        for shift in range(low, varies.bit_length(), 16):
+            if varies >> shift & 0xFFFF:
+                digit = (img >> np.uint64(shift)).astype(np.uint16)
+                perm = perm[np.argsort(digit[perm], kind="stable")]
+    return perm
+
+
 def _distinct(obj: np.ndarray, *cols: np.ndarray):
     """Rows of (obj, *cols) sorted by obj then cols, duplicates removed."""
-    order = np.lexsort(cols[::-1] + (obj,))
+    order = _radix_lexsort(cols[::-1] + (obj,))
     obj = obj[order]
     cols = tuple(c[order] for c in cols)
     new = _heads(obj, *cols)
@@ -349,11 +394,11 @@ def _distinct(obj: np.ndarray, *cols: np.ndarray):
 def _vertex_orders(obj: np.ndarray, U: np.ndarray):
     """The three orders of a unique vertex table (rows of U sorted by
     (obj, x, y, z), no two equal): order k sorts the rows by obj, then
-    coordinate k, k + 1 and k + 2 (mod 3).  Order 0 is U's own; lexsort is
-    stable, so sorting U by (obj, y, z) leaves ties in x order, and by
+    coordinate k, k + 1 and k + 2 (mod 3).  Order 0 is U's own; the sort
+    is stable, so sorting U by (obj, y, z) leaves ties in x order, and by
     (obj, z, x) in y order."""
-    return (np.arange(len(obj)), np.lexsort((U[:, 2], U[:, 1], obj)),
-            np.lexsort((U[:, 0], U[:, 2], obj)))
+    return (np.arange(len(obj)), _radix_lexsort((U[:, 2], U[:, 1], obj)),
+            _radix_lexsort((U[:, 0], U[:, 2], obj)))
 
 
 def _groups(counts: np.ndarray):

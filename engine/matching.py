@@ -44,9 +44,16 @@ def _shares(imp: np.ndarray) -> np.ndarray:
 
 
 class Tree:
-    """A binary tree as one flat node table, an entry per node: ``feature``
-    (-1 at a leaf), ``threshold`` (rows with x <= threshold go left),
-    ``left``, ``right`` and the leaf ``value``."""
+    """A binary tree as one flat node table, an entry per node in depth
+    first order: ``feature`` (-1 at a leaf), ``threshold`` (rows with
+    x <= threshold go left), ``left``, ``right`` and the leaf ``value``.
+
+    ``table`` is the same tree laid out for ``walk``: its nodes breadth
+    first, each node's two children next to each other, as the columns
+    (feature, threshold, base, value) and the depth.  An inner node's
+    children sit at base + 0 (left) and base + 1 (right); a leaf reads
+    feature 0 against a NaN threshold and has base = its own index - 1,
+    so a step from a leaf stays on it."""
 
     def __init__(self, feature, threshold, left, right, value,
                  importances=None):
@@ -56,40 +63,73 @@ class Tree:
         self.right = np.asarray(right, dtype=np.int64)
         self.value = np.asarray(value, dtype=np.float64)
         self.importances_ = importances
+        self.table = self._breadth_first()
+
+    def _breadth_first(self):
+        """The walk ``table``, built level by level from the root."""
+        levels = [np.zeros(1, dtype=np.int64)]
+        while True:
+            inner = levels[-1][self.feature[levels[-1]] >= 0]
+            if not len(inner):
+                break
+            levels.append(np.column_stack([self.left[inner],
+                                           self.right[inner]]).ravel())
+        order = np.concatenate(levels)     # walk position -> node
+        at = np.empty(len(order), dtype=np.int64)
+        at[order] = np.arange(len(order))
+        leaf = self.feature[order] < 0
+        return (np.where(leaf, 0, self.feature[order]),
+                np.where(leaf, np.nan, self.threshold[order]),
+                np.where(leaf, np.arange(len(order)) - 1,
+                         at[self.left[order]]),
+                self.value[order], len(levels) - 1)
 
     def predict(self, X):
         return self.walk(np.zeros(1, dtype=np.int64), X)
 
     def walk(self, roots, X):
-        """The one traversal: every row of ``X`` from each of ``roots``
-        down the table, level-synchronously and with no per-row loop (NaN
-        is never <= a threshold: it goes right).  Returns the leaf values,
-        root by root: (len(roots) * len(X),)."""
+        """The one traversal: every row of ``X`` from each of ``roots`` of
+        ``table``, one step per level for the table's depth and with no
+        per-row loop (NaN is never <= a threshold: it goes right).  Returns
+        the leaf values, root by root: (len(roots) * len(X),)."""
+        feature, threshold, base, value, depth = self.table
         n, f = X.shape
+        if depth and feature.max() >= f:
+            raise ValueError(f"the tree reads feature {feature.max()}, "
+                             f"X has {f} columns")
         flat = X.ravel()
-        cur = np.repeat(roots, n)
+        node = np.repeat(roots, n)
         row = np.tile(np.arange(0, n * f, f), len(roots))   # row offsets
-        live = np.nonzero(self.feature[cur] >= 0)[0]
-        while len(live):
-            node = cur[live]
-            x = flat[row[live] + self.feature[node]]
-            nxt = np.where(x <= self.threshold[node],
-                           self.left[node], self.right[node])
-            cur[live] = nxt
-            live = live[self.feature[nxt] >= 0]
-        return self.value[cur]
+        # each step writes into these buffers; every index is in range by
+        # construction, so "clip" only spares numpy's bounds check
+        nxt, at = np.empty_like(node), np.empty_like(node)
+        x, thr = np.empty(len(node)), np.empty(len(node))
+        right = np.empty(len(node), dtype=bool)
+        for _ in range(depth):
+            np.take(feature, node, out=at, mode="clip")
+            at += row
+            np.take(flat, at, out=x, mode="clip")
+            np.take(threshold, node, out=thr, mode="clip")
+            np.less_equal(x, thr, out=right)
+            np.invert(right, out=right)
+            np.take(base, node, out=nxt, mode="clip")
+            nxt += right
+            node, nxt = nxt, node
+        return value[node]
 
 
 def _stack(trees) -> tuple[Tree, np.ndarray]:
-    """The node tables of ``trees`` end to end as one ``Tree``, child
-    indices offset by each tree's start (a leaf's -1 children are never
-    read), and each tree's root in it."""
-    roots = np.cumsum([0, *(len(t.feature) for t in trees[:-1])])
-    return Tree(np.concatenate([t.feature for t in trees]),
-                np.concatenate([t.threshold for t in trees]),
-                np.concatenate([t.left + r for t, r in zip(trees, roots)]),
-                np.concatenate([t.right + r for t, r in zip(trees, roots)]),
-                np.concatenate([t.value for t in trees])), roots
+    """The walk tables of ``trees`` end to end as the table of one
+    ``Tree``, bases offset by each tree's start and the depth their
+    largest, and each tree's root in it."""
+    roots = np.cumsum([0, *(len(t.table[0]) for t in trees[:-1])])
+    cols = zip(*((feature, threshold, base + r, value)
+                 for (feature, threshold, base, value, _), r
+                 in zip((t.table for t in trees), roots)))
+    stack = Tree.__new__(Tree)     # a walk table alone, no node table
+    stack.table = (*map(np.concatenate, cols),
+                   max(t.table[4] for t in trees))
+    return stack, roots
 
 
 def _scan(X, idx, features, stats):
@@ -293,6 +333,41 @@ class RandomForest(_Classifier):
         table, roots = _stack(self.trees_)
         values = table.walk(roots, X)
         return np.mean(values.reshape(len(self.trees_), len(X)), axis=0)
+
+    def predict(self, X):
+        """``predict_proba(X) >= 0.5``, with each row's walk stopped once
+        its label is decided.  Every row walks the first ceil(T/2) of the
+        T trees, then the rows still open walk the next trees a few at a
+        time.  A row's running sum S of leaf values, added in tree order
+        as ``np.mean`` adds them over two or more rows, labels it 1 once
+        S / T >= 0.5, and 0 once S + 1.0 + ... + 1.0 (one 1.0 per tree
+        left, added in order) / T < 0.5.  Gini leaf values lie in [0, 1]
+        and rounded addition is monotone, so the full sum lies between
+        these two bounds and gives the same label."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n, T = len(X), len(self.trees_)
+        if n < 2:   # numpy's mean sums a single row's T values pairwise
+            return super().predict(X)
+        table, roots = _stack(self.trees_)
+        pred = np.zeros(n, dtype=np.int8)
+        rows, Xr, s = np.arange(n), X, np.zeros(n)
+        t, step = 0, -(-T // 2)
+        while True:
+            for v in table.walk(roots[t:t + step], Xr).reshape(step, -1):
+                s += v
+            t += step
+            one = s / T >= 0.5
+            pred[rows[one]] = 1
+            if t == T:
+                return pred
+            bound = s.copy()
+            for _ in range(T - t):
+                bound += 1.0
+            open_ = ~one & (bound / T >= 0.5)
+            if not open_.any():
+                return pred
+            rows, s = rows[open_], s[open_]
+            Xr, step = X[rows], min(4, T - t)
 
 
 class Bagging(RandomForest):

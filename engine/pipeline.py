@@ -44,7 +44,7 @@ from engine.pairs import RATIO_FEATURE_NAMES, ratio_features
 from engine.properties import _props_batch, properties_dataset
 
 
-STATE_VERSION = "r3"  # bump when the state's semantics or classes change
+STATE_VERSION = "r4"  # bump when the state's semantics or classes change
 
 
 def property_table(sf_dir: str, n_cands: int | None = None,

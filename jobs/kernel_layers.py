@@ -11,9 +11,11 @@ it (its read blocks) and ``pipeline.fused_apply_batch`` runs over those
 blocks in this process.  Printed, in ms: the whole call over all blocks
 (min over --trials plain runs) and each layer's summed time over the blocks
 (min over --trials runs with the layers wrapped).  The layers nest: the
-parse and geometry layers are parts of ``_props_batch``.  A layer the pass
-never calls through its module attribute prints ``not called`` and the
-script exits 1, so a renamed or inlined layer does not read as 0 ms.
+parse and geometry layers are parts of ``_props_batch``, the vertex sort
+``_radix_lexsort`` is part of ``_distinct`` and ``_vertex_orders``, and
+``Tree.walk`` is part of predict.  A layer the pass never calls through
+its module attribute prints ``not called`` and the script exits 1, so a
+renamed or inlined layer does not read as 0 ms.
 
 The traced perfbench run reads its kernel layers from wrappers of the former
 one-object-at-a-time calls, which the batch kernel no longer makes, so it
@@ -34,6 +36,7 @@ def _layers(matcher_cls) -> list:
     """(module or class, attribute, label) of every layer timed."""
     import engine.blocking as blk
     import engine.geometry as geo
+    import engine.matching as mt
     import engine.pipeline as pipe
     import engine.properties as props
     return [
@@ -42,12 +45,14 @@ def _layers(matcher_cls) -> list:
         (props, "batch_properties", "geometry.batch_properties"),
         (geo, "_distinct", "geometry._distinct"),
         (geo, "_vertex_orders", "geometry._vertex_orders"),
+        (geo, "_radix_lexsort", "geometry._radix_lexsort"),
         (geo, "_hull_volumes", "geometry._hull_volumes"),
         (geo, "_hull_perimeters", "geometry._hull_perimeters"),
         (geo, "_vertex_stats", "geometry._vertex_stats"),
         (geo, "_fan", "geometry._fan"),
         (blk, "topk_l2_f32", "blocking.topk_l2_f32"),
         (matcher_cls, "predict", "matching.predict"),
+        (mt.Tree, "walk", "matching.Tree.walk"),
     ]
 
 

@@ -126,10 +126,13 @@ def test_learners_are_pinned(name):
 @pytest.mark.parametrize("family", ["RandomForest", "Bagging"])
 def test_forest_walk_equals_the_per_tree_mean(family):
     """A forest walks all its trees at once; its predict_proba is, bit for
-    bit, the mean of its trees' own predictions, also on rows holding NaN
-    (never <= a threshold: right at every split) and infinities."""
+    bit, the mean of its trees' own predictions and the depth-first walk
+    of the node tables, also on rows holding NaN (never <= a threshold:
+    right at every split) and infinities.  predict equals
+    predict_proba >= 0.5, on every row and on single rows.  Bagging's
+    trees reach depth 14 on this fit."""
     from engine.matching import MODEL_REGISTRY
-    X, y = _planted(300, 11)
+    X, y = _planted(1000, 11)
     Xt, _ = _planted(200, 12)
     odd = Xt[:6].copy()
     odd[0, 0] = odd[1, :] = np.nan
@@ -137,9 +140,153 @@ def test_forest_walk_equals_the_per_tree_mean(family):
     odd[4, 0], odd[5, 2] = -np.inf, np.inf
     Xt = np.vstack([Xt, odd])
     m = MODEL_REGISTRY[family](random_state=1).fit(X, y)
+    if family == "Bagging":
+        assert max(t.table[4] for t in m.trees_) == 14
     want = np.mean([t.predict(Xt) for t in m.trees_], axis=0)
     got = m.predict_proba(Xt)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.tobytes() == _depth_first_proba(m, Xt).tobytes()
+    assert np.array_equal(m.predict(Xt), (got >= 0.5).astype(np.int8))
+    for i in range(len(Xt) - 40, len(Xt)):
+        assert m.predict(Xt[i:i + 1])[0] == int(
+            m.predict_proba(Xt[i:i + 1])[0] >= 0.5)
+
+
+def _depth_first_proba(m, X):
+    """RandomForest.predict_proba as the depth-first node tables gave it
+    before the breadth-first walk table: all trees stacked, every row
+    stepped down until it reaches a leaf, the mean over the trees."""
+    trees = m.trees_
+    roots = np.cumsum([0, *(len(t.feature) for t in trees[:-1])])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + r for t, r in zip(trees, roots)])
+    right = np.concatenate([t.right + r for t, r in zip(trees, roots)])
+    value = np.concatenate([t.value for t in trees])
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, f = X.shape
+    flat = X.ravel()
+    cur = np.repeat(roots, n)
+    row = np.tile(np.arange(0, n * f, f), len(roots))
+    live = np.nonzero(feature[cur] >= 0)[0]
+    while len(live):
+        node = cur[live]
+        x = flat[row[live] + feature[node]]
+        nxt = np.where(x <= threshold[node], left[node], right[node])
+        cur[live] = nxt
+        live = live[feature[nxt] >= 0]
+    return np.mean(value[cur].reshape(len(trees), n), axis=0)
+
+
+def _planted_forest(T: int, thirds: bool = False):
+    """T trees: tree t < T - 1 reads column t and gives 1.0 at x <= 0.5,
+    0.5 at x <= 1.5, else 0.0 (NaN goes right: 0.0); the last tree is a
+    single leaf of value 0.5.  With ``thirds`` every fourth split tree
+    gives 2/3 and 1/3 instead of 1.0 and 0.5, so the sums round."""
+    from engine.matching import RandomForest, Tree
+    trees = []
+    for t in range(T - 1):
+        hi, mid = (2 / 3, 1 / 3) if thirds and t % 4 == 3 else (1.0, 0.5)
+        trees.append(Tree([t, -1, t, -1, -1], [0.5, 0.0, 1.5, 0.0, 0.0],
+                          [1, -1, 3, -1, -1], [2, -1, 4, -1, -1],
+                          [0.0, hi, 0.0, mid, 0.0]))
+    trees.append(Tree([-1], [0.0], [-1], [-1], [0.5]))
+    m = RandomForest(n_estimators=T)
+    m.trees_ = trees
+    return m
+
+
+def _planted_rows(T: int, n: int, seed: int) -> np.ndarray:
+    """Rows of codes 0/1/2 (leaf 1.0/0.5/0.0) per split tree, and the row
+    number in column T.  Row 0 sums to exactly 0.5 T at tree ceil(T/2),
+    row 1 only at tree T, row 2 to 0.5 T - 0.5 at tree T; rows 3-5 hold
+    NaN and infinities; row 6 is all ones over the first ceil(T/2) trees
+    and row 7 all zeros over the split trees; the rest are random."""
+    h = -(-T // 2)
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 3, (n, T + 1)).astype(np.float64)
+    X[0, :h], X[0, h:] = 0.0, 2.0
+    if T % 2:
+        X[0, h - 1] = 1.0
+    X[1], X[2] = 1.0, 1.0
+    X[2, 0] = 2.0
+    X[3, :] = np.nan
+    X[4, ::2], X[4, 1::2] = -np.inf, np.inf
+    X[5, ::3] = np.nan
+    X[6, :h], X[7, :T] = 0.0, 2.0
+    X[:, T] = np.arange(n)
+    return X
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 7, 40, 41])
+@pytest.mark.parametrize("thirds", [False, True])
+def test_forest_predict_on_planted_forests(T, thirds):
+    """On planted forests (odd and even T, a one-leaf tree, leaf values
+    whose sums round), with rows whose sum is exactly 0.5 T at tree
+    ceil(T/2) or only at tree T, NaN and infinite features: predict_proba
+    equals the depth-first walk bit for bit, and predict (which stops a
+    row's walk once its label is decided) equals predict_proba >= 0.5,
+    also on no, one and two rows."""
+    m = _planted_forest(T, thirds)
+    X = _planted_rows(T, 400, seed=T)
+    proba = m.predict_proba(X)
+    assert proba.tobytes() == _depth_first_proba(m, X).tobytes()
+    assert np.array_equal(m.predict(X), (proba >= 0.5).astype(np.int8))
+    for rows in ([], [0], [1], [3, 4], [6, 7]):
+        assert np.array_equal(m.predict(X[rows]),
+                              (m.predict_proba(X[rows]) >= 0.5)
+                              .astype(np.int8))
+    if T > 1:   # a row too narrow for the trees is refused, not misread
+        with pytest.raises(ValueError, match="columns"):
+            m.predict(X[:, :T - 2])
+
+
+@pytest.mark.parametrize("T", [40, 41])
+def test_forest_planted_rows_decide_at_their_tree(T, monkeypatch):
+    """Row 0 reaches exactly 0.5 T at tree ceil(T/2) and row 6 more: both
+    are labelled 1 there and walk no further.  Row 7 sums to 0: it is
+    labelled 0 once the ones that could still follow leave it below
+    0.5 T, at tree ceil(T/2) for odd T and one step later for even T.
+    Row 1 reaches 0.5 T only at tree T, and row 2 falls 0.5 short: both
+    walk every tree."""
+    from engine.matching import Tree
+    m = _planted_forest(T)
+    X = _planted_rows(T, 50, seed=0)
+    leaf = np.array([t.predict(X) for t in m.trees_])
+    h = -(-T // 2)
+    assert leaf[:h, 0].sum() == 0.5 * T
+    assert leaf[:, 1].sum() == 0.5 * T and leaf[:, 2].sum() == 0.5 * T - 0.5
+    walk, seen = Tree.walk, []
+    monkeypatch.setattr(Tree, "walk", lambda self, roots, X: (
+        seen.append((len(roots), X[:, T].astype(int))),
+        walk(self, roots, X))[1])
+    pred = m.predict(X)
+    assert pred[[0, 1, 2, 6, 7]].tolist() == [1, 1, 0, 1, 0]
+    assert seen[0][0] == h and len(seen[0][1]) == len(X)
+    later = [set(rows.tolist()) for _, rows in seen[1:]]
+    assert all({1, 2} <= r and not r & {0, 6} for r in later)
+    assert [7 in r for r in later[:2]] == [T % 2 == 0, False]
+    assert h + sum(k for k, _ in seen[1:]) == T
+
+
+def test_forest_predict_stops_decided_rows(monkeypatch):
+    """At the apply pass's shape (3,000 pairs of 25 ratio features, 40
+    trees) predict walks under 3/4 of the T x n tree-rows predict_proba
+    walks: the rows decided after the first 20 trees walk no further."""
+    from engine.matching import RandomForest, Tree
+    rng = np.random.default_rng(5)
+    X = rng.normal(0, 1, (1500, 25))
+    y = (X[:, 0] + X[:, 1] + rng.normal(0, 0.5, 1500) > 0).astype(np.int8)
+    m = RandomForest(random_state=1).fit(X, y)
+    Xt = rng.normal(0, 1, (3000, 25))
+    walk, walked = Tree.walk, []
+    monkeypatch.setattr(Tree, "walk", lambda self, roots, X: (
+        walked.append(len(roots) * len(X)), walk(self, roots, X))[1])
+    pred = m.predict(Xt)
+    T, n = len(m.trees_), len(Xt)
+    assert sum(walked) < 0.75 * T * n
+    monkeypatch.setattr(Tree, "walk", walk)
+    assert np.array_equal(pred, (m.predict_proba(Xt) >= 0.5).astype(np.int8))
 
 
 def test_grid_search_distributed_matches_serial(ray_session):

@@ -485,15 +485,83 @@ def test_shared_orders_give_the_same_runs_and_stats():
 
 
 def test_kernel_sorts_three_times(corpora, monkeypatch):
-    """One batch_properties call runs np.lexsort exactly 3 times: the
-    vertex dedup and the two other vertex orders."""
+    """One batch_properties call sorts exactly 3 times, all through the
+    radix helper: the vertex dedup and the two other vertex orders; it
+    makes no np.lexsort call."""
     meshes = geo.parse_geom_payloads(_geom_texts(corpora["sf0.001"]))[2]
-    lexsort, calls = np.lexsort, []
+    radix, calls, lexsorts = geo._radix_lexsort, [], []
+    monkeypatch.setattr(geo, "_radix_lexsort",
+                        lambda keys: (calls.append(1), radix(keys))[1])
+    lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort",
-                        lambda keys, *a, **k: (calls.append(1),
+                        lambda keys, *a, **k: (lexsorts.append(1),
                                                lexsort(keys, *a, **k))[1])
     geo.batch_properties(meshes)
-    assert len(calls) == 3
+    assert len(calls) == 3 and not lexsorts
+
+
+def _fuzz_float_key(rng, n: int) -> np.ndarray:
+    """Floats drawn from few values, so that ties are common: signed zeros,
+    infinities, subnormals, NaNs of both signs and a quiet-NaN payload, and
+    grid and random reals around them."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308 / 3, 1.5, -1.5, 1.5 + 2.0**-52,
+                     1e300, -1e300, 64.015625, np.nan, -np.nan,
+                     np.uint64(0x7FF8000000000001).view(np.float64)])
+    pool = np.concatenate([pool, np.round(rng.normal(0, 4, 8) * 64) / 64,
+                           rng.normal(0, 1e3, 4)])
+    return pool[rng.integers(0, len(pool), n)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_radix_lexsort_is_lexsort(seed):
+    """The kernel's radix sort returns np.lexsort's permutation: on tied
+    signed zeros, infinities, subnormals, NaNs (last, in input order),
+    keys whose 16-bit digits are all constant, zero and one row, and
+    non-negative integer keys up to 2**40."""
+    rng = np.random.default_rng(seed)
+    for n in (0, 1, 2, 7, 300):
+        keys = []
+        for _ in range(rng.integers(1, 5)):
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                keys.append(_fuzz_float_key(rng, n))
+            elif kind == 1:
+                keys.append(rng.integers(0, 2**int(rng.integers(1, 41)), n))
+            elif kind == 2:   # one value: every digit constant
+                keys.append(np.full(n, rng.choice([3.25, -0.0, 2**40])))
+            else:             # a strided float column, like a vertex table's
+                keys.append(np.column_stack([_fuzz_float_key(rng, n)] * 3)[:, 1])
+        got = geo._radix_lexsort(tuple(keys))
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.lexsort(tuple(keys))), (n, keys)
+
+
+def test_radix_lexsort_skips_constant_digits(monkeypatch):
+    """A pass sorts one 16-bit digit that differs between rows: none for a
+    constant key, one for an object index below 2**16 or for floats that
+    differ only in a few mantissa bits, and two for an integer key whose
+    differing bits are 0 and 40 (its digits between are constant)."""
+    argsort, passes = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda a, *x, **k: (
+        passes.append(a.dtype), argsort(a, *x, **k))[1])
+    grid = 1.0 + np.arange(64) / 64
+
+    def count(*keys):
+        passes.clear()
+        got = geo._radix_lexsort(keys)
+        assert np.array_equal(got, np.lexsort(keys))
+        return len(passes)
+    assert count(np.full(50, 7.5), np.zeros(50, dtype=np.int64)) == 0
+    assert count(np.arange(600)[::-1] % 37) == 1
+    assert count(grid[::-1]) == 1
+    assert count(np.array([0, 1, 2**40, 2**40 + 1][::-1] * 3)) == 2
+    assert set(passes) == {np.dtype(np.uint16)}
+
+
+def test_radix_lexsort_rejects_negative_integers():
+    with pytest.raises(ValueError, match="non-negative"):
+        geo._radix_lexsort((np.array([3, -1]),))
 
 
 def _run_end_hull_volumes(U, nv, orders):
