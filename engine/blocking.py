@@ -11,9 +11,11 @@ Reference: /root/reference/blocking.py.  Mapping:
   scans the broadcast scaled index matrix per batch (topk_l2_f32).
   Tie-break: (distance, numeric index id) — defined semantics, the KDTree's
   tie order is unspecified.
-* Every dense exact kNN here (bkafi in f32 and exact f64, centroid,
-  embedding) ranks through one selection (topk_by_key) and one chunked
-  scan (topk_scan); each caller only computes its distance blocks.
+* Every dense exact kNN here and in spatial.py (bkafi in f32 and exact
+  f64, centroid, the spatial kNN join, embedding) ranks through one
+  selection (topk_by_key) and one chunked scan (topk_scan); each caller
+  only computes its distance blocks, and knn_rows builds every ranked
+  table.
 * incremental k-prefix pair lists (blocking.py:211-230) -> one ranked nn
   table; pairs for any k are `rank <= k` filters (no recompute).
 * SDR factor (blocking.py:166-174): cand columns scaled by the train
@@ -273,6 +275,39 @@ def topk_l2_exact(X: np.ndarray, idx: np.ndarray, idx_num: np.ndarray,
          for s, e in _spans(len(idx), KNN_CHUNK)), k))
 
 
+def knn_rows(cand_ids, index_ids: np.ndarray, name: str,
+             values: np.ndarray) -> pa.Table:
+    """The ranked kNN table (cand_id, index_id, rank, <name>): one row per
+    entry of the (n, k) ``index_ids``, each cand's k neighbours in rank
+    order from 1, ``values`` (n, k) their distances or scores as f64."""
+    n, kk = index_ids.shape
+    return pa.table({
+        "cand_id": pa.array(np.repeat(np.asarray(cand_ids, dtype=object),
+                                      kk).tolist(), type=pa.string()),
+        "index_id": pa.array(index_ids.ravel().tolist(), type=pa.string()),
+        "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32), n)),
+        name: pa.array(np.asarray(values, dtype=np.float64).ravel(),
+                       type=pa.float64()),
+    })
+
+
+def centroid_knn(cand_ids, cxy: np.ndarray, side: tuple,
+                 k: int) -> pa.Table:
+    """The centroid kNN table (cand_id, index_id, rank, dist2) of the cand
+    centroids ``cxy`` (n, 2) among ``side`` = (index ids, index (cx, cy)
+    f64, numeric index ids): topk_l2_exact over the two columns."""
+    ids, ixy, num = side
+    top, d2 = topk_l2_exact(cxy, ixy, num, k)
+    return knn_rows(cand_ids, ids[top], "dist2", d2)
+
+
+def centroid_side(index_df: pd.DataFrame) -> tuple:
+    """centroid_knn's index side of ``index_df`` (doc_id, cx, cy)."""
+    return (index_df["doc_id"].to_numpy(),
+            index_df[["cx", "cy"]].to_numpy(dtype=np.float64),
+            index_df["doc_id"].astype(np.int64).to_numpy())
+
+
 class BkafiKnn:
     """The bkafi kNN kernel over one scaled index side: the map UDF of
     bkafi_nn_dataset and, called directly, its driver-side form."""
@@ -297,18 +332,12 @@ class BkafiKnn:
                            self.idx_num, self.nn_param)
 
     def __call__(self, batch: pa.Table, bkafi_dim: int) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
         top, dtop = self.search(np.column_stack(
             [batch.column(c).to_numpy() for c in self.features]))
-        n, kk = top.shape
-        return pa.table({
-            "bkafi_dim": pa.array(np.full(n * kk, bkafi_dim, dtype=np.int32)),
-            "cand_id": pa.array(np.repeat(np.asarray(ids, dtype=object), kk).tolist(),
-                                type=pa.string()),
-            "index_id": pa.array(self.idx_ids[top].ravel().tolist(), type=pa.string()),
-            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32), n)),
-            "dist": pa.array(dtop.ravel().astype(np.float64), type=pa.float64()),
-        })
+        rows = knn_rows(batch.column("doc_id").to_pylist(),
+                        self.idx_ids[top], "dist", dtop)
+        return rows.add_column(0, "bkafi_dim", pa.array(
+            np.full(rows.num_rows, bkafi_dim, dtype=np.int32)))
 
 
 def bkafi_knn(index_df: pd.DataFrame, features: list[str], stats: tuple,
@@ -397,19 +426,11 @@ def centroid_nn_dataset(cand_df: pd.DataFrame, index_df: pd.DataFrame,
     every d2 is an exact dyadic value, so the output (incl. dist2) is
     bit-checkable against the DuckDB window-SQL oracle."""
     cxy = cand_df[["cx", "cy"]].to_numpy(dtype=np.float64)
-    ixy = index_df[["cx", "cy"]].to_numpy(dtype=np.float64)
+    side = centroid_side(index_df)
     if transform:
-        cxy = kabsch_transform(cxy, ixy)
-    top, d2 = topk_l2_exact(cxy, ixy,
-                            index_df["doc_id"].astype(np.int64).to_numpy(),
-                            nn_param)
-    kk = top.shape[1]
-    return pd.DataFrame({
-        "cand_id": np.repeat(cand_df["doc_id"].to_numpy(), kk),
-        "index_id": index_df["doc_id"].to_numpy()[top].ravel(),
-        "rank": np.tile(np.arange(1, kk + 1, dtype=np.int32), len(cxy)),
-        "dist2": d2.ravel(),
-    })
+        cxy = kabsch_transform(cxy, side[1])
+    return centroid_knn(cand_df["doc_id"].to_numpy(), cxy, side,
+                        nn_param).to_pandas()
 
 
 def kabsch_transform(source: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -478,17 +499,8 @@ def _embedding_nn(cand_emb: ray.data.Dataset, shards: list, nn_param: int,
                 np.empty(0, object)
 
         ids, neg = topk_scan(neg_scores(), nn_param)
-        kk = ids.shape[1]
-        return pa.table({
-            "cand_id": pa.array(
-                np.repeat(np.asarray(batch.column("doc_id").to_pylist(),
-                                     dtype=object), kk).tolist(),
-                type=pa.string()),
-            "index_id": pa.array(ids.ravel().tolist(), type=pa.string()),
-            "rank": pa.array(np.tile(np.arange(1, kk + 1, dtype=np.int32),
-                                     len(cv))),
-            "score": pa.array(-neg.ravel(), type=pa.float64()),
-        })
+        return knn_rows(batch.column("doc_id").to_pylist(), ids, "score",
+                        -neg)
 
     return cand_emb.map_batches(topk, batch_format="pyarrow", batch_size=1024)
 

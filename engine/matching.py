@@ -328,26 +328,28 @@ class RandomForest(_Classifier):
         return self
 
     def predict_proba(self, X):
-        """The mean leaf value over the trees, all walked at once."""
+        """The mean leaf value over the trees, all walked at once: each
+        row's leaf values added in tree order, then divided by T, so a
+        row's probability does not depend on the rows beside it."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         table, roots = _stack(self.trees_)
-        values = table.walk(roots, X)
-        return np.mean(values.reshape(len(self.trees_), len(X)), axis=0)
+        s = np.zeros(len(X))
+        for v in table.walk(roots, X).reshape(len(self.trees_), len(X)):
+            s += v
+        return s / len(self.trees_)
 
     def predict(self, X):
         """``predict_proba(X) >= 0.5``, with each row's walk stopped once
         its label is decided.  Every row walks the first ceil(T/2) of the
         T trees, then the rows still open walk the next trees a few at a
         time.  A row's running sum S of leaf values, added in tree order
-        as ``np.mean`` adds them over two or more rows, labels it 1 once
-        S / T >= 0.5, and 0 once S + 1.0 + ... + 1.0 (one 1.0 per tree
-        left, added in order) / T < 0.5.  Gini leaf values lie in [0, 1]
-        and rounded addition is monotone, so the full sum lies between
-        these two bounds and gives the same label."""
+        as ``predict_proba`` adds them, labels it 1 once S / T >= 0.5, and
+        0 once S + 1.0 + ... + 1.0 (one 1.0 per tree left, added in order)
+        / T < 0.5.  Gini leaf values lie in [0, 1] and rounded addition is
+        monotone, so the full sum lies between these two bounds and gives
+        the same label."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         n, T = len(X), len(self.trees_)
-        if n < 2:   # numpy's mean sums a single row's T values pairwise
-            return super().predict(X)
         table, roots = _stack(self.trees_)
         pred = np.zeros(n, dtype=np.int8)
         rows, Xr, s = np.arange(n), X, np.zeros(n)

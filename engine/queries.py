@@ -337,13 +337,13 @@ def geo_pip(sf_dir: str):
 
 @query(o.GEO_KNN)
 def geo_knn_spatial(sf_dir: str):
-    """Spatial kNN join (ring expansion): flat cands -> 5 nearest flat index
-    docs by world centroid.  Cands stream; the index side is the narrow
-    broadcast side of the ring-expansion join."""
+    """Spatial kNN join: flat cands -> 5 nearest flat index docs by world
+    centroid.  Cands stream; the index side is the narrow broadcast side,
+    ranked by the exact centroid scan (blocking.centroid_knn)."""
     props = _props(sf_dir)
     cands = _flat_side(props, "cands", ["doc_id", "cx", "cy"])
     index_df = _flat_side(props, "index", ["doc_id", "cx", "cy"]).to_pandas()
-    return spatial.knn_join(cands, index_df, k=5, res=8)
+    return spatial.knn_join(cands, index_df, k=5)
 
 
 @query(o.GEO_PAIR_FEATURES)

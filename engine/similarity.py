@@ -88,6 +88,53 @@ def _kmeans_fit(sample: np.ndarray, n_clusters: int, n_iter: int = 10
     return centroids
 
 
+def _nearest_centroid(vn: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """IVF bucket of each row of ``vn``: its nearest centroid."""
+    vd2 = (vn * vn).sum(1)[:, None] - 2.0 * (vn @ centroids.T) \
+        + (centroids * centroids).sum(1)[None, :]
+    return vd2.argmin(axis=1)
+
+
+def _hyperplane_bits(vn: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """LSH bucket of each row of ``vn``: its side of each hyperplane as
+    one bit."""
+    return ((vn @ planes.T) > 0).astype(np.int64) \
+        @ (1 << np.arange(len(planes)))
+
+
+def _probe_knn(emb: ray.data.Dataset, qids: np.ndarray, qn: np.ndarray,
+               bucket_of, model, allowed: np.ndarray, k: int) -> pd.DataFrame:
+    """The bucketed ANN scan shared by ivf_knn and lsh_knn: each batch
+    buckets its unit vectors by ``bucket_of(vn, model)``, and each query
+    (row i of ``qn``) scores only the vectors in its buckets
+    ``allowed[i]``, ranked by (sim desc, id asc) like brute_knn."""
+    queries = storage.broadcast((qids, qn, model, allowed))
+
+    def local_topk(batch: pa.Table) -> pa.Table:
+        qids_, qn_, model_, allowed_ = queries()
+        vecs = list_column_matrix(batch.column("embedding"))
+        ids = batch.column("vec_id").to_numpy()
+        vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+        buckets = bucket_of(vn, model_)
+        out_q, out_n, out_s = [], [], []
+        for qi, qvec, allow in zip(qids_, qn_, allowed_):
+            mask = np.isin(buckets, allow)
+            if not mask.any():
+                continue
+            sim = vn[mask] @ qvec
+            sel = ids[mask]
+            top = topk_by_key(-sim[None], sel, k)[0]
+            out_q.extend([int(qi)] * len(top))
+            out_n.extend(sel[top].tolist())
+            out_s.extend(sim[top].tolist())
+        return pa.table({"qid": pa.array(out_q, type=pa.int64()),
+                         "neighbor_id": pa.array(out_n, type=pa.int64()),
+                         "sim": pa.array(out_s, type=pa.float64())})
+
+    return _rerank(
+        emb.map_batches(local_topk, batch_format="pyarrow").to_pandas(), k)
+
+
 def ivf_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
             n_clusters: int = 16, n_probe: int = 6,
             max_sample: int = 8192) -> pd.DataFrame:
@@ -118,34 +165,7 @@ def ivf_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
 
     qd2 = ((qn[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
     probes = np.argsort(qd2, axis=1, kind="stable")[:, :n_probe]
-    allowed = {int(qid): set(map(int, row)) for qid, row in zip(qids, probes)}
-    queries = storage.broadcast((qids, qn, centroids, allowed))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qids_, qn_, cents_, allowed_ = queries()
-        vecs = list_column_matrix(batch.column("embedding"))
-        ids = batch.column("vec_id").to_numpy()
-        vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        vd2 = (vn * vn).sum(1)[:, None] - 2.0 * (vn @ cents_.T) \
-            + (cents_ * cents_).sum(1)[None, :]
-        vc = vd2.argmin(axis=1)
-        out_q, out_n, out_s = [], [], []
-        for qi, qvec in zip(qids_, qn_):
-            mask = np.isin(vc, list(allowed_[int(qi)]))
-            if not mask.any():
-                continue
-            sim = vn[mask] @ qvec
-            sel = ids[mask]
-            top = topk_by_key(-sim[None], sel, k)[0]
-            out_q.extend([int(qi)] * len(top))
-            out_n.extend(sel[top].tolist())
-            out_s.extend(sim[top].tolist())
-        return pa.table({"qid": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_n, type=pa.int64()),
-                         "sim": pa.array(out_s, type=pa.float64())})
-
-    return _rerank(
-        emb.map_batches(local_topk, batch_format="pyarrow").to_pandas(), k)
+    return _probe_knn(emb, qids, qn, _nearest_centroid, centroids, probes, k)
 
 
 def lsh_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
@@ -155,34 +175,7 @@ def lsh_knn(emb: ray.data.Dataset, query_ids: list[int], k: int = 10,
     qids, qn = _query_matrix(emb, query_ids)
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((bits, qn.shape[1]))
-    qbuck = ((qn @ planes.T) > 0).astype(np.int64) @ (1 << np.arange(bits))
+    qbuck = _hyperplane_bits(qn, planes)
     # allowed buckets per query: exact + Hamming-1
-    allowed = {}
-    for qi, b in zip(qids, qbuck):
-        s = {int(b)} | {int(b) ^ (1 << i) for i in range(bits)}
-        allowed[int(qi)] = s
-    queries = storage.broadcast((qids, qn, planes, allowed))
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        qids_, qn_, planes_, allowed_ = queries()
-        vecs = list_column_matrix(batch.column("embedding"))
-        ids = batch.column("vec_id").to_numpy()
-        vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-        vbuck = ((vn @ planes_.T) > 0).astype(np.int64) @ (1 << np.arange(planes_.shape[0]))
-        out_q, out_n, out_s = [], [], []
-        for qi, qvec in zip(qids_, qn_):
-            mask = np.isin(vbuck, list(allowed_[int(qi)]))
-            if not mask.any():
-                continue
-            sim = vn[mask] @ qvec
-            sel_ids = ids[mask]
-            top = topk_by_key(-sim[None], sel_ids, k)[0]
-            out_q.extend([int(qi)] * len(top))
-            out_n.extend(sel_ids[top].tolist())
-            out_s.extend(sim[top].tolist())
-        return pa.table({"qid": pa.array(out_q, type=pa.int64()),
-                         "neighbor_id": pa.array(out_n, type=pa.int64()),
-                         "sim": pa.array(out_s, type=pa.float64())})
-
-    return _rerank(
-        emb.map_batches(local_topk, batch_format="pyarrow").to_pandas(), k)
+    allowed = np.column_stack([qbuck, qbuck[:, None] ^ (1 << np.arange(bits))])
+    return _probe_knn(emb, qids, qn, _hyperplane_bits, planes, allowed, k)

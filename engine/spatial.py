@@ -1,5 +1,5 @@
 """North-rule spatial operators: raster<->vector tiling, point-in-polygon
-join, and kNN join via cell ring expansion.
+join, and an exact kNN join over a broadcast index side.
 
 The reference only needs these implicitly (its blocking is a KDTree / faiss
 search over feature vectors — /root/reference/blocking.py:62-118); our engine
@@ -16,7 +16,7 @@ import pyarrow as pa
 import ray.data
 
 from engine import cells, gates, storage
-from engine.blocking import topk_by_key
+from engine.blocking import centroid_knn, centroid_side
 from engine.joins import SIDE, shuffle_groups
 
 
@@ -168,99 +168,25 @@ def pip_join(points: ray.data.Dataset, polygons: ray.data.Dataset,
 
 
 # ---------------------------------------------------------------------------
-# kNN join via ring expansion (broadcast cell-bucketed index)
+# kNN join (broadcast index side, exact centroid scan)
 # ---------------------------------------------------------------------------
 
-class _CellIndex:
-    """Index-side centroids bucketed by cell — put once, built once per
-    worker of the task pool (``storage.broadcast``).  The 10^12-scale variant co-partitions by cell with a shuffle
-    instead (see blocking.cell_candidates); this is the small-index path the
-    reference's KDTree corresponds to."""
-
-    def __init__(self, ids: np.ndarray, xy: np.ndarray, res: int):
-        self.res = res
-        self.ids = ids
-        self.xy = xy
-        cell = cells.cell_of(xy[:, 0], xy[:, 1], res)
-        order = np.argsort(cell, kind="stable")
-        self.sorted_cells = cell[order]
-        self.order = order
-        self.uniq, self.starts = np.unique(self.sorted_cells, return_index=True)
-
-    def in_disk(self, cx_cell: int, cy_cell: int, r: int) -> np.ndarray:
-        """Row indices of index points whose cell is within Chebyshev r."""
-        n = 1 << self.res
-        rows = []
-        for ix in range(max(0, cx_cell - r), min(n, cx_cell + r + 1)):
-            lo_cell = int(cells.encode(self.res, ix, max(0, cy_cell - r)))
-            hi_cell = int(cells.encode(self.res, ix, min(n - 1, cy_cell + r)))
-            lo = np.searchsorted(self.sorted_cells, lo_cell, side="left")
-            hi = np.searchsorted(self.sorted_cells, hi_cell, side="right")
-            if hi > lo:
-                rows.append(self.order[lo:hi])
-        return np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-
-
-def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame", k: int = 5,
-             res: int = 8) -> ray.data.Dataset:
+def knn_join(cands: ray.data.Dataset, index_df: "pd.DataFrame",
+             k: int = 5) -> ray.data.Dataset:
     """Exact 2D kNN join: for each cand centroid, the k nearest index
-    centroids by squared euclidean distance, ties broken by numeric doc id.
+    centroids by squared euclidean distance, ties broken by numeric doc id
+    (cand_id, index_id, rank, dist2).
 
-    Ring expansion: start at the cand's cell, expand the Chebyshev disk until
-    >= k hits AND the k-th distance is covered by the searched radius
-    (d_k <= (r * cell_size)^2 guarantees no closer point outside the disk).
-    """
-    ids = index_df["doc_id"].to_numpy()
-    xy = index_df[["cx", "cy"]].to_numpy(dtype=np.float64)
-    id_num = index_df["doc_id"].astype(np.int64).to_numpy()
-
-    class KnnActor:
-        def __init__(self, index):
-            ids, xy, id_num, r = index
-            self.idx = _CellIndex(ids, xy, r)
-            self.id_num = id_num
-            self.cs = cells.cell_size(res)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            cx = batch.column("cx").to_numpy()
-            cy = batch.column("cy").to_numpy()
-            cid = batch.column("doc_id").to_pylist()
-            n_idx = len(self.idx.ids)
-            out_c, out_i, out_r, out_d = [], [], [], []
-            for ci, (x, y) in zip(cid, zip(cx, cy)):
-                icx = int(np.floor(x / self.cs))
-                icy = int(np.floor(y / self.cs))
-                r = 1
-                while True:
-                    rows = self.idx.in_disk(icx, icy, r)
-                    if len(rows) >= k or len(rows) == n_idx:
-                        dx = self.idx.xy[rows, 0] - x
-                        dy = self.idx.xy[rows, 1] - y
-                        d2 = dx * dx + dy * dy
-                        top = topk_by_key(d2[None], self.id_num[rows], k)[0]
-                        # guarantee: everything outside disk r is farther than
-                        # (r * cs) from the cell of (x, y) in the worst case
-                        guard = (r * self.cs) ** 2
-                        if len(rows) == n_idx or d2[top[-1]] <= guard:
-                            for rank, j in enumerate(top, start=1):
-                                out_c.append(ci)
-                                out_i.append(self.idx.ids[rows[j]])
-                                out_r.append(rank)
-                                out_d.append(float(d2[j]))
-                            break
-                    r += 1
-            return pa.table({
-                "cand_id": pa.array(out_c, type=pa.string()),
-                "index_id": pa.array(out_i, type=pa.string()),
-                "rank": pa.array(out_r, type=pa.int32()),
-                "dist2": pa.array(out_d, type=pa.float64()),
-            })
-
-    # task pool, the cell index built once per worker — no cold actor spawn
-    knn = storage.broadcast((ids, xy, id_num, res), build=KnnActor)
+    The index side (ids, (cx, cy) f64, numeric ids) is broadcast once and
+    every cand batch ranks against it through blocking.centroid_knn, the
+    exact scan centroid_nn_dataset runs, so both give the same bits."""
+    side = storage.broadcast(centroid_side(index_df))
 
     def knn_fn(batch: pa.Table) -> pa.Table:
-        return knn()(batch)
+        cxy = np.column_stack([batch.column("cx").to_numpy(),
+                               batch.column("cy").to_numpy()])
+        return centroid_knn(batch.column("doc_id").to_pylist(), cxy,
+                            side(), k)
 
     return cands.map_batches(knn_fn, batch_format="pyarrow", batch_size=1024)
 

@@ -330,22 +330,33 @@ def test_dense_knn_ranks_only_through_the_one_selection():
     """engine/blocking.py, similarity.py and spatial.py call np.lexsort,
     argpartition or np.partition only inside blocking.topk_by_key and
     blocking.topk_scan: every dense kNN hands its distance blocks to that
-    one selection and scan, so no kNN grows its own merge."""
+    one selection and scan, so no kNN grows its own merge.  spatial.py
+    calls no topk_by_key (its kNN join is the exact centroid scan), and
+    blocking.py and spatial.py build a kNN rank column
+    (``np.arange(1, ...``) only inside blocking.knn_rows, the one
+    ranked-row builder."""
     import ast
-    ranking = re.compile(r"np\.lexsort\(|argpartition\(|np\.partition\(")
+    checks = [
+        (re.compile(r"np\.lexsort\(|argpartition\(|np\.partition\("),
+         ("blocking.py", "similarity.py", "spatial.py"),
+         ("topk_by_key", "topk_scan")),
+        (re.compile(r"topk_by_key\("), ("spatial.py",), ()),
+        (re.compile(r"np\.arange\(1,"), ("blocking.py", "spatial.py"),
+         ("knn_rows",)),
+    ]
     engine = pathlib.Path(__file__).resolve().parents[1] / "engine"
     bad = []
-    for name in ("blocking.py", "similarity.py", "spatial.py"):
-        src = (engine / name).read_text()
-        inside = {line for node in ast.walk(ast.parse(src))
-                  if isinstance(node, ast.FunctionDef)
-                  and name == "blocking.py"
-                  and node.name in ("topk_by_key", "topk_scan")
-                  for line in range(node.lineno, node.end_lineno + 1)}
-        for m in ranking.finditer(src):
-            line = src.count("\n", 0, m.start()) + 1
-            if line not in inside:
-                bad.append(f"{name}:{line}: {m.group(0)}")
+    for pattern, names, allowed in checks:
+        for name in names:
+            src = (engine / name).read_text()
+            inside = {line for node in ast.walk(ast.parse(src))
+                      if isinstance(node, ast.FunctionDef)
+                      and name == "blocking.py" and node.name in allowed
+                      for line in range(node.lineno, node.end_lineno + 1)}
+            for m in pattern.finditer(src):
+                line = src.count("\n", 0, m.start()) + 1
+                if line not in inside:
+                    bad.append(f"{name}:{line}: {m.group(0)}")
     assert not bad, bad
 
 

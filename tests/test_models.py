@@ -152,6 +152,25 @@ def test_forest_walk_equals_the_per_tree_mean(family):
             m.predict_proba(Xt[i:i + 1])[0] >= 0.5)
 
 
+@pytest.mark.parametrize("family", ["RandomForest", "Bagging"])
+def test_forest_row_proba_does_not_depend_on_its_batch(family):
+    """Each of 300 held-out rows gets, bit for bit, the same predict_proba
+    and predict alone as inside the 300-row batch: the trees' leaf values
+    are added in tree order for one row as for many (numpy's mean sums a
+    single row's values pairwise)."""
+    from engine.matching import MODEL_REGISTRY
+    X, y = _planted(1500, 11)
+    Xt, _ = _planted(300, 12)
+    m = MODEL_REGISTRY[family](random_state=1).fit(X, y)
+    batch = m.predict_proba(Xt)
+    alone = np.concatenate([m.predict_proba(Xt[i:i + 1])
+                            for i in range(len(Xt))])
+    assert alone.tobytes() == batch.tobytes()
+    assert np.array_equal(
+        np.concatenate([m.predict(Xt[i:i + 1]) for i in range(len(Xt))]),
+        m.predict(Xt))
+
+
 def _depth_first_proba(m, X):
     """RandomForest.predict_proba as the depth-first node tables gave it
     before the breadth-first walk table: all trees stacked, every row

@@ -416,23 +416,60 @@ def test_knn_ties_at_the_kth_distance_keep_the_smallest_ids(site):
     assert got == ["0", "1", "2", "3", "4"]
 
 
+def _brute_knn_table(cand, idx, k):
+    """(cand_id, index_id, rank, dist2) by brute force: d2 = 0.0 + dx * dx
+    + dy * dy per pair (dx = cx - ix, dy = cy - iy), each cand's k
+    smallest by (d2, numeric id)."""
+    rows = []
+    for c in cand.itertuples():
+        d2 = [0.0 + (c.cx - x) * (c.cx - x) + (c.cy - y) * (c.cy - y)
+              for x, y in zip(idx.cx, idx.cy)]
+        top = sorted(zip(d2, idx.doc_id.astype(int), idx.doc_id))[:k]
+        rows += [(c.doc_id, i, r, d) for r, (d, _, i) in
+                 enumerate(top, start=1)]
+    return pd.DataFrame(rows, columns=["cand_id", "index_id", "rank",
+                                       "dist2"])
+
+
+def _by_cand_rank(df):
+    return df.sort_values(["cand_id", "rank"]).reset_index(drop=True)
+
+
 def test_spatial_knn_matches_bruteforce(ray_session):
+    """Every cand's k nearest index centroids, ranks and dist2 bits equal
+    brute force and centroid_nn_dataset: cands inside and outside the
+    world [0, WORLD_SIZE), eight index rows at one exact distance 5 from
+    a planted cand (ids in descending order, so ties go by numeric id),
+    and k larger than the index (every index row, ranked)."""
+    from engine.blocking import centroid_nn_dataset
     from engine.spatial import knn_join
     rng = np.random.default_rng(0)
-    idx = pd.DataFrame({
-        "doc_id": [str(i) for i in range(400)],
-        "cx": rng.uniform(0, 5000, 400), "cy": rng.uniform(0, 5000, 400)})
-    cand = pd.DataFrame({
-        "doc_id": [str(i + 1000) for i in range(50)],
-        "cx": rng.uniform(0, 5000, 50), "cy": rng.uniform(0, 5000, 50)})
-    got = knn_join(ray.data.from_pandas(cand), idx, k=3, res=6).to_pandas()
-    # brute force oracle
-    for _, row in cand.iloc[:10].iterrows():
-        d2 = (idx.cx - row.cx) ** 2 + (idx.cy - row.cy) ** 2
-        order = sorted(zip(d2, idx.doc_id.astype(int)))[:3]
-        want = [str(i) for _, i in order]
-        have = got[got.cand_id == row.doc_id].sort_values("rank").index_id.tolist()
-        assert have == want
+    ring = np.array([(3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3),
+                     (-3, -4), (-4, -3)], dtype=np.float64)
+    W = cells.WORLD_SIZE
+    for n_idx, k in [(400, 3), (4, 7)]:
+        ixy = np.vstack([rng.uniform(0, 5000, (n_idx, 2)), 1000.5 + ring])
+        idx = pd.DataFrame({"doc_id": [str(i) for i in range(len(ixy))][::-1],
+                            "cx": ixy[:, 0], "cy": ixy[:, 1]})
+        cxy = np.vstack([rng.uniform(0, 5000, (50, 2)), [[1000.5, 1000.5]],
+                         [[-700.25, 30.0], [W + 12.0, W - 0.5],
+                          [W * 3, -W], [-1e-9, 4999.0]]])
+        cand = pd.DataFrame({
+            "doc_id": [str(i + 1000) for i in range(len(cxy))],
+            "cx": cxy[:, 0], "cy": cxy[:, 1]})
+        got = _by_cand_rank(knn_join(ray.data.from_pandas(cand), idx,
+                                     k=k).to_pandas())
+        want = _by_cand_rank(_brute_knn_table(cand, idx, k))
+        assert len(got) == len(cand) * min(k, len(idx))
+        assert got[["cand_id", "index_id"]].equals(
+            want[["cand_id", "index_id"]])
+        assert got["rank"].tolist() == want["rank"].tolist()
+        assert got.dist2.to_numpy().tobytes() == \
+            want.dist2.to_numpy().tobytes()
+        tied = got[got.cand_id == "1050"]
+        assert tied.dist2.tolist()[:min(k, 8)] == [25.0] * min(k, 8)
+        scan = _by_cand_rank(centroid_nn_dataset(cand, idx, nn_param=k))
+        assert got.equals(scan)
 
 
 def test_spatial_knn_on_empty_index_returns_no_rows(ray_session):
