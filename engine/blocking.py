@@ -239,12 +239,11 @@ KNN_TILE, KNN_CHUNK = 64, 4096
 
 
 def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
-                idx_num: np.ndarray, k: int,
-                tile: int = KNN_TILE, chunk: int = KNN_CHUNK):
+                idx_num: np.ndarray, k: int):
     """Exact k-NN of the f32 rows ``X32`` among the index rows ``idx32``
     (``idx_sq`` their squared norms), ranked by (d2, idx_num): topk_scan
-    over ``chunk``-row index blocks, d2 = |x|^2 - 2 x.y + |y|^2 by one GEMM
-    per ``tile`` cands x chunk block.  Per cand tile only the first chunk
+    over KNN_CHUNK-row index blocks, d2 = |x|^2 - 2 x.y + |y|^2 by one GEMM
+    per KNN_TILE cands x chunk block.  Per cand tile only the first chunk
     pays a selection (an introselect per chunk measured 2x slower).
     Returns (top index positions, sqrt distances) shaped (n, min(k,
     n_idx))."""
@@ -253,9 +252,9 @@ def topk_l2_f32(X32: np.ndarray, idx32: np.ndarray, idx_sq: np.ndarray,
         top, d2 = topk_scan(
             ((x_sq - 2.0 * (Xt @ idx32[s:e].T) + idx_sq[None, s:e],
               idx_num[s:e], np.arange(s, e))
-             for s, e in _spans(len(idx32), chunk)), k)
+             for s, e in _spans(len(idx32), KNN_CHUNK)), k)
         return top, np.sqrt(np.maximum(d2, 0.0))
-    return _by_tile(X32, tile, tile_topk)
+    return _by_tile(X32, KNN_TILE, tile_topk)
 
 
 def topk_l2_exact(X: np.ndarray, idx: np.ndarray, idx_num: np.ndarray,

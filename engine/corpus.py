@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 import ray.data
 
 from engine import storage
@@ -126,9 +124,3 @@ def corpus_dataset(sf_dir: str, n_cands: int | None = None) -> ray.data.Dataset:
     otherwise mean a handful of tasks); block count is size-aware so small
     corpora don't pay 64 task launches."""
     return read_size_aware(ensure_corpus(sf_dir, n_cands), 64)
-
-
-def corpus_table(sf_dir: str, n_cands: int | None = None) -> pa.Table:
-    """Small-scale helper for tests: the whole corpus as one Arrow table."""
-    d = ensure_corpus(sf_dir, n_cands)
-    return pq.read_table(d)

@@ -41,9 +41,12 @@ doubles.  This is our engine's defined semantics (SURVEY.md §7.4.1), not a
 bit-copy of the reference's float accumulation order.  The batch kernel keeps
 the bits of the former one-object-at-a-time kernel:
 
-* sums the reference accumulates term by term (fan area, fan volume, surface
-  and hull perimeters) are laid into zero-padded rows, one per object, and
-  summed left to right by ``np.cumsum`` (adding 0.0 is exact);
+* every per-object or per-surface sum (fan area, fan volume, surface and
+  hull perimeters, the 3D hull's determinants) is one
+  ``np.bincount(seg, weights=values, minlength=n)``, which runs
+  ``out[seg[i]] += values[i]`` in index order from 0.0: each segment's
+  terms are added left to right, ``acc = 0.0; acc += v``, as the
+  one-object kernel added them;
 * numpy reductions that sum pairwise (means, ``np.std``, ``np.cov``) run on
   (objects × m) stacks of the objects that share m, which numpy reduces row
   by row exactly like a single length-m array;
@@ -298,23 +301,6 @@ def _padded(seg: np.ndarray, cols, nseg: int):
     return counts, out
 
 
-def _seq_sums(values: np.ndarray, seg: np.ndarray, nseg: int) -> np.ndarray:
-    """Per-segment ``acc = 0.0; acc += v`` in order (``seg`` non-decreasing):
-    step j adds every segment's j-th term, so each sum runs left to right
-    and the work and memory stay proportional to the terms."""
-    counts = np.bincount(seg, minlength=nseg)
-    starts = _starts(counts)
-    order = np.argsort(-counts, kind="stable")
-    # live[j]: how many segments have more than j terms (a prefix of order)
-    live = np.searchsorted(-counts[order],
-                           -np.arange(int(counts.max(initial=0))), side="left")
-    acc = np.zeros(nseg)
-    for j, k in enumerate(live.tolist()):
-        idx = order[:k]
-        acc[idx] += values[starts[idx] + j]
-    return acc
-
-
 def _first_true(mask: np.ndarray, seg: np.ndarray, nseg: int) -> np.ndarray:
     """Index of the first True of each segment (``seg`` non-decreasing), -1
     where a segment has none."""
@@ -438,9 +424,10 @@ def _fan(m: Meshes):
     det = (x0 * (y1 * z2 - z1 * y2)
            - y0 * (x1 * z2 - z1 * x2)
            + z0 * (x1 * y2 - y1 * x2))
-    surf_area = _seq_sums(tri_area, tri_surf, len(ntri))
-    area = _seq_sums(surf_area, m.surf_obj, m.n)
-    volume = np.abs(_seq_sums(det, m.surf_obj[tri_surf], m.n)) / 6.0
+    surf_area = np.bincount(tri_surf, weights=tri_area, minlength=len(ntri))
+    area = np.bincount(m.surf_obj, weights=surf_area, minlength=m.n)
+    volume = np.abs(np.bincount(m.surf_obj[tri_surf], weights=det,
+                                minlength=m.n)) / 6.0
     return area, volume
 
 
@@ -452,7 +439,8 @@ def _perimeters(m: Meshes, zmin: np.ndarray, zmax: np.ndarray) -> np.ndarray:
     start = m.surf_start[m.row_surf]
     nxt = start + (np.arange(len(m.x)) - start + 1) % m.surf_len[m.row_surf]
     dx, dy, dz = m.x - m.x[nxt], m.y - m.y[nxt], m.z - m.z[nxt]
-    ring = _seq_sums(np.sqrt(dx * dx + dy * dy + dz * dz), m.row_surf, nsurf)
+    edge = np.sqrt(dx * dx + dy * dy + dz * dz)
+    ring = np.bincount(m.row_surf, weights=edge, minlength=nsurf)
 
     def at(zref):
         on = np.bincount(m.row_surf, weights=m.z == zref[m.row_obj],
@@ -508,14 +496,17 @@ def _hull_perimeters(obj: np.ndarray, x: np.ndarray, y: np.ndarray,
     new = _heads(obj, x, y)
     obj, x, y = obj[new], x[new], y[new]
     c, (px, py) = _padded(obj, (x, y), n)
-    r = np.arange(n)[:, None]
-    edges = [np.zeros((n, 1))]
+    seg, edges = [], []
     for h, top in _chains(px, py, c):
-        a, b = h[:, :-1], h[:, 1:]
+        # each object's live edges, lower chain then upper, in chain order
+        r, j = np.nonzero(np.arange(h.shape[1] - 1) < (top - 1)[:, None])
+        a, b = h[r, j], h[r, j + 1]
         dx, dy = px[r, a] - px[r, b], py[r, a] - py[r, b]
-        live = np.arange(a.shape[1]) < (top - 1)[:, None]
-        edges.append(np.where(live, np.sqrt(dx * dx + dy * dy), 0.0))
-    return np.cumsum(np.concatenate(edges, axis=1), axis=1)[:, -1]
+        seg.append(r)
+        edges.append(np.sqrt(dx * dx + dy * dy))
+    # no edge at all: bincount returns intp zeros
+    return np.bincount(np.concatenate(seg), weights=np.concatenate(edges),
+                       minlength=n).astype(np.float64, copy=False)
 
 
 def convex_hull_2d(points: np.ndarray) -> np.ndarray:
@@ -542,13 +533,11 @@ def hull_area_2d(points: np.ndarray) -> float:
     hull = convex_hull_2d(points)
     if len(hull) < 3:
         return 0.0
-    acc = 0.0
-    n = len(hull)
-    for i in range(n):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % n]
-        acc += float(x1 * y2 - x2 * y1)
-    return abs(acc) / 2.0
+    x1, y1 = hull[:, 0], hull[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    acc = np.bincount(np.zeros(len(hull), dtype=np.intp),
+                      weights=x1 * y2 - x2 * y1)[0]
+    return abs(float(acc)) / 2.0
 
 
 def convex_hull_3d_volume(points: np.ndarray) -> float:

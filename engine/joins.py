@@ -94,31 +94,34 @@ def list_column_matrix(col, dtype=np.float64) -> np.ndarray:
 
 
 def broadcast_lookup(ds: ray.data.Dataset, key: str, lookup: dict,
-                     out_cols: dict[str, str], default=None) -> ray.data.Dataset:
-    """Attach columns from a broadcast {key -> tuple} mapping.
+                     out_cols: dict[str, str]) -> ray.data.Dataset:
+    """Inner join with a broadcast {key -> tuple} mapping: attach columns
+    from each row's tuple, and drop the rows whose key (a null included)
+    is not in the mapping, as SQL's ``JOIN`` does.
 
     ``out_cols`` maps output column name -> index into the tuple values.
     Lookups are vectorized: each worker unpacks the broadcast mapping once
-    into per-column pandas Series and maps key arrays in C.
+    into a pandas Index of its keys and an Arrow array per output column,
+    finds a batch's keys with one ``get_indexer`` call and takes the hits.
     """
     names = list(out_cols)
     idxs = [out_cols[n] for n in names]
 
-    def column_maps(table: dict) -> dict:
+    def unpack(table: dict):
         keys_ = list(table.keys())
-        return {n: pd.Series([table[k][i] for k in keys_], index=keys_)
-                for n, i in zip(names, idxs)}
+        return pd.Index(keys_), {n: pa.array([table[k][i] for k in keys_])
+                                 for n, i in zip(names, idxs)}
 
-    maps = storage.broadcast(lookup, build=column_maps)
+    maps = storage.broadcast(lookup, build=unpack)
 
     def attach(batch: pa.Table) -> pa.Table:
-        keys = pd.Series(batch.column(key).to_numpy(zero_copy_only=False))
-        cols = maps()
+        index, cols = maps()
+        pos = index.get_indexer(batch.column(key).to_numpy(
+            zero_copy_only=False))
+        hit = pos >= 0
+        batch = batch.filter(pa.array(hit))
         for n in names:
-            vals = keys.map(cols[n])
-            if default is not None:
-                vals = vals.fillna(default)
-            batch = batch.append_column(n, pa.Array.from_pandas(vals))
+            batch = batch.append_column(n, cols[n].take(pos[hit]))
         return batch
 
     return ds.map_batches(attach, batch_format="pyarrow")

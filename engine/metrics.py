@@ -42,14 +42,13 @@ def reduction_ratio(num_pairs: int, n_cands: int, n_index: int) -> float:
     return 1.0 - num_pairs / (n_cands * n_index)
 
 
-def precision_recall_f1(ds: ray.data.Dataset,
-                        label_col: str = "label",
-                        pred_col: str = "pred") -> dict:
-    """Binary P/R/F1 via distributed confusion counts
-    (classifier.py:165-176 -> ds.aggregate(Sum) + driver formula)."""
+def precision_recall_f1(ds: ray.data.Dataset) -> dict:
+    """Binary P/R/F1 of the ``pred`` column against ``label`` via
+    distributed confusion counts (classifier.py:165-176 ->
+    ds.aggregate(Sum) + driver formula)."""
     def conf(batch: pa.Table) -> pa.Table:
-        y = batch.column(label_col).to_numpy()
-        p = batch.column(pred_col).to_numpy()
+        y = batch.column("label").to_numpy()
+        p = batch.column("pred").to_numpy()
         return pa.table({
             "tp": pa.array([int(((y == 1) & (p == 1)).sum())], type=pa.int64()),
             "fp": pa.array([int(((y == 0) & (p == 1)).sum())], type=pa.int64()),

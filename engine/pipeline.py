@@ -425,9 +425,6 @@ def prepare_state(sf_dir: str, n_cands: int | None = None, seed: int = 1,
     return state
 
 
-FUSED_TILE, FUSED_CHUNK = 64, 4096  # L2-resident distance tiles (blocking.py)
-
-
 def fused_apply_batch(batch: pa.Table, s: dict, idx_sq: np.ndarray,
                       log_transform: bool) -> pa.Table:
     """The fused per-batch work: parse + 25 properties -> scale -> kNN ->
@@ -465,8 +462,7 @@ def fused_apply_batch(batch: pa.Table, s: dict, idx_sq: np.ndarray,
     P = np.column_stack([out.column(c).to_numpy() for c in PROPERTY_NAMES])
     Xs = ((P[:, s["feat_idx"]] - s["med"]) / s["iqr"]).astype(np.float32)
     top, dist = blk.topk_l2_f32(Xs, s["idx_scaled"], idx_sq,
-                                s["idx_num"], s["k"],
-                                tile=FUSED_TILE, chunk=FUSED_CHUNK)
+                                s["idx_num"], s["k"])
     n, kk = top.shape
     cand_rep = np.repeat(np.arange(n), kk)
     flat = top.ravel()

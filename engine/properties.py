@@ -3,10 +3,11 @@
 The reference fans out one multiprocessing task per *property*, each walking
 every object and re-shipping the whole object dict
 (/root/reference/object_properties.py:39-67).  Here it is a single
-``map_batches`` over zero-copy Arrow blocks, and each batch goes through the
-batch property kernel: its geom payloads are parsed into one flat vertex
-table by one Arrow JSON read (``geometry.parse_geom_payloads``) and all 25
-properties of all its objects are computed together over that table
+``map_batches`` over whole zero-copy Arrow read blocks, and each block
+goes through the batch property kernel: its geom payloads are parsed into
+one flat vertex table by one Arrow JSON read
+(``geometry.parse_geom_payloads``) and all 25 properties of all its
+objects are computed together over that table
 (``geometry.batch_properties``), in runs of at most about
 KERNEL_CHUNK_BYTES of payload.  The reference's per-property orientation
 was a parallelization artifact, not semantics (SURVEY.md §1.1); its
@@ -32,9 +33,10 @@ from engine.geometry import (PROPERTY_NAMES, batch_properties,
 # box buildings), so the kernel's temporaries stay bounded however large the
 # batch (numpy peak about 7 bytes per payload byte, so about 28 MB per call
 # at the cap, and per worker at once on a many-CPU cluster; one dense bench
-# call measured 20.3 MB under tracemalloc).  The fused apply pass hands
-# the kernel a whole read block (at most one per CPU), so on one CPU this
-# cut alone could split a pass: the benchmark's dense block
+# call measured 20.3 MB under tracemalloc).  The property stage
+# (``properties_dataset``) and the fused apply pass both hand the kernel a
+# whole read block (at most one per CPU), so this cut is the only one and
+# on one CPU it alone could split a pass: the benchmark's dense block
 # (2.20-2.46 MiB of cand payload over seeds 0, 1, 7, 24, 43, 44 and 99) and
 # its box-building block (~0.5 MB) each run as one call.  Each call pays
 # one quickhull round per hull candidate of its largest mesh and every
@@ -82,9 +84,10 @@ def _props_batch(batch: pa.Table, log_transform: bool) -> pa.Table:
     return pa.table(arrays)
 
 
-def properties_dataset(docs: ray.data.Dataset, log_transform: bool = False,
-                       batch_size: int = 256) -> ray.data.Dataset:
-    """docs (doc_id, source, spans) -> per-object property table."""
+def properties_dataset(docs: ray.data.Dataset,
+                       log_transform: bool = False) -> ray.data.Dataset:
+    """docs (doc_id, source, spans) -> per-object property table, one
+    ``_props_batch`` call per read block (``batch_size=None``)."""
     return docs.map_batches(
         lambda b: _props_batch(b, log_transform),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow", batch_size=None)

@@ -1,13 +1,11 @@
-"""Storage seam: Lance when available, parquet otherwise (SURVEY.md §7.0).
+"""Storage seam (SURVEY.md §7.0): parquet is the physical format.
 
-The north rule names Lance tables; this container has no pylance, so parquet
-is the physical format behind the same call sites.  Swapping is this module
-only — read/write signatures are identical.
-
-Every parquet read in the engine goes through one ``ray.data.Datasource``
+The north rule names Lance tables; without pylance, parquet stands in.
+Every read in the engine goes through one ``ray.data.Datasource``
 planned from the files' footers (``parquet_source``), read by
 read_parquet_clean or, sized from those footers, by
-``corpus.read_size_aware``.
+``corpus.read_size_aware``: that datasource is where a Lance reader would
+plug in.  Writes call ``Dataset.write_parquet`` directly.
 """
 
 from __future__ import annotations
@@ -27,12 +25,6 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.block import BlockMetadata
 from ray.data.datasource import ReadTask
-
-try:  # pragma: no cover - lance absent in this environment
-    import lance  # noqa: F401
-    HAVE_LANCE = True
-except Exception:
-    HAVE_LANCE = False
 
 
 def read_parquet_clean(path, columns=None,
@@ -231,17 +223,3 @@ def broadcast(value, build=None):
             return got
 
     return get
-
-
-def read_table(path: str, columns=None, override_num_blocks=None) -> ray.data.Dataset:
-    if HAVE_LANCE:
-        return ray.data.read_lance(path, columns=columns)
-    return read_parquet_clean(path, columns=columns,
-                              override_num_blocks=override_num_blocks)
-
-
-def write_table(ds: ray.data.Dataset, path: str, **kw) -> None:
-    if HAVE_LANCE:
-        ds.write_lance(path, **kw)
-        return
-    ds.write_parquet(path, **kw)

@@ -12,10 +12,12 @@ blocks in this process.  Printed, in ms: the whole call over all blocks
 (min over --trials plain runs) and each layer's summed time over the blocks
 (min over --trials runs with the layers wrapped).  The layers nest: the
 parse and geometry layers are parts of ``_props_batch``, the vertex sort
-``_radix_lexsort`` is part of ``_distinct`` and ``_vertex_orders``, and
-``Tree.walk`` is part of predict.  A layer the pass never calls through
-its module attribute prints ``not called`` and the script exits 1, so a
-renamed or inlined layer does not read as 0 ms.
+``_radix_lexsort`` is part of ``_distinct`` and ``_vertex_orders``, the
+slice filter ``_slice_interior`` and the lockstep 3D hull ``_quickhulls``
+are parts of ``_hull_volumes``, and ``Tree.walk`` is part of predict.  A
+layer the pass never calls through its module attribute prints ``not
+called`` and the script exits 1, so a renamed or inlined layer does not
+read as 0 ms.
 
 The traced perfbench run reads its kernel layers from wrappers of the former
 one-object-at-a-time calls, which the batch kernel no longer makes, so it
@@ -47,9 +49,12 @@ def _layers(matcher_cls) -> list:
         (geo, "_vertex_orders", "geometry._vertex_orders"),
         (geo, "_radix_lexsort", "geometry._radix_lexsort"),
         (geo, "_hull_volumes", "geometry._hull_volumes"),
+        (geo, "_slice_interior", "geometry._slice_interior"),
+        (geo, "_quickhulls", "geometry._quickhulls"),
         (geo, "_hull_perimeters", "geometry._hull_perimeters"),
         (geo, "_vertex_stats", "geometry._vertex_stats"),
         (geo, "_fan", "geometry._fan"),
+        (geo, "_perimeters", "geometry._perimeters"),
         (blk, "topk_l2_f32", "blocking.topk_l2_f32"),
         (matcher_cls, "predict", "matching.predict"),
         (mt.Tree, "walk", "matching.Tree.walk"),

@@ -48,17 +48,21 @@ def test_cell_blocking_salted_equals_unsalted(props_df, ray_session):
     assert (u.dist2.to_numpy() == s.dist2.to_numpy()).all()
 
 
-def test_topk_l2_f32_equals_bruteforce():
+def test_topk_l2_f32_equals_bruteforce(monkeypatch):
     """The threshold-pruned running top-k equals the lexsort oracle on the
     kernel's own d2 — including tie resolution by (d2, numeric id) —
     across random shapes, duplicate index rows (forced distance ties) and
-    k >= n_idx.  The integer-grid cases tie at many distances within and
-    across index chunks (their d2 is exact in any GEMM shape), and their
-    cand row 3 has a NaN feature: NaN distances rank after every number,
-    so it takes the k smallest ids."""
+    k >= n_idx, with 16-cand tiles and small index chunks (KNN_TILE and
+    KNN_CHUNK patched) so the multi-tile and multi-chunk merges run.  The
+    integer-grid cases tie at many distances within and across index
+    chunks (their d2 is exact in any GEMM shape), and their cand row 3 has
+    a NaN feature: NaN distances rank after every number, so it takes the
+    k smallest ids."""
     import numpy as np
+    import engine.blocking as blk
     from engine.blocking import topk_l2_f32
     from test_topk import lexsort_topk
+    monkeypatch.setattr(blk, "KNN_TILE", 16)
     rng = np.random.default_rng(42)
     for trial, (n, n_idx, dim, k, chunk, grid) in enumerate(
             [(37, 500, 6, 5, 64, False), (5, 3, 4, 7, 2, False),
@@ -77,8 +81,8 @@ def test_topk_l2_f32_equals_bruteforce():
             idx[7] = idx[3]
         idx_num = rng.permutation(n_idx).astype(np.int64)  # ids != positions
         idx_sq = (idx * idx).sum(1)
-        top, dist = topk_l2_f32(X, idx, idx_sq, idx_num, k,
-                                tile=16, chunk=chunk)
+        monkeypatch.setattr(blk, "KNN_CHUNK", chunk)
+        top, dist = topk_l2_f32(X, idx, idx_sq, idx_num, k)
         kk = min(k, n_idx)
         assert top.shape == (n, kk)
         x_sq = (X * X).sum(1)[:, None]

@@ -91,9 +91,10 @@ def test_span_fingerprint_detects_mutation():
 def test_corpus_pipeline_preserves_spans():
     """The document table read back after the generation stage keeps every
     span sequence (per-row invariant through write/read round trip)."""
-    from engine.corpus import corpus_table
+    import pyarrow.parquet as pq
+    from engine.corpus import ensure_corpus
     from datagen.buildings import doc_spans
-    t = corpus_table("/root/testdata/sf0.001")
+    t = pq.read_table(ensure_corpus("/root/testdata/sf0.001"))
     fps = span_fingerprint_column(t.column("spans")).to_pylist()
     ids = t.column("doc_id").to_pylist()
     srcs = t.column("source").to_pylist()
@@ -625,6 +626,47 @@ def test_bucketed_anti_join_equals_set_difference(ray_session):
     assert sorted(out.k) == sorted(set(range(100)) - {3, 17, 50, 99})
     # payload rides through untouched
     assert (out.payload == out.k.map(lambda i: f"p{i}")).all()
+
+
+def test_orders_by_nation_drops_unmatched_keys_like_the_oracle(
+        ray_session, tmp_path):
+    """broadcast_lookup is an inner join: an order whose customer is absent
+    and the orders of a customer whose nation is absent drop out, as the
+    oracle's JOINs drop them, instead of forming a null-nation group."""
+    import duckdb
+    import pyarrow.parquet as pq
+    from engine import oracles, relational
+    src = "/root/testdata/sf0.001"
+    orders = pq.read_table(f"{src}/orders.parquet")
+    customer = pq.read_table(f"{src}/customer.parquet")
+    dangling = orders.slice(0, 1).to_pandas()
+    dangling["o_orderkey"] = 10 ** 9
+    dangling["o_custkey"] = 10 ** 9          # no such customer
+    dangling["o_totalprice"] = 1e12
+    orders = pa.concat_tables([orders, pa.Table.from_pandas(
+        dangling, schema=orders.schema, preserve_index=False)])
+    nk = customer.column("c_nationkey").to_numpy().copy()
+    nk[0] = 99                               # no such nation
+    customer = customer.set_column(customer.schema.get_field_index(
+        "c_nationkey"), "c_nationkey", pa.array(nk, type=pa.int32()))
+    # the customer without a nation has orders
+    assert (orders.column("o_custkey").to_numpy()
+            == customer.column("c_custkey")[0].as_py()).any()
+    pq.write_table(orders, tmp_path / "orders.parquet")
+    pq.write_table(customer, tmp_path / "customer.parquet")
+    pq.write_table(pq.read_table(f"{src}/nation.parquet"),
+                   tmp_path / "nation.parquet")
+    got = relational.orders_by_nation(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    for t in ("orders", "customer", "nation"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
+                f"read_parquet('{tmp_path / t}.parquet')")
+    want = con.sql(oracles.REL_ORDERS_BY_NATION).df()
+    got = got[list(want.columns)].sort_values("n_name").reset_index(drop=True)
+    want = want.sort_values("n_name").reset_index(drop=True)
+    assert got["n_name"].tolist() == want["n_name"].tolist()
+    for c in ("n_orders", "min_price", "max_price"):
+        assert got[c].to_numpy().tolist() == want[c].to_numpy().tolist(), c
 
 
 def test_semantic_dedup_keeps_representatives(ray_session):

@@ -620,6 +620,40 @@ def test_two_row_group_corpus_runs_the_kernel_once_per_pass(
     assert out.count() == cands * fused_state["k"]
 
 
+def test_property_stage_runs_the_kernel_once_per_block(monkeypatch, tmp_path):
+    """properties_dataset hands the kernel whole blocks: a corpus of more
+    than 256 docs as one block, under KERNEL_CHUNK_BYTES of payload, runs
+    ``batch_properties`` once, over every object."""
+    import pyarrow.parquet as pq
+    import ray.data
+    from engine import corpus, properties
+    t = pq.read_table(corpus.ensure_corpus(SF))
+    assert t.num_rows > 256
+    log = str(tmp_path / "kernel_calls")
+
+    def counted(*args):
+        # runs in the worker, whose engine.properties is unpatched: count
+        # the kernel calls of this block there
+        import engine.properties as props
+        kernel = props.batch_properties
+
+        def spy(meshes, log_transform):
+            with open(log, "a") as f:
+                f.write(f"{meshes.n}\n")
+            return kernel(meshes, log_transform)
+        props.batch_properties = spy
+        try:
+            return props._props_batch(*args)
+        finally:
+            props.batch_properties = kernel
+
+    monkeypatch.setattr(properties, "_props_batch", counted)
+    out = properties.properties_dataset(ray.data.from_arrow(t)).materialize()
+    assert out.num_blocks() == 1
+    with open(log) as f:
+        assert [int(n) for n in f.read().split()] == [out.count()]
+
+
 def test_fused_state_is_put_once_per_state(fused_state, monkeypatch):
     """Passes over the same state object put it in the object store once
     and return the same pairs; another state object gets its own put."""

@@ -564,6 +564,33 @@ def test_radix_lexsort_rejects_negative_integers():
         geo._radix_lexsort((np.array([3, -1]),))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_bincount_is_the_ordered_segment_sum(seed):
+    """The kernel's ordered sums are ``np.bincount(seg, weights=v,
+    minlength=n)``: bit for bit a per-segment ``acc = 0.0; acc += x`` over
+    the terms in index order, with signed zeros, infinities, NaNs,
+    subnormals, sums that overflow to inf, empty and one-term segments,
+    and segments sorted or not.  With no terms at all it returns intp
+    zeros whatever the weights, so a kernel sum that can have none casts."""
+    rng = np.random.default_rng(seed)
+    for n_terms, n_seg in ((0, 0), (0, 3), (1, 1), (5, 9), (400, 60)):
+        v = _fuzz_float_key(rng, n_terms)
+        v[rng.random(n_terms) < 0.2] = 1.7e308          # overflows in pairs
+        seg = rng.integers(0, max(n_seg, 1), n_terms)
+        if seed % 2:
+            seg.sort()
+        acc = [0.0] * n_seg
+        for s, x in zip(seg.tolist(), v.tolist()):
+            acc[s] += x
+        got = np.bincount(seg, weights=v, minlength=n_seg)
+        if n_terms == 0:
+            assert got.dtype == np.intp and got.tolist() == [0] * n_seg
+            continue
+        assert got.dtype == np.float64 and len(got) == n_seg
+        assert got.view(np.uint64).tolist() == \
+            np.array(acc, dtype=np.float64).view(np.uint64).tolist()
+
+
 def _run_end_hull_volumes(U, nv, orders):
     """_hull_volumes before the slice filter: the hull candidates are the
     run ends of every object, all of them."""
